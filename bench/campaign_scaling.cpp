@@ -76,13 +76,10 @@ struct Timed {
   double ms = 0.0;
   std::string text;
   std::string metrics_json;
-  // Bus lookup traffic from the run's merged registry: the per-wire memo
-  // cache and the precompiled MA transition tables, recorded as campaign
-  // hit-rate gauges in BENCH_campaign.json.
+  // Waveform-store traffic from the run's merged registry, recorded as
+  // the campaign hit-rate gauge in BENCH_campaign.json.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t table_hits = 0;
-  std::uint64_t table_misses = 0;
 };
 
 Timed run_once(const jsi::scenario::ScenarioSpec& spec, std::size_t shards) {
@@ -98,8 +95,6 @@ Timed run_once(const jsi::scenario::ScenarioSpec& spec, std::size_t shards) {
   out.metrics_json = r.metrics_json;
   out.cache_hits = r.result.metrics.counter_value("bus.cache_hits");
   out.cache_misses = r.result.metrics.counter_value("bus.cache_misses");
-  out.table_hits = r.result.metrics.counter_value("bus.table_hits");
-  out.table_misses = r.result.metrics.counter_value("bus.table_misses");
   if (r.result.failures != 0) {
     std::cerr << "FAIL: campaign units failed:\n" << out.text;
     std::exit(1);
@@ -169,20 +164,13 @@ int main() {
               << static_cast<double>(units) * 1000.0 / best_ms
               << " units/s (best run " << best_ms << " ms)\n";
   }
-  const auto rate = [](std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t lookups = hits + misses;
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(lookups);
-  };
+  const std::uint64_t lookups = ref.cache_hits + ref.cache_misses;
   reg.gauge("campaign.bus.cache_hit_rate")
-      .set(rate(ref.cache_hits, ref.cache_misses));
-  reg.gauge("campaign.bus.table_hit_rate")
-      .set(rate(ref.table_hits, ref.table_misses));
-  std::cout << "bus lookups: memo " << ref.cache_hits << "/"
-            << ref.cache_hits + ref.cache_misses << " hits, tables "
-            << ref.table_hits << "/" << ref.table_hits + ref.table_misses
-            << " hits\n";
+      .set(lookups == 0 ? 0.0
+                        : static_cast<double>(ref.cache_hits) /
+                              static_cast<double>(lookups));
+  std::cout << "bus waveform store: " << ref.cache_hits << "/" << lookups
+            << " wire hits\n";
   const std::string path = jsi::obs::jsi_metrics_dump("campaign");
   if (!path.empty()) std::cout << "metrics: " << path << "\n";
 

@@ -1,17 +1,17 @@
 // Waveform-kernel throughput guard.
 //
-// The batched kernel's contract is "MA transitions are (nearly) free":
-// the 6*n G-SITEST vector pairs are precompiled into per-generation
-// transition tables, so the steady-state hot path is one hash probe and
-// n pointer stores instead of n per-wire analytic solves. This guard
-// measures transitions/sec of the batched path against the raw scalar
-// solver (bench/kernel_throughput.hpp) and fails (exit 1) when the
-// speedup ratio drops below the floor — or, unconditionally, when the
-// two paths disagree on a single output bit.
+// The batched path's contract is "MA transitions are (nearly) free":
+// once the waveform store holds the 6*n G-SITEST vector pairs' wires,
+// the steady-state hot path is n store probes and pointer stores instead
+// of n per-wire analytic solves. This guard measures transitions/sec of
+// the batched path against direct `solve_wire` calls
+// (bench/kernel_throughput.hpp) and fails (exit 1) when the speedup
+// ratio drops below the floor — or, unconditionally, when the two paths
+// disagree on a single output bit.
 //
-// The guard runs once per registered interconnect model: the table/memo
-// machinery is model-agnostic, so every model behind the seam must hold
-// the same floor. JSI_KERNEL_MODEL restricts the run to one model.
+// The guard runs once per registered interconnect model: the store is
+// model-agnostic, so every model behind the seam must hold the same
+// floor. JSI_KERNEL_MODEL restricts the run to one model.
 //
 // Methodology mirrors obs_overhead_guard: best-of-K attempts so a CI
 // load spike has to persist to fail us; the parity check is
@@ -88,9 +88,9 @@ int main() {
       best_ratio = std::max(best_ratio, kt.ratio);
       std::cout << name << " attempt " << attempt << ": batched "
                 << kt.batched_tps << " trans/s, scalar " << kt.scalar_tps
-                << " trans/s, ratio " << kt.ratio << "x (table "
-                << kt.table_entries << " entries, " << kt.table_hits
-                << " hits / " << kt.table_misses << " misses)\n";
+                << " trans/s, ratio " << kt.ratio << "x (store "
+                << kt.store_entries << " entries, hit rate " << kt.hit_rate
+                << ")\n";
       if (best_ratio >= kMinRatio) {
         std::cout << "OK: " << name << " batched/scalar ratio " << best_ratio
                   << "x >= " << kMinRatio << "x floor\n";

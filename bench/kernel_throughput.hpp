@@ -1,6 +1,6 @@
 // Shared measurement core for the waveform-kernel throughput metric:
-// transitions/sec of the batched (table-backed) path versus the raw
-// scalar solver over the complete MA pattern workload, plus the
+// transitions/sec of the batched (store-backed) path versus direct
+// `solve_wire` calls over the complete MA pattern workload, plus the
 // bit-for-bit parity pin between the two. Used by bench/perf_kernel.cpp
 // (dumps the numbers into BENCH_perf_kernel.json) and by
 // bench/kernel_ratio_guard.cpp (the CTest ratio assertion).
@@ -21,12 +21,11 @@ namespace jsi::bench {
 
 struct KernelThroughput {
   std::size_t n_wires = 0;
-  double batched_tps = 0.0;  ///< transitions/sec, precompiled-table path
+  double batched_tps = 0.0;  ///< transitions/sec, warmed waveform store
   double scalar_tps = 0.0;   ///< transitions/sec, raw per-wire heap solver
   double ratio = 0.0;        ///< batched_tps / scalar_tps
-  std::uint64_t table_hits = 0;
-  std::uint64_t table_misses = 0;
-  std::size_t table_entries = 0;
+  double hit_rate = 0.0;     ///< store wire hit rate of the batched path
+  std::size_t store_entries = 0;
   bool parity_ok = false;  ///< batched == scalar bit-for-bit on every sample
 };
 
@@ -60,13 +59,17 @@ inline KernelThroughput measure_kernel_throughput(
   const std::vector<mafm::VectorPair> pairs = ma_workload(n_wires);
 
   si::CoupledBus batched(p);
-  batched.precompile_tables();
-  // Reference: the raw analytic solver, no tables, no memo — every call
-  // does the full per-wire exponential evaluation into fresh heap
-  // storage, exactly the pre-batching hot path.
-  si::CoupledBus scalar(p);
-  scalar.set_tables_enabled(false);
-  scalar.set_cache_enabled(false);
+  batched.warm_ma_pairs();
+  // Reference: the model's solver called directly — every call does the
+  // full per-wire exponential evaluation into fresh heap storage,
+  // exactly the pre-batching hot path.
+  const si::BusModel scalar(p);
+  const si::InterconnectModel& solver = si::model_for(model);
+  const auto solve = [&](std::size_t i, const mafm::VectorPair& vp) {
+    si::Waveform w(p.samples, p.sample_dt);
+    solver.solve_wire(scalar, i, vp.v1, vp.v2, w.data());
+    return w;
+  };
 
   KernelThroughput out;
   out.n_wires = n_wires;
@@ -78,7 +81,7 @@ inline KernelThroughput measure_kernel_throughput(
   for (const mafm::VectorPair& vp : pairs) {
     const si::TransitionBatch b = batched.transition_batch(vp.v1, vp.v2);
     for (std::size_t i = 0; i < n_wires && out.parity_ok; ++i) {
-      const si::Waveform ref = scalar.wire_response(i, vp.v1, vp.v2);
+      const si::Waveform ref = solve(i, vp);
       if (std::memcmp(b.wire(i).data(), ref.data(),
                       samples * sizeof(double)) != 0) {
         out.parity_ok = false;
@@ -86,7 +89,7 @@ inline KernelThroughput measure_kernel_throughput(
     }
   }
 
-  // Batched timing (steady state: tables built, arena warm).
+  // Batched timing (steady state: every MA waveform stored).
   double checksum = 0.0;
   const std::size_t batched_reps = scalar_reps * 64;
   const auto b0 = clock_type::now();
@@ -102,7 +105,7 @@ inline KernelThroughput measure_kernel_throughput(
   for (std::size_t r = 0; r < scalar_reps; ++r) {
     for (const mafm::VectorPair& vp : pairs) {
       for (std::size_t i = 0; i < n_wires; ++i) {
-        checksum += scalar.wire_response(i, vp.v1, vp.v2).final_value();
+        checksum += solve(i, vp).final_value();
       }
     }
   }
@@ -115,9 +118,8 @@ inline KernelThroughput measure_kernel_throughput(
   out.batched_tps = bsec > 0.0 ? btrans / bsec : 0.0;
   out.scalar_tps = ssec > 0.0 ? strans / ssec : 0.0;
   out.ratio = out.scalar_tps > 0.0 ? out.batched_tps / out.scalar_tps : 0.0;
-  out.table_hits = batched.table_hits();
-  out.table_misses = batched.table_misses();
-  out.table_entries = batched.table_entries();
+  out.hit_rate = batched.cache_hit_rate();
+  out.store_entries = batched.cache_entries();
   // Keep the checksum observable so the timed loops cannot be elided.
   if (checksum == 0.12345) out.ratio = -out.ratio;
   return out;

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "core/session.hpp"
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "obs/metrics_sink.hpp"
 #include "obs/registry.hpp"
 
@@ -41,18 +41,18 @@ int main() {
   std::stringstream buf;
   buf << in.rdbuf();
   std::string err;
-  const auto doc = jsi::obs::json::parse(buf.str(), &err);
+  const auto doc = jsi::util::json::parse(buf.str(), &err);
   std::remove(path.c_str());
   if (!doc.has_value()) return fail("emitted JSON does not parse: " + err);
   if (!doc->is_object()) return fail("top level is not an object");
 
-  const jsi::obs::json::Value* bench = doc->find("benchmark");
+  const jsi::util::json::Value* bench = doc->find("benchmark");
   if (bench == nullptr || bench->str != "metrics_smoke") {
     return fail("missing/wrong benchmark name");
   }
-  const jsi::obs::json::Value* metrics = doc->find("metrics");
+  const jsi::util::json::Value* metrics = doc->find("metrics");
   if (metrics == nullptr) return fail("missing metrics object");
-  const jsi::obs::json::Value* counters = metrics->find("counters");
+  const jsi::util::json::Value* counters = metrics->find("counters");
   if (counters == nullptr) return fail("missing counters object");
 
   for (const char* key : {"tck.total", "tck.phase.generation",

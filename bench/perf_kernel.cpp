@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bsc/netlists.hpp"
 #include "core/bist.hpp"
@@ -82,34 +83,39 @@ void BM_BusTransition(benchmark::State& state) {
 BENCHMARK(BM_BusTransition)->Arg(8)->Arg(32);
 
 void BM_BusTransitionUncached(benchmark::State& state) {
-  // Baseline for the memoized transition cache: the same workload as
-  // BM_BusTransition with the cache disabled, so the raw analytic solver
-  // is metered on every call.
+  // Baseline for the waveform store: the same workload as
+  // BM_BusTransition solved by direct model calls, so the raw analytic
+  // solver is metered on every wire.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   si::BusParams p;
   p.n_wires = n;
-  si::CoupledBus bus(p);
-  bus.set_cache_enabled(false);
+  const si::BusModel m(p);
+  const si::InterconnectModel& solver = si::model_for(p.model);
   const auto a = util::BitVec::zeros(n);
   auto b = util::BitVec::ones(n);
   b.set(n / 2, false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bus.transition(a, b));
+    std::vector<si::Waveform> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      si::Waveform& w = out.emplace_back(p.samples, p.sample_dt);
+      solver.solve_wire(m, i, a, b, w.data());
+    }
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_BusTransitionUncached)->Arg(8)->Arg(32);
 
 void BM_BusTransitionBatched(benchmark::State& state) {
-  // The table-backed hot path: the full MA workload served from the
-  // precompiled transition tables. Compare against BM_BusTransitionUncached
-  // for the raw batched-vs-scalar gap (asserted >= 3x by
-  // kernel_ratio_guard).
+  // The store-backed hot path: the full MA workload served from a
+  // warmed waveform store. Compare against BM_BusTransitionUncached for
+  // the raw batched-vs-scalar gap (asserted >= 3x by kernel_ratio_guard).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   si::BusParams p;
   p.n_wires = n;
   si::CoupledBus bus(p);
-  bus.precompile_tables();
+  bus.warm_ma_pairs();
   const auto pairs = bench::ma_workload(n);
   double acc = 0.0;
   for (auto _ : state) {
@@ -121,7 +127,7 @@ void BM_BusTransitionBatched(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(pairs.size()));
-  state.counters["table_hit_rate"] = bus.table_hit_rate();
+  state.counters["hit_rate"] = bus.cache_hit_rate();
 }
 BENCHMARK(BM_BusTransitionBatched)->Arg(8)->Arg(32);
 
@@ -145,7 +151,6 @@ BENCHMARK(BM_NetlistSimPgbsc);
 
 void BM_FullSiSession(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const bool cached = state.range(1) != 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   for (auto _ : state) {
@@ -153,7 +158,6 @@ void BM_FullSiSession(benchmark::State& state) {
     cfg.n_wires = n;
     core::SiSocDevice soc(cfg);
     soc.bus().inject_crosstalk_defect(n / 2, 6.0);
-    soc.bus().set_cache_enabled(cached);
     core::SiTestSession session(soc);
     benchmark::DoNotOptimize(
         session.run(core::ObservationMethod::OnceAtEnd));
@@ -166,17 +170,14 @@ void BM_FullSiSession(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullSiSession)
-    ->ArgNames({"n", "cache"})
-    ->Args({8, 1})
-    ->Args({8, 0})
-    ->Args({32, 1})
-    ->Args({32, 0})
+    ->Arg(8)
+    ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullSiSessionObserved(benchmark::State& state) {
   // BM_FullSiSession with the full obs::Hub attached (per-TCK edge
   // tracing, metrics folding, ring buffer). Compare against the n=8/32
-  // cached rows above to price the *enabled* instrumentation; the <2%
+  // rows above to price the *enabled* instrumentation; the <2%
   // disabled-path guarantee is asserted by obs_overhead_guard.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::uint64_t tcks = 0;
@@ -252,7 +253,7 @@ void BM_ExtestBoardSession(benchmark::State& state) {
 BENCHMARK(BM_ExtestBoardSession)->Arg(16)->Arg(64);
 
 // One instrumented pass of every session kind, folding TCK-phase and
-// cache metrics into the global registry for the BENCH_perf_kernel.json
+// waveform-store metrics into the global registry for the BENCH_perf_kernel.json
 // dump (see main below).
 void collect_session_metrics() {
   obs::MetricsSink sink(obs::global_registry());
@@ -307,8 +308,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   collect_session_metrics();
   // Headline kernel numbers for BENCH_perf_kernel.json: MA-workload
-  // transitions/sec on the batched (table) path vs the raw scalar solver,
-  // plus the table hit rate the measurement observed, once per registered
+  // transitions/sec on the batched (store) path vs the raw scalar solver,
+  // plus the store hit rate the measurement observed, once per registered
   // interconnect model. The default model additionally keeps the legacy
   // unsuffixed gauge names so existing dashboards keep reading. The >= 3x
   // floor on each ratio is enforced by the kernel_ratio_guard ctest; here
@@ -317,16 +318,12 @@ int main(int argc, char** argv) {
   for (si::ModelKind kind : si::kAllModelKinds) {
     const bench::KernelThroughput kt =
         bench::measure_kernel_throughput(8, 4, kind);
-    const std::uint64_t tlook = kt.table_hits + kt.table_misses;
-    const double hit_rate = tlook == 0 ? 0.0
-                                       : static_cast<double>(kt.table_hits) /
-                                             static_cast<double>(tlook);
     if (kind == si::ModelKind::RcFullSwing) {
       reg.gauge("kernel.transitions_per_sec.batched").set(kt.batched_tps);
       reg.gauge("kernel.transitions_per_sec.scalar").set(kt.scalar_tps);
       reg.gauge("kernel.batched_vs_scalar_ratio").set(kt.ratio);
       reg.gauge("kernel.parity_ok").set(kt.parity_ok ? 1.0 : 0.0);
-      reg.gauge("kernel.table_hit_rate").set(hit_rate);
+      reg.gauge("kernel.store_hit_rate").set(kt.hit_rate);
     }
     const std::string prefix =
         std::string("kernel.transitions_per_sec.") + si::model_kind_name(kind);
@@ -338,7 +335,8 @@ int main(int argc, char** argv) {
     reg.gauge(base + ".parity_ok").set(kt.parity_ok ? 1.0 : 0.0);
     std::cout << "kernel[" << si::model_kind_name(kind) << "]: batched "
               << kt.batched_tps << " trans/s, scalar " << kt.scalar_tps
-              << " trans/s, ratio " << kt.ratio << "x, parity "
+              << " trans/s, ratio " << kt.ratio << "x, store hit rate "
+              << kt.hit_rate << ", parity "
               << (kt.parity_ok ? "ok" : "BROKEN") << "\n";
   }
   const std::string path = obs::jsi_metrics_dump("perf_kernel");

@@ -108,8 +108,8 @@ int main() {
                "O(n);\nthe improvement increases with n and exceeds 90% by "
                "n=32.\n";
   const std::uint64_t lookups = hits + misses;
-  std::cout << "\nBus transition cache over all runs: " << hits << "/"
-            << lookups << " waveform lookups served from cache ("
+  std::cout << "\nBus waveform store over all runs: " << hits << "/"
+            << lookups << " waveform lookups served from the store ("
             << util::fmt_percent(lookups == 0
                                      ? 0.0
                                      : static_cast<double>(hits) /

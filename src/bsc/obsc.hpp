@@ -41,7 +41,7 @@ class Obsc : public jtag::BoundaryCell {
   /// wire's driven logic level before this bus transition; `expected` the
   /// level after it. Honors CE: with c.ce == false the sticky flags are
   /// untouched ("the captured data in their flip-flops remain unchanged").
-  /// Takes a non-owning view so the batched bus path feeds arena/table
+  /// Takes a non-owning view so the batched bus path feeds waveform-store
   /// storage straight to the sensors with no copies.
   void observe(si::WaveformView w, util::Logic initial,
                util::Logic expected, const jtag::CellCtl& c);

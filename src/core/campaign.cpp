@@ -470,10 +470,8 @@ CampaignResult CampaignRunner::run() {
                   .count());
           d.transitions = reg.counter_value("bus.transitions");
           d.tcks = reg.counter_value("tck.total");
-          d.table_hits = reg.counter_value("bus.table_hits");
-          d.table_misses = reg.counter_value("bus.table_misses");
-          d.memo_hits = reg.counter_value("bus.cache_hits");
-          d.memo_misses = reg.counter_value("bus.cache_misses");
+          d.cache_hits = reg.counter_value("bus.cache_hits");
+          d.cache_misses = reg.counter_value("bus.cache_misses");
           tp->end_unit(d);
           last = t1;
         }

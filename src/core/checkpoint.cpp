@@ -20,6 +20,12 @@ namespace json = jsi::util::json;
   throw std::runtime_error("checkpoint: " + what);
 }
 
+// v2 redefined the bus.* counters chunk records carry (one waveform
+// store instead of a memo plus MA tables), so v1 records must never be
+// folded into a v2 run's registry.
+constexpr const char* kSchema = "jsi.checkpoint.v2";
+constexpr const char* kSchemaV1 = "jsi.checkpoint.v1";
+
 // -- bit-exact doubles ------------------------------------------------------
 //
 // Gauge values and histogram sums are doubles whose exact bit patterns
@@ -165,7 +171,7 @@ std::string fingerprint_text(std::string_view text) {
 }
 
 void write_checkpoint_header(std::ostream& os, const CheckpointHeader& h) {
-  os << "{\"schema\":\"jsi.checkpoint.v1\",\"fingerprint\":";
+  os << "{\"schema\":\"" << kSchema << "\",\"fingerprint\":";
   json::write_escaped_string(os, h.fingerprint);
   os << ",\"units\":" << h.units << ",\"chunk_size\":" << h.chunk_size
      << ",\"aggregate\":" << (h.aggregate ? "true" : "false") << '}';
@@ -239,9 +245,15 @@ CheckpointData load_checkpoint(const std::string& path) {
   std::string err;
   std::optional<json::Value> header = json::parse(line, &err);
   if (!header) fail("\"" + path + "\" header: " + err);
-  if (string_member(*header, "schema") != "jsi.checkpoint.v1") {
-    fail("\"" + path + "\": unknown schema \"" +
-         string_member(*header, "schema") + "\"");
+  const std::string schema = string_member(*header, "schema");
+  if (schema == kSchemaV1) {
+    throw CheckpointMismatchError(
+        "checkpoint: \"" + path + "\" has schema \"" + kSchemaV1 +
+        "\", this build writes \"" + kSchema +
+        "\" (the bus.* counters changed); rerun without --resume");
+  }
+  if (schema != kSchema) {
+    fail("\"" + path + "\": unknown schema \"" + schema + "\"");
   }
 
   CheckpointData data;

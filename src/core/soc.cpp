@@ -222,9 +222,8 @@ void SiSocDevice::apply_bus(bool observe) {
     e.value = bus_transitions_;
     sink_->on_event(e);
   }
-  // One batched kernel evaluation for the whole bus: MA pattern pairs
-  // are served from the precompiled transition table, everything else
-  // from the memo path — either way the sensors scan zero-copy views.
+  // One batched store lookup for the whole bus: the sensors scan
+  // zero-copy views of the stored waveforms.
   const si::TransitionBatch batch = bus_->transition_batch(prev, next);
   for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
     const si::WaveformView w = batch.wire(i);

@@ -22,7 +22,8 @@ enum class EventKind : std::uint8_t {
                       ///< a = TMS, b = TDI)
   BusTransition,      ///< a driven bus vector changed (a = bus index,
                       ///< value = cumulative transition count)
-  CacheLookup,        ///< bus waveform cache probe (a = 1 hit / 0 miss)
+  CacheLookup,        ///< one bus waveform-store lookup call, after its
+                      ///< fill (a = wire hits, b = wire misses)
   DetectorFired,      ///< sticky sensor flag newly latched (name = "ND"/"SD",
                       ///< a = wire, b = bus or -1)
   SchedulerRun,       ///< event-kernel drain finished (value = events run)

@@ -1,6 +1,5 @@
 #include "obs/metrics_sink.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -78,13 +77,14 @@ void MetricsSink::on_event(const Event& e) {
       reg_->counter("bus.transitions").inc();
       break;
     case EventKind::CacheLookup:
-      // Two lookup families share the event kind, split by name: the
-      // per-wire memo cache ("si.cache") and the per-transition
-      // precompiled MA tables ("si.table").
-      if (e.name != nullptr && std::strcmp(e.name, "si.table") == 0) {
-        reg_->counter(e.a != 0 ? "bus.table_hits" : "bus.table_misses").inc();
-      } else {
-        reg_->counter(e.a != 0 ? "bus.cache_hits" : "bus.cache_misses").inc();
+      // One record per store lookup call, carrying its wire tallies. The
+      // counters are created only once they have something to count, so
+      // registries without bus traffic keep their key set.
+      if (e.a > 0) {
+        reg_->counter("bus.cache_hits").inc(static_cast<std::uint64_t>(e.a));
+      }
+      if (e.b > 0) {
+        reg_->counter("bus.cache_misses").inc(static_cast<std::uint64_t>(e.b));
       }
       break;
     case EventKind::DetectorFired:

@@ -21,25 +21,19 @@ double pct(std::uint64_t part, std::uint64_t whole) {
 
 }  // namespace
 
-std::string profile_report(const std::vector<ProfileUnit>& units,
+std::string profile_report(const ProfileTotals& totals,
+                           const std::vector<ProfileUnit>& units,
                            const Registry& merged, const Snapshot* telemetry,
                            const ProfileOptions& opt) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(2);
 
-  std::uint64_t total = 0, generation = 0, observation = 0;
-  std::size_t violations = 0, failures = 0;
-  for (const ProfileUnit& u : units) {
-    total += u.total_tcks;
-    generation += u.generation_tcks;
-    observation += u.observation_tcks;
-    if (u.violation) ++violations;
-    if (u.failed) ++failures;
-  }
-
+  const std::uint64_t total = totals.total_tcks;
+  const std::uint64_t generation = totals.generation_tcks;
+  const std::uint64_t observation = totals.observation_tcks;
   os << "== campaign profile ==\n";
-  os << "units: " << units.size() << " (" << violations << " violations, "
-     << failures << " failures)\n";
+  os << "units: " << totals.units << " (" << totals.violations
+     << " violations, " << totals.failures << " failures)\n";
   os << "tcks: total=" << total << " generation=" << generation << " ("
      << pct(generation, total) << "%) observation=" << observation << " ("
      << pct(observation, total) << "%)\n";
@@ -83,14 +77,11 @@ std::string profile_report(const std::vector<ProfileUnit>& units,
        << " p50=" << h.quantile(0.5) << " p95=" << h.quantile(0.95) << '\n';
   }
 
-  const std::uint64_t table_hits = merged.counter_value("bus.table_hits");
-  const std::uint64_t table_misses = merged.counter_value("bus.table_misses");
-  const std::uint64_t memo_hits = merged.counter_value("bus.cache_hits");
-  const std::uint64_t memo_misses = merged.counter_value("bus.cache_misses");
-  if (table_hits + table_misses + memo_hits + memo_misses > 0) {
-    os << "bus lookups: table " << table_hits << '/'
-       << (table_hits + table_misses) << " hits, memo " << memo_hits << '/'
-       << (memo_hits + memo_misses) << " hits\n";
+  const std::uint64_t hits = merged.counter_value("bus.cache_hits");
+  const std::uint64_t lookups = hits + merged.counter_value("bus.cache_misses");
+  if (lookups > 0) {
+    os << "bus waveform store: " << hits << '/' << lookups << " wire hits ("
+       << pct(hits, lookups) << "%)\n";
   }
 
   // Top-k slowest units by TCK count (deterministic tiebreak: the

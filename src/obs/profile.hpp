@@ -23,6 +23,18 @@ struct ProfileUnit {
   bool failed = false;
 };
 
+/// Campaign-wide books for the profile headline: the campaign result's
+/// totals, which aggregate mode keeps even though it folds the per-unit
+/// outcomes away.
+struct ProfileTotals {
+  std::uint64_t units = 0;
+  std::uint64_t violations = 0;
+  std::uint64_t failures = 0;
+  std::uint64_t total_tcks = 0;
+  std::uint64_t generation_tcks = 0;
+  std::uint64_t observation_tcks = 0;
+};
+
 struct ProfileOptions {
   std::size_t top_k = 5;  ///< slowest-unit list length
   /// TCK period used to convert TCK budgets into estimated wall time —
@@ -30,15 +42,18 @@ struct ProfileOptions {
   std::uint64_t tck_period_ps = 10'000;
 };
 
-/// Render the post-run profile of a merged campaign transcript:
-/// TCK/wall-time split by phase (generation vs observation) and by TAP
-/// state, sessions by kind, per-TapOp latency summaries (count / mean /
-/// p50 / p95 from the op.tcks histogram), the top-k slowest units by
-/// TCK count, bus table/memo hit rates, and — when a final telemetry
-/// snapshot is supplied — measured per-worker busy/idle utilization.
-/// Deterministic for everything derived from `units` and `merged`; only
-/// the telemetry block carries wall-clock numbers.
-std::string profile_report(const std::vector<ProfileUnit>& units,
+/// Render the post-run profile of a merged campaign transcript: the
+/// headline counts and TCK/wall-time split by phase (generation vs
+/// observation) from `totals`, TCKs by TAP state, sessions by kind,
+/// per-TapOp latency summaries (count / mean / p50 / p95 from the
+/// op.tcks histogram), the top-k slowest of the retained `units` by TCK
+/// count (none in aggregate mode), the bus waveform-store hit rate, and
+/// — when a final telemetry snapshot is supplied — measured per-worker
+/// busy/idle utilization. Deterministic for everything derived from
+/// `totals`, `units` and `merged`; only the telemetry block carries
+/// wall-clock numbers.
+std::string profile_report(const ProfileTotals& totals,
+                           const std::vector<ProfileUnit>& units,
                            const Registry& merged,
                            const Snapshot* telemetry = nullptr,
                            const ProfileOptions& opt = {});

@@ -8,7 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 namespace jsi::obs {
 
@@ -17,10 +17,10 @@ namespace {
 // JSON-safe renderers shared with every other emitter in the repo:
 // integral numbers print without a fraction so counters round-trip
 // exactly, strings are escaped per the strict parser's rules.
-using json::write_number;
+using util::json::write_number;
 
 void write_json_string(std::ostream& os, const std::string& s) {
-  json::write_escaped_string(os, s);
+  util::json::write_escaped_string(os, s);
 }
 
 }  // namespace

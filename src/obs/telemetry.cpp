@@ -8,13 +8,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 namespace jsi::obs {
 
 namespace {
 
-using json::write_number;
+using util::json::write_number;
 
 double rate_per_sec(std::uint64_t count, std::uint64_t elapsed_ms) {
   // Clamp the denominator to 1 ms: a campaign finishing inside the
@@ -44,10 +44,8 @@ void write_snapshot_jsonl(std::ostream& os, const Snapshot& s) {
   write_number(os, s.transitions_per_sec);
   os << ",\"tcks\":" << s.tcks << ",\"tcks_per_sec\":";
   write_number(os, s.tcks_per_sec);
-  os << ",\"table_hit_rate\":";
-  write_number(os, s.table_hit_rate);
-  os << ",\"memo_hit_rate\":";
-  write_number(os, s.memo_hit_rate);
+  os << ",\"cache_hit_rate\":";
+  write_number(os, s.cache_hit_rate);
   os << ",\"workers\":[";
   for (std::size_t i = 0; i < s.workers.size(); ++i) {
     const WorkerSnapshot& w = s.workers[i];
@@ -62,7 +60,7 @@ void write_snapshot_jsonl(std::ostream& os, const Snapshot& s) {
     if (w.current_unit.empty()) {
       os << "null";
     } else {
-      json::write_escaped_string(os, w.current_unit);
+      util::json::write_escaped_string(os, w.current_unit);
     }
     os << '}';
   }
@@ -128,8 +126,7 @@ Snapshot Telemetry::sample() {
           .count());
   s.units_total = units_total_;
 
-  std::uint64_t table_hits = 0, table_misses = 0;
-  std::uint64_t memo_hits = 0, memo_misses = 0;
+  std::uint64_t cache_hits = 0, cache_misses = 0;
   s.workers.reserve(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const WorkerProgress& p = slots_[i];
@@ -151,17 +148,14 @@ Snapshot Telemetry::sample() {
     s.units_running += w.units_started - w.units_completed;
     s.transitions += p.transitions.load(std::memory_order_relaxed);
     s.tcks += p.tcks.load(std::memory_order_relaxed);
-    table_hits += p.table_hits.load(std::memory_order_relaxed);
-    table_misses += p.table_misses.load(std::memory_order_relaxed);
-    memo_hits += p.memo_hits.load(std::memory_order_relaxed);
-    memo_misses += p.memo_misses.load(std::memory_order_relaxed);
+    cache_hits += p.cache_hits.load(std::memory_order_relaxed);
+    cache_misses += p.cache_misses.load(std::memory_order_relaxed);
     s.workers.push_back(std::move(w));
   }
   s.units_per_sec = rate_per_sec(s.units_done, s.t_ms);
   s.transitions_per_sec = rate_per_sec(s.transitions, s.t_ms);
   s.tcks_per_sec = rate_per_sec(s.tcks, s.t_ms);
-  s.table_hit_rate = hit_rate(table_hits, table_misses);
-  s.memo_hit_rate = hit_rate(memo_hits, memo_misses);
+  s.cache_hit_rate = hit_rate(cache_hits, cache_misses);
   return s;
 }
 

@@ -44,10 +44,8 @@ struct UnitDelta {
   std::uint64_t busy_ns = 0;
   std::uint64_t transitions = 0;
   std::uint64_t tcks = 0;
-  std::uint64_t table_hits = 0;
-  std::uint64_t table_misses = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
 };
 
 /// One worker's lock-free publication slot. Every field is a monotone
@@ -64,10 +62,8 @@ struct alignas(64) WorkerProgress {
   std::atomic<std::uint64_t> tcks{0};
   std::atomic<std::uint64_t> busy_ns{0};
   std::atomic<std::uint64_t> idle_ns{0};
-  std::atomic<std::uint64_t> table_hits{0};
-  std::atomic<std::uint64_t> table_misses{0};
-  std::atomic<std::uint64_t> memo_hits{0};
-  std::atomic<std::uint64_t> memo_misses{0};
+  std::atomic<std::uint64_t> cache_hits{0};
+  std::atomic<std::uint64_t> cache_misses{0};
   /// Name of the unit currently running on this worker (static for the
   /// run), nullptr when the worker is between units or done.
   std::atomic<const char*> current_unit{nullptr};
@@ -81,10 +77,8 @@ struct alignas(64) WorkerProgress {
     busy_ns.fetch_add(d.busy_ns, std::memory_order_relaxed);
     transitions.fetch_add(d.transitions, std::memory_order_relaxed);
     tcks.fetch_add(d.tcks, std::memory_order_relaxed);
-    table_hits.fetch_add(d.table_hits, std::memory_order_relaxed);
-    table_misses.fetch_add(d.table_misses, std::memory_order_relaxed);
-    memo_hits.fetch_add(d.memo_hits, std::memory_order_relaxed);
-    memo_misses.fetch_add(d.memo_misses, std::memory_order_relaxed);
+    cache_hits.fetch_add(d.cache_hits, std::memory_order_relaxed);
+    cache_misses.fetch_add(d.cache_misses, std::memory_order_relaxed);
     current_unit.store(nullptr, std::memory_order_relaxed);
     units_completed.fetch_add(1, std::memory_order_relaxed);
   }
@@ -113,8 +107,8 @@ struct WorkerSnapshot {
 /// first completed unit onward.
 struct Snapshot {
   /// Bumped when the record layout changes; consumers key on the
-  /// "jsi.telemetry.v1" schema string this constant renders into.
-  static constexpr int kSchemaVersion = 1;
+  /// "jsi.telemetry.v2" schema string this constant renders into.
+  static constexpr int kSchemaVersion = 2;
 
   std::uint64_t seq = 0;
   std::uint64_t wall_ms = 0;  ///< system clock, ms since the Unix epoch
@@ -127,14 +121,13 @@ struct Snapshot {
   double units_per_sec = 0.0;
   double transitions_per_sec = 0.0;
   double tcks_per_sec = 0.0;
-  double table_hit_rate = 0.0;
-  double memo_hit_rate = 0.0;
+  double cache_hit_rate = 0.0;  ///< bus waveform-store wire hit rate
   std::vector<WorkerSnapshot> workers;
 };
 
 /// Render one snapshot as a single JSONL heartbeat record (trailing
 /// newline) — the schema the telemetry golden test pins:
-///   {"schema":"jsi.telemetry.v1","seq":3,"wall_ms":...,"t_ms":750,
+///   {"schema":"jsi.telemetry.v2","seq":3,"wall_ms":...,"t_ms":750,
 ///    "units_total":12,"units_done":7,...,"workers":[{...},...]}
 void write_snapshot_jsonl(std::ostream& os, const Snapshot& s);
 

@@ -2,7 +2,7 @@
 
 #include <ostream>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 namespace jsi::obs {
 
@@ -28,7 +28,7 @@ void write_event_jsonl(std::ostream& os, const Event& e) {
   // yield one valid JSON record per line.
   os << "{\"kind\":\"" << event_kind_name(e.kind) << "\",\"tck\":" << e.tck
      << ",\"t_ps\":" << e.time_ps << ",\"name\":";
-  json::write_escaped_string(os, e.name);
+  util::json::write_escaped_string(os, e.name);
   if (e.kind == EventKind::StateEdge) {
     os << ",\"phase\":\"" << tck_phase_name(e.phase) << '"';
   }
@@ -104,7 +104,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
 
   auto slice = [&os](const char* name, char ph, int tid, std::uint64_t t_ps) {
     os << ",{\"name\":";
-    json::write_escaped_string(os, name);
+    util::json::write_escaped_string(os, name);
     os << ",\"ph\":\"" << ph << "\",\"pid\":0,\"tid\":" << tid << ",\"ts\":";
     write_ts(os, t_ps);
     os << '}';
@@ -144,7 +144,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
         break;
       case EventKind::DetectorFired:
         os << ",{\"name\":";
-        json::write_escaped_string(os, e.name);
+        util::json::write_escaped_string(os, e.name);
         os << ",\"ph\":\"i\",\"s\":\"p\",\"pid\":0,\"tid\":2,\"ts\":";
         write_ts(os, e.time_ps);
         os << ",\"args\":{\"wire\":" << e.a << ",\"bus\":" << e.b
@@ -167,7 +167,7 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
         break;
       case EventKind::Mark:
         os << ",{\"name\":";
-        json::write_escaped_string(os, e.name);
+        util::json::write_escaped_string(os, e.name);
         os << ",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":0,\"ts\":";
         write_ts(os, e.time_ps);
         os << '}';

@@ -19,7 +19,7 @@ void write_event_jsonl(std::ostream& os, const Event& e);
 struct TracerConfig {
   std::size_t capacity = 1 << 16;  ///< ring entries; oldest dropped when full
   bool tap_edges = true;      ///< keep per-TCK StateEdge records
-  bool cache_lookups = false;  ///< keep per-probe CacheLookup records (noisy)
+  bool cache_lookups = false;  ///< keep CacheLookup records (one per bus lookup)
   /// TCK period used to stamp `time_ps` on records that lack one — the
   /// cross-link into VCD dumps written on the same timebase (default
   /// 10 ns = a 100 MHz test clock).

@@ -85,10 +85,10 @@ std::unique_ptr<si::CoupledBus> build_prototype(const ScenarioSpec& spec) {
   util::BitVec evens(bp.n_wires, false);
   for (std::size_t w = 0; w < bp.n_wires; w += 2) evens.set(w, true);
   proto->transition(zeros, evens);
-  // Precompile the MA transition tables too: every per-unit clone then
-  // starts with a warm table as well as a warm memo cache, so no worker
-  // ever pays the table build (shard-count invariant by construction).
-  proto->precompile_tables();
+  // Warm the MA pattern waveforms too: every per-unit clone then starts
+  // with them stored, so no worker pays those solves (shard-count
+  // invariant by construction).
+  proto->warm_ma_pairs();
   return proto;
 }
 

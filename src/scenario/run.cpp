@@ -234,10 +234,17 @@ std::string render_profile(const ScenarioSpec& spec,
     p.failed = u.failed;
     units.push_back(std::move(p));
   }
+  obs::ProfileTotals totals;
+  totals.units = result.units_run;
+  totals.violations = result.violations;
+  totals.failures = result.failures;
+  totals.total_tcks = result.total_tcks;
+  totals.generation_tcks = result.generation_tcks;
+  totals.observation_tcks = result.observation_tcks;
   obs::ProfileOptions po;
   po.tck_period_ps = spec.obs.tck_period_ps;
   return obs::profile_report(
-      units, result.metrics,
+      totals, units, result.metrics,
       result.telemetry ? &*result.telemetry : nullptr, po);
 }
 

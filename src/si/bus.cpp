@@ -4,41 +4,69 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "mafm/fault.hpp"
 #include "si/model.hpp"
 
 namespace jsi::si {
 
-CoupledBus::CoupledBus(BusParams p) : model_(p) {}
+namespace {
+
+/// Store key of wire `i` under prev -> next (see the store comment in
+/// bus.hpp). Out-of-range positions encode as 0, which the solver ignores.
+std::uint64_t neighborhood_key(std::size_t n_wires, std::size_t i,
+                               const util::BitVec& prev,
+                               const util::BitVec& next) {
+  // 5-bit local windows [i-2, i+2]; positions beyond the bus encode as 0.
+  std::uint64_t pbits = 0;
+  std::uint64_t nbits = 0;
+  for (int off = -2; off <= 2; ++off) {
+    const long long j = static_cast<long long>(i) + off;
+    pbits <<= 1;
+    nbits <<= 1;
+    if (j >= 0 && j < static_cast<long long>(n_wires)) {
+      pbits |= prev[static_cast<std::size_t>(j)] ? 1u : 0u;
+      nbits |= next[static_cast<std::size_t>(j)] ? 1u : 0u;
+    }
+  }
+  return (static_cast<std::uint64_t>(i) << 10) | (pbits << 5) | nbits;
+}
+
+}  // namespace
+
+CoupledBus::CoupledBus(BusParams p)
+    : model_(p),
+      store_capacity_(kStoreBudgetBytes /
+                      (model_.params().samples * sizeof(double) +
+                       sizeof(decltype(store_)::value_type))) {}
 
 CoupledBus CoupledBus::clone() const {
   CoupledBus c = *this;
   c.sink_ = nullptr;  // sinks are thread-local; never shared with a clone
-  // The arena copy is fresh (see WaveArena) and the last batch's pointers
-  // reference *our* storage; a clone starts with no live batch.
+  // The last batch's pointers reference *our* storage; a clone starts
+  // with no live batch and no scratch of its own yet.
   c.batch_ptrs_.clear();
+  c.overflow_ = {};
   return c;
 }
 
 void CoupledBus::scale_coupling(std::size_t pair, double factor) {
   model_.scale_coupling(pair, factor);
+  store_.clear();
 }
 
 void CoupledBus::add_series_resistance(std::size_t wire, double ohms) {
   model_.add_series_resistance(wire, ohms);
+  store_.clear();
 }
 
 void CoupledBus::inject_crosstalk_defect(std::size_t wire, double severity) {
   model_.inject_crosstalk_defect(wire, severity);
+  store_.clear();
 }
 
-void CoupledBus::clear_defects() { model_.clear_defects(); }
-
-void CoupledBus::set_cache_enabled(bool on) {
-  cache_on_ = on;
-  if (!on) {
-    cache_.clear();
-    cache_order_.clear();
-  }
+void CoupledBus::clear_defects() {
+  model_.clear_defects();
+  store_.clear();
 }
 
 double CoupledBus::cache_hit_rate() const {
@@ -48,29 +76,18 @@ double CoupledBus::cache_hit_rate() const {
              : static_cast<double>(cache_hits_) / static_cast<double>(lookups);
 }
 
-void CoupledBus::clear_cache() {
-  cache_.clear();
-  cache_order_.clear();
-}
+void CoupledBus::clear_cache() { store_.clear(); }
 
-void CoupledBus::set_tables_enabled(bool on) {
-  tables_on_ = on;
-  if (!on) table_.clear();
-}
-
-void CoupledBus::precompile_tables() {
-  if (!tables_on_ ||
-      !model_for(params().model).tables_supported(model_.n())) {
-    return;
+void CoupledBus::warm_ma_pairs() {
+  const std::size_t n = model_.n();
+  for (const mafm::MaFault f : mafm::kAllFaults) {
+    for (std::size_t victim = 0; victim < n; ++victim) {
+      // Past the budget a miss is only solved into scratch: stop.
+      if (store_.size() >= store_capacity_) return;
+      const mafm::VectorPair vp = mafm::vectors_for(f, n, victim);
+      transition_batch(vp.v1, vp.v2);
+    }
   }
-  if (!table_.fresh(model_)) table_.build(model_, kernel_);
-}
-
-double CoupledBus::table_hit_rate() const {
-  const std::uint64_t lookups = table_hits_ + table_misses_;
-  return lookups == 0
-             ? 0.0
-             : static_cast<double>(table_hits_) / static_cast<double>(lookups);
 }
 
 void CoupledBus::require_vector_widths(const util::BitVec& prev,
@@ -80,77 +97,73 @@ void CoupledBus::require_vector_widths(const util::BitVec& prev,
   }
 }
 
-void CoupledBus::emit_cache_event(const char* name, bool hit,
-                                  std::int64_t b) const {
+void CoupledBus::solve(std::size_t i, const util::BitVec& prev,
+                       const util::BitVec& next, double* out) const {
+  model_for(params().model).solve_wire(model_, i, prev, next, out);
+}
+
+const double* CoupledBus::find_or_fill(std::size_t i,
+                                       const util::BitVec& prev,
+                                       const util::BitVec& next,
+                                       Tally& t) const {
+  const std::uint64_t key = neighborhood_key(model_.n(), i, prev, next);
+  const auto it = store_.find(key);
+  if (it != store_.end()) {
+    ++t.hits;
+    return it->second.data();
+  }
+  ++t.misses;
+  if (store_.size() >= store_capacity_) return nullptr;
+  Waveform& w =
+      store_.try_emplace(key, params().samples, params().sample_dt)
+          .first->second;
+  solve(i, prev, next, w.data());
+  return w.data();
+}
+
+void CoupledBus::finish_lookup(const Tally& t) const {
+  cache_hits_ += static_cast<std::uint64_t>(t.hits);
+  cache_misses_ += static_cast<std::uint64_t>(t.misses);
   if (!sink_) return;
   obs::Event e;
   e.kind = obs::EventKind::CacheLookup;
-  e.name = name;
-  e.a = hit ? 1 : 0;
-  e.b = b;
+  e.name = "si.store";
+  e.a = t.hits;
+  e.b = t.misses;
   sink_->on_event(e);
 }
 
-void CoupledBus::memo_wire_into(std::size_t i, const util::BitVec& prev,
-                                const util::BitVec& next, double* dst) const {
-  const std::size_t samples = model_.params().samples;
-  if (!cache_on_) {
-    TransitionKernel::solve_wire(model_, i, prev, next, dst);
-    return;
+void CoupledBus::copy_wire(std::size_t i, const util::BitVec& prev,
+                           const util::BitVec& next, double* out,
+                           Tally& t) const {
+  if (const double* s = find_or_fill(i, prev, next, t)) {
+    std::memcpy(out, s, params().samples * sizeof(double));
+  } else {
+    solve(i, prev, next, out);
   }
-  if (cache_gen_ != model_.defect_generation()) {
-    cache_.clear();
-    cache_order_.clear();
-    cache_gen_ = model_.defect_generation();
-  }
-  const std::uint64_t key = neighborhood_key(model_.n(), i, prev, next);
-  const auto it = cache_.find(key);
-  const bool hit = it != cache_.end();
-  emit_cache_event("si.cache", hit, static_cast<std::int64_t>(i));
-  if (hit) {
-    ++cache_hits_;
-    // Copy out rather than aliasing the entry: a later wire's miss can
-    // FIFO-evict this entry within the same batch.
-    std::memcpy(dst, it->second.data(), samples * sizeof(double));
-    return;
-  }
-  ++cache_misses_;
-  TransitionKernel::solve_wire(model_, i, prev, next, dst);
-  // Bounded FIFO: evict the oldest entry instead of flushing wholesale,
-  // so a working set one larger than the cap degrades gracefully rather
-  // than thrashing to a 0% hit rate.
-  while (cache_.size() >= kMaxCacheEntries && !cache_order_.empty()) {
-    cache_.erase(cache_order_.front());
-    cache_order_.pop_front();
-  }
-  cache_.emplace(
-      key, Waveform(WaveformView(dst, samples, model_.params().sample_dt)));
-  cache_order_.push_back(key);
 }
 
 Waveform CoupledBus::wire_response(std::size_t i, const util::BitVec& prev,
                                    const util::BitVec& next) const {
   require_vector_widths(prev, next);
-  Waveform w(model_.params().samples, model_.params().sample_dt);
-  memo_wire_into(i, prev, next, w.data());
-  return w;
-}
-
-Waveform CoupledBus::solve_wire_response(std::size_t i,
-                                         const util::BitVec& prev,
-                                         const util::BitVec& next) const {
-  Waveform w(model_.params().samples, model_.params().sample_dt);
-  TransitionKernel::solve_wire(model_, i, prev, next, w.data());
+  Waveform w(params().samples, params().sample_dt);
+  Tally t;
+  copy_wire(i, prev, next, w.data(), t);
+  finish_lookup(t);
   return w;
 }
 
 std::vector<Waveform> CoupledBus::transition(const util::BitVec& prev,
                                              const util::BitVec& next) const {
+  require_vector_widths(prev, next);
   std::vector<Waveform> out;
   out.reserve(model_.n());
+  Tally t;
   for (std::size_t i = 0; i < model_.n(); ++i) {
-    out.push_back(wire_response(i, prev, next));
+    copy_wire(i, prev, next,
+              out.emplace_back(params().samples, params().sample_dt).data(), t);
   }
+  finish_lookup(t);
   return out;
 }
 
@@ -158,39 +171,25 @@ TransitionBatch CoupledBus::transition_batch(const util::BitVec& prev,
                                              const util::BitVec& next) const {
   require_vector_widths(prev, next);
   const std::size_t n = model_.n();
-  const std::size_t samples = model_.params().samples;
+  const std::size_t samples = params().samples;
+  batch_ptrs_.resize(n);
+  Tally t;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* s = find_or_fill(i, prev, next, t);
+    if (s == nullptr) {
+      overflow_.resize(n * samples);
+      double* dst = overflow_.data() + i * samples;
+      solve(i, prev, next, dst);
+      s = dst;
+    }
+    batch_ptrs_[i] = s;
+  }
+  finish_lookup(t);
   TransitionBatch b;
+  b.ptrs = batch_ptrs_.data();
   b.n_wires = n;
   b.samples = samples;
-  b.dt = model_.params().sample_dt;
-  batch_ptrs_.assign(n, nullptr);
-
-  if (tables_on_ && model_for(params().model).tables_supported(n)) {
-    if (!table_.fresh(model_)) table_.build(model_, kernel_);
-    const std::size_t e = table_.find(prev, next);
-    const bool hit = e != TransitionTable::npos;
-    emit_cache_event("si.table", hit, -1);
-    if (hit) {
-      ++table_hits_;
-      for (std::size_t i = 0; i < n; ++i) {
-        batch_ptrs_[i] = table_.wire_data(e, i);
-      }
-      b.ptrs = batch_ptrs_.data();
-      return b;
-    }
-    ++table_misses_;
-  }
-
-  // Non-MA transition (or tables unavailable): evaluate through the memo
-  // cache into the arena, one span per wire, zero per-transition mallocs
-  // in steady state.
-  arena_.reset();
-  for (std::size_t i = 0; i < n; ++i) {
-    double* dst = arena_.alloc(samples);
-    memo_wire_into(i, prev, next, dst);
-    batch_ptrs_[i] = dst;
-  }
-  b.ptrs = batch_ptrs_.data();
+  b.dt = params().sample_dt;
   return b;
 }
 

@@ -3,21 +3,33 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/events.hpp"
-#include "si/arena.hpp"
 #include "si/bus_model.hpp"
-#include "si/kernel.hpp"
-#include "si/tables.hpp"
 #include "si/waveform.hpp"
 #include "sim/time.hpp"
 #include "util/bitvec.hpp"
 #include "util/logic.hpp"
 
 namespace jsi::si {
+
+/// One evaluated bus transition: a per-wire array of sample pointers into
+/// bus-owned storage. Non-owning — the batch (and every `WaveformView`
+/// derived from it) is valid until the owning `CoupledBus`'s next
+/// `transition_batch` call, defect mutation, `clear_cache`, clone or
+/// destruction.
+struct TransitionBatch {
+  const double* const* ptrs = nullptr;  ///< ptrs[i] = wire i's samples
+  std::size_t n_wires = 0;
+  std::size_t samples = 0;
+  sim::Time dt = sim::kPs;
+
+  WaveformView wire(std::size_t i) const {
+    return WaveformView(ptrs[i], samples, dt);
+  }
+};
 
 /// Analytic coupled-RC(+L) model of the bus between two cores.
 ///
@@ -40,26 +52,24 @@ namespace jsi::si {
 /// "process variations and manufacturing defects may lead to an unexpected
 /// increase in coupling capacitances".
 ///
-/// Internally this is a facade over three components: an immutable-between-
-/// mutations `BusModel` (SoA electrical state), a `TransitionKernel`
-/// (batched flat-pass solver with a scalar reference path) and a
-/// `TransitionTable` (the 6*n MA vector pairs precompiled per defect
-/// generation). The hot path is `transition_batch()`; `wire_response()` /
-/// `transition()` are the owning scalar API with the historical memo-cache
-/// semantics, byte-compatible with pre-kernel revisions.
+/// Internally this is a facade over an immutable-between-mutations
+/// `BusModel` (SoA electrical state), the bus's `InterconnectModel`
+/// solver, and one waveform store keyed by wire neighbourhood. Every
+/// lookup entry point — `transition_batch()` (the zero-copy hot path),
+/// `wire_response()` and `transition()` (owning copies) — goes through
+/// that store.
 class CoupledBus {
  public:
   explicit CoupledBus(BusParams p);
 
   /// Deep copy for per-shard use: electrical state, injected defects, the
-  /// memoized transition cache (entries *and* hit/miss counters) and the
-  /// precompiled transition table (pool *and* hit/miss counters) are
-  /// carried over, so a clone of a warmed bus starts warm. The
-  /// observability sink is deliberately NOT carried over — a clone lives
-  /// on another worker thread, and sharing the source's sink would race;
-  /// attach a thread-local sink with set_sink() after cloning. The
-  /// evaluation arena is likewise per-clone (fresh and empty), so two
-  /// clones never alias scratch storage.
+  /// waveform store (entries *and* hit/miss counters) are carried over,
+  /// so a clone of a warmed bus starts warm. The observability sink is
+  /// deliberately NOT carried over — a clone lives on another worker
+  /// thread, and sharing the source's sink would race; attach a
+  /// thread-local sink with set_sink() after cloning. The overflow
+  /// scratch is per-clone (fresh and empty), so two clones never alias
+  /// storage.
   CoupledBus clone() const;
 
   const BusParams& params() const { return model_.params(); }
@@ -69,6 +79,9 @@ class CoupledBus {
   const BusModel& model() const { return model_; }
 
   // ---- defect / process-variation injection -------------------------------
+  //
+  // Every mutator bumps `defect_generation()` and drops the waveform
+  // store wholesale: stored waveforms belong to one electrical state.
 
   /// Multiply the coupling capacitance of adjacent pair `pair` = (pair,
   /// pair+1) by `factor`. Cumulative.
@@ -85,6 +98,11 @@ class CoupledBus {
 
   /// Remove all injected defects.
   void clear_defects();
+
+  /// Monotone counter of defect-state mutations.
+  std::uint64_t defect_generation() const {
+    return model_.defect_generation();
+  }
 
   // ---- electrical queries --------------------------------------------------
 
@@ -111,22 +129,18 @@ class CoupledBus {
   // ---- simulation ----------------------------------------------------------
 
   /// Receiving-end waveform of wire `i` for bus transition `prev -> next`
-  /// (bit vectors of width n, bit k = logic level of wire k). Owning
-  /// scalar API; served through the memo cache, never the tables.
+  /// (bit vectors of width n, bit k = logic level of wire k), copied out
+  /// of the store.
   Waveform wire_response(std::size_t i, const util::BitVec& prev,
                          const util::BitVec& next) const;
 
-  /// All wire waveforms for one bus transition (owning scalar API).
+  /// All wire waveforms for one bus transition, copied out of the store.
   std::vector<Waveform> transition(const util::BitVec& prev,
                                    const util::BitVec& next) const;
 
-  /// All wire waveforms for one bus transition, zero-copy. The fast path:
-  /// an MA vector pair is served straight from the precompiled table (one
-  /// hash probe, no solver work, no copies); anything else is evaluated
-  /// through the memo cache into the internal arena. The returned batch
-  /// and every view derived from it are valid until the next
-  /// transition_batch() call, defect mutation, clone or destruction of
-  /// this bus.
+  /// All wire waveforms for one bus transition, zero-copy: the batch
+  /// points straight into the store (or, for misses that found it full,
+  /// into the bus's overflow scratch). See TransitionBatch for lifetime.
   TransitionBatch transition_batch(const util::BitVec& prev,
                                    const util::BitVec& next) const;
 
@@ -135,34 +149,27 @@ class CoupledBus {
   /// vdd/2 for rc_full_swing, the level-converter Vt for low_swing).
   util::Logic settled_logic(WaveformView w) const;
 
-  // ---- memoized transition cache ------------------------------------------
+  // ---- waveform store -------------------------------------------------------
   //
-  // The generic fallback for transitions outside the MA pattern set
-  // (inter-pattern settling steps, custom vectors, buses wider than the
-  // tables support). The key is the wire index plus the 5-bit local
-  // neighbourhood [i-2, i+2] of (prev, next) — the exact electrical
-  // support of wire_response: a wire's waveform depends on its own
-  // transition, its neighbours' transitions (glitch injection) and
-  // *their* neighbours (the aggressors' Miller time constants), and on
-  // nothing farther away.
-  //
-  // Invalidation contract: every defect mutation (scale_coupling,
-  // add_series_resistance, inject_crosstalk_defect, clear_defects) bumps
-  // `defect_generation()`; cached entries belong to one generation and
-  // are dropped wholesale on the first lookup after a bump. Hit/miss
-  // counters survive invalidation (they meter the workload, not the
-  // cache contents).
-  //
-  // Capacity is a bounded FIFO: when a miss lands on a full cache the
-  // oldest entry is evicted to make room. (An earlier revision flushed
-  // the whole cache when full, which degraded a working set of
-  // kMaxCacheEntries + 1 to a 0% hit rate; only a generation bump or an
-  // explicit clear flushes wholesale now.)
+  // One entry per wire neighbourhood key — the wire index plus the 5-bit
+  // window [i-2, i+2] of both vectors, the exact electrical support of a
+  // wire's waveform (own transition, neighbours' transitions, and *their*
+  // neighbours' Miller time constants) — filled on a miss by the model's
+  // `solve_wire`. Entries are never evicted within a defect generation,
+  // which is what lets a batch point into the store while later wires of
+  // the same transition miss. The store is bounded by kStoreBudgetBytes:
+  // a miss that finds it full is solved into scratch and not inserted.
+  // Hit/miss counters survive invalidation (they meter the workload, not
+  // the store contents).
 
-  /// Enable/disable memoization (enabled by default; disable to meter
-  /// the raw solver).
-  void set_cache_enabled(bool on);
-  bool cache_enabled() const { return cache_on_; }
+  /// Byte budget of one bus's store (sample data plus entry bookkeeping).
+  /// 64 MiB (4,086 entries of 2,048 samples) is twice the widest shipped
+  /// bus's working set — the n=64 Table 5 sessions keep 2,075 waveforms,
+  /// ~32 MiB — so no shipped workload reaches it.
+  static constexpr std::size_t kStoreBudgetBytes = std::size_t{64} << 20;
+
+  /// Entries that fit the budget at this bus's sample count.
+  std::size_t store_capacity() const { return store_capacity_; }
 
   std::uint64_t cache_hits() const { return cache_hits_; }
   std::uint64_t cache_misses() const { return cache_misses_; }
@@ -170,96 +177,65 @@ class CoupledBus {
   /// hits / (hits + misses), 0 when nothing was looked up yet.
   double cache_hit_rate() const;
 
-  /// Entries currently held (bounded by kMaxCacheEntries).
-  std::size_t cache_entries() const { return cache_.size(); }
+  /// Waveforms currently stored (at most store_capacity()).
+  std::size_t cache_entries() const { return store_.size(); }
 
-  /// Monotone counter of defect-state mutations; cached waveforms and
-  /// precompiled tables are only ever served within one generation.
-  std::uint64_t defect_generation() const {
-    return model_.defect_generation();
-  }
-
-  /// Drop all cached waveforms (counters are kept). Deliberately
+  /// Drop every stored waveform (counters are kept). Deliberately
   /// non-const: flushing is a real state mutation, and per-shard clones
   /// must not be able to reset each other through a const reference.
   void clear_cache();
 
-  /// Attach an observability sink. Every memoized lookup reports a
-  /// CacheLookup record named "si.cache" (a=1 hit, a=0 miss, b=wire);
-  /// every batched table probe reports one "si.table" CacheLookup per
-  /// transition (a=1 hit, a=0 miss, b=-1). nullptr (default) disables
-  /// emission; the uncached solver path never emits.
+  /// Push the 6*n MA vector pairs of this bus through the store, so every
+  /// waveform a G-SITEST session needs is resident. The campaign runner
+  /// calls this on the prototype so every per-unit clone starts warm.
+  /// Stops early once the store is full.
+  void warm_ma_pairs();
+
+  /// Attach an observability sink. Every lookup call (transition_batch,
+  /// wire_response, transition) reports one CacheLookup record named
+  /// "si.store" after its fill: a = wires served from the store, b = wires
+  /// that missed. nullptr (default) disables emission.
   void set_sink(obs::Sink* sink) { sink_ = sink; }
 
-  /// Cap on resident memo entries; the oldest entry is evicted (FIFO)
-  /// when a miss lands on a full cache (one entry is up to `samples`
-  /// doubles, so the cap bounds memory at ~16 MB with the 2048-sample
-  /// default).
-  static constexpr std::size_t kMaxCacheEntries = 1024;
-
-  // ---- precompiled MA transition tables -----------------------------------
-  //
-  // transition_batch() first probes the TransitionTable: the 6*n MA
-  // vector pairs of this bus, solved once per defect generation — built
-  // eagerly by precompile_tables() (the campaign warm-prototype path) or
-  // lazily on the first batched evaluation after construction or a
-  // defect mutation. Table traffic is metered separately from the memo
-  // cache: table_hits()/table_misses() count whole transitions, while
-  // cache_hits()/cache_misses() keep their historical per-wire memo
-  // semantics untouched.
-
-  /// Enable/disable table lookups (enabled by default; disabling drops
-  /// the table and routes every batch through the memo path).
-  void set_tables_enabled(bool on);
-  bool tables_enabled() const { return tables_on_; }
-
-  /// Build the MA tables for the current defect state now (idempotent
-  /// per generation). The campaign runner calls this on the prototype so
-  /// every per-unit clone starts with a warm table.
-  void precompile_tables();
-
-  std::uint64_t table_hits() const { return table_hits_; }
-  std::uint64_t table_misses() const { return table_misses_; }
-
-  /// hits / (hits + misses), 0 when no batch was evaluated yet.
-  double table_hit_rate() const;
-
-  /// Distinct precompiled (prev, next) pairs currently resident.
-  std::size_t table_entries() const { return table_.entries(); }
-
  private:
-  /// The raw (uncached) solver behind wire_response, on the shared
-  /// kernel's scalar reference path.
-  Waveform solve_wire_response(std::size_t i, const util::BitVec& prev,
-                               const util::BitVec& next) const;
+  /// Per-call lookup tally, emitted as one CacheLookup record.
+  struct Tally {
+    std::int64_t hits = 0;
+    std::int64_t misses = 0;
+  };
 
   void require_vector_widths(const util::BitVec& prev,
                              const util::BitVec& next) const;
 
-  /// Memo lookup of wire i into `dst` (samples doubles), with the exact
-  /// historical counter/eviction/event semantics of wire_response.
-  void memo_wire_into(std::size_t i, const util::BitVec& prev,
-                      const util::BitVec& next, double* dst) const;
+  /// Wire i's stored samples, solving and inserting them on a miss;
+  /// nullptr when the miss found the store full (the caller solves into
+  /// its own storage with solve()).
+  const double* find_or_fill(std::size_t i, const util::BitVec& prev,
+                             const util::BitVec& next, Tally& t) const;
 
-  void emit_cache_event(const char* name, bool hit, std::int64_t b) const;
+  void solve(std::size_t i, const util::BitVec& prev,
+             const util::BitVec& next, double* out) const;
+
+  /// Wire i's samples into `out` (samples doubles): a copy of the stored
+  /// waveform, or a direct solve when the store is full.
+  void copy_wire(std::size_t i, const util::BitVec& prev,
+                 const util::BitVec& next, double* out, Tally& t) const;
+
+  /// Count the tally into the bus counters and emit its record.
+  void finish_lookup(const Tally& t) const;
 
   BusModel model_;
+  std::size_t store_capacity_;
 
-  bool cache_on_ = true;
-  mutable std::unordered_map<std::uint64_t, Waveform> cache_;
-  mutable std::deque<std::uint64_t> cache_order_;  // insertion order (FIFO)
-  mutable std::uint64_t cache_gen_ = 0;  // generation cache_ belongs to
+  mutable std::unordered_map<std::uint64_t, Waveform> store_;
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
 
-  bool tables_on_ = true;
-  mutable TransitionTable table_;
-  mutable std::uint64_t table_hits_ = 0;
-  mutable std::uint64_t table_misses_ = 0;
-
-  mutable TransitionKernel kernel_;
-  mutable WaveArena arena_;
+  // transition_batch storage: the per-wire pointer array it returns and,
+  // for misses on a full store, an n*samples scratch block (wire i at
+  // i*samples; sized once, so pointers into it stay put).
   mutable std::vector<const double*> batch_ptrs_;
+  mutable std::vector<double> overflow_;
 
   obs::Sink* sink_ = nullptr;
 };

@@ -42,24 +42,22 @@ struct BusParams {
 };
 
 /// Electrical state of a coupled bus: parameters plus injected defects,
-/// laid out as struct-of-arrays for the transition kernel.
+/// laid out as struct-of-arrays for the solver.
 ///
 /// `BusModel` is the passive half of the former monolithic `CoupledBus`:
 /// it answers "what are the time constants of wire i right now" but never
-/// evaluates a waveform — that is `TransitionKernel`'s job, reading the
-/// contiguous per-wire arrays below in one flat pass. The model is
-/// immutable between defect mutations; every mutation bumps
-/// `defect_generation()` and rebuilds the derived arrays, which is what
-/// lets the transition tables and memo cache key their validity off a
-/// single integer compare.
+/// evaluates a waveform — that is the `InterconnectModel` solver's job,
+/// reading the contiguous per-wire arrays below. The model is immutable
+/// between defect mutations; every mutation bumps `defect_generation()`
+/// and rebuilds the derived arrays.
 ///
 /// SoA arrays (all indexed by wire, except `coupling_data` by pair):
 ///  * `coupling_data()[p]`   — effective coupling cap of pair (p, p+1) [F]
 ///  * `resistance_data()[i]` — total series resistance incl. defects [Ohm]
 ///  * `total_cap_data()[i]`  — ground + both couplings [F]
 ///  * `rail_data()[i]`       — per-wire high rail [V] (the model's
-///                             `high_rail`; SoA so the kernel's v0/vf
-///                             loads are contiguous)
+///                             `high_rail`; SoA so v0/vf loads are
+///                             contiguous)
 class BusModel {
  public:
   explicit BusModel(BusParams p);
@@ -85,9 +83,8 @@ class BusModel {
   /// Remove all injected defects.
   void clear_defects();
 
-  /// Monotone counter of defect-state mutations; derived caches (memo
-  /// entries, precompiled transition tables) are only ever valid within
-  /// one generation.
+  /// Monotone counter of defect-state mutations; waveforms solved under
+  /// one generation are never valid under another.
   std::uint64_t defect_generation() const { return defect_gen_; }
 
   // ---- electrical queries (bounds-checked scalar forms) -------------------
@@ -108,7 +105,7 @@ class BusModel {
   /// from which the SD cell's skew-immune window is budgeted.
   sim::Time nominal_delay(std::size_t wire) const;
 
-  // ---- SoA access for the kernel (unchecked, contiguous) ------------------
+  // ---- SoA access for the solver (unchecked, contiguous) ------------------
 
   const double* coupling_data() const { return couple_.data(); }
   const double* resistance_data() const { return resistance_.data(); }

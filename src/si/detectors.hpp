@@ -47,8 +47,8 @@ class NdCell {
   /// after (`expected`) the transition. Passing the *driven* final level —
   /// rather than inferring it from the waveform — lets the cell flag a
   /// line that erroneously settles at the wrong rail (e.g. a slow droop).
-  /// Takes a non-owning view so batched (arena/table-backed) waveforms
-  /// are scanned without copies; an owning `Waveform` converts implicitly.
+  /// Takes a non-owning view so batched (store-backed) waveforms are
+  /// scanned without copies; an owning `Waveform` converts implicitly.
   void observe(WaveformView w, util::Logic initial, util::Logic expected);
 
   /// Pure query: would this waveform set the flag? (No state change.)

@@ -1,14 +1,8 @@
 #include "si/model.hpp"
 
-#include "si/tables.hpp"
-
 namespace jsi::si {
 
 void InterconnectModel::validate(const BusParams&) const {}
-
-bool InterconnectModel::tables_supported(std::size_t n_wires) const {
-  return TransitionTable::supported(n_wires);
-}
 
 bool InterconnectModel::same_extra_params(const BusParams&,
                                           const BusParams&) const {

@@ -12,27 +12,17 @@
 
 namespace jsi::si {
 
-/// Reusable pass-1 scratch for a model's batched `evaluate()`: per-wire
-/// transition classification and switching time constants. Owned by the
-/// caller (`TransitionKernel`) so the amortized-zero-allocation property
-/// of the batched path survives the model indirection.
-struct KernelScratch {
-  std::vector<int> delta;    // per wire: next - prev in {-1, 0, +1}
-  std::vector<double> tau;   // per switching wire: effective R*C [s]
-};
-
 /// The pluggable electrical policy of a bus: everything about a
 /// `CoupledBus` that depends on *how the wire is driven and received*
 /// lives behind this interface, while the model-agnostic machinery —
-/// SoA defect state, memo cache, MA transition tables, arena, detectors,
-/// sessions — is shared by every model.
+/// SoA defect state, the waveform store, detectors, sessions — is shared
+/// by every model.
 ///
 /// Contract for implementations:
-///  * `evaluate()` and `solve_wire()` must agree bit-for-bit. The way to
-///    get that is the same discipline the RC model uses: route every
-///    floating-point step that both paths execute through the shared
-///    `JSI_NOINLINE` primitives in solver_primitives.hpp (or your own
-///    noinline helpers), so the compiler emits one copy of the math.
+///  * `solve_wire()` is the only solver: the bus's waveform store fills
+///    every miss through it. Build it from the shared `JSI_NOINLINE`
+///    primitives in solver_primitives.hpp (or your own noinline helpers)
+///    for anything FP-order-sensitive.
 ///  * Implementations are immutable singletons (`model_for` returns a
 ///    shared const instance); all per-bus state lives in `BusModel`.
 ///  * `validate()` throws std::invalid_argument for bad model-specific
@@ -74,21 +64,10 @@ class InterconnectModel {
   /// its skew-immune window from. Includes any fixed receiver delay.
   virtual sim::Time nominal_delay(const BusParams& p, double tau) const = 0;
 
-  /// Batched solver: fill `out[0 .. n*samples)` with all wire waveforms
-  /// of prev -> next (wire i at `out + i*samples`).
-  virtual void evaluate(const BusModel& m, const util::BitVec& prev,
-                        const util::BitVec& next, KernelScratch& scratch,
-                        double* out) const = 0;
-
-  /// Scalar reference: fill `out[0 .. samples)` with wire `i`'s waveform,
-  /// bit-identical to the corresponding `evaluate()` slice.
+  /// Fill `out[0 .. samples)` with wire `i`'s waveform for prev -> next.
   virtual void solve_wire(const BusModel& m, std::size_t i,
                           const util::BitVec& prev, const util::BitVec& next,
                           double* out) const = 0;
-
-  /// May the precompiled MA transition tables serve an n-wire bus of
-  /// this model? Default: the generic `TransitionTable` width limit.
-  virtual bool tables_supported(std::size_t n_wires) const;
 
   /// Are the model-specific params of `a` and `b` equal? The nine shared
   /// fields are compared by `same_params`; this hook covers the rest.

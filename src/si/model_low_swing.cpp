@@ -19,10 +19,9 @@
 //  * Detectors: ND/SD cells observe the reduced swing, so their supplies
 //    (and thus every threshold fraction) scale to observed_swing.
 //
-// Parity discipline: all floating-point math shared between the batched
-// and scalar paths goes through the JSI_NOINLINE primitives (shared with
-// rc_full_swing) plus the local noinline rising_tau helper, so both paths
-// execute the same machine code and stay bit-identical.
+// FP discipline: all floating-point math goes through the JSI_NOINLINE
+// primitives (shared with rc_full_swing) plus the local noinline
+// rising_tau helper, so every call site executes one copy of the math.
 
 #include <algorithm>
 #include <stdexcept>
@@ -85,52 +84,6 @@ class LowSwingBusModel final : public InterconnectModel {
                                       detail::kSecPerTick +
                                   0.5) +
            kReceiverDelayPs;
-  }
-
-  void evaluate(const BusModel& m, const util::BitVec& prev,
-                const util::BitVec& next, KernelScratch& scratch,
-                double* out) const override {
-    const BusParams& p = m.params();
-    const std::size_t n = p.n_wires;
-    const std::size_t samples = p.samples;
-    const double v_swing = p.vdd * p.swing_frac;
-    scratch.delta.resize(n);
-    scratch.tau.resize(n);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.delta[i] = detail::delta_of(prev, next, i);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (scratch.delta[i] != 0) {
-        scratch.tau[i] = rising_tau(m, i, prev, next);
-      }
-    }
-
-    const double* couple = m.coupling_data();
-    for (std::size_t i = 0; i < n; ++i) {
-      double* w = out + i * samples;
-      if (scratch.delta[i] != 0) {
-        const double v0 = prev[i] ? v_swing : 0.0;
-        const double vf = next[i] ? v_swing : 0.0;
-        detail::fill_switching(m, i, v0, vf, scratch.tau[i], w);
-        continue;
-      }
-      // Quiet wire: reduced rail baseline plus superposed neighbor
-      // glitches coupling from v_swing aggressors (left first, matching
-      // the scalar path).
-      const double rail = prev[i] ? v_swing : 0.0;
-      std::fill_n(w, samples, rail);
-      const double ctot_v = m.total_cap_data()[i];
-      const double tau_v = m.resistance_data()[i] * ctot_v;
-      if (i > 0 && scratch.delta[i - 1] != 0) {
-        detail::add_glitch(m, w, v_swing, couple[i - 1], ctot_v, tau_v,
-                           scratch.tau[i - 1], scratch.delta[i - 1]);
-      }
-      if (i + 1 < n && scratch.delta[i + 1] != 0) {
-        detail::add_glitch(m, w, v_swing, couple[i], ctot_v, tau_v,
-                           scratch.tau[i + 1], scratch.delta[i + 1]);
-      }
-    }
   }
 
   void solve_wire(const BusModel& m, std::size_t i, const util::BitVec& prev,

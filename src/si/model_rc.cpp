@@ -1,8 +1,8 @@
 // The full-swing coupled-RC(+L) model — the paper's original bus — moved
 // verbatim behind the InterconnectModel seam. Every expression here is
-// byte-for-byte the pre-seam TransitionKernel code path; the parity gate
-// for this file is that all shipped scenario artifacts are bit-identical
-// to pre-refactor output.
+// byte-for-byte the pre-seam per-wire solver; the parity gate for this
+// file is that all shipped scenario artifacts are bit-identical to
+// pre-refactor output.
 
 #include <algorithm>
 
@@ -29,55 +29,6 @@ class RcFullSwingModel final : public InterconnectModel {
   sim::Time nominal_delay(const BusParams&, double tau) const override {
     return static_cast<sim::Time>(tau * detail::kLn2 / detail::kSecPerTick +
                                   0.5);
-  }
-
-  void evaluate(const BusModel& m, const util::BitVec& prev,
-                const util::BitVec& next, KernelScratch& scratch,
-                double* out) const override {
-    const BusParams& p = m.params();
-    const std::size_t n = p.n_wires;
-    const std::size_t samples = p.samples;
-    scratch.delta.resize(n);
-    scratch.tau.resize(n);
-
-    // Pass 1 (SoA): classify every wire and compute the switching time
-    // constants once. A quiet wire's glitch needs its aggressor's tau; the
-    // scalar path recomputes it per neighbor, the batched path reads it
-    // back from this array — same primitive, same bits.
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.delta[i] = detail::delta_of(prev, next, i);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (scratch.delta[i] != 0) {
-        scratch.tau[i] = detail::switching_tau(m, i, prev, next);
-      }
-    }
-
-    // Pass 2: flat fill of the contiguous n*samples block.
-    const double* couple = m.coupling_data();
-    for (std::size_t i = 0; i < n; ++i) {
-      double* w = out + i * samples;
-      if (scratch.delta[i] != 0) {
-        const double v0 = prev[i] ? p.vdd : 0.0;
-        const double vf = next[i] ? p.vdd : 0.0;
-        detail::fill_switching(m, i, v0, vf, scratch.tau[i], w);
-        continue;
-      }
-      // Quiet wire: rail baseline plus superposed neighbor glitches
-      // (left neighbor injected first, matching the scalar path).
-      const double rail = prev[i] ? p.vdd : 0.0;
-      std::fill_n(w, samples, rail);
-      const double ctot_v = m.total_cap_data()[i];
-      const double tau_v = m.resistance_data()[i] * ctot_v;
-      if (i > 0 && scratch.delta[i - 1] != 0) {
-        detail::add_glitch(m, w, p.vdd, couple[i - 1], ctot_v, tau_v,
-                           scratch.tau[i - 1], scratch.delta[i - 1]);
-      }
-      if (i + 1 < n && scratch.delta[i + 1] != 0) {
-        detail::add_glitch(m, w, p.vdd, couple[i], ctot_v, tau_v,
-                           scratch.tau[i + 1], scratch.delta[i + 1]);
-      }
-    }
   }
 
   void solve_wire(const BusModel& m, std::size_t i, const util::BitVec& prev,

@@ -6,11 +6,11 @@
 #include "si/bus_model.hpp"
 #include "util/bitvec.hpp"
 
-// The batched and scalar paths of every interconnect model must agree
-// bit-for-bit, including under -march=native where the compiler may
-// contract a*b+c into FMA differently per inline context. Keeping the
-// shared solver primitives out-of-line in one translation unit
-// guarantees all callers execute the same machine code.
+// Under -march=native the compiler may contract a*b+c into FMA
+// differently per inline context. Keeping the solver primitives the
+// models share out-of-line in one translation unit means every caller
+// executes the same machine code, so a waveform's bits never depend on
+// where the primitive was inlined.
 #if defined(__GNUC__) || defined(__clang__)
 #define JSI_NOINLINE __attribute__((noinline))
 #else

@@ -12,14 +12,13 @@ namespace jsi::si {
 
 /// Non-owning view of a uniformly sampled voltage waveform.
 ///
-/// The batched transition kernel writes wire samples into arena- or
-/// table-owned storage; a `WaveformView` is the 3-word handle (pointer,
+/// `CoupledBus::transition_batch` hands out wire samples that live in the
+/// bus's waveform store; a `WaveformView` is the 3-word handle (pointer,
 /// length, dt) the detectors and metrics scan without copying. It carries
 /// the full read-side API of `Waveform`, and a `Waveform` converts to a
 /// view implicitly, so every scanning consumer takes a view and accepts
 /// both. Lifetime: a view is valid as long as the storage behind it — for
-/// `CoupledBus::transition_batch` results that means until the next batch
-/// evaluation, defect mutation or destruction of the bus.
+/// `CoupledBus::transition_batch` results see `TransitionBatch`.
 class WaveformView {
  public:
   WaveformView() = default;

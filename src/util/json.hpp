@@ -14,8 +14,7 @@ namespace jsi::util::json {
 /// Minimal JSON document model — just enough for the tooling in this
 /// repo (scenario files, trace/metrics re-validation; no third-party
 /// JSON dependency is available in-tree). Lived in `obs` until the
-/// scenario layer needed it; it is a generic utility, so it moved here
-/// (`jsi::obs::json` keeps thin aliases for source compatibility).
+/// scenario layer needed it; it is a generic utility, so it moved here.
 struct Value {
   enum class Type { Null, Bool, Number, String, Array, Object };
 

@@ -14,7 +14,7 @@
 
 #include "core/campaign.hpp"
 #include "core/session.hpp"
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
 
@@ -65,20 +65,20 @@ std::string events_transcript(const CampaignResult& r) {
 
 /// Parse a heartbeat stream, asserting schema and monotonicity along the
 /// way; returns the parsed records.
-std::vector<obs::json::Value> checked_heartbeats(const std::string& jsonl) {
-  std::vector<obs::json::Value> records;
+std::vector<util::json::Value> checked_heartbeats(const std::string& jsonl) {
+  std::vector<util::json::Value> records;
   std::istringstream lines(jsonl);
   std::string line;
   std::uint64_t prev_seq = 0, prev_done = 0, prev_t = 0;
   while (std::getline(lines, line)) {
     std::string err;
-    auto doc = obs::json::parse(line, &err);
+    auto doc = util::json::parse(line, &err);
     EXPECT_TRUE(doc.has_value()) << err << " in: " << line;
     if (!doc) continue;
     EXPECT_TRUE(doc->is_object());
-    EXPECT_EQ(doc->find("schema")->str, "jsi.telemetry.v1");
+    EXPECT_EQ(doc->find("schema")->str, "jsi.telemetry.v2");
     const auto u64 = [&doc](const char* key) {
-      const obs::json::Value* v = doc->find(key);
+      const util::json::Value* v = doc->find(key);
       EXPECT_NE(v, nullptr) << key;
       return v ? static_cast<std::uint64_t>(v->number) : 0;
     };
@@ -123,17 +123,17 @@ TEST(CampaignTelemetry, ArtifactsByteIdenticalWithTelemetryOnAt1And4Shards) {
     // The heartbeat stream itself: >= 2 schema-valid monotone records.
     const auto records = checked_heartbeats(sink.str());
     ASSERT_GE(records.size(), 2u) << shards << " shards";
-    const obs::json::Value& last = records.back();
+    const util::json::Value& last = records.back();
     EXPECT_EQ(last.find("units_total")->number, 7.0);
     EXPECT_EQ(last.find("units_done")->number, 7.0);
     EXPECT_GT(last.find("units_per_sec")->number, 0.0);
     EXPECT_GT(last.find("tcks")->number, 0.0);
-    const obs::json::Value* workers = last.find("workers");
+    const util::json::Value* workers = last.find("workers");
     ASSERT_NE(workers, nullptr);
     ASSERT_EQ(workers->array.size(), shards);
     double busy = 0.0, done = 0.0;
     bool any_utilized = false;
-    for (const obs::json::Value& w : workers->array) {
+    for (const util::json::Value& w : workers->array) {
       busy += w.find("busy_ns")->number;
       done += w.find("units_done")->number;
       if (w.find("utilization")->number > 0.0) any_utilized = true;

@@ -414,6 +414,51 @@ TEST(CheckpointRunner, ResumeRejectsMismatchedCampaign) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointRunner, ResumeRejectsPreStoreSchemaWithTypedError) {
+  // v1 chunk records book bus lookups as memo + MA-table counters; folding
+  // them into a v2 run would mix two counter layouts in one registry.
+  FakeSource src(40);
+  const std::string path = temp_path("schema_v1.jsonl");
+  std::remove(path.c_str());
+  CampaignConfig cfg;
+  cfg.shards = 1;
+  cfg.aggregate_outcomes = true;
+  cfg.chunk_size = 8;
+  cfg.checkpoint_path = path;
+  cfg.fingerprint = "spec-A";
+  cfg.max_chunks = 2;
+  (void)run_once(src, cfg);
+
+  std::string text;
+  {
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    text = ss.str();
+  }
+  const std::string v2 = "\"schema\":\"jsi.checkpoint.v2\"";
+  const std::size_t at = text.find(v2);
+  ASSERT_EQ(at, text.find('"')) << "the header leads with the v2 schema";
+  text.replace(at, v2.size(), "\"schema\":\"jsi.checkpoint.v1\"");
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+  }
+
+  cfg.resume = true;
+  cfg.max_chunks = 0;
+  try {
+    (void)run_once(src, cfg);
+    ADD_FAILURE() << "a v1 checkpoint must not resume";
+  } catch (const core::CheckpointMismatchError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("jsi.checkpoint.v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("jsi.checkpoint.v2"), std::string::npos) << what;
+  }
+  EXPECT_THROW(core::load_checkpoint(path), core::CheckpointMismatchError);
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointRunner, CheckpointGrowsByOneLinePerChunk) {
   FakeSource src(32);
   const std::string path = temp_path("growth.jsonl");

@@ -1,11 +1,11 @@
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
-namespace jsi::obs::json {
+namespace jsi::util::json {
 namespace {
 
 TEST(Json, ParsesScalars) {
@@ -130,4 +130,4 @@ TEST(Json, FindOnNonObjectReturnsNull) {
 }
 
 }  // namespace
-}  // namespace jsi::obs::json
+}  // namespace jsi::util::json

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 
 namespace jsi::obs {
 namespace {
@@ -120,21 +120,21 @@ TEST(Registry, JsonDumpParsesAndRoundTripsValues) {
   reg.histogram("lat", {1, 10}).observe(3);
 
   std::string err;
-  const auto doc = json::parse(reg.to_json(), &err);
+  const auto doc = util::json::parse(reg.to_json(), &err);
   ASSERT_TRUE(doc.has_value()) << err;
   ASSERT_TRUE(doc->is_object());
 
-  const json::Value* counters = doc->find("counters");
+  const util::json::Value* counters = doc->find("counters");
   ASSERT_NE(counters, nullptr);
-  const json::Value* total = counters->find("tck.total");
+  const util::json::Value* total = counters->find("tck.total");
   ASSERT_NE(total, nullptr);
   EXPECT_DOUBLE_EQ(total->number, 123.0);
 
-  const json::Value* hist = doc->find("histograms");
+  const util::json::Value* hist = doc->find("histograms");
   ASSERT_NE(hist, nullptr);
-  const json::Value* lat = hist->find("lat");
+  const util::json::Value* lat = hist->find("lat");
   ASSERT_NE(lat, nullptr);
-  const json::Value* counts = lat->find("counts");
+  const util::json::Value* counts = lat->find("counts");
   ASSERT_NE(counts, nullptr);
   ASSERT_EQ(counts->array.size(), 3u);
   EXPECT_DOUBLE_EQ(counts->array[1].number, 1.0);  // 3 lands in (1, 10]
@@ -151,14 +151,14 @@ TEST(MetricsDump, WritesParseableBenchFile) {
   std::stringstream buf;
   buf << in.rdbuf();
   std::string err;
-  const auto doc = json::parse(buf.str(), &err);
+  const auto doc = util::json::parse(buf.str(), &err);
   ASSERT_TRUE(doc.has_value()) << err;
-  const json::Value* bench = doc->find("benchmark");
+  const util::json::Value* bench = doc->find("benchmark");
   ASSERT_NE(bench, nullptr);
   EXPECT_EQ(bench->str, "registry_unittest");
-  const json::Value* metrics = doc->find("metrics");
+  const util::json::Value* metrics = doc->find("metrics");
   ASSERT_NE(metrics, nullptr);
-  const json::Value* counters = metrics->find("counters");
+  const util::json::Value* counters = metrics->find("counters");
   ASSERT_NE(counters, nullptr);
   ASSERT_NE(counters->find("dump.test"), nullptr);
   EXPECT_DOUBLE_EQ(counters->find("dump.test")->number, 9.0);

@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "obs/profile.hpp"
 
 // ---- allocation counting ----------------------------------------------------
@@ -86,10 +86,8 @@ TEST(WorkerProgress, PublishPathAllocatesNothing) {
   d.busy_ns = 1000;
   d.transitions = 7;
   d.tcks = 42;
-  d.table_hits = 3;
-  d.table_misses = 1;
-  d.memo_hits = 2;
-  d.memo_misses = 2;
+  d.cache_hits = 5;
+  d.cache_misses = 3;
 
   const std::uint64_t before = g_thread_allocs;
   for (int i = 0; i < 1000; ++i) {
@@ -125,6 +123,8 @@ TEST(Telemetry, SampleSeqStrictlyIncreasesAndCountsNeverRegress) {
   d.busy_ns = 100;
   d.transitions = 10;
   d.tcks = 50;
+  d.cache_hits = 3;
+  d.cache_misses = 1;
 
   Snapshot prev = tele.sample();
   for (int i = 0; i < 8; ++i) {
@@ -143,6 +143,7 @@ TEST(Telemetry, SampleSeqStrictlyIncreasesAndCountsNeverRegress) {
   EXPECT_EQ(prev.transitions, 80u);
   EXPECT_EQ(prev.tcks, 400u);
   EXPECT_GT(prev.units_per_sec, 0.0);
+  EXPECT_DOUBLE_EQ(prev.cache_hit_rate, 0.75);
 }
 
 TEST(Telemetry, SampleIsMonotoneUnderConcurrentPublishing) {
@@ -207,10 +208,10 @@ TEST(Telemetry, StartStopEmitsAtLeastTwoParseableHeartbeats) {
   std::uint64_t prev_seq = 0, prev_done = 0;
   while (std::getline(lines, line)) {
     std::string err;
-    const auto doc = json::parse(line, &err);
+    const auto doc = util::json::parse(line, &err);
     ASSERT_TRUE(doc.has_value()) << err << " in: " << line;
     ASSERT_TRUE(doc->is_object());
-    EXPECT_EQ(doc->find("schema")->str, "jsi.telemetry.v1");
+    EXPECT_EQ(doc->find("schema")->str, "jsi.telemetry.v2");
     const std::uint64_t seq =
         static_cast<std::uint64_t>(doc->find("seq")->number);
     const std::uint64_t done =
@@ -249,8 +250,7 @@ Snapshot golden_snapshot() {
   s.units_per_sec = 9.5;
   s.transitions_per_sec = 1200.0;
   s.tcks_per_sec = 6000.0;
-  s.table_hit_rate = 0.75;
-  s.memo_hit_rate = 0.5;
+  s.cache_hit_rate = 0.75;
   WorkerSnapshot w0;
   w0.worker = 0;
   w0.units_started = 4;
@@ -275,12 +275,12 @@ TEST(Telemetry, HeartbeatJsonlMatchesSchemaGolden) {
   write_snapshot_jsonl(os, golden_snapshot());
   EXPECT_EQ(
       os.str(),
-      "{\"schema\":\"jsi.telemetry.v1\",\"seq\":3,"
+      "{\"schema\":\"jsi.telemetry.v2\",\"seq\":3,"
       "\"wall_ms\":1754500000123,\"t_ms\":750,\"units_total\":12,"
       "\"units_done\":7,\"units_running\":2,\"units_per_sec\":9.5,"
       "\"transitions\":900,\"transitions_per_sec\":1200,"
-      "\"tcks\":4500,\"tcks_per_sec\":6000,\"table_hit_rate\":0.75,"
-      "\"memo_hit_rate\":0.5,\"workers\":["
+      "\"tcks\":4500,\"tcks_per_sec\":6000,\"cache_hit_rate\":0.75,"
+      "\"workers\":["
       "{\"worker\":0,\"units_started\":4,\"units_done\":4,"
       "\"busy_ns\":600000,\"idle_ns\":200000,\"utilization\":0.75,"
       "\"unit\":null},"
@@ -293,10 +293,10 @@ TEST(Telemetry, HeartbeatJsonlRoundTripsThroughTheParser) {
   std::ostringstream os;
   write_snapshot_jsonl(os, golden_snapshot());
   std::string err;
-  const auto doc = json::parse(os.str(), &err);
+  const auto doc = util::json::parse(os.str(), &err);
   ASSERT_TRUE(doc.has_value()) << err;
   EXPECT_DOUBLE_EQ(doc->find("units_per_sec")->number, 9.5);
-  const json::Value* workers = doc->find("workers");
+  const util::json::Value* workers = doc->find("workers");
   ASSERT_NE(workers, nullptr);
   ASSERT_EQ(workers->array.size(), 2u);
   EXPECT_EQ(workers->array[1].find("unit")->str, "multibus_\"3\"");
@@ -342,6 +342,19 @@ std::vector<ProfileUnit> profile_units() {
   return units;
 }
 
+ProfileTotals totals_of(const std::vector<ProfileUnit>& units) {
+  ProfileTotals t;
+  for (const ProfileUnit& u : units) {
+    ++t.units;
+    t.total_tcks += u.total_tcks;
+    t.generation_tcks += u.generation_tcks;
+    t.observation_tcks += u.observation_tcks;
+    if (u.violation) ++t.violations;
+    if (u.failed) ++t.failures;
+  }
+  return t;
+}
+
 TEST(ProfileReport, RendersPhaseSplitTopKAndHistogramSummary) {
   Registry reg;
   reg.counter("session.enhanced").inc(2);
@@ -350,13 +363,14 @@ TEST(ProfileReport, RendersPhaseSplitTopKAndHistogramSummary) {
   reg.counter("tck.state.shift").inc(1200);
   reg.counter("tck.state.capture").inc(200);
   reg.counter("tck.state.update").inc(200);
-  reg.counter("bus.table_hits").inc(30);
-  reg.counter("bus.table_misses").inc(10);
+  reg.counter("bus.cache_hits").inc(30);
+  reg.counter("bus.cache_misses").inc(10);
   Histogram& h = reg.histogram("op.tcks", {10, 100, 1000});
   for (int i = 0; i < 90; ++i) h.observe(50);
   for (int i = 0; i < 10; ++i) h.observe(500);
 
-  const std::string text = profile_report(profile_units(), reg);
+  const std::string text =
+      profile_report(totals_of(profile_units()), profile_units(), reg);
   EXPECT_NE(text.find("== campaign profile ==\n"), std::string::npos);
   EXPECT_NE(text.find("units: 3 (1 violations, 1 failures)\n"),
             std::string::npos);
@@ -369,7 +383,8 @@ TEST(ProfileReport, RendersPhaseSplitTopKAndHistogramSummary) {
             std::string::npos);
   EXPECT_NE(text.find("op.tcks: count=100 mean="), std::string::npos);
   EXPECT_NE(text.find("p95="), std::string::npos);
-  EXPECT_NE(text.find("bus lookups: table 30/40 hits"), std::string::npos);
+  EXPECT_NE(text.find("bus waveform store: 30/40 wire hits (75.00%)\n"),
+            std::string::npos);
   // Top-k order: slow (1000) > broken (500, FAILED) > fast (100).
   const std::size_t slow = text.find("1. slow tcks=1000");
   const std::size_t broken = text.find("2. broken tcks=500");
@@ -384,11 +399,29 @@ TEST(ProfileReport, RendersPhaseSplitTopKAndHistogramSummary) {
   EXPECT_NE(text.find("workers: no telemetry captured"), std::string::npos);
 }
 
+TEST(ProfileReport, HeadlineComesFromTotalsNotRetainedUnits) {
+  // Aggregate mode folds per-unit outcomes away: the headline must still
+  // report the campaign totals.
+  ProfileTotals t;
+  t.units = 150;
+  t.violations = 56;
+  t.failures = 0;
+  t.total_tcks = 75900;
+  t.generation_tcks = 60000;
+  t.observation_tcks = 15900;
+  const std::string text = profile_report(t, {}, Registry());
+  EXPECT_NE(text.find("units: 150 (56 violations, 0 failures)\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("tcks: total=75900 generation=60000"),
+            std::string::npos);
+  EXPECT_EQ(text.find("slowest units"), std::string::npos);
+}
+
 TEST(ProfileReport, FoldsTelemetryWorkerUtilizationWhenPresent) {
   Registry reg;
   const Snapshot tele = golden_snapshot();
   const std::string text =
-      profile_report(profile_units(), reg, &tele);
+      profile_report(totals_of(profile_units()), profile_units(), reg, &tele);
   EXPECT_NE(text.find("workers (measured, 750 ms wall):\n"),
             std::string::npos);
   EXPECT_NE(text.find("w0: units=4 busy=0.60 ms idle=0.20 ms "

@@ -12,7 +12,7 @@
 #include "core/report.hpp"
 #include "core/session.hpp"
 #include "obs/hub.hpp"
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "obs/tracer.hpp"
 
 namespace jsi {
@@ -197,10 +197,10 @@ TEST(TraceExport, EveryJsonlLineParses) {
   while (std::getline(is, line)) {
     ++n;
     std::string err;
-    const auto doc = obs::json::parse(line, &err);
+    const auto doc = util::json::parse(line, &err);
     ASSERT_TRUE(doc.has_value()) << "line " << n << ": " << err;
     ASSERT_TRUE(doc->is_object());
-    const obs::json::Value* kind = doc->find("kind");
+    const util::json::Value* kind = doc->find("kind");
     ASSERT_NE(kind, nullptr);
     EXPECT_FALSE(kind->str.empty());
     ASSERT_NE(doc->find("tck"), nullptr);
@@ -219,30 +219,30 @@ TEST(TraceExport, ChromeTraceValidatesAgainstSchema) {
   std::ostringstream os;
   hub.tracer().write_chrome_trace(os);
   std::string err;
-  const auto doc = obs::json::parse(os.str(), &err);
+  const auto doc = util::json::parse(os.str(), &err);
   ASSERT_TRUE(doc.has_value()) << err;
   ASSERT_TRUE(doc->is_object());
 
-  const obs::json::Value* events = doc->find("traceEvents");
+  const util::json::Value* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_FALSE(events->array.empty());
 
   // Per-tid begin/end nesting must balance for Perfetto to render spans.
   std::map<double, int> open_per_tid;
-  for (const obs::json::Value& e : events->array) {
+  for (const util::json::Value& e : events->array) {
     ASSERT_TRUE(e.is_object());
-    const obs::json::Value* name = e.find("name");
-    const obs::json::Value* ph = e.find("ph");
-    const obs::json::Value* pid = e.find("pid");
-    const obs::json::Value* tid = e.find("tid");
+    const util::json::Value* name = e.find("name");
+    const util::json::Value* ph = e.find("ph");
+    const util::json::Value* pid = e.find("pid");
+    const util::json::Value* tid = e.find("tid");
     ASSERT_NE(name, nullptr);
     ASSERT_NE(ph, nullptr);
     ASSERT_NE(pid, nullptr);
     ASSERT_NE(tid, nullptr);
-    EXPECT_EQ(name->type, obs::json::Value::Type::String);
-    ASSERT_EQ(ph->type, obs::json::Value::Type::String);
-    EXPECT_EQ(pid->type, obs::json::Value::Type::Number);
-    EXPECT_EQ(tid->type, obs::json::Value::Type::Number);
+    EXPECT_EQ(name->type, util::json::Value::Type::String);
+    ASSERT_EQ(ph->type, util::json::Value::Type::String);
+    EXPECT_EQ(pid->type, util::json::Value::Type::Number);
+    EXPECT_EQ(tid->type, util::json::Value::Type::Number);
     if (ph->str != "M") {
       ASSERT_NE(e.find("ts"), nullptr) << "non-metadata event missing ts";
     }
@@ -284,7 +284,7 @@ TEST(TraceExport, EscapesHostileLabelsInJsonl) {
   std::string line;
   ASSERT_TRUE(std::getline(is, line));
   std::string err;
-  const auto doc = obs::json::parse(line, &err);
+  const auto doc = util::json::parse(line, &err);
   ASSERT_TRUE(doc.has_value()) << err;
   EXPECT_EQ(doc->find("name")->str, kHostile);
   EXPECT_FALSE(std::getline(is, line)) << "label newline split the record";
@@ -303,13 +303,13 @@ TEST(TraceExport, EscapesHostileLabelsInChromeTrace) {
   std::ostringstream os;
   tracer.write_chrome_trace(os);
   std::string err;
-  const auto doc = obs::json::parse(os.str(), &err);
+  const auto doc = util::json::parse(os.str(), &err);
   ASSERT_TRUE(doc.has_value()) << err;
-  const obs::json::Value* events = doc->find("traceEvents");
+  const util::json::Value* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
   bool found = false;
-  for (const obs::json::Value& ev : events->array) {
-    const obs::json::Value* name = ev.find("name");
+  for (const util::json::Value& ev : events->array) {
+    const util::json::Value* name = ev.find("name");
     if (name != nullptr && name->str == kHostile) found = true;
   }
   EXPECT_TRUE(found) << "hostile label lost or mangled in chrome trace";

@@ -132,7 +132,7 @@ TEST(CliParity, TelemetryFlagsLeaveArtifactsUntouchedAndStreamHeartbeats) {
   std::size_t lines = 0;
   for (char c : jsonl) lines += c == '\n';
   EXPECT_GE(lines, 2u) << jsonl;
-  EXPECT_NE(jsonl.find("\"schema\":\"jsi.telemetry.v1\""),
+  EXPECT_NE(jsonl.find("\"schema\":\"jsi.telemetry.v2\""),
             std::string::npos);
 
   // --profile adds profile.txt beside the canonical three.

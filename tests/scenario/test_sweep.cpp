@@ -227,6 +227,45 @@ TEST(SweepBuild, LargeSweepAggregates) {
             std::string::npos);
 }
 
+TEST(SweepBuild, ProfileHeadlineMatchesAggregatedReport) {
+  // Aggregate mode folds per-unit outcomes away; the profile headline
+  // must still carry the campaign totals the report prints.
+  const ScenarioSpec spec = parse_scenario(
+      wrap(R"("topology":{"kind":"soc","n_wires":4,"bus":{"samples":512}},)"
+           R"("sessions":[{"kind":"enhanced","method":1}],)"
+           R"("sweep":{"samples":130,"nd_vhthr_frac":[0.3],)"
+           R"("defects":[{"kind":"random_crosstalk","count":1,)"
+           R"("severity":6}]},"campaign":{"seed":5})"));
+  scenario::RunOptions opt;
+  opt.profile = true;
+  const scenario::ScenarioOutcome out = scenario::run_scenario(spec, opt);
+  const core::CampaignResult& r = out.result;
+  ASSERT_TRUE(r.aggregated);
+  ASSERT_EQ(r.units_run, 130u);
+  EXPECT_GT(r.violations, 0u);
+
+  const std::string units = std::to_string(r.units_run) + " units (aggregated), " +
+                            std::to_string(r.violations) + " violations, " +
+                            std::to_string(r.failures) + " failures\n";
+  const std::string tcks = "tcks: total=" + std::to_string(r.total_tcks) +
+                           " generation=" + std::to_string(r.generation_tcks);
+  ASSERT_NE(out.report_text.find("campaign: " + units), std::string::npos)
+      << out.report_text;
+  ASSERT_NE(out.report_text.find(tcks), std::string::npos);
+
+  EXPECT_NE(out.profile_text.find("units: " + std::to_string(r.units_run) +
+                                  " (" + std::to_string(r.violations) +
+                                  " violations, " +
+                                  std::to_string(r.failures) + " failures)\n"),
+            std::string::npos)
+      << out.profile_text;
+  EXPECT_NE(out.profile_text.find(tcks + " ("), std::string::npos)
+      << out.profile_text;
+  EXPECT_NE(out.profile_text.find(
+                "observation=" + std::to_string(r.observation_tcks) + " ("),
+            std::string::npos);
+}
+
 // ---- the determinism contract ----------------------------------------------
 
 void expect_same_artifacts(const scenario::ScenarioOutcome& a,

@@ -1,7 +1,7 @@
 // Physics property tests for the coupled-bus solver: linearity, symmetry
 // and monotonicity checks that hold for any parameter choice — plus the
-// randomized differential suite pinning the batched (table/arena) path
-// bit-for-bit against the scalar reference solver.
+// randomized differential suite pinning the batched (store-backed) path
+// bit-for-bit against direct calls of the model's solver.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "mafm/fault.hpp"
 #include "si/bus.hpp"
 #include "si/detectors.hpp"
+#include "si/model.hpp"
 #include "util/prng.hpp"
 
 namespace jsi::si {
@@ -159,20 +160,19 @@ TEST(BusProperties, NoSelfGlitchWithoutSwitchingNeighbors) {
 
 // ---- batched vs scalar differential suite ---------------------------------
 //
-// The batched kernel (transition_batch: precompiled tables + arena memo
-// path) must agree with the raw per-wire scalar solver on every output
-// *bit* — not just within a tolerance. Both paths share the same noinline
-// solver primitives, so any divergence is a real defect (e.g. an FP
-// contraction difference or a stale table), and EXPECT_EQ on doubles is
-// the correct assertion strength.
+// The batched path (transition_batch: pointers into the waveform store)
+// must agree with the model's solver called directly on every output
+// *bit* — not just within a tolerance. Any divergence is a real defect
+// (e.g. a stale store entry or a key that misses part of a wire's
+// electrical support), and EXPECT_EQ on doubles is the correct assertion
+// strength.
 
-/// A scalar reference twin of `p`: no tables, no memo — every call runs
-/// the raw analytic solver.
-CoupledBus scalar_reference(const BusParams& p) {
-  CoupledBus bus(p);
-  bus.set_tables_enabled(false);
-  bus.set_cache_enabled(false);
-  return bus;
+/// The reference side: wire i solved by the model directly, no store.
+Waveform direct_solve(const BusModel& m, std::size_t i, const BitVec& prev,
+                      const BitVec& next) {
+  Waveform w(m.params().samples, m.params().sample_dt);
+  model_for(m.params().model).solve_wire(m, i, prev, next, w.data());
+  return w;
 }
 
 BitVec random_vec(util::Prng& rng, std::size_t n) {
@@ -182,8 +182,8 @@ BitVec random_vec(util::Prng& rng, std::size_t n) {
 }
 
 /// The workload that matters: every MA vector pair of the bus, plus
-/// `extra` random (generally non-MA) pairs — so the table path and the
-/// arena/memo fallback path are both differenced.
+/// `extra` random (generally non-MA) pairs — so MA traffic and settling
+/// steps are both differenced.
 std::vector<mafm::VectorPair> differential_workload(util::Prng& rng,
                                                     std::size_t n,
                                                     int extra) {
@@ -199,7 +199,7 @@ std::vector<mafm::VectorPair> differential_workload(util::Prng& rng,
   return pairs;
 }
 
-void expect_batch_bit_identical(const CoupledBus& batched, CoupledBus& ref,
+void expect_batch_bit_identical(const CoupledBus& batched, const BusModel& ref,
                                 const std::vector<mafm::VectorPair>& pairs) {
   const std::size_t n = batched.n();
   for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
@@ -207,7 +207,7 @@ void expect_batch_bit_identical(const CoupledBus& batched, CoupledBus& ref,
         batched.transition_batch(pairs[pi].v1, pairs[pi].v2);
     ASSERT_EQ(b.n_wires, n);
     for (std::size_t i = 0; i < n; ++i) {
-      const Waveform want = ref.wire_response(i, pairs[pi].v1, pairs[pi].v2);
+      const Waveform want = direct_solve(ref, i, pairs[pi].v1, pairs[pi].v2);
       const WaveformView got = b.wire(i);
       ASSERT_EQ(got.samples(), want.samples());
       if (std::memcmp(got.data(), want.data(),
@@ -231,7 +231,7 @@ TEST(BusDifferential, BatchedBitIdenticalAcrossWidthsAndSeeds) {
       p.samples = 512;  // keep the sweep fast; full depth runs at n=8 below
       util::Prng rng(seed);
       CoupledBus batched(p);
-      CoupledBus ref = scalar_reference(p);
+      const BusModel ref(p);
       expect_batch_bit_identical(batched, ref,
                                  differential_workload(rng, n, 8));
     }
@@ -242,7 +242,7 @@ TEST(BusDifferential, FullDepthDefaultParams) {
   const BusParams p = params_n(8);  // default 2048 samples
   util::Prng rng(77);
   CoupledBus batched(p);
-  CoupledBus ref = scalar_reference(p);
+  const BusModel ref(p);
   expect_batch_bit_identical(batched, ref, differential_workload(rng, 8, 12));
 }
 
@@ -253,11 +253,11 @@ TEST(BusDifferential, DetectorVerdictsIdentical) {
   BusParams p = params_n(8);
   p.samples = 1024;
   CoupledBus batched(p);
-  CoupledBus ref = scalar_reference(p);
-  for (CoupledBus* bus : {&batched, &ref}) {
-    bus->inject_crosstalk_defect(3, 6.0);
-    bus->add_series_resistance(6, 900.0);
-  }
+  BusModel ref(p);
+  batched.inject_crosstalk_defect(3, 6.0);
+  batched.add_series_resistance(6, 900.0);
+  ref.inject_crosstalk_defect(3, 6.0);
+  ref.add_series_resistance(6, 900.0);
   const NdCell nd;
   const SdCell sd;
   util::Prng rng(2026);
@@ -265,65 +265,65 @@ TEST(BusDifferential, DetectorVerdictsIdentical) {
   for (const mafm::VectorPair& vp : pairs) {
     const TransitionBatch b = batched.transition_batch(vp.v1, vp.v2);
     for (std::size_t i = 0; i < 8; ++i) {
-      const Waveform want = ref.wire_response(i, vp.v1, vp.v2);
+      const Waveform want = direct_solve(ref, i, vp.v1, vp.v2);
       const WaveformView got = b.wire(i);
       const util::Logic li = util::to_logic(vp.v1[i]);
       const util::Logic le = util::to_logic(vp.v2[i]);
       EXPECT_EQ(nd.violates(got, li, le), nd.violates(want, li, le));
       EXPECT_EQ(sd.violates(got, li, le), sd.violates(want, li, le));
       EXPECT_EQ(sd.arrival_time(got), sd.arrival_time(want));
-      EXPECT_EQ(batched.settled_logic(got), ref.settled_logic(want));
+      EXPECT_EQ(batched.settled_logic(got), batched.settled_logic(want));
     }
   }
 }
 
 TEST(BusDifferential, StackedDefectsStayIdentical) {
   // Re-difference after every mutation of a growing defect stack: each
-  // bump must invalidate and rebuild the tables (and flush the memo) so
-  // the batched path never serves a stale generation.
+  // bump must drop the store so the batched path never serves a stale
+  // generation.
   BusParams p = params_n(6);
   p.samples = 512;
   CoupledBus batched(p);
-  CoupledBus ref = scalar_reference(p);
+  BusModel ref(p);
   util::Prng rng(55);
-  const auto mutate = [&](int round) {
-    for (CoupledBus* bus : {&batched, &ref}) {
-      switch (round % 3) {
-        case 0: bus->scale_coupling(round % 5, 1.5); break;
-        case 1: bus->add_series_resistance(round % 6, 250.0); break;
-        default: bus->inject_crosstalk_defect(1 + round % 4, 4.0); break;
-      }
+  const auto mutate_one = [](auto& bus, int round) {
+    switch (round % 3) {
+      case 0: bus.scale_coupling(round % 5, 1.5); break;
+      case 1: bus.add_series_resistance(round % 6, 250.0); break;
+      default: bus.inject_crosstalk_defect(1 + round % 4, 4.0); break;
     }
+  };
+  const auto mutate = [&](int round) {
+    mutate_one(batched, round);
+    mutate_one(ref, round);
   };
   for (int round = 0; round < 5; ++round) {
     mutate(round);
     expect_batch_bit_identical(batched, ref,
                                differential_workload(rng, 6, 4));
   }
-  for (CoupledBus* bus : {&batched, &ref}) bus->clear_defects();
+  batched.clear_defects();
+  ref.clear_defects();
   expect_batch_bit_identical(batched, ref, differential_workload(rng, 6, 4));
 }
 
 TEST(BusDifferential, CloneServesIdenticalBatches) {
-  // The campaign path: warm a prototype (tables precompiled, memo
-  // populated), clone it, and difference the clone — its carried tables
-  // and fresh arena must serve the same bits as a scalar reference.
+  // The campaign path: warm a prototype (MA pairs and a random stream
+  // stored), clone it, and difference the clone — its carried store must
+  // serve the same bits as the direct solver.
   BusParams p = params_n(8);
   p.samples = 512;
   CoupledBus proto(p);
   proto.inject_crosstalk_defect(4, 5.0);
-  proto.precompile_tables();
+  proto.warm_ma_pairs();
   util::Prng rng(99);
   const auto pairs = differential_workload(rng, 8, 8);
   for (const mafm::VectorPair& vp : pairs) {
-    proto.transition_batch(vp.v1, vp.v2);  // warm the memo too
+    proto.transition_batch(vp.v1, vp.v2);
   }
 
   CoupledBus clone = proto.clone();
-  BusParams rp = p;
-  CoupledBus ref(rp);
-  ref.set_tables_enabled(false);
-  ref.set_cache_enabled(false);
+  BusModel ref(p);
   ref.inject_crosstalk_defect(4, 5.0);
   expect_batch_bit_identical(clone, ref, pairs);
 

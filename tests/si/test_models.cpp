@@ -1,7 +1,7 @@
 // The interconnect-model seam (si/model.hpp): registry round-trips, the
-// per-model batched==scalar bit-for-bit differential contract (the same
-// pin kernel_ratio_guard asserts, here across widths, stacked defects
-// and clones), low_swing electricals and parameter validation, the
+// per-model store==direct-solver bit-for-bit differential contract (the
+// same pin kernel_ratio_guard asserts, here across widths, stacked
+// defects and clones), low_swing electricals and parameter validation, the
 // model-aware require_width diagnostic, and si::same_params — the
 // predicate gating prototype clones in campaigns and sweeps.
 #include <gtest/gtest.h>
@@ -40,16 +40,18 @@ std::vector<mafm::VectorPair> ma_pairs(std::size_t n) {
 }
 
 /// The differential pin: every sample of every wire of every MA
-/// transition served by `batched` must equal the raw scalar solver's
-/// answer bit-for-bit on an electrically identical bus.
-void expect_batched_equals_scalar(CoupledBus& batched, CoupledBus& scalar,
+/// transition served by `batched` must equal the model's solver, called
+/// directly on an electrically identical `BusModel`, bit-for-bit.
+void expect_batched_equals_scalar(CoupledBus& batched, const BusModel& scalar,
                                   const std::string& tag) {
   const std::size_t n = batched.n();
   const std::size_t samples = batched.params().samples;
+  const InterconnectModel& solver = model_for(scalar.params().model);
+  Waveform ref(samples, scalar.params().sample_dt);
   for (const mafm::VectorPair& vp : ma_pairs(n)) {
     const TransitionBatch b = batched.transition_batch(vp.v1, vp.v2);
     for (std::size_t i = 0; i < n; ++i) {
-      const Waveform ref = scalar.wire_response(i, vp.v1, vp.v2);
+      solver.solve_wire(scalar, i, vp.v1, vp.v2, ref.data());
       ASSERT_EQ(std::memcmp(b.wire(i).data(), ref.data(),
                             samples * sizeof(double)),
                 0)
@@ -82,10 +84,8 @@ TEST(ModelDifferential, CleanBusAcrossWidths) {
     for (const std::size_t n : {2u, 3u, 8u, 16u, 32u}) {
       BusParams p = params_for(kind, n, n >= 16 ? 128 : 512);
       CoupledBus batched(p);
-      batched.precompile_tables();
-      CoupledBus scalar(p);
-      scalar.set_tables_enabled(false);
-      scalar.set_cache_enabled(false);
+      batched.warm_ma_pairs();
+      const BusModel scalar(p);
       expect_batched_equals_scalar(
           batched, scalar,
           std::string(model_kind_name(kind)) + " n=" + std::to_string(n));
@@ -98,18 +98,16 @@ TEST(ModelDifferential, StackedDefectsAndClone) {
     const std::string name = model_kind_name(kind);
     BusParams p = params_for(kind, 8);
     CoupledBus batched(p);
-    batched.precompile_tables();
-    CoupledBus scalar(p);
-    scalar.set_tables_enabled(false);
-    scalar.set_cache_enabled(false);
+    batched.warm_ma_pairs();
+    BusModel scalar(p);
 
     // Stack a crosstalk defect on top of a resistive one; apply the
     // identical mutations to the reference so the electrical state
-    // stays twinned through each table-generation bump.
-    for (CoupledBus* b : {&batched, &scalar}) {
-      b->add_series_resistance(2, 350.0);
-      b->inject_crosstalk_defect(5, 4.0);
-    }
+    // stays twinned through each generation bump.
+    batched.add_series_resistance(2, 350.0);
+    batched.inject_crosstalk_defect(5, 4.0);
+    scalar.add_series_resistance(2, 350.0);
+    scalar.inject_crosstalk_defect(5, 4.0);
     expect_batched_equals_scalar(batched, scalar, name + " defective");
 
     // A clone of the warmed defective bus must serve the same bits.

@@ -7,7 +7,6 @@
 
 #include <sstream>
 
-#include "obs/json.hpp"
 #include "util/json.hpp"
 
 namespace json = jsi::util::json;
@@ -101,17 +100,6 @@ TEST(JsonWriter, ParserRoundTrip) {
     ASSERT_TRUE(parsed.has_value()) << err << " for: " << text;
     expect_equal(*parsed, doc);
   }
-}
-
-TEST(JsonWriter, ObsAliasStillWorks) {
-  // jsi::obs::json must remain a thin alias of the promoted library.
-  std::ostringstream os;
-  jsi::obs::json::write_escaped_string(os, "x");
-  EXPECT_EQ(os.str(), "\"x\"");
-  std::string err;
-  const auto parsed = jsi::obs::json::parse("{\"a\":1}", &err);
-  ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_TRUE(parsed->is_object());
 }
 
 }  // namespace
