@@ -1,27 +1,45 @@
-// Campaign sharding scaling bench + correctness guard.
+// Campaign and sweep sharding scaling bench + correctness guard.
 //
-// The workload is the declarative scenarios/campaign_multibus.scenario.json
-// description (12 multibus units, crosstalk on a different wire of bus 1
-// each, 64-entry trace ring); the bench re-runs it at 1/2/4/8 shards via
-// scenario::run_scenario and reports wall-clock speedup into
-// BENCH_campaign.json. Two classes of check:
+// Two workloads, each re-run at several shard counts via
+// scenario::run_scenario, with wall-clock speedups dumped into
+// BENCH_campaign.json (gauge families `campaign.*` and `sweep.*`):
 //
-//  * Correctness (always enforced, exit 1): the rendered report and merged
-//    metrics registry of every N-shard run must be byte-identical to the
-//    1-shard run's — the campaign runner's core guarantee, here exercised
-//    end-to-end through the scenario layer.
+//  * campaign — the declarative scenarios/campaign_multibus.scenario.json
+//    description (12 multibus units, crosstalk on a different wire of
+//    bus 1 each, 64-entry trace ring) at 1/2/4/8 shards.
+//  * sweep — a programmatic Monte-Carlo sweep: a 2x2 detector-threshold
+//    grid with JSI_SWEEP_UNITS/4 sampled dies per point (default 10^4
+//    units), each die placing one seeded random crosstalk defect from
+//    Prng(seed).split(i), at 1/2/4 shards. The population is far above
+//    kSweepTranscriptThreshold, so this exercises lazy unit generation,
+//    chunked scheduling, warmed prototype clones and streaming
+//    aggregation end to end.
+//
+// Two classes of check, per workload:
+//
+//  * Correctness (always enforced, exit 1): the rendered report, merged
+//    metrics registry and yield curve of every N-shard run must be
+//    byte-identical to the 1-shard run's; no unit may fail; the sweep
+//    must aggregate and render a yield curve.
 //  * Performance (enforced only where it is physically possible): >= 2.5x
 //    speedup at 4 shards, checked only when the box actually has >= 4
 //    hardware threads, with retries to ride out CI load spikes. The
 //    measured speedups are always printed and dumped either way.
 //
-// Knobs: JSI_CAMPAIGN_UNITS (default 12), JSI_CAMPAIGN_ATTEMPTS (default 3).
+// Usage: campaign_scaling [campaign|sweep]... runs the named workloads
+// (default: both) and dumps their gauges as BENCH_<first named>.json, so
+// a bare run writes both families into BENCH_campaign.json. CTest runs
+// each workload as its own test (campaign_scaling, sweep_scaling).
+//
+// Knobs: JSI_CAMPAIGN_UNITS (default 12), JSI_SWEEP_UNITS (default
+// 10000), JSI_CAMPAIGN_ATTEMPTS (default 3, for each workload).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +67,7 @@ std::size_t env_or(const char* name, std::size_t fallback) {
 // Prng(campaign.seed).split(i) — every unit is a distinct die, unlike the
 // old truncate/repeat path whose extra units were byte-copies of the
 // first twelve and therefore measured cache reuse rather than work.
-jsi::scenario::ScenarioSpec make_workload(std::size_t units) {
+jsi::scenario::ScenarioSpec campaign_workload(std::size_t units) {
   jsi::scenario::ScenarioSpec spec = jsi::scenario::load_scenario(
       std::string(JSI_SCENARIO_DIR) + "/campaign_multibus.scenario.json");
   const jsi::scenario::SessionSpec tmpl = spec.sessions.at(0);
@@ -72,12 +90,38 @@ jsi::scenario::ScenarioSpec make_workload(std::size_t units) {
   return spec;
 }
 
+// 2x2 grid => samples = units/4 dies per point. A 4-wire 512-sample bus
+// keeps one die under a millisecond, so the default population finishes
+// in seconds while still being 10^4 real sessions.
+jsi::scenario::ScenarioSpec sweep_workload(std::size_t units) {
+  const std::size_t samples = std::max<std::size_t>(1, units / 4);
+  const std::string doc =
+      R"({"name":"sweep_scaling",)"
+      R"("description":"programmatic Monte-Carlo scaling workload",)"
+      R"("topology":{"kind":"soc","n_wires":4,"bus":{"samples":512}},)"
+      R"("sessions":[{"kind":"enhanced","name":"die","method":1}],)"
+      R"("sweep":{"samples":)" +
+      std::to_string(samples) +
+      R"(,"nd_vhthr_frac":[0.3,0.6],"sd_budget_ps":[150,250],)"
+      R"("defects":[{"kind":"random_crosstalk","count":1,"severity":1.5}]},)"
+      R"("campaign":{"seed":2003}})";
+  return jsi::scenario::parse_scenario(doc);
+}
+
+struct Workload {
+  std::string family;  ///< gauge prefix in BENCH_campaign.json
+  jsi::scenario::ScenarioSpec spec;
+  std::size_t units = 0;
+  std::vector<std::size_t> shard_counts;  ///< beside the 1-shard reference
+};
+
 struct Timed {
   double ms = 0.0;
   std::string text;
   std::string metrics_json;
+  std::string yield_json;
   // Waveform-store traffic from the run's merged registry, recorded as
-  // the campaign hit-rate gauge in BENCH_campaign.json.
+  // the family's hit-rate gauge.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 };
@@ -93,44 +137,43 @@ Timed run_once(const jsi::scenario::ScenarioSpec& spec, std::size_t shards) {
   out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   out.text = r.report_text;
   out.metrics_json = r.metrics_json;
+  out.yield_json = r.yield_json;
   out.cache_hits = r.result.metrics.counter_value("bus.cache_hits");
   out.cache_misses = r.result.metrics.counter_value("bus.cache_misses");
   if (r.result.failures != 0) {
-    std::cerr << "FAIL: campaign units failed:\n" << out.text;
+    std::cerr << "FAIL: " << spec.name << " units failed:\n" << out.text;
+    std::exit(1);
+  }
+  if (spec.sweep && (!r.result.aggregated || r.yield_json.empty())) {
+    std::cerr << "FAIL: population sweep must aggregate and render a "
+                 "yield curve\n";
     std::exit(1);
   }
   return out;
 }
 
-}  // namespace
-
-int main() {
-  const std::size_t units = env_or("JSI_CAMPAIGN_UNITS", 12);
-  const std::size_t attempts = env_or("JSI_CAMPAIGN_ATTEMPTS", 3);
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t shard_counts[] = {1, 2, 4, 8};
-
-  const jsi::scenario::ScenarioSpec spec = make_workload(units);
-
-  std::cout << "campaign scaling: " << units << " multibus units, hw="
-            << hw << " threads\n";
-
+/// Time one workload at every shard count; false when a run differs
+/// from the 1-shard reference or the 4-shard bar is missed.
+bool measure(const Workload& w, std::size_t attempts, unsigned hw) {
+  std::cout << w.family << " scaling: " << w.units << " units, hw=" << hw
+            << " threads\n";
   jsi::obs::Registry& reg = jsi::obs::global_registry();
+  const std::string& f = w.family;
   double best_speedup4 = 0.0;
   double best_ms = 0.0;  // fastest run at any shard count
   bool identical = true;
   Timed ref;  // last 1-shard run (deterministic, so any attempt's will do)
 
   for (std::size_t attempt = 1; attempt <= attempts; ++attempt) {
-    const Timed base = run_once(spec, 1);
+    const Timed base = run_once(w.spec, 1);
     ref = base;
     double t4 = base.ms;
-    for (const std::size_t shards : shard_counts) {
-      if (shards == 1) continue;
-      const Timed t = run_once(spec, shards);
+    for (const std::size_t shards : w.shard_counts) {
+      const Timed t = run_once(w.spec, shards);
       // Correctness gate: byte-identical to the 1-shard reference.
-      if (t.text != base.text || t.metrics_json != base.metrics_json) {
-        std::cerr << "FAIL: " << shards
+      if (t.text != base.text || t.metrics_json != base.metrics_json ||
+          t.yield_json != base.yield_json) {
+        std::cerr << "FAIL: " << f << " " << shards
                   << "-shard result differs from 1-shard reference\n";
         identical = false;
       }
@@ -141,10 +184,10 @@ int main() {
                 << t.ms << " ms (1-shard " << base.ms << " ms, speedup "
                 << speedup << "x)\n";
       const std::string tag = std::to_string(shards);
-      reg.gauge("campaign.ms.shards_" + tag).set(t.ms);
-      reg.gauge("campaign.speedup.shards_" + tag).set(speedup);
+      reg.gauge(f + ".ms.shards_" + tag).set(t.ms);
+      reg.gauge(f + ".speedup.shards_" + tag).set(speedup);
     }
-    reg.gauge("campaign.ms.shards_1").set(base.ms);
+    reg.gauge(f + ".ms.shards_1").set(base.ms);
     if (best_ms == 0.0 || base.ms < best_ms) best_ms = base.ms;
     best_speedup4 = std::max(best_speedup4, base.ms / t4);
     if (!identical) break;
@@ -153,39 +196,70 @@ int main() {
     if (hw < 4 || best_speedup4 >= 2.5) break;
   }
 
-  reg.gauge("campaign.speedup.best_4shard").set(best_speedup4);
-  reg.gauge("campaign.hw_threads").set(static_cast<double>(hw));
-  reg.counter("campaign.units").inc(units);
+  reg.gauge(f + ".speedup.best_4shard").set(best_speedup4);
+  reg.gauge(f + ".hw_threads").set(static_cast<double>(hw));
+  reg.counter(f + ".units").inc(w.units);
   // Headline throughput: units over the fastest run at any shard count.
   if (best_ms > 0.0) {
-    reg.gauge("campaign.units_per_sec")
-        .set(static_cast<double>(units) * 1000.0 / best_ms);
-    std::cout << "throughput: "
-              << static_cast<double>(units) * 1000.0 / best_ms
-              << " units/s (best run " << best_ms << " ms)\n";
+    const double ups = static_cast<double>(w.units) * 1000.0 / best_ms;
+    reg.gauge(f + ".units_per_sec").set(ups);
+    std::cout << "throughput: " << ups << " units/s (best run " << best_ms
+              << " ms)\n";
   }
   const std::uint64_t lookups = ref.cache_hits + ref.cache_misses;
-  reg.gauge("campaign.bus.cache_hit_rate")
+  reg.gauge(f + ".bus.cache_hit_rate")
       .set(lookups == 0 ? 0.0
                         : static_cast<double>(ref.cache_hits) /
                               static_cast<double>(lookups));
   std::cout << "bus waveform store: " << ref.cache_hits << "/" << lookups
             << " wire hits\n";
-  const std::string path = jsi::obs::jsi_metrics_dump("campaign");
-  if (!path.empty()) std::cout << "metrics: " << path << "\n";
 
-  if (!identical) return 1;
+  if (!identical) return false;
   if (hw >= 4) {
     if (best_speedup4 < 2.5) {
-      std::cerr << "FAIL: best 4-shard speedup " << best_speedup4
+      std::cerr << "FAIL: " << f << " best 4-shard speedup " << best_speedup4
                 << "x < 2.5x on a " << hw << "-thread box\n";
-      return 1;
+      return false;
     }
-    std::cout << "OK: 4-shard speedup " << best_speedup4 << "x >= 2.5x\n";
+    std::cout << "OK: " << f << " 4-shard speedup " << best_speedup4
+              << "x >= 2.5x\n";
   } else {
-    std::cout << "OK: byte-identical across shard counts (speedup bar "
+    std::cout << "OK: " << f
+              << " byte-identical across shard counts (speedup bar "
                  "skipped: only "
               << hw << " hardware thread(s))\n";
   }
-  return 0;
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::size_t attempts = env_or("JSI_CAMPAIGN_ATTEMPTS", 3);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t campaign_units = env_or("JSI_CAMPAIGN_UNITS", 12);
+  const jsi::scenario::ScenarioSpec sweep =
+      sweep_workload(env_or("JSI_SWEEP_UNITS", 10000));
+  const Workload workloads[] = {
+      {"campaign", campaign_workload(campaign_units), campaign_units,
+       {2, 4, 8}},
+      {"sweep", sweep, sweep.sweep->samples * 4, {2, 4}},
+  };
+
+  std::vector<std::string> names(argv + 1, argv + argc);
+  if (names.empty()) names = {"campaign", "sweep"};
+  bool ok = true;
+  for (const std::string& name : names) {
+    const auto w = std::find_if(
+        std::begin(workloads), std::end(workloads),
+        [&](const Workload& candidate) { return candidate.family == name; });
+    if (w == std::end(workloads)) {
+      std::cerr << "usage: campaign_scaling [campaign|sweep]...\n";
+      return 2;
+    }
+    ok = measure(*w, attempts, hw) && ok;
+  }
+  const std::string path = jsi::obs::jsi_metrics_dump(names.front());
+  if (!path.empty()) std::cout << "metrics: " << path << "\n";
+  return ok ? 0 : 1;
 }

@@ -37,8 +37,8 @@ si::CoupledBus unit_bus(CampaignContext& ctx, const SocConfig& c,
   return bus;
 }
 
-/// Shared tail of every canned builder: fold a session report into the
-/// outcome fields the merged campaign report is built from.
+}  // namespace
+
 UnitOutcome summarize(const IntegrityReport& rep) {
   UnitOutcome o;
   o.total_tcks = rep.total_tcks;
@@ -50,8 +50,6 @@ UnitOutcome summarize(const IntegrityReport& rep) {
   o.summary = os.str();
   return o;
 }
-
-}  // namespace
 
 std::string CampaignResult::to_text() const {
   std::ostringstream os;

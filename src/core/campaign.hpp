@@ -34,6 +34,12 @@ struct UnitOutcome {
   bool failed = false;     ///< the unit threw; `summary` holds the error
 };
 
+/// Fold a session report into the outcome fields the merged campaign
+/// report is built from: TCK split, violation flag and an
+/// "nd=<flags> sd=<flags>" summary. Shared by the canned builders and
+/// the sweep unit source.
+UnitOutcome summarize(const IntegrityReport& rep);
+
 /// Per-worker execution context handed to a running unit. The hub is the
 /// worker's thread-local observer (reset before every unit, so a unit's
 /// metrics/trace are identical no matter which worker runs it); the bus

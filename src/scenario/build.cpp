@@ -22,35 +22,6 @@ namespace {
                       wanted + "\"");
 }
 
-/// Expand RandomCrosstalk entries into concrete Crosstalk placements.
-/// Consumes `rng` in spec order, so the same seed always resolves the
-/// same placements — the whole determinism story of seeded scenarios.
-std::vector<DefectSpec> resolve(const std::vector<DefectSpec>& in,
-                                const TopologySpec& topo, util::Prng& rng) {
-  std::vector<DefectSpec> out;
-  out.reserve(in.size());
-  for (const DefectSpec& d : in) {
-    if (d.kind != DefectKind::RandomCrosstalk) {
-      out.push_back(d);
-      continue;
-    }
-    const std::size_t width = topo.kind == TopologyKind::MultiBusSoc
-                                  ? topo.wires_per_bus
-                                  : topo.n_wires;
-    for (std::size_t i = 0; i < d.count; ++i) {
-      DefectSpec r;
-      r.kind = DefectKind::Crosstalk;
-      if (topo.kind == TopologyKind::MultiBusSoc) {
-        r.bus = rng.next_below(topo.n_buses);
-      }
-      r.wire = rng.next_below(width);
-      r.severity = d.severity;
-      out.push_back(r);
-    }
-  }
-  return out;
-}
-
 core::CampaignRunner::BusSetup bus_setup(std::vector<DefectSpec> defs) {
   if (defs.empty()) return {};
   return [defs = std::move(defs)](si::CoupledBus& bus) {
@@ -148,13 +119,34 @@ ict::Algorithm extest_algorithm(const SessionSpec& s) {
 
 std::vector<DefectSpec> resolved_defects(const ScenarioSpec& spec) {
   util::Prng rng(spec.campaign.seed);
-  return resolve(spec.defects, spec.topology, rng);
+  return resolve_defects(spec.defects, spec.topology, rng);
 }
 
 std::vector<DefectSpec> resolve_defects(const std::vector<DefectSpec>& in,
                                         const TopologySpec& topo,
                                         util::Prng& rng) {
-  return resolve(in, topo, rng);
+  std::vector<DefectSpec> out;
+  out.reserve(in.size());
+  for (const DefectSpec& d : in) {
+    if (d.kind != DefectKind::RandomCrosstalk) {
+      out.push_back(d);
+      continue;
+    }
+    const std::size_t width = topo.kind == TopologyKind::MultiBusSoc
+                                  ? topo.wires_per_bus
+                                  : topo.n_wires;
+    for (std::size_t i = 0; i < d.count; ++i) {
+      DefectSpec r;
+      r.kind = DefectKind::Crosstalk;
+      if (topo.kind == TopologyKind::MultiBusSoc) {
+        r.bus = rng.next_below(topo.n_buses);
+      }
+      r.wire = rng.next_below(width);
+      r.severity = d.severity;
+      out.push_back(r);
+    }
+  }
+  return out;
 }
 
 void apply_defect(si::CoupledBus& bus, const DefectSpec& d) {
@@ -253,13 +245,14 @@ ScenarioCampaign build_campaign(const ScenarioSpec& spec,
 
   util::Prng rng(spec.campaign.seed);
   const std::vector<DefectSpec> shared =
-      resolve(spec.defects, spec.topology, rng);
+      resolve_defects(spec.defects, spec.topology, rng);
 
   for (std::size_t i = 0; i < spec.sessions.size(); ++i) {
     const SessionSpec& s = spec.sessions[i];
     std::vector<DefectSpec> defs = shared;
     {
-      std::vector<DefectSpec> own = resolve(s.defects, spec.topology, rng);
+      std::vector<DefectSpec> own =
+          resolve_defects(s.defects, spec.topology, rng);
       defs.insert(defs.end(), own.begin(), own.end());
     }
     const std::string name =

@@ -46,10 +46,11 @@ ict::Algorithm extest_algorithm(const SessionSpec& s);
 /// — exactly the list build_campaign() applies to every unit.
 std::vector<DefectSpec> resolved_defects(const ScenarioSpec& spec);
 
-/// Resolve one defect list with a caller-supplied PRNG (consumed in spec
-/// order). This is the primitive behind resolved_defects(); the sweep
-/// unit source also resolves per-die defect lists with each die's own
-/// PRNG split through it.
+/// Resolve one defect list with a caller-supplied PRNG, consumed in spec
+/// order so the same seed always resolves the same placements. This is
+/// the primitive behind resolved_defects(); the sweep unit source also
+/// resolves per-die defect lists with each die's own PRNG split through
+/// it.
 std::vector<DefectSpec> resolve_defects(const std::vector<DefectSpec>& in,
                                         const TopologySpec& topo,
                                         util::Prng& rng);

@@ -1,10 +1,12 @@
 #include "scenario/parse.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
 
+#include "si/bus.hpp"
 #include "si/model.hpp"
 #include "util/json.hpp"
 
@@ -13,6 +15,15 @@ namespace jsi::scenario {
 namespace {
 
 namespace json = jsi::util::json;
+
+// Size caps on every value that sizes an allocation, so hostile or
+// mistyped input fails here with a typed diagnostic instead of
+// std::bad_alloc (or an unbounded run) once the campaign is built.
+constexpr std::size_t kMaxWires = 1024;  ///< n_wires, wires_per_bus
+constexpr std::size_t kMaxBuses = 64;
+constexpr std::size_t kMaxNets = 4096;
+constexpr std::size_t kMaxRandomCount = 1024;  ///< random_crosstalk.count
+constexpr std::size_t kMaxSweepPopulation = 10'000'000;
 
 [[noreturn]] void fail(const std::string& path, const std::string& reason) {
   throw SpecError(path, reason);
@@ -83,6 +94,13 @@ std::size_t as_int_min(const json::Value& v, const std::string& path,
     fail(path, "must be an integer >= " + std::to_string(min));
   }
   return static_cast<std::size_t>(v.number);
+}
+
+std::size_t as_int_in(const json::Value& v, const std::string& path,
+                      std::size_t min, std::size_t max) {
+  const std::size_t x = as_int_min(v, path, min);
+  if (x > max) fail(path, "must be <= " + std::to_string(max));
+  return x;
 }
 
 std::size_t as_index_below(const json::Value& v, const std::string& path,
@@ -188,7 +206,7 @@ TopologySpec parse_topology(const json::Value& v) {
   if (t.kind == TopologyKind::Board) {
     check_keys(v, path, {"kind", "n_nets", "float_value"});
     if (const json::Value* x = v.find("n_nets")) {
-      t.n_nets = as_int_min(*x, sub(path, "n_nets"), 1);
+      t.n_nets = as_int_in(*x, sub(path, "n_nets"), 1, kMaxNets);
     }
     if (const json::Value* x = v.find("float_value")) {
       t.float_value = as_bool(*x, sub(path, "float_value"));
@@ -201,7 +219,7 @@ TopologySpec parse_topology(const json::Value& v) {
                {"kind", "n_wires", "m_extra_cells", "ir_width", "idcode",
                 "bus"});
     if (const json::Value* x = v.find("n_wires")) {
-      t.n_wires = as_int_min(*x, sub(path, "n_wires"), 2);
+      t.n_wires = as_int_in(*x, sub(path, "n_wires"), 2, kMaxWires);
     }
     t.idcode = 0x0A571001u;
   } else {
@@ -209,10 +227,11 @@ TopologySpec parse_topology(const json::Value& v) {
                {"kind", "n_buses", "wires_per_bus", "m_extra_cells",
                 "ir_width", "idcode", "bus"});
     if (const json::Value* x = v.find("n_buses")) {
-      t.n_buses = as_int_min(*x, sub(path, "n_buses"), 1);
+      t.n_buses = as_int_in(*x, sub(path, "n_buses"), 1, kMaxBuses);
     }
     if (const json::Value* x = v.find("wires_per_bus")) {
-      t.wires_per_bus = as_int_min(*x, sub(path, "wires_per_bus"), 2);
+      t.wires_per_bus =
+          as_int_in(*x, sub(path, "wires_per_bus"), 2, kMaxWires);
     }
     t.idcode = 0x0A572001u;
   }
@@ -231,6 +250,18 @@ TopologySpec parse_topology(const json::Value& v) {
   }
   if (const json::Value* x = v.find("bus")) {
     t.bus = parse_bus(*x, sub(path, "bus"));
+  }
+  // One transition's waveforms (every wire of a bus) must fit the
+  // waveform store's budget. Divided, not multiplied: samples can be
+  // up to 2^53.
+  const std::size_t width =
+      t.kind == TopologyKind::Soc ? t.n_wires : t.wires_per_bus;
+  if (t.bus.samples >
+      si::CoupledBus::kStoreBudgetBytes / (width * sizeof(double))) {
+    fail(sub(path, "bus.samples"),
+         "bus width x samples x 8 B exceeds the " +
+             std::to_string(si::CoupledBus::kStoreBudgetBytes) +
+             " B waveform store budget");
   }
   return t;
 }
@@ -315,7 +346,8 @@ DefectSpec parse_defect(const json::Value& v, const std::string& path,
       break;
     case DefectKind::RandomCrosstalk:
       check_keys(v, path, {"kind", "count", "severity"});
-      d.count = as_int_min(req(v, path, "count"), sub(path, "count"), 1);
+      d.count = as_int_in(req(v, path, "count"), sub(path, "count"), 1,
+                          kMaxRandomCount);
       d.severity = as_double(req(v, path, "severity"), sub(path, "severity"));
       if (d.severity < 1.0) fail(sub(path, "severity"), "must be >= 1");
       break;
@@ -452,7 +484,7 @@ SweepSpec parse_sweep(const json::Value& v, const TopologySpec& topo) {
   if (!v.is_object()) fail(path, "expected an object");
   check_keys(v, path,
              {"samples", "nd_vhthr_frac", "sd_budget_ps", "variations",
-              "defects"});
+              "defects", "spec_limits"});
   if (topo.kind != TopologyKind::Soc) {
     fail(path, "requires topology kind \"soc\"");
   }
@@ -515,6 +547,28 @@ SweepSpec parse_sweep(const json::Value& v, const TopologySpec& topo) {
   }
   if (const json::Value* x = v.find("defects")) {
     s.defects = parse_defect_list(*x, sub(path, "defects"), topo);
+  }
+  if (const json::Value* x = v.find("spec_limits")) {
+    const std::string lp = sub(path, "spec_limits");
+    if (!x->is_object()) fail(lp, "expected an object");
+    check_keys(*x, lp, {"max_glitch_frac", "max_settle_ps"});
+    ShippingLimits lim;
+    if (const json::Value* y = x->find("max_glitch_frac")) {
+      lim.max_glitch_frac = as_double(*y, sub(lp, "max_glitch_frac"));
+      if (!(lim.max_glitch_frac > 0 && lim.max_glitch_frac <= 1)) {
+        fail(sub(lp, "max_glitch_frac"), "must be a number in (0, 1]");
+      }
+    }
+    if (const json::Value* y = x->find("max_settle_ps")) {
+      lim.max_settle_ps = as_int_min(*y, sub(lp, "max_settle_ps"), 1);
+    }
+    s.spec_limits = lim;
+  }
+  const std::size_t points = std::max<std::size_t>(1, s.nd_vhthr_frac.size()) *
+                             std::max<std::size_t>(1, s.sd_budget_ps.size());
+  if (s.samples > kMaxSweepPopulation / points) {
+    fail(sub(path, "samples"), "population (grid points x samples) must be "
+                               "<= " + std::to_string(kMaxSweepPopulation));
   }
   return s;
 }

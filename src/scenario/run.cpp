@@ -272,6 +272,31 @@ std::string render_yield_json(const ScenarioSpec& spec,
                    : static_cast<double>(units - violations - failures) /
                          static_cast<double>(units);
     v.add("yield", json::Value::make_number(yield));
+    if (!spec.sweep->spec_limits) return;
+    // Ground truth of the completed dies: escape rate over bad dies,
+    // overkill rate over good ones, sensitivity over bad wires (1 when
+    // there are none to catch).
+    const auto truth = [&](const char* name) {
+      return m.counter_value(prefix + ".truth." + name);
+    };
+    const std::uint64_t bad = truth("bad");
+    const std::uint64_t escapes = truth("escapes");
+    const std::uint64_t overkill = truth("overkill");
+    const std::uint64_t good = units - failures - bad;
+    const std::uint64_t positives = truth("wire_tp") + truth("wire_fn");
+    const auto ratio = [](std::uint64_t num, std::uint64_t den, double none) {
+      return json::Value::make_number(
+          den == 0 ? none
+                   : static_cast<double>(num) / static_cast<double>(den));
+    };
+    json::Value t = json::Value::make_object();
+    t.add("bad", count_json(bad));
+    t.add("escapes", count_json(escapes));
+    t.add("overkill", count_json(overkill));
+    t.add("escape_rate", ratio(escapes, bad, 0.0));
+    t.add("overkill_rate", ratio(overkill, good, 0.0));
+    t.add("wire_sensitivity", ratio(truth("wire_tp"), positives, 1.0));
+    v.add("truth", std::move(t));
   };
 
   json::Value v = json::Value::make_object();

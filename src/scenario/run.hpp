@@ -70,8 +70,10 @@ struct ScenarioOutcome {
   /// utilization), so it is not part of the determinism contract.
   std::string profile_text;
   /// Sweep campaigns only: the yield curve — per grid point, units run /
-  /// violations / failures / yield fraction — folded from the merged
-  /// metrics. Part of the determinism contract (a pure function of the
+  /// violations / failures / yield fraction, plus a "truth" object
+  /// (bad / escapes / overkill / escape_rate / overkill_rate /
+  /// wire_sensitivity) when the sweep sets spec_limits — folded from the
+  /// merged metrics. Part of the determinism contract (a pure function of the
   /// merged registry). Empty for non-sweep scenarios and for incomplete
   /// (range- or max_chunks-restricted) runs.
   std::string yield_json;

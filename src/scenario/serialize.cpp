@@ -155,6 +155,12 @@ json::Value sweep_json(const SweepSpec& s, const TopologySpec& topo) {
   if (!s.defects.empty()) {
     v.add("defects", defect_list_json(s.defects, topo));
   }
+  if (s.spec_limits) {
+    json::Value lim = json::Value::make_object();
+    lim.add("max_glitch_frac", num(s.spec_limits->max_glitch_frac));
+    lim.add("max_settle_ps", num(s.spec_limits->max_settle_ps));
+    v.add("spec_limits", std::move(lim));
+  }
   return v;
 }
 

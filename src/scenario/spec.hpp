@@ -181,6 +181,21 @@ struct VariationSpec {
   double sigma = 0.0;  ///< relative std-dev of the factor, >= 0
 };
 
+/// Shipping-spec limits that define a die's physics ground truth,
+/// independent of the detector thresholds under test, so escapes and
+/// overkill are well defined. Both limits are relative to the swing the
+/// detector cells observe (`InterconnectModel::observed_swing`: vdd for
+/// rc_full_swing, swing_frac * vdd for low_swing). The settle limit is
+/// per scenario because a low-swing bus's rise is 1/swing_frac slower.
+struct ShippingLimits {
+  /// A wire is noisy when its worst quiet-wire excursion under the MA
+  /// glitch stresses (Pg/Pg'/Ng/Ng') reaches this fraction of the swing.
+  double max_glitch_frac = 0.45;
+  /// A wire is skewed when its worst 50%-swing arrival under the MA skew
+  /// stresses (Rs/Fs) is later than this [ps], or never happens.
+  std::uint64_t max_settle_ps = 200;
+};
+
 /// Population-scale Monte-Carlo sweep: expands the scenario's single
 /// session template into `samples` sampled dies at every point of the
 /// detector-threshold grid (the cross product of the non-empty axes;
@@ -193,8 +208,9 @@ struct SweepSpec {
   std::size_t samples = 1;  ///< dies per grid point, >= 1
 
   /// ND detector sensitivity grid: each value sets nd.v_hthr_frac, with
-  /// nd.v_hmin_frac tracking 0.10 below it (the pairing the yield bench
-  /// established). Values in (0.10, 1.0).
+  /// nd.v_hmin_frac tracking 0.10 below it, so the arm/release
+  /// hysteresis stays fixed while the threshold moves. Values in
+  /// (0.10, 1.0).
   std::vector<double> nd_vhthr_frac;
   /// SD skew-budget grid [ps]: each value sets sd.skew_budget.
   std::vector<std::uint64_t> sd_budget_ps;
@@ -207,6 +223,12 @@ struct SweepSpec {
   /// placements — unlike scenario-level defects, which resolve once from
   /// the campaign seed and hit every die identically.
   std::vector<DefectSpec> defects;
+
+  /// Present = judge every completed die against physics ground truth
+  /// under these limits and book escapes/overkill/wire confusion counts
+  /// (see scenario/sweep.hpp). Absent = no truth solves and no truth
+  /// counters or yield.json keys.
+  std::optional<ShippingLimits> spec_limits;
 };
 
 /// A complete declarative scenario: one topology, its fabricated

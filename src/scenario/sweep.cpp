@@ -1,10 +1,12 @@
 #include "scenario/sweep.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "core/bist.hpp"
 #include "core/session.hpp"
+#include "mafm/fault.hpp"
 #include "scenario/build.hpp"
 #include "si/model.hpp"
 #include "sim/time.hpp"
@@ -14,25 +16,36 @@ namespace jsi::scenario {
 
 namespace {
 
-core::UnitOutcome summarize(const core::IntegrityReport& rep) {
-  core::UnitOutcome o;
-  o.total_tcks = rep.total_tcks;
-  o.generation_tcks = rep.generation_tcks;
-  o.observation_tcks = rep.observation_tcks;
-  o.violation = rep.any_violation();
-  std::ostringstream os;
-  os << "nd=" << rep.nd_final.to_string() << " sd=" << rep.sd_final.to_string();
-  o.summary = os.str();
-  return o;
-}
-
-core::ObservationMethod method_enum(int method) {
-  switch (method) {
-    case 1: return core::ObservationMethod::OnceAtEnd;
-    case 2: return core::ObservationMethod::PerInitValue;
-    case 3: return core::ObservationMethod::PerPattern;
+/// Book one completed die's ground truth against its test verdict (the
+/// die-level violation and the per-wire ND|SD flags) into the population
+/// and grid-point truth counters. Every counter is booked, zero or not,
+/// so the name set is the same for every die.
+void book_truth(obs::Registry& reg, const std::string& prefix,
+                const DieTruth& truth, bool flagged_die,
+                const util::BitVec& flagged) {
+  const util::BitVec bad = truth.noisy | truth.skewed;
+  const bool die_bad = bad.popcount() > 0;
+  std::uint64_t tp = 0, fp = 0, fn = 0, tn = 0;
+  for (std::size_t w = 0; w < bad.size(); ++w) {
+    tp += bad[w] && flagged[w];
+    fp += !bad[w] && flagged[w];
+    fn += bad[w] && !flagged[w];
+    tn += !bad[w] && !flagged[w];
   }
-  throw std::logic_error("unvalidated observation method");
+  const std::pair<const char*, std::uint64_t> books[] = {
+      {"bad", die_bad},
+      {"escapes", die_bad && !flagged_die},
+      {"overkill", flagged_die && !die_bad},
+      {"wire_tp", tp},
+      {"wire_fp", fp},
+      {"wire_fn", fn},
+      {"wire_tn", tn},
+  };
+  for (const std::string& p : {std::string("sweep"), prefix}) {
+    for (const auto& [name, value] : books) {
+      reg.counter(p + ".truth." + name).inc(value);
+    }
+  }
 }
 
 void apply_variation(si::BusParams& p, const VariationSpec& var,
@@ -88,7 +101,7 @@ SweepUnitSource::SweepUnitSource(const ScenarioSpec& spec) {
   }
 
   kind_ = session.kind;
-  method_ = session.method;
+  method_ = observation_method(session);
   guard_ = session.guard;
   name_prefix_ = session.name.empty()
                      ? std::string(session_kind_name(session.kind))
@@ -133,8 +146,8 @@ core::SocConfig SweepUnitSource::unit_config(std::size_t index) const {
   cfg.enhanced = kind_ != SessionKind::Conventional;
   if (g.nd_vhthr_frac) {
     cfg.nd.v_hthr_frac = *g.nd_vhthr_frac;
-    // The release threshold tracks 0.10 below the arming threshold —
-    // the pairing the yield bench established.
+    // The release threshold tracks 0.10 below the arming threshold, so
+    // the hysteresis stays fixed while the threshold moves.
     cfg.nd.v_hmin_frac = *g.nd_vhthr_frac - 0.10;
   }
   if (g.sd_budget_ps) {
@@ -177,7 +190,7 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
     u.name = os.str();
   }
   u.run = [cfg = std::move(cfg), defs = std::move(defs), kind = kind_,
-           method = method_, guard = guard_,
+           method = method_, guard = guard_, limits = sweep_.spec_limits,
            gid](core::CampaignContext& ctx) {
     // Population books first: a die that fails mid-session still counts
     // as a unit of its grid point (the failure books below and in the
@@ -203,26 +216,31 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
       // base die's memoized waveforms.
       si::CoupledBus bus = ctx.make_bus(core::effective_bus_params(cfg));
       for (const DefectSpec& d : defs) apply_defect(bus, d);
+      util::BitVec flagged;  // per-wire ND|SD verdict, for the truth books
+      const auto take = [&](const core::IntegrityReport& rep) {
+        o = core::summarize(rep);
+        flagged = rep.nd_final | rep.sd_final;
+      };
       switch (kind) {
         case SessionKind::Enhanced: {
           core::SiSocDevice soc(cfg, bus);
           core::SiTestSession session(soc);
           session.set_sink(&ctx.hub());
-          o = summarize(session.run(method_enum(method)));
+          take(session.run(method));
           break;
         }
         case SessionKind::Conventional: {
           core::SiSocDevice soc(cfg, bus);
           core::ConventionalSession session(soc);
           session.set_sink(&ctx.hub());
-          o = summarize(session.run(method_enum(method)));
+          take(session.run(method));
           break;
         }
         case SessionKind::Parallel: {
           core::SiSocDevice soc(cfg, bus);
           core::SiTestSession session(soc);
           session.set_sink(&ctx.hub());
-          o = summarize(session.run_parallel(method_enum(method), guard));
+          take(session.run_parallel(method, guard));
           break;
         }
         case SessionKind::Bist: {
@@ -236,12 +254,19 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
           os << (res.pass ? "pass" : "fail") << " nd=" << res.nd.to_string()
              << " sd=" << res.sd.to_string();
           o.summary = os.str();
+          flagged = res.nd | res.sd;
           break;
         }
         case SessionKind::MultiBus:
         case SessionKind::Extest:
           // Unreachable: the parser rejects sweep on non-soc topologies.
           throw std::logic_error("sweep: unsupported session kind");
+      }
+      if (limits) {
+        // Truth lookups emit no events and move no bus.cache_* counter.
+        bus.set_sink(nullptr);
+        book_truth(reg, prefix, die_truth(bus, *limits), o.violation,
+                   flagged);
       }
     } catch (...) {
       reg.counter("sweep.failures").inc();
@@ -258,6 +283,35 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
     return o;
   };
   return u;
+}
+
+DieTruth die_truth(const si::CoupledBus& bus, const ShippingLimits& limits) {
+  const std::size_t n = bus.n();
+  const double swing =
+      si::model_for(bus.params().model).observed_swing(bus.params());
+  const auto max_settle =
+      static_cast<sim::Time>(limits.max_settle_ps) * sim::kPs;
+  DieTruth truth{util::BitVec(n, false), util::BitVec(n, false)};
+  for (std::size_t w = 0; w < n; ++w) {
+    // Worst quiet-wire stress: both glitch polarities on both rails.
+    for (const auto f : {mafm::MaFault::Pg, mafm::MaFault::PgBar,
+                         mafm::MaFault::Ng, mafm::MaFault::NgBar}) {
+      const mafm::VectorPair p = mafm::vectors_for(f, n, w);
+      const si::Waveform wf = bus.wire_response(w, p.v1, p.v2);
+      const double rail = p.v1[w] ? swing : 0.0;
+      const double excursion =
+          std::max(wf.max_value() - rail, rail - wf.min_value());
+      if (excursion >= limits.max_glitch_frac * swing) truth.noisy.set(w, true);
+    }
+    // Worst switching stress: Miller-doubled rising and falling edges.
+    for (const auto f : {mafm::MaFault::Rs, mafm::MaFault::Fs}) {
+      const mafm::VectorPair p = mafm::vectors_for(f, n, w);
+      const si::Waveform wf = bus.wire_response(w, p.v1, p.v2);
+      const auto t = wf.last_crossing(swing / 2);
+      if (!t.has_value() || *t > max_settle) truth.skewed.set(w, true);
+    }
+  }
+  return truth;
 }
 
 }  // namespace jsi::scenario

@@ -9,6 +9,8 @@
 #include "core/campaign.hpp"
 #include "core/soc.hpp"
 #include "scenario/spec.hpp"
+#include "si/bus.hpp"
+#include "util/bitvec.hpp"
 
 namespace jsi::scenario {
 
@@ -31,6 +33,12 @@ inline constexpr std::size_t kSweepTranscriptThreshold = 128;
 ///   sweep.units / sweep.violations / sweep.failures   whole population
 ///   sweep.grid.g<NNNN>.units / .violations / .failures  per grid point
 ///   sweep.unit_tcks                                    histogram
+///
+/// and, when the spec sets `sweep.spec_limits`, every completed die's
+/// ground truth (`die_truth`) against its per-wire ND|SD flags:
+///
+///   sweep.truth.{bad,escapes,overkill,wire_tp,wire_fp,wire_fn,wire_tn}
+///   sweep.grid.g<NNNN>.truth.*                         per grid point
 ///
 /// which is what `render_yield_json` folds into the yield curve without
 /// any per-unit state surviving the campaign.
@@ -77,10 +85,25 @@ class SweepUnitSource : public core::UnitSource {
   std::vector<DefectSpec> shared_;  ///< campaign-seeded, same for every die
   std::vector<GridPoint> grid_;
   SessionKind kind_ = SessionKind::Enhanced;
-  int method_ = 1;
+  core::ObservationMethod method_ = core::ObservationMethod::OnceAtEnd;
   std::size_t guard_ = 2;
   std::string name_prefix_;
 };
+
+/// Physics ground truth of one die: which wires violate the shipping
+/// spec under worst-case Maximum-Aggressor stress, measured straight
+/// from the bus model with no DFT involved.
+struct DieTruth {
+  util::BitVec noisy;   ///< a Pg/Pg'/Ng/Ng' excursion reached the limit
+  util::BitVec skewed;  ///< an Rs/Fs 50% arrival was late or never came
+};
+
+/// Judge the die `bus` models against `limits`, relative to the swing
+/// its interconnect model's detectors observe. Reads every stress
+/// waveform through `bus.wire_response`, so the ones a G-SITEST session
+/// already solved come from the store; detach the bus's sink first to
+/// keep these lookups out of the metrics.
+DieTruth die_truth(const si::CoupledBus& bus, const ShippingLimits& limits);
 
 }  // namespace jsi::scenario
 

@@ -9,6 +9,8 @@
 //  * per-command flag masks — run-only flags handed to `validate`/`print`
 //    used to be "unknown"; they are real flags aimed at the wrong
 //    command and the diagnostic must say so.
+//  * oversized specs — `bus.samples: 1e11` used to die in
+//    std::bad_alloc; the parse cap must answer with the SpecError line.
 
 #include <gtest/gtest.h>
 
@@ -147,6 +149,24 @@ TEST(CliFlags, ClientCommandsDemandAnEndpoint) {
   const ExecResult r2 = run_cli("result --socket /tmp/nowhere.sock");
   EXPECT_EQ(r2.status, 2) << r2.err;
   EXPECT_NE(r2.err.find("needs --job"), std::string::npos) << r2.err;
+}
+
+TEST(CliFlags, OversizedSamplesIsASpecErrorNotBadAlloc) {
+  const fs::path spec =
+      fs::temp_directory_path() /
+      ("jsi_cli_flags_" + std::to_string(static_cast<unsigned>(::getpid())) +
+       ".scenario.json");
+  {
+    std::ofstream os(spec);
+    os << R"({"name":"big","topology":{"kind":"soc","n_wires":8,)"
+          R"("bus":{"samples":1e11}},"sessions":[{"kind":"enhanced"}]})";
+  }
+  const ExecResult r = run_cli("run \"" + spec.string() + "\"");
+  fs::remove(spec);
+  EXPECT_EQ(r.status, 2) << r.err;
+  EXPECT_EQ(r.err, "jsi: " + spec.string() +
+                       ": topology.bus.samples: bus width x samples x 8 B "
+                       "exceeds the 67108864 B waveform store budget\n");
 }
 
 TEST(CliFlags, PortRangeIsEnforced) {

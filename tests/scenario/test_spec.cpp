@@ -211,6 +211,46 @@ TEST(ScenarioParse, DiagnosticStrings) {
                "sessions[1].name: duplicate session name \"a\"");
 }
 
+TEST(ScenarioParse, SizeCapsAreTypedDiagnostics) {
+  // Every value that sizes an allocation is capped at parse time, so an
+  // oversized spec fails with a pinned "path: reason" instead of
+  // std::bad_alloc once the campaign is built.
+  expect_error(
+      wrap(R"("topology":{"kind":"soc","n_wires":1025},"sessions":[])"),
+      "topology.n_wires: must be <= 1024");
+  expect_error(wrap(R"("topology":{"kind":"multibus_soc","n_buses":65},)"
+                    R"("sessions":[])"),
+               "topology.n_buses: must be <= 64");
+  expect_error(wrap(R"("topology":{"kind":"multibus_soc",)"
+                    R"("wires_per_bus":1025},"sessions":[])"),
+               "topology.wires_per_bus: must be <= 1024");
+  expect_error(
+      wrap(R"("topology":{"kind":"board","n_nets":4097},"sessions":[])"),
+      "topology.n_nets: must be <= 4096");
+  // 8 wires x 2^20 samples x 8 B is exactly the 64 MiB store budget.
+  const std::string store_budget =
+      "topology.bus.samples: bus width x samples x 8 B exceeds the "
+      "67108864 B waveform store budget";
+  expect_error(wrap(R"("topology":{"kind":"soc","n_wires":8,)"
+                    R"("bus":{"samples":1048577}},"sessions":[])"),
+               store_budget);
+  expect_error(wrap(R"("topology":{"kind":"soc","n_wires":8,)"
+                    R"("bus":{"samples":1e11}},"sessions":[])"),
+               store_budget);
+  EXPECT_NO_THROW(parse_scenario(
+      wrap(R"("topology":{"kind":"soc","n_wires":8,)"
+           R"("bus":{"samples":1048576}},"sessions":[{"kind":"bist"}])")));
+  expect_error(wrap(R"("topology":{"kind":"soc","n_wires":8},)"
+                    R"("defects":[{"kind":"random_crosstalk","count":1025,)"
+                    R"("severity":6}],"sessions":[{"kind":"bist"}])"),
+               "defects[0].count: must be <= 1024");
+  expect_error(wrap(R"("topology":{"kind":"soc"},)"
+                    R"("sessions":[{"kind":"enhanced","method":1}],)"
+                    R"("sweep":{"samples":5000001,"sd_budget_ps":[1,2]})"),
+               "sweep.samples: population (grid points x samples) must be "
+               "<= 10000000");
+}
+
 TEST(ScenarioParse, JsonErrorsCarryTheJsonPath) {
   try {
     parse_scenario("{]");

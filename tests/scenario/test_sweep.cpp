@@ -1,10 +1,11 @@
 // Sweep campaigns end to end: parse diagnostics (pinned strings), the
 // lazy SweepUnitSource's per-index derivation (grid mapping, process
 // variation, per-die defects — all pure functions of the unit index),
-// the aggregate-transcript threshold, and the population-scale
-// determinism contract: report/metrics/yield byte-identical across
-// shard counts, across checkpoint kill/resume boundaries, and across
-// forked worker processes.
+// the aggregate-transcript threshold, physics ground truth under
+// `spec_limits`, and the population-scale determinism contract:
+// report/metrics/yield byte-identical across shard counts, across
+// checkpoint kill/resume boundaries, and across forked worker
+// processes, with and without ground truth.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,7 +21,9 @@
 #include "scenario/serialize.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
+#include "si/bus.hpp"
 #include "sim/time.hpp"
+#include "util/json.hpp"
 #include "util/prng.hpp"
 
 namespace jsi {
@@ -38,17 +41,35 @@ std::string wrap(const std::string& body) {
 /// A small but real sweep: 2x2 detector grid, 5 sampled dies per point,
 /// process variation and one per-die random defect — 20 units, cheap
 /// enough to run repeatedly (4-wire bus), rich enough that any
-/// scheduling or rounding leak shows up in the pinned artifacts.
-std::string small_sweep_doc() {
+/// scheduling or rounding leak shows up in the pinned artifacts. With
+/// `truth`, every die is also judged against a shipping spec.
+std::string small_sweep_doc(bool truth = false) {
   return wrap(
-      R"("topology":{"kind":"soc","n_wires":4,"bus":{"samples":512}},)"
-      R"("sessions":[{"kind":"enhanced","name":"die","method":1}],)"
-      R"("sweep":{"samples":5,"nd_vhthr_frac":[0.3,0.55],)"
-      R"("sd_budget_ps":[120,250],)"
-      R"("variations":[{"param":"r_driver","sigma":0.1},)"
-      R"({"param":"c_couple","sigma":0.05}],)"
-      R"("defects":[{"kind":"random_crosstalk","count":1,"severity":1.4}]},)"
-      R"("campaign":{"seed":77})");
+      std::string(
+          R"("topology":{"kind":"soc","n_wires":4,"bus":{"samples":512}},)"
+          R"("sessions":[{"kind":"enhanced","name":"die","method":1}],)"
+          R"("sweep":{"samples":5,"nd_vhthr_frac":[0.3,0.55],)"
+          R"("sd_budget_ps":[120,250],)"
+          R"("variations":[{"param":"r_driver","sigma":0.1},)"
+          R"({"param":"c_couple","sigma":0.05}],)"
+          R"("defects":[{"kind":"random_crosstalk","count":1,)"
+          R"("severity":1.4}])") +
+      (truth ? R"(,"spec_limits":{"max_glitch_frac":0.45,"max_settle_ps":150})"
+             : "") +
+      R"(},"campaign":{"seed":77})");
+}
+
+/// Member `key` of the "truth" object of a rendered yield.json's
+/// population (`g` < 0) or grid point `g`; -1 when any level is missing.
+double truth_field(const std::string& yield_json, int g, const char* key) {
+  const auto doc = util::json::parse(yield_json);
+  const util::json::Value* at = !doc ? nullptr
+                                : g < 0 ? doc->find("population")
+                                        : &doc->find("grid")->array.at(
+                                              static_cast<std::size_t>(g));
+  const util::json::Value* t = at != nullptr ? at->find("truth") : nullptr;
+  const util::json::Value* v = t != nullptr ? t->find(key) : nullptr;
+  return v != nullptr ? v->number : -1.0;
 }
 
 void expect_spec_error(const std::string& doc, const std::string& what) {
@@ -77,8 +98,24 @@ TEST(SweepParse, RoundTripsThroughSerialize) {
   EXPECT_EQ(a.sweep->sd_budget_ps.size(), 2u);
   EXPECT_EQ(a.sweep->variations.size(), 2u);
   EXPECT_EQ(a.sweep->defects.size(), 1u);
+  EXPECT_FALSE(a.sweep->spec_limits.has_value());
   const ScenarioSpec b = parse_scenario(scenario::serialize(a));
   EXPECT_EQ(scenario::serialize(a), scenario::serialize(b));
+
+  const ScenarioSpec t = parse_scenario(small_sweep_doc(true));
+  ASSERT_TRUE(t.sweep->spec_limits.has_value());
+  EXPECT_DOUBLE_EQ(t.sweep->spec_limits->max_glitch_frac, 0.45);
+  EXPECT_EQ(t.sweep->spec_limits->max_settle_ps, 150u);
+  const std::string text = scenario::serialize(t);
+  EXPECT_NE(text.find("\"spec_limits\""), std::string::npos);
+  EXPECT_EQ(scenario::serialize(parse_scenario(text)), text);
+  // Absent fields take the defaults: 0.45 of the swing, 200 ps.
+  const ScenarioSpec d = parse_scenario(
+      wrap(R"("topology":{"kind":"soc","n_wires":4},)"
+           R"("sessions":[{"kind":"enhanced","method":1}],)"
+           R"("sweep":{"spec_limits":{}})"));
+  EXPECT_DOUBLE_EQ(d.sweep->spec_limits->max_glitch_frac, 0.45);
+  EXPECT_EQ(d.sweep->spec_limits->max_settle_ps, 200u);
 }
 
 TEST(SweepParse, PinnedDiagnostics) {
@@ -111,6 +148,24 @@ TEST(SweepParse, PinnedDiagnostics) {
            R"("sessions":[{"kind":"enhanced","method":1}],)"
            R"("sweep":{"samples":0})"),
       "sweep.samples: must be an integer >= 1");
+  const auto limits = [](const std::string& body) {
+    return wrap(R"("topology":{"kind":"soc","n_wires":4},)"
+                R"("sessions":[{"kind":"enhanced","method":1}],)"
+                R"("sweep":{"spec_limits":)" +
+                body + "}");
+  };
+  expect_spec_error(limits("[]"), "sweep.spec_limits: expected an object");
+  expect_spec_error(limits(R"({"max_glitch":0.4})"),
+                    "sweep.spec_limits.max_glitch: unknown key");
+  expect_spec_error(limits(R"({"max_glitch_frac":0})"),
+                    "sweep.spec_limits.max_glitch_frac: must be a number in "
+                    "(0, 1]");
+  expect_spec_error(limits(R"({"max_glitch_frac":1.5})"),
+                    "sweep.spec_limits.max_glitch_frac: must be a number in "
+                    "(0, 1]");
+  expect_spec_error(limits(R"({"max_settle_ps":0})"),
+                    "sweep.spec_limits.max_settle_ps: must be an integer >= "
+                    "1");
 }
 
 // ---- the lazy unit source ---------------------------------------------------
@@ -277,51 +332,58 @@ void expect_same_artifacts(const scenario::ScenarioOutcome& a,
 }
 
 TEST(SweepDeterminism, ShardCountInvariant) {
-  const ScenarioSpec spec = parse_scenario(small_sweep_doc());
-  scenario::RunOptions one;
-  one.shards = 1;
-  const scenario::ScenarioOutcome base = scenario::run_scenario(spec, one);
-  for (const std::size_t shards : {2u, 4u}) {
-    scenario::RunOptions opt;
-    opt.shards = shards;
-    expect_same_artifacts(base, scenario::run_scenario(spec, opt),
-                          "shards=" + std::to_string(shards));
+  for (const bool truth : {false, true}) {
+    const ScenarioSpec spec = parse_scenario(small_sweep_doc(truth));
+    scenario::RunOptions one;
+    one.shards = 1;
+    const scenario::ScenarioOutcome base = scenario::run_scenario(spec, one);
+    for (const std::size_t shards : {2u, 4u}) {
+      scenario::RunOptions opt;
+      opt.shards = shards;
+      expect_same_artifacts(base, scenario::run_scenario(spec, opt),
+                            "truth=" + std::to_string(truth) +
+                                " shards=" + std::to_string(shards));
+    }
   }
 }
 
 TEST(SweepDeterminism, ResumeByteIdenticalAtEveryBoundary) {
-  const ScenarioSpec spec = parse_scenario(small_sweep_doc());
-  scenario::RunOptions whole;
-  whole.shards = 1;
-  const scenario::ScenarioOutcome base = scenario::run_scenario(spec, whole);
+  for (const bool truth : {false, true}) {
+    const ScenarioSpec spec = parse_scenario(small_sweep_doc(truth));
+    scenario::RunOptions whole;
+    whole.shards = 1;
+    const scenario::ScenarioOutcome base =
+        scenario::run_scenario(spec, whole);
 
-  // Per-unit mode => chunk_size 1 => 20 chunks; kill after 1, 7 and 19
-  // fresh chunks, at 1 and 4 shards, and resume to completion.
-  for (const std::size_t shards : {1u, 4u}) {
-    for (const std::size_t kill_after : {1u, 7u, 19u}) {
-      const std::string tag = "shards=" + std::to_string(shards) +
-                              " kill=" + std::to_string(kill_after);
-      const std::string ckpt = temp_file("resume");
-      std::remove(ckpt.c_str());
-      scenario::RunOptions step;
-      step.shards = shards;
-      step.checkpoint_path = ckpt;
-      step.max_chunks = kill_after;
-      const scenario::ScenarioOutcome partial =
-          scenario::run_scenario(spec, step);
-      EXPECT_FALSE(partial.result.complete) << tag;
-      EXPECT_TRUE(partial.yield_json.empty())
-          << "incomplete runs must not render a yield curve: " << tag;
+    // Per-unit mode => chunk_size 1 => 20 chunks; kill after 1, 7 and 19
+    // fresh chunks, at 1 and 4 shards, and resume to completion.
+    for (const std::size_t shards : {1u, 4u}) {
+      for (const std::size_t kill_after : {1u, 7u, 19u}) {
+        const std::string tag = "truth=" + std::to_string(truth) +
+                                " shards=" + std::to_string(shards) +
+                                " kill=" + std::to_string(kill_after);
+        const std::string ckpt = temp_file("resume");
+        std::remove(ckpt.c_str());
+        scenario::RunOptions step;
+        step.shards = shards;
+        step.checkpoint_path = ckpt;
+        step.max_chunks = kill_after;
+        const scenario::ScenarioOutcome partial =
+            scenario::run_scenario(spec, step);
+        EXPECT_FALSE(partial.result.complete) << tag;
+        EXPECT_TRUE(partial.yield_json.empty())
+            << "incomplete runs must not render a yield curve: " << tag;
 
-      scenario::RunOptions rest;
-      rest.shards = shards;
-      rest.checkpoint_path = ckpt;
-      rest.resume = true;
-      const scenario::ScenarioOutcome resumed =
-          scenario::run_scenario(spec, rest);
-      EXPECT_TRUE(resumed.result.complete) << tag;
-      expect_same_artifacts(base, resumed, tag);
-      std::remove(ckpt.c_str());
+        scenario::RunOptions rest;
+        rest.shards = shards;
+        rest.checkpoint_path = ckpt;
+        rest.resume = true;
+        const scenario::ScenarioOutcome resumed =
+            scenario::run_scenario(spec, rest);
+        EXPECT_TRUE(resumed.result.complete) << tag;
+        expect_same_artifacts(base, resumed, tag);
+        std::remove(ckpt.c_str());
+      }
     }
   }
 }
@@ -346,16 +408,21 @@ TEST(SweepDeterminism, ResumeRejectsADifferentSpec) {
 }
 
 TEST(SweepDeterminism, ForkedWorkersByteIdentical) {
-  const ScenarioSpec spec = parse_scenario(small_sweep_doc());
-  scenario::RunOptions one;
-  one.shards = 1;
-  const scenario::ScenarioOutcome base = scenario::run_scenario(spec, one);
+  for (const bool truth : {false, true}) {
+    const ScenarioSpec spec = parse_scenario(small_sweep_doc(truth));
+    scenario::RunOptions one;
+    one.shards = 1;
+    const scenario::ScenarioOutcome base = scenario::run_scenario(spec, one);
 
-  scenario::RunOptions multi;
-  multi.shards = 1;
-  multi.workers = 3;
-  expect_same_artifacts(base, scenario::run_scenario(spec, multi),
-                        "workers=3");
+    for (const std::size_t workers : {2u, 3u}) {
+      scenario::RunOptions multi;
+      multi.shards = 1;
+      multi.workers = workers;
+      expect_same_artifacts(base, scenario::run_scenario(spec, multi),
+                            "truth=" + std::to_string(truth) +
+                                " workers=" + std::to_string(workers));
+    }
+  }
 }
 
 // ---- yield rendering --------------------------------------------------------
@@ -372,6 +439,87 @@ TEST(SweepYield, CurveCoversTheGrid) {
   EXPECT_NE(y.find("\"sd_budget_ps\": 250"), std::string::npos);
   EXPECT_NE(y.find("\"population\""), std::string::npos);
   EXPECT_NE(y.find("\"yield\""), std::string::npos);
+}
+
+// ---- physics ground truth ---------------------------------------------------
+
+TEST(SweepTruth, CleanPopulationIsAllGood) {
+  const ScenarioSpec spec = parse_scenario(
+      wrap(R"("topology":{"kind":"soc","n_wires":5},)"
+           R"("sessions":[{"kind":"enhanced","method":1}],)"
+           R"("sweep":{"samples":4,"nd_vhthr_frac":[0.3,0.55],)"
+           R"("spec_limits":{}},"campaign":{"seed":1})"));
+  const scenario::ScenarioOutcome out = scenario::run_scenario(spec);
+  for (const int g : {-1, 0, 1}) {
+    for (const char* zero :
+         {"bad", "escapes", "overkill", "escape_rate", "overkill_rate"}) {
+      EXPECT_EQ(truth_field(out.yield_json, g, zero), 0) << g << zero;
+    }
+    EXPECT_EQ(truth_field(out.yield_json, g, "wire_sensitivity"), 1) << g;
+  }
+  EXPECT_EQ(out.result.metrics.counter_value("sweep.truth.wire_tn"), 8u * 5u);
+}
+
+TEST(SweepTruth, SevereCrosstalkIsAllBadAndCaught) {
+  // Two severe per-die crosstalk defects at tight thresholds: every die
+  // violates the spec, the test catches every die, and nearly every bad
+  // wire.
+  const ScenarioSpec spec = parse_scenario(
+      wrap(R"("topology":{"kind":"soc","n_wires":6},)"
+           R"("sessions":[{"kind":"enhanced","method":1}],)"
+           R"("sweep":{"samples":12,"nd_vhthr_frac":[0.3],)"
+           R"("sd_budget_ps":[120],"defects":[{"kind":"random_crosstalk",)"
+           R"("count":2,"severity":8}],"spec_limits":{}},)"
+           R"("campaign":{"seed":3})"));
+  const std::string y = scenario::run_scenario(spec).yield_json;
+  EXPECT_EQ(truth_field(y, -1, "bad"), 12);
+  EXPECT_EQ(truth_field(y, -1, "escapes"), 0);
+  EXPECT_GT(truth_field(y, -1, "wire_sensitivity"), 0.8);
+}
+
+TEST(SweepTruth, LargeSeriesResistanceSkewsThatWire) {
+  // One die with a resistive open on wire 3 only: truth is "skewed on
+  // wire 3" and nothing else, and the session's SD cell agrees.
+  const ScenarioSpec spec = parse_scenario(
+      wrap(R"("topology":{"kind":"soc","n_wires":6},)"
+           R"("sessions":[{"kind":"enhanced","method":1}],)"
+           R"("sweep":{"defects":[{"kind":"series_resistance","wire":3,)"
+           R"("ohms":1500}],"spec_limits":{}})"));
+  si::CoupledBus bus(core::effective_bus_params(scenario::soc_config(spec)));
+  bus.add_series_resistance(3, 1500.0);
+  const scenario::DieTruth t = scenario::die_truth(bus, {});
+  EXPECT_TRUE(t.skewed[3]);
+  EXPECT_EQ(t.skewed.popcount() + t.noisy.popcount(), 1u);
+  // A severe crosstalk defect makes its wire noisy.
+  bus.inject_crosstalk_defect(1, 8.0);
+  EXPECT_TRUE(scenario::die_truth(bus, {}).noisy[1]);
+
+  const obs::Registry& m = scenario::run_scenario(spec).result.metrics;
+  EXPECT_EQ(m.counter_value("sweep.truth.bad"), 1u);
+  EXPECT_EQ(m.counter_value("sweep.truth.wire_tp"), 1u);
+  EXPECT_EQ(m.counter_value("sweep.truth.wire_tn"), 5u);
+}
+
+TEST(SweepTruth, LimitsAddOnlyTheTruthBooks) {
+  // Without spec_limits: no truth keys or counters. With them: the same
+  // report and the same bus.cache_* metrics, because truth lookups run
+  // with the bus's sink detached.
+  const scenario::ScenarioOutcome plain =
+      scenario::run_scenario(parse_scenario(small_sweep_doc()));
+  const scenario::ScenarioOutcome truth =
+      scenario::run_scenario(parse_scenario(small_sweep_doc(true)));
+  EXPECT_EQ(plain.yield_json.find("truth"), std::string::npos);
+  for (const auto& [name, c] : plain.result.metrics.counters()) {
+    (void)c;
+    EXPECT_EQ(name.find(".truth."), std::string::npos) << name;
+  }
+  EXPECT_NE(truth.yield_json.find("\"truth\""), std::string::npos);
+  EXPECT_EQ(plain.report_text, truth.report_text);
+  for (const char* name : {"bus.cache_hits", "bus.cache_misses"}) {
+    EXPECT_EQ(plain.result.metrics.counter_value(name),
+              truth.result.metrics.counter_value(name))
+        << name;
+  }
 }
 
 }  // namespace

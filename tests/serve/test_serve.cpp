@@ -291,6 +291,24 @@ TEST(Serve, InvalidScenarioTextIsRejectedTyped) {
   EXPECT_EQ(string_or(resp, "error", ""), "invalid_scenario");
 }
 
+TEST(Serve, OversizedScenarioIsRejectedBeforeItAllocates) {
+  // Three million wires would exhaust memory at build time; the parse cap
+  // turns it into a typed rejection that never reaches the queue.
+  Daemon d({});
+  Client c = d.client();
+  json::Value v = json::Value::make_object();
+  v.add("verb", json::Value::make_string("submit"));
+  v.add("scenario_text",
+        json::Value::make_string(
+            R"({"name":"big","topology":{"kind":"soc","n_wires":3000000},)"
+            R"("sessions":[{"kind":"enhanced"}]})"));
+  const json::Value resp = c.request(v);
+  EXPECT_FALSE(ok(resp));
+  EXPECT_EQ(string_or(resp, "error", ""), "invalid_scenario");
+  EXPECT_EQ(string_or(resp, "message", ""),
+            "topology.n_wires: must be <= 1024");
+}
+
 // -- cancel ------------------------------------------------------------------
 
 TEST(Serve, CancelQueuedJobRemovesItFromTheQueue) {
