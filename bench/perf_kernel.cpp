@@ -172,6 +172,37 @@ void BM_FullSiSession(benchmark::State& state) {
 BENCHMARK(BM_FullSiSession)
     ->Arg(8)
     ->Arg(32)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_FullSiSessionWarmBus(benchmark::State& state) {
+  // The hit path of BM_FullSiSession: every timed session is a second
+  // session on the same bus, so each wire is a store hit whose verdict
+  // slot already holds the cells' ND/SD verdicts.
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  core::SocConfig cfg;
+  cfg.n_wires = n;
+  core::SiSocDevice soc(cfg);
+  soc.bus().inject_crosstalk_defect(n / 2, 6.0);
+  core::SiTestSession session(soc);
+  session.run(core::ObservationMethod::OnceAtEnd);
+  const std::uint64_t hits0 = soc.bus().cache_hits();
+  const std::uint64_t misses0 = soc.bus().cache_misses();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        session.run(core::ObservationMethod::OnceAtEnd));
+  }
+  const std::uint64_t hits = soc.bus().cache_hits() - hits0;
+  const std::uint64_t misses = soc.bus().cache_misses() - misses0;
+  if (hits + misses > 0) {
+    state.counters["hit_rate"] =
+        static_cast<double>(hits) / static_cast<double>(hits + misses);
+  }
+}
+BENCHMARK(BM_FullSiSessionWarmBus)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullSiSessionObserved(benchmark::State& state) {

@@ -42,9 +42,13 @@ class Obsc : public jtag::BoundaryCell {
   /// level after it. Honors CE: with c.ce == false the sticky flags are
   /// untouched ("the captured data in their flip-flops remain unchanged").
   /// Takes a non-owning view so the batched bus path feeds waveform-store
-  /// storage straight to the sensors with no copies.
+  /// storage straight to the sensors with no copies. `slot` is the stored
+  /// waveform's verdict memo (TransitionBatch::slot): verdicts recorded
+  /// there under this cell's params are reused instead of rescanning `w`,
+  /// and fresh ones are recorded (si::judge). nullptr always scans.
   void observe(si::WaveformView w, util::Logic initial,
-               util::Logic expected, const jtag::CellCtl& c);
+               util::Logic expected, const jtag::CellCtl& c,
+               si::VerdictSlot* slot = nullptr);
 
   const si::NdCell& nd() const { return nd_; }
   const si::SdCell& sd() const { return sd_; }

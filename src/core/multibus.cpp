@@ -208,7 +208,8 @@ void MultiBusSoc::apply_buses(bool observe) {
       const si::WaveformView wf = batch.wire(w);
       if (observe) {
         obscs_[b][w]->observe(wf, util::to_logic(prev[w]),
-                              util::to_logic(next[b][w]), ctl_);
+                              util::to_logic(next[b][w]), ctl_,
+                              batch.slot(w));
       }
       obscs_[b][w]->set_parallel_in(buses_[b]->settled_logic(wf));
     }

@@ -222,14 +222,15 @@ void SiSocDevice::apply_bus(bool observe) {
     e.value = bus_transitions_;
     sink_->on_event(e);
   }
-  // One batched store lookup for the whole bus: the sensors scan
-  // zero-copy views of the stored waveforms.
+  // One batched store lookup for the whole bus: the sensors judge
+  // zero-copy views of the stored waveforms, each waveform once per
+  // detector param set (its verdict slot remembers the rest).
   const si::TransitionBatch batch = bus_->transition_batch(prev, next);
   for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
     const si::WaveformView w = batch.wire(i);
     if (observe) {
       obscs_[i]->observe(w, util::to_logic(prev[i]), util::to_logic(next[i]),
-                         ctl_);
+                         ctl_, batch.slot(i));
     }
     obscs_[i]->set_parallel_in(bus_->settled_logic(w));
   }

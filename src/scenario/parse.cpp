@@ -24,6 +24,7 @@ constexpr std::size_t kMaxBuses = 64;
 constexpr std::size_t kMaxNets = 4096;
 constexpr std::size_t kMaxRandomCount = 1024;  ///< random_crosstalk.count
 constexpr std::size_t kMaxSweepPopulation = 10'000'000;
+constexpr std::uint64_t kMaxShards = 256;  ///< one std::thread per shard
 
 [[noreturn]] void fail(const std::string& path, const std::string& reason) {
   throw SpecError(path, reason);
@@ -582,6 +583,7 @@ CampaignSpec parse_campaign(const json::Value& v) {
   CampaignSpec c;
   if (const json::Value* x = v.find("shards")) {
     c.shards = as_uint(*x, sub(path, "shards"));
+    check_shards(c.shards);
   }
   if (const json::Value* x = v.find("seed")) {
     c.seed = as_uint(*x, sub(path, "seed"));
@@ -638,6 +640,12 @@ ObsSpec parse_obs(const json::Value& v) {
 }
 
 }  // namespace
+
+void check_shards(std::uint64_t shards) {
+  if (shards > kMaxShards) {
+    fail("campaign.shards", "must be <= " + std::to_string(kMaxShards));
+  }
+}
 
 ScenarioSpec parse_scenario(std::string_view text) {
   std::string err;

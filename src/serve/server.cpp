@@ -386,6 +386,14 @@ json::Value Server::verb_submit(const json::Value& req) {
     return error_response("bad_request",
                           "submit needs a scenario_text string member");
   }
+  const std::optional<std::uint64_t> shards = u64_or_nothing(req, "shards");
+  if (shards) {
+    try {
+      scenario::check_shards(*shards);
+    } catch (const scenario::SpecError& e) {
+      return error_response("bad_request", e.what());
+    }
+  }
   scenario::ScenarioSpec spec;
   try {
     spec = scenario::parse_scenario(text->str);
@@ -398,9 +406,7 @@ json::Value Server::verb_submit(const json::Value& req) {
   auto job = std::make_unique<Job>();
   job->name = spec.name;
   job->spec = std::move(spec);
-  if (const auto shards = u64_or_nothing(req, "shards")) {
-    job->shards = static_cast<std::size_t>(*shards);
-  }
+  if (shards) job->shards = static_cast<std::size_t>(*shards);
   job->stream = bool_or(req, "stream", false);
   job->submitted_at = std::chrono::steady_clock::now();
 

@@ -45,6 +45,7 @@ CoupledBus CoupledBus::clone() const {
   // The last batch's pointers reference *our* storage; a clone starts
   // with no live batch and no scratch of its own yet.
   c.batch_ptrs_.clear();
+  c.batch_slots_.clear();
   c.overflow_ = {};
   return c;
 }
@@ -102,23 +103,22 @@ void CoupledBus::solve(std::size_t i, const util::BitVec& prev,
   model_for(params().model).solve_wire(model_, i, prev, next, out);
 }
 
-const double* CoupledBus::find_or_fill(std::size_t i,
-                                       const util::BitVec& prev,
-                                       const util::BitVec& next,
-                                       Tally& t) const {
+CoupledBus::Entry* CoupledBus::find_or_fill(std::size_t i,
+                                            const util::BitVec& prev,
+                                            const util::BitVec& next,
+                                            Tally& t) const {
   const std::uint64_t key = neighborhood_key(model_.n(), i, prev, next);
   const auto it = store_.find(key);
   if (it != store_.end()) {
     ++t.hits;
-    return it->second.data();
+    return &it->second;
   }
   ++t.misses;
   if (store_.size() >= store_capacity_) return nullptr;
-  Waveform& w =
-      store_.try_emplace(key, params().samples, params().sample_dt)
-          .first->second;
-  solve(i, prev, next, w.data());
-  return w.data();
+  Entry& e = store_.try_emplace(key).first->second;
+  e.wave = Waveform(params().samples, params().sample_dt);
+  solve(i, prev, next, e.wave.data());
+  return &e;
 }
 
 void CoupledBus::finish_lookup(const Tally& t) const {
@@ -136,8 +136,8 @@ void CoupledBus::finish_lookup(const Tally& t) const {
 void CoupledBus::copy_wire(std::size_t i, const util::BitVec& prev,
                            const util::BitVec& next, double* out,
                            Tally& t) const {
-  if (const double* s = find_or_fill(i, prev, next, t)) {
-    std::memcpy(out, s, params().samples * sizeof(double));
+  if (const Entry* e = find_or_fill(i, prev, next, t)) {
+    std::memcpy(out, e->wave.data(), params().samples * sizeof(double));
   } else {
     solve(i, prev, next, out);
   }
@@ -173,20 +173,24 @@ TransitionBatch CoupledBus::transition_batch(const util::BitVec& prev,
   const std::size_t n = model_.n();
   const std::size_t samples = params().samples;
   batch_ptrs_.resize(n);
+  batch_slots_.resize(n);
   Tally t;
   for (std::size_t i = 0; i < n; ++i) {
-    const double* s = find_or_fill(i, prev, next, t);
-    if (s == nullptr) {
-      overflow_.resize(n * samples);
-      double* dst = overflow_.data() + i * samples;
-      solve(i, prev, next, dst);
-      s = dst;
+    if (Entry* e = find_or_fill(i, prev, next, t)) {
+      batch_ptrs_[i] = e->wave.data();
+      batch_slots_[i] = &e->verdict;
+      continue;
     }
-    batch_ptrs_[i] = s;
+    overflow_.resize(n * samples);
+    double* dst = overflow_.data() + i * samples;
+    solve(i, prev, next, dst);
+    batch_ptrs_[i] = dst;
+    batch_slots_[i] = nullptr;
   }
   finish_lookup(t);
   TransitionBatch b;
   b.ptrs = batch_ptrs_.data();
+  b.slots = batch_slots_.data();
   b.n_wires = n;
   b.samples = samples;
   b.dt = params().sample_dt;

@@ -8,6 +8,7 @@
 
 #include "obs/events.hpp"
 #include "si/bus_model.hpp"
+#include "si/detectors.hpp"
 #include "si/waveform.hpp"
 #include "sim/time.hpp"
 #include "util/bitvec.hpp"
@@ -15,13 +16,16 @@
 
 namespace jsi::si {
 
-/// One evaluated bus transition: a per-wire array of sample pointers into
-/// bus-owned storage. Non-owning — the batch (and every `WaveformView`
-/// derived from it) is valid until the owning `CoupledBus`'s next
-/// `transition_batch` call, defect mutation, `clear_cache`, clone or
-/// destruction.
+/// One evaluated bus transition: per-wire arrays of sample pointers and
+/// verdict-slot pointers into bus-owned storage. Non-owning — the batch
+/// (and every `WaveformView` and slot pointer derived from it) is valid
+/// until the owning `CoupledBus`'s next `transition_batch` call, defect
+/// mutation, `clear_cache`, clone or destruction. A wire solved into the
+/// overflow block (a miss that found the store full) has no slot: its
+/// `slot(i)` is nullptr.
 struct TransitionBatch {
   const double* const* ptrs = nullptr;  ///< ptrs[i] = wire i's samples
+  VerdictSlot* const* slots = nullptr;  ///< slots[i] = its entry's slot
   std::size_t n_wires = 0;
   std::size_t samples = 0;
   sim::Time dt = sim::kPs;
@@ -29,6 +33,7 @@ struct TransitionBatch {
   WaveformView wire(std::size_t i) const {
     return WaveformView(ptrs[i], samples, dt);
   }
+  VerdictSlot* slot(std::size_t i) const { return slots[i]; }
 };
 
 /// Analytic coupled-RC(+L) model of the bus between two cores.
@@ -63,8 +68,9 @@ class CoupledBus {
   explicit CoupledBus(BusParams p);
 
   /// Deep copy for per-shard use: electrical state, injected defects, the
-  /// waveform store (entries *and* hit/miss counters) are carried over,
-  /// so a clone of a warmed bus starts warm. The observability sink is
+  /// waveform store (entries with their verdict slots *and* hit/miss
+  /// counters) are carried over, so a clone of a warmed bus starts warm
+  /// and keeps the verdicts already judged. The observability sink is
   /// deliberately NOT carried over — a clone lives on another worker
   /// thread, and sharing the source's sink would race; attach a
   /// thread-local sink with set_sink() after cloning. The overflow
@@ -139,8 +145,9 @@ class CoupledBus {
                                    const util::BitVec& next) const;
 
   /// All wire waveforms for one bus transition, zero-copy: the batch
-  /// points straight into the store (or, for misses that found it full,
-  /// into the bus's overflow scratch). See TransitionBatch for lifetime.
+  /// points straight into the store, verdict slots included (or, for
+  /// misses that found it full, into the bus's overflow scratch, with no
+  /// slot). See TransitionBatch for lifetime.
   TransitionBatch transition_batch(const util::BitVec& prev,
                                    const util::BitVec& next) const;
 
@@ -157,13 +164,16 @@ class CoupledBus {
   // neighbours' Miller time constants) — filled on a miss by the model's
   // `solve_wire`. Entries are never evicted within a defect generation,
   // which is what lets a batch point into the store while later wires of
-  // the same transition miss. The store is bounded by kStoreBudgetBytes:
+  // the same transition miss. Each entry carries a VerdictSlot that the
+  // observing OBSC fills, so a waveform is scanned once per param set,
+  // not once per observation. The store is bounded by kStoreBudgetBytes:
   // a miss that finds it full is solved into scratch and not inserted.
   // Hit/miss counters survive invalidation (they meter the workload, not
   // the store contents).
 
-  /// Byte budget of one bus's store (sample data plus entry bookkeeping).
-  /// 64 MiB (4,086 entries of 2,048 samples) is twice the widest shipped
+  /// Byte budget of one bus's store (sample data plus entry bookkeeping
+  /// and verdict slot). 64 MiB (about 4,000 entries of 2,048 samples;
+  /// store_capacity() has the exact count) is twice the widest shipped
   /// bus's working set — the n=64 Table 5 sessions keep 2,075 waveforms,
   /// ~32 MiB — so no shipped workload reaches it.
   static constexpr std::size_t kStoreBudgetBytes = std::size_t{64} << 20;
@@ -207,11 +217,17 @@ class CoupledBus {
   void require_vector_widths(const util::BitVec& prev,
                              const util::BitVec& next) const;
 
-  /// Wire i's stored samples, solving and inserting them on a miss;
-  /// nullptr when the miss found the store full (the caller solves into
-  /// its own storage with solve()).
-  const double* find_or_fill(std::size_t i, const util::BitVec& prev,
-                             const util::BitVec& next, Tally& t) const;
+  /// One stored waveform and the verdict memo that belongs to it.
+  struct Entry {
+    Waveform wave;
+    VerdictSlot verdict;
+  };
+
+  /// Wire i's store entry, solving and inserting it on a miss; nullptr
+  /// when the miss found the store full (the caller solves into its own
+  /// storage with solve()).
+  Entry* find_or_fill(std::size_t i, const util::BitVec& prev,
+                      const util::BitVec& next, Tally& t) const;
 
   void solve(std::size_t i, const util::BitVec& prev,
              const util::BitVec& next, double* out) const;
@@ -227,14 +243,15 @@ class CoupledBus {
   BusModel model_;
   std::size_t store_capacity_;
 
-  mutable std::unordered_map<std::uint64_t, Waveform> store_;
+  mutable std::unordered_map<std::uint64_t, Entry> store_;
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
 
-  // transition_batch storage: the per-wire pointer array it returns and,
+  // transition_batch storage: the per-wire pointer arrays it returns and,
   // for misses on a full store, an n*samples scratch block (wire i at
   // i*samples; sized once, so pointers into it stay put).
   mutable std::vector<const double*> batch_ptrs_;
+  mutable std::vector<VerdictSlot*> batch_slots_;
   mutable std::vector<double> overflow_;
 
   obs::Sink* sink_ = nullptr;

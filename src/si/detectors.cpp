@@ -54,11 +54,6 @@ bool NdCell::violates(WaveformView w, Logic initial,
   return false;
 }
 
-void NdCell::observe(WaveformView w, Logic initial, Logic expected) {
-  if (!ce_) return;
-  if (violates(w, initial, expected)) flag_ = true;
-}
-
 std::optional<sim::Time> SdCell::arrival_time(WaveformView w) const {
   return w.last_crossing(p_.vth_frac * p_.vdd);
 }
@@ -72,9 +67,16 @@ bool SdCell::violates(WaveformView w, Logic initial,
   return *t > p_.skew_budget;
 }
 
-void SdCell::observe(WaveformView w, Logic initial, Logic expected) {
-  if (!ce_) return;
-  if (violates(w, initial, expected)) flag_ = true;
+Verdicts judge(const NdCell& nd, const SdCell& sd, WaveformView w,
+               Logic initial, Logic expected, VerdictSlot* slot) {
+  if (slot != nullptr && slot->filled && slot->nd_params == nd.params() &&
+      slot->sd_params == sd.params()) {
+    return slot->verdicts;
+  }
+  const Verdicts v{nd.violates(w, initial, expected),
+                   sd.violates(w, initial, expected)};
+  if (slot != nullptr) *slot = {true, nd.params(), sd.params(), v};
+  return v;
 }
 
 }  // namespace jsi::si

@@ -24,36 +24,42 @@ struct NdParams {
   double v_hmin_frac = 0.35;     ///< deviation below which it releases
   double overshoot_frac = 0.25;  ///< excursion beyond the rail (> Vdd or
                                  ///< < GND) that also counts as noise
+
+  bool operator==(const NdParams&) const = default;
 };
 
 /// Behavioural Noise Detector (ND) cell.
 ///
-/// `observe()` scans one receiving-end waveform and sets the sticky flag —
-/// the "FF set to 1" of the paper's OBSC — when the signal violates
-/// integrity while the cell is enabled (CE=1). The flag survives until
-/// `clear()`, matching "if CE=0 the cells are disabled but the captured
-/// data in their flip-flops remain unchanged".
+/// `violates()` judges one receiving-end waveform; `latch()` sets the
+/// sticky flag — the "FF set to 1" of the paper's OBSC — on a violation
+/// while the cell is enabled (CE=1). The flag survives until `clear()`,
+/// matching "if CE=0 the cells are disabled but the captured data in
+/// their flip-flops remain unchanged".
 class NdCell {
  public:
   explicit NdCell(NdParams p = {}) : p_(p) {}
 
   const NdParams& params() const { return p_; }
 
-  /// CE signal: when false, observe() leaves the flag untouched.
+  /// CE signal: when false, latch() leaves the flag untouched.
   void set_enable(bool ce) { ce_ = ce; }
   bool enabled() const { return ce_; }
 
-  /// Scan `w` given the line's driven logic level before (`initial`) and
+  /// Pure query: would this waveform set the flag? (No state change.)
+  /// Scans `w` given the line's driven logic level before (`initial`) and
   /// after (`expected`) the transition. Passing the *driven* final level —
   /// rather than inferring it from the waveform — lets the cell flag a
   /// line that erroneously settles at the wrong rail (e.g. a slow droop).
   /// Takes a non-owning view so batched (store-backed) waveforms are
   /// scanned without copies; an owning `Waveform` converts implicitly.
-  void observe(WaveformView w, util::Logic initial, util::Logic expected);
-
-  /// Pure query: would this waveform set the flag? (No state change.)
   bool violates(WaveformView w, util::Logic initial,
                 util::Logic expected) const;
+
+  /// Feed one verdict of violates() (fresh, or memoized by judge()): sets
+  /// the flag when the cell is enabled and `violation` holds.
+  void latch(bool violation) {
+    if (ce_ && violation) flag_ = true;
+  }
 
   /// Sticky violation flag (the ND flip-flop of the OBSC).
   bool flag() const { return flag_; }
@@ -79,6 +85,8 @@ struct SdParams {
   double vdd = 1.8;
   sim::Time skew_budget = 150 * sim::kPs;  ///< skew-immune window
   double vth_frac = 0.5;                   ///< receiver threshold
+
+  bool operator==(const SdParams&) const = default;
 };
 
 /// Behavioural Skew Detector (SD) cell with a sticky violation flip-flop.
@@ -91,13 +99,17 @@ class SdCell {
   void set_enable(bool ce) { ce_ = ce; }
   bool enabled() const { return ce_; }
 
-  /// Scan `w` for a wire whose driven value changed from `initial` to
-  /// `expected` this cycle. Quiet wires are ND territory and are ignored.
-  void observe(WaveformView w, util::Logic initial, util::Logic expected);
-
-  /// Pure query form of observe().
+  /// Pure query: would this waveform set the flag? Scans `w` for a wire
+  /// whose driven value changed from `initial` to `expected` this cycle.
+  /// Quiet wires are ND territory and never violate.
   bool violates(WaveformView w, util::Logic initial,
                 util::Logic expected) const;
+
+  /// Feed one verdict of violates() (fresh, or memoized by judge()): sets
+  /// the flag when the cell is enabled and `violation` holds.
+  void latch(bool violation) {
+    if (ce_ && violation) flag_ = true;
+  }
 
   /// Arrival instant: the last crossing of the receiver threshold, i.e.
   /// when the transition is finally committed. nullopt if the wire never
@@ -112,6 +124,34 @@ class SdCell {
   bool ce_ = false;
   bool flag_ = false;
 };
+
+/// The ND and SD verdicts on one waveform.
+struct Verdicts {
+  bool nd = false;
+  bool sd = false;
+
+  bool operator==(const Verdicts&) const = default;
+};
+
+/// Verdict memo of one stored waveform: the slot beside each entry of the
+/// `CoupledBus` waveform store, living and dying with it (see
+/// TransitionBatch). A verdict is a pure function of the samples, the
+/// wire's driven levels before and after the transition, and the detector
+/// params; the entry holds the samples and its key fixes the levels, so
+/// verdicts judged under `nd_params`/`sd_params` hold for every later
+/// observation under params equal to those.
+struct VerdictSlot {
+  bool filled = false;
+  NdParams nd_params;
+  SdParams sd_params;
+  Verdicts verdicts;
+};
+
+/// `nd.violates()` and `sd.violates()` on `w`: read from `slot` when it was
+/// filled under params equal to the cells', otherwise judged and recorded
+/// in `slot`. A null `slot` (a waveform with no store entry) is judged.
+Verdicts judge(const NdCell& nd, const SdCell& sd, WaveformView w,
+               util::Logic initial, util::Logic expected, VerdictSlot* slot);
 
 }  // namespace jsi::si
 

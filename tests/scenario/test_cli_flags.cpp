@@ -11,6 +11,9 @@
 //    command and the diagnostic must say so.
 //  * oversized specs — `bus.samples: 1e11` used to die in
 //    std::bad_alloc; the parse cap must answer with the SpecError line.
+//  * shard counts — `--shards` and `campaign.shards` took any integer,
+//    one std::thread each; past the cap both answer with the SpecError
+//    line before a thread (or a daemon connection) is started.
 
 #include <gtest/gtest.h>
 
@@ -167,6 +170,34 @@ TEST(CliFlags, OversizedSamplesIsASpecErrorNotBadAlloc) {
   EXPECT_EQ(r.err, "jsi: " + spec.string() +
                        ": topology.bus.samples: bus width x samples x 8 B "
                        "exceeds the 67108864 B waveform store budget\n");
+}
+
+TEST(CliFlags, ShardsPastTheCapAreASpecError) {
+  const std::string want = "jsi: --shards: campaign.shards: must be <= 256\n";
+  const ExecResult run = run_cli("run \"" + scenario_file() + "\" --shards 257");
+  EXPECT_EQ(run.status, 2) << run.err;
+  EXPECT_EQ(run.err, want);
+  // submit rejects it before it looks for the daemon.
+  const ExecResult submit = run_cli("submit \"" + scenario_file() +
+                                    "\" --socket /nonexistent.sock "
+                                    "--shards 156250");
+  EXPECT_EQ(submit.status, 2) << submit.err;
+  EXPECT_EQ(submit.err, want);
+
+  const fs::path spec =
+      fs::temp_directory_path() /
+      ("jsi_cli_shards_" + std::to_string(static_cast<unsigned>(::getpid())) +
+       ".scenario.json");
+  {
+    std::ofstream os(spec);
+    os << R"({"name":"wide","topology":{"kind":"soc"},)"
+          R"("sessions":[{"kind":"bist"}],"campaign":{"shards":300}})";
+  }
+  const ExecResult file = run_cli("run \"" + spec.string() + "\"");
+  fs::remove(spec);
+  EXPECT_EQ(file.status, 2) << file.err;
+  EXPECT_EQ(file.err,
+            "jsi: " + spec.string() + ": campaign.shards: must be <= 256\n");
 }
 
 TEST(CliFlags, PortRangeIsEnforced) {

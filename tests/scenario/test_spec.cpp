@@ -14,6 +14,7 @@
 #include "scenario/spec.hpp"
 
 using namespace jsi;
+using scenario::check_shards;
 using scenario::parse_scenario;
 using scenario::ScenarioSpec;
 using scenario::SpecError;
@@ -249,6 +250,21 @@ TEST(ScenarioParse, SizeCapsAreTypedDiagnostics) {
                     R"("sweep":{"samples":5000001,"sd_budget_ps":[1,2]})"),
                "sweep.samples: population (grid points x samples) must be "
                "<= 10000000");
+  // One std::thread per shard: a 10^7-die sweep must not ask for ~156k.
+  expect_error(wrap(R"("topology":{"kind":"soc"},"sessions":[{"kind":"bist"}],)"
+                    R"("campaign":{"shards":257})"),
+               "campaign.shards: must be <= 256");
+  EXPECT_NO_THROW(parse_scenario(
+      wrap(R"("topology":{"kind":"soc"},"sessions":[{"kind":"bist"}],)"
+           R"("campaign":{"shards":256})")));
+  try {
+    check_shards(100000);
+    ADD_FAILURE() << "the override gate must reject 100000 shards";
+  } catch (const SpecError& e) {
+    EXPECT_STREQ(e.what(), "campaign.shards: must be <= 256");
+  }
+  EXPECT_NO_THROW(check_shards(256));
+  EXPECT_NO_THROW(check_shards(0));  // 0 = one per hardware thread
 }
 
 TEST(ScenarioParse, JsonErrorsCarryTheJsonPath) {

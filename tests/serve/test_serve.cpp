@@ -309,6 +309,42 @@ TEST(Serve, OversizedScenarioIsRejectedBeforeItAllocates) {
             "topology.n_wires: must be <= 1024");
 }
 
+TEST(Serve, ShardsPastTheCapAreRejectedBeforeQueueing) {
+  // One std::thread per shard: an uncapped "shards" could fail to start
+  // its pool part-way, and that ends the daemon for every client.
+  Daemon d({});
+  Client c = d.client();
+  json::Value over = make_submit();
+  over.add("shards", json::Value::make_number(257));
+  const json::Value resp = c.request(over);
+  EXPECT_FALSE(ok(resp));
+  EXPECT_EQ(string_or(resp, "error", ""), "bad_request");
+  EXPECT_EQ(string_or(resp, "message", ""), "campaign.shards: must be <= 256");
+
+  // The same cap inside the scenario text is the parser's diagnostic.
+  json::Value in_spec = json::Value::make_object();
+  in_spec.add("verb", json::Value::make_string("submit"));
+  in_spec.add("scenario_text",
+              json::Value::make_string(
+                  R"({"name":"wide","topology":{"kind":"soc"},)"
+                  R"("sessions":[{"kind":"bist"}],"campaign":{"shards":300}})"));
+  const json::Value resp2 = c.request(in_spec);
+  EXPECT_FALSE(ok(resp2));
+  EXPECT_EQ(string_or(resp2, "error", ""), "invalid_scenario");
+  EXPECT_EQ(string_or(resp2, "message", ""),
+            "campaign.shards: must be <= 256");
+
+  // Nothing was queued: the first admitted job is job 1, and it runs.
+  json::Value at_cap = make_submit();
+  at_cap.add("shards", json::Value::make_number(256));
+  const json::Value admitted = c.request(at_cap);
+  ASSERT_TRUE(ok(admitted)) << json::to_text(admitted);
+  EXPECT_EQ(job_id(admitted), 1u);
+  wait_terminal(c, job_id(admitted));
+  EXPECT_EQ(string_or(c.request(make_job_request("status", 1)), "state", ""),
+            "done");
+}
+
 // -- cancel ------------------------------------------------------------------
 
 TEST(Serve, CancelQueuedJobRemovesItFromTheQueue) {

@@ -2,15 +2,23 @@
 // point against the model's solver called directly, hit/miss metering and
 // its CacheLookup records, the defect-generation invalidation contract,
 // clone warm-carry and independence, the MA warm-up, wide buses, the byte
-// budget, and batch pointer lifetimes.
+// budget, and batch pointer lifetimes. The verdict slots riding on the
+// entries are pinned the same way: every memoized ND/SD verdict equals a
+// fresh scan of a directly solved waveform, slots follow their entries'
+// lifetime, and sessions flag identically on a warm bus and a fresh one.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "core/multibus.hpp"
+#include "core/session.hpp"
+#include "core/soc.hpp"
 #include "mafm/fault.hpp"
 #include "obs/events.hpp"
 #include "si/bus.hpp"
+#include "si/detectors.hpp"
 #include "si/model.hpp"
 #include "util/prng.hpp"
 
@@ -383,12 +391,23 @@ TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
   next.set(0, true);
   next.set(p.n_wires - 1, true);
 
+  const NdCell nd;
+  const SdCell sd;
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(round);
     const TransitionBatch b = bus.transition_batch(prev, next);
     EXPECT_EQ(bus.cache_entries(), cap);
     for (std::size_t i = 0; i < p.n_wires; ++i) {
-      ASSERT_TRUE(same_bits(b.wire(i), direct_solve(ref, i, prev, next)))
+      const Waveform want = direct_solve(ref, i, prev, next);
+      ASSERT_TRUE(same_bits(b.wire(i), want)) << "wire " << i;
+      // Only stored wires carry a verdict slot; an overflow wire is
+      // judged by a full scan every time.
+      EXPECT_EQ(b.slot(i) != nullptr, i < cap) << "wire " << i;
+      const util::Logic init = util::to_logic(prev[i]);
+      const util::Logic exp = util::to_logic(next[i]);
+      EXPECT_EQ(judge(nd, sd, b.wire(i), init, exp, b.slot(i)),
+                (Verdicts{nd.violates(want, init, exp),
+                          sd.violates(want, init, exp)}))
           << "wire " << i;
     }
   }
@@ -426,6 +445,325 @@ TEST(BusStore, BatchPointersSurviveLaterMissesOfTheSameTransition) {
     ASSERT_TRUE(same_bits(b.wire(i), direct_solve(ref, i, prev, next)))
         << "wire " << i;
   }
+}
+
+// ---- verdict slots ----------------------------------------------------------
+
+/// One detector param set, at the supply the cells observe (the model's
+/// observed swing, as SiSocDevice sets it).
+struct DetectorSettings {
+  NdParams nd;
+  SdParams sd;
+};
+
+/// The differential grid: ND arm/release/overshoot thresholds crossed
+/// with SD windows and receiver thresholds.
+std::vector<DetectorSettings> detector_grid(const BusParams& p) {
+  const double vdd = model_for(p.model).observed_swing(p);
+  const NdParams nds[] = {{vdd, 0.45, 0.35, 0.25},
+                          {vdd, 0.20, 0.10, 0.0},
+                          {vdd, 0.60, 0.50, 0.05}};
+  const SdParams sds[] = {{vdd, 150 * sim::kPs, 0.5},
+                          {vdd, 60 * sim::kPs, 0.3},
+                          {vdd, 400 * sim::kPs, 0.7}};
+  std::vector<DetectorSettings> grid;
+  for (const NdParams& nd : nds) {
+    for (const SdParams& sd : sds) grid.push_back({nd, sd});
+  }
+  return grid;
+}
+
+/// A fresh scan of `w`: the reference every memoized verdict must equal.
+Verdicts fresh_verdicts(const DetectorSettings& s, WaveformView w,
+                        util::Logic initial, util::Logic expected) {
+  return {NdCell(s.nd).violates(w, initial, expected),
+          SdCell(s.sd).violates(w, initial, expected)};
+}
+
+/// Judge wire i of `b` under `s` through its slot.
+Verdicts judge_wire(const DetectorSettings& s, const TransitionBatch& b,
+                    std::size_t i, const mafm::VectorPair& vp) {
+  return judge(NdCell(s.nd), SdCell(s.sd), b.wire(i),
+               util::to_logic(vp.v1[i]), util::to_logic(vp.v2[i]),
+               b.slot(i));
+}
+
+bool slot_holds(const VerdictSlot* slot, const DetectorSettings& s) {
+  return slot != nullptr && slot->filled && slot->nd_params == s.nd &&
+         slot->sd_params == s.sd;
+}
+
+TEST(BusStore, SlotVerdictsEqualFreshScansOfDirectSolves) {
+  struct Case {
+    std::size_t n;
+    ModelKind model;
+    double l_wire;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t n : {2u, 3u, 8u, 16u, 64u}) {
+    cases.push_back({n, ModelKind::RcFullSwing, 0.0});
+    // 20 nH underdamps the nominal wires (see InductanceCausesOvershoot).
+    cases.push_back({n, ModelKind::RcFullSwing, 20e-9});
+    cases.push_back({n, ModelKind::LowSwing, 0.0});
+  }
+  std::size_t outcomes[2][2] = {};  // [nd|sd][verdict]
+  bool rang = false;  // some rising wire of an inductive bus overshot
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "n=" << c.n << " " << model_kind_name(c.model)
+                 << " l_wire=" << c.l_wire);
+    BusParams p = params_n(c.n, 512);
+    p.model = c.model;
+    p.l_wire = c.l_wire;
+    CoupledBus bus(p);
+    BusModel ref(p);
+    // Stacked defects: a crosstalk defect with extra series resistance on
+    // the same wire, and a resistive open at the bus edge.
+    const auto stack_defects = [&c](auto& b) {
+      b.inject_crosstalk_defect(c.n / 2, 6.0);
+      b.add_series_resistance(c.n / 2, 400.0);
+      b.add_series_resistance(c.n - 1, 900.0);
+    };
+    stack_defects(bus);
+    stack_defects(ref);
+
+    std::vector<mafm::VectorPair> traffic = ma_pairs(c.n);
+    util::Prng rng(0x5107u + c.n);
+    for (int k = 0; k < 24; ++k) {
+      traffic.push_back({random_vec(rng, c.n), random_vec(rng, c.n)});
+    }
+    const std::vector<DetectorSettings> grid = detector_grid(p);
+
+    // want[(k * n + i) * grid + g]: a fresh scan of the direct solve.
+    std::vector<Verdicts> want(traffic.size() * c.n * grid.size());
+    for (std::size_t k = 0; k < traffic.size(); ++k) {
+      for (std::size_t i = 0; i < c.n; ++i) {
+        const Waveform w = direct_solve(ref, i, traffic[k].v1, traffic[k].v2);
+        const bool rising = !traffic[k].v1[i] && traffic[k].v2[i];
+        rang = rang || (rising && c.l_wire > 0.0 && w.max_value() > p.vdd);
+        for (std::size_t g = 0; g < grid.size(); ++g) {
+          const Verdicts v =
+              fresh_verdicts(grid[g], w, util::to_logic(traffic[k].v1[i]),
+                             util::to_logic(traffic[k].v2[i]));
+          want[(k * c.n + i) * grid.size() + g] = v;
+          ++outcomes[0][v.nd];
+          ++outcomes[1][v.sd];
+        }
+      }
+    }
+
+    // Each param set in turn re-judges the slots the previous one filled,
+    // then a second pass is served entirely from the slots.
+    std::size_t served = 0;
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t k = 0; k < traffic.size(); ++k) {
+          const TransitionBatch b =
+              bus.transition_batch(traffic[k].v1, traffic[k].v2);
+          for (std::size_t i = 0; i < c.n; ++i) {
+            ASSERT_NE(b.slot(i), nullptr);
+            const bool hit = slot_holds(b.slot(i), grid[g]);
+            if (pass == 1) {
+              ASSERT_TRUE(hit) << "pair " << k << " wire " << i;
+            }
+            served += hit ? 1 : 0;
+            const Verdicts got = judge_wire(grid[g], b, i, traffic[k]);
+            ASSERT_EQ(got, want[(k * c.n + i) * grid.size() + g])
+                << "setting " << g << " pass " << pass << " pair " << k
+                << " wire " << i;
+            ASSERT_TRUE(slot_holds(b.slot(i), grid[g]));
+            ASSERT_EQ(b.slot(i)->verdicts, got);
+          }
+        }
+      }
+    }
+    EXPECT_GT(served, traffic.size() * c.n * grid.size());
+  }
+  // The grid is not vacuous: both detectors both pass and fire, and the
+  // ringing path was exercised.
+  for (const auto& detector : outcomes) {
+    EXPECT_GT(detector[0], 0u);
+    EXPECT_GT(detector[1], 0u);
+  }
+  EXPECT_TRUE(rang);
+}
+
+TEST(BusStore, VerdictSlotsLiveAndDieWithTheirEntries) {
+  const BusParams p = params_n(8, 512);
+  const std::vector<DetectorSettings> grid = detector_grid(p);
+  const DetectorSettings& a = grid[0];  // the shipped defaults
+  const DetectorSettings& b = grid[4];  // tighter ND, shorter SD window
+  const mafm::VectorPair vp = mafm::vectors_for(mafm::MaFault::Pg, 8, 4);
+  CoupledBus bus(p);
+  BusModel ref(p);
+  bus.inject_crosstalk_defect(4, 3.0);
+  ref.inject_crosstalk_defect(4, 3.0);
+
+  const auto fresh = [&](const DetectorSettings& s, std::size_t i) {
+    return fresh_verdicts(s, direct_solve(ref, i, vp.v1, vp.v2),
+                          util::to_logic(vp.v1[i]), util::to_logic(vp.v2[i]));
+  };
+  bool a_and_b_differ = false;
+  for (std::size_t i = 0; i < p.n_wires; ++i) {
+    if (!(fresh(a, i) == fresh(b, i))) a_and_b_differ = true;
+  }
+  ASSERT_TRUE(a_and_b_differ) << "a stale slot must be visible";
+
+  // Judge under `s` on `on`: every wire re-judged (the slot held other
+  // params) or served, as `served` says, and equal to a fresh scan.
+  const auto judge_all = [&](CoupledBus& on, const DetectorSettings& s,
+                             bool served) {
+    const TransitionBatch tb = on.transition_batch(vp.v1, vp.v2);
+    for (std::size_t i = 0; i < p.n_wires; ++i) {
+      ASSERT_EQ(slot_holds(tb.slot(i), s), served) << "wire " << i;
+      ASSERT_EQ(judge_wire(s, tb, i, vp), fresh(s, i)) << "wire " << i;
+      ASSERT_TRUE(slot_holds(tb.slot(i), s)) << "wire " << i;
+    }
+  };
+  const auto expect_unfilled = [&](CoupledBus& on) {
+    const TransitionBatch tb = on.transition_batch(vp.v1, vp.v2);
+    for (std::size_t i = 0; i < p.n_wires; ++i) {
+      ASSERT_NE(tb.slot(i), nullptr);
+      EXPECT_FALSE(tb.slot(i)->filled) << "wire " << i;
+    }
+  };
+
+  expect_unfilled(bus);
+  judge_all(bus, a, false);
+  judge_all(bus, a, true);
+  judge_all(bus, b, false);  // other params: re-judged, not served
+  judge_all(bus, a, false);  // and back
+
+  // A clone carries the slots, re-judges under other params, and leaves
+  // the source's slots alone.
+  CoupledBus copy = bus.clone();
+  judge_all(copy, a, true);
+  judge_all(copy, b, false);
+  judge_all(bus, a, true);
+
+  // Every defect mutator and clear_cache drop the slots with the entries
+  // (`ref` follows the mutations, so the re-judged verdicts stay checked).
+  const std::vector<void (*)(CoupledBus&, BusModel&)> droppers = {
+      [](CoupledBus& x, BusModel& r) {
+        x.scale_coupling(0, 2.0);
+        r.scale_coupling(0, 2.0);
+      },
+      [](CoupledBus& x, BusModel& r) {
+        x.add_series_resistance(1, 300.0);
+        r.add_series_resistance(1, 300.0);
+      },
+      [](CoupledBus& x, BusModel& r) {
+        x.inject_crosstalk_defect(6, 4.0);
+        r.inject_crosstalk_defect(6, 4.0);
+      },
+      [](CoupledBus& x, BusModel& r) {
+        x.clear_defects();
+        r.clear_defects();
+      },
+      [](CoupledBus& x, BusModel&) { x.clear_cache(); },
+  };
+  for (const auto drop : droppers) {
+    judge_all(bus, a, true);
+    drop(bus, ref);
+    expect_unfilled(bus);
+    judge_all(bus, a, false);
+  }
+}
+
+/// What one session decided: the final flags and the DetectorFired
+/// records in emission order.
+struct SessionVerdicts {
+  std::vector<std::string> flags;
+  std::vector<std::string> fired;
+  bool operator==(const SessionVerdicts&) const = default;
+};
+
+struct FiredSink final : obs::Sink {
+  std::vector<std::string> fired;
+  void on_event(const obs::Event& e) override {
+    if (e.kind == obs::EventKind::DetectorFired) {
+      fired.push_back(std::string(e.name) + " wire " + std::to_string(e.a) +
+                      " bus " + std::to_string(e.b));
+    }
+  }
+};
+
+SessionVerdicts run_soc_session(core::SiSocDevice& soc,
+                                core::ObservationMethod m) {
+  FiredSink sink;
+  core::SiTestSession session(soc);
+  session.set_sink(&sink);
+  const core::IntegrityReport r = session.run(m);
+  session.set_sink(nullptr);
+  SessionVerdicts v{{r.nd_final.to_string(), r.sd_final.to_string()},
+                    sink.fired};
+  for (const core::ReadoutRecord& rr : r.readouts) {
+    v.flags.push_back(rr.nd.to_string() + "/" + rr.sd.to_string());
+  }
+  return v;
+}
+
+SessionVerdicts run_multibus_session(core::MultiBusSoc& soc,
+                                     core::ObservationMethod m) {
+  FiredSink sink;
+  core::MultiBusSession session(soc);
+  session.set_sink(&sink);
+  const core::MultiBusReport r = session.run(m);
+  session.set_sink(nullptr);
+  SessionVerdicts v{{}, sink.fired};
+  for (const core::IntegrityReport& bus : r.buses) {
+    v.flags.push_back(bus.nd_final.to_string() + "/" +
+                      bus.sd_final.to_string());
+  }
+  return v;
+}
+
+TEST(BusStore, SessionsFlagTheSameOnAWarmBusAndAFreshOne) {
+  const auto defects = [](CoupledBus& b) {
+    b.inject_crosstalk_defect(2, 6.0);
+    b.add_series_resistance(5, 900.0);
+  };
+  for (const ModelKind model : kAllModelKinds) {
+    for (const core::ObservationMethod m :
+         {core::ObservationMethod::OnceAtEnd,
+          core::ObservationMethod::PerPattern}) {
+      SCOPED_TRACE(::testing::Message() << model_kind_name(model) << " method "
+                                        << static_cast<int>(m));
+      core::SocConfig cfg;
+      cfg.n_wires = 8;
+      cfg.bus.model = model;
+      core::SiSocDevice warm(cfg);
+      defects(warm.bus());
+      const SessionVerdicts first = run_soc_session(warm, m);
+      const std::uint64_t misses = warm.bus().cache_misses();
+      const SessionVerdicts second = run_soc_session(warm, m);
+      EXPECT_EQ(warm.bus().cache_misses(), misses)
+          << "the second pass is all store hits";
+      core::SiSocDevice fresh(cfg);
+      defects(fresh.bus());
+      EXPECT_EQ(second, first);
+      EXPECT_EQ(run_soc_session(fresh, m), first);
+      EXPECT_FALSE(first.fired.empty()) << "the defects must be flagged";
+    }
+  }
+
+  core::MultiBusConfig mcfg;
+  mcfg.n_buses = 3;
+  mcfg.wires_per_bus = 6;
+  const auto multibus_defects = [&](core::MultiBusSoc& soc) {
+    defects(soc.bus(0));
+    soc.bus(2).inject_crosstalk_defect(4, 8.0);
+  };
+  const core::ObservationMethod m = core::ObservationMethod::OnceAtEnd;
+  core::MultiBusSoc warm(mcfg);
+  multibus_defects(warm);
+  const SessionVerdicts first = run_multibus_session(warm, m);
+  const SessionVerdicts second = run_multibus_session(warm, m);
+  core::MultiBusSoc fresh(mcfg);
+  multibus_defects(fresh);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(run_multibus_session(fresh, m), first);
+  EXPECT_FALSE(first.fired.empty()) << "the defects must be flagged";
 }
 
 }  // namespace

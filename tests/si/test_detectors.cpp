@@ -37,7 +37,7 @@ Waveform rising(double tau_ps, std::size_t n = 2048) {
 TEST(NdCell, QuietLineCleanNoFlag) {
   NdCell nd;
   nd.set_enable(true);
-  nd.observe(glitch(0.0, 0.2), Logic::L0, Logic::L0);
+  nd.latch(nd.violates(glitch(0.0, 0.2), Logic::L0, Logic::L0));
   EXPECT_FALSE(nd.flag());
 }
 
@@ -45,14 +45,14 @@ TEST(NdCell, QuietLowLinePositiveGlitchFlags) {
   NdCell nd;
   nd.set_enable(true);
   // Deviation 1.0 V > V_Hthr (0.45 * 1.8 = 0.81 V).
-  nd.observe(glitch(0.0, 1.0), Logic::L0, Logic::L0);
+  nd.latch(nd.violates(glitch(0.0, 1.0), Logic::L0, Logic::L0));
   EXPECT_TRUE(nd.flag());
 }
 
 TEST(NdCell, QuietHighLineNegativeGlitchFlags) {
   NdCell nd;
   nd.set_enable(true);
-  nd.observe(glitch(kVdd, -1.0), Logic::L1, Logic::L1);
+  nd.latch(nd.violates(glitch(kVdd, -1.0), Logic::L1, Logic::L1));
   EXPECT_TRUE(nd.flag());
 }
 
@@ -79,7 +79,7 @@ TEST(NdCell, OvershootBeyondRailFlags) {
 TEST(NdCell, CleanMonotoneTransitionDoesNotFlag) {
   NdCell nd;
   nd.set_enable(true);
-  nd.observe(rising(100.0), Logic::L0, Logic::L1);
+  nd.latch(nd.violates(rising(100.0), Logic::L0, Logic::L1));
   EXPECT_FALSE(nd.flag());
 }
 
@@ -89,7 +89,7 @@ TEST(NdCell, RingingAfterArrivalFlags) {
   Waveform w = rising(50.0);
   // After settling, a dip back toward the old rail by more than V_Hthr.
   for (std::size_t i = 1000; i < 1100; ++i) w[i] = 0.5;
-  nd.observe(w, Logic::L0, Logic::L1);
+  nd.latch(nd.violates(w, Logic::L0, Logic::L1));
   EXPECT_TRUE(nd.flag());
 }
 
@@ -106,13 +106,13 @@ TEST(NdCell, TransitionOvershootFlags) {
 TEST(NdCell, DisabledCellHoldsFlag) {
   NdCell nd;
   nd.set_enable(false);
-  nd.observe(glitch(0.0, 1.5), Logic::L0, Logic::L0);
+  nd.latch(nd.violates(glitch(0.0, 1.5), Logic::L0, Logic::L0));
   EXPECT_FALSE(nd.flag());  // CE=0: nothing latched
   nd.set_enable(true);
-  nd.observe(glitch(0.0, 1.5), Logic::L0, Logic::L0);
+  nd.latch(nd.violates(glitch(0.0, 1.5), Logic::L0, Logic::L0));
   EXPECT_TRUE(nd.flag());
   nd.set_enable(false);
-  nd.observe(glitch(0.0, 0.0), Logic::L0, Logic::L0);
+  nd.latch(nd.violates(glitch(0.0, 0.0), Logic::L0, Logic::L0));
   EXPECT_TRUE(nd.flag());  // CE=0 preserves the captured data
   nd.clear();
   EXPECT_FALSE(nd.flag());
@@ -128,7 +128,7 @@ TEST(SdCell, OnTimeTransitionNoFlag) {
   p.skew_budget = 150 * sim::kPs;
   SdCell sd(p);
   sd.set_enable(true);
-  sd.observe(rising(100.0), Logic::L0, Logic::L1);  // 50% at ~69 ps
+  sd.latch(sd.violates(rising(100.0), Logic::L0, Logic::L1));  // 50% at ~69 ps
   EXPECT_FALSE(sd.flag());
 }
 
@@ -137,7 +137,7 @@ TEST(SdCell, LateTransitionFlags) {
   p.skew_budget = 150 * sim::kPs;
   SdCell sd(p);
   sd.set_enable(true);
-  sd.observe(rising(400.0), Logic::L0, Logic::L1);  // 50% at ~277 ps
+  sd.latch(sd.violates(rising(400.0), Logic::L0, Logic::L1));  // 50% at ~277 ps
   EXPECT_TRUE(sd.flag());
 }
 
@@ -158,7 +158,7 @@ TEST(SdCell, QuietWireIgnored) {
   p.skew_budget = 1;  // absurd budget: anything would violate
   SdCell sd(p);
   sd.set_enable(true);
-  sd.observe(flat(0.0), Logic::L0, Logic::L0);
+  sd.latch(sd.violates(flat(0.0), Logic::L0, Logic::L0));
   EXPECT_FALSE(sd.flag());
 }
 
@@ -167,7 +167,7 @@ TEST(SdCell, NeverArrivingTransitionFlags) {
   SdCell sd(p);
   sd.set_enable(true);
   // Driven 0->1 but the waveform stays low: gross delay/stuck fault.
-  sd.observe(flat(0.1), Logic::L0, Logic::L1);
+  sd.latch(sd.violates(flat(0.1), Logic::L0, Logic::L1));
   EXPECT_TRUE(sd.flag());
 }
 
@@ -176,10 +176,10 @@ TEST(SdCell, DisabledCellPreservesState) {
   p.skew_budget = 10 * sim::kPs;
   SdCell sd(p);
   sd.set_enable(false);
-  sd.observe(rising(400.0), Logic::L0, Logic::L1);
+  sd.latch(sd.violates(rising(400.0), Logic::L0, Logic::L1));
   EXPECT_FALSE(sd.flag());
   sd.set_enable(true);
-  sd.observe(rising(400.0), Logic::L0, Logic::L1);
+  sd.latch(sd.violates(rising(400.0), Logic::L0, Logic::L1));
   EXPECT_TRUE(sd.flag());
   sd.clear();
   EXPECT_FALSE(sd.flag());

@@ -519,6 +519,12 @@ int main(int argc, char** argv) {
     unsigned long long v = 0;
     if (arg == "--shards") {
       if (!want_uint(v, false, "non-negative integer")) return 2;
+      try {
+        jsi::scenario::check_shards(v);
+      } catch (const jsi::scenario::SpecError& e) {
+        std::cerr << "jsi: --shards: " << e.what() << "\n";
+        return 2;
+      }
       flags.shards = static_cast<std::size_t>(v);
     } else if (arg == "--out") {
       flags.out_dir = value;
