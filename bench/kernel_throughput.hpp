@@ -60,14 +60,16 @@ inline KernelThroughput measure_kernel_throughput(
 
   si::CoupledBus batched(p);
   batched.warm_ma_pairs();
-  // Reference: the model's solver called directly — every call does the
-  // full per-wire exponential evaluation into fresh heap storage,
-  // exactly the pre-batching hot path.
+  // Reference: the model's solver called directly through a fresh
+  // decay-column table — every call does the full per-wire exponential
+  // evaluation into fresh heap storage, exactly the pre-batching hot
+  // path and what a fresh die pays.
   const si::BusModel scalar(p);
   const si::InterconnectModel& solver = si::model_for(model);
   const auto solve = [&](std::size_t i, const mafm::VectorPair& vp) {
     si::Waveform w(p.samples, p.sample_dt);
-    solver.solve_wire(scalar, i, vp.v1, vp.v2, w.data());
+    si::DecayColumns columns(p);
+    solver.solve_wire(scalar, i, vp.v1, vp.v2, columns, w.data());
     return w;
   };
 

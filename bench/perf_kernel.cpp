@@ -84,8 +84,9 @@ BENCHMARK(BM_BusTransition)->Arg(8)->Arg(32);
 
 void BM_BusTransitionUncached(benchmark::State& state) {
   // Baseline for the waveform store: the same workload as
-  // BM_BusTransition solved by direct model calls, so the raw analytic
-  // solver is metered on every wire.
+  // BM_BusTransition solved by direct model calls, each through a fresh
+  // decay-column table, so the raw analytic solver is metered on every
+  // wire.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   si::BusParams p;
   p.n_wires = n;
@@ -99,7 +100,8 @@ void BM_BusTransitionUncached(benchmark::State& state) {
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       si::Waveform& w = out.emplace_back(p.samples, p.sample_dt);
-      solver.solve_wire(m, i, a, b, w.data());
+      si::DecayColumns columns(p);
+      solver.solve_wire(m, i, a, b, columns, w.data());
     }
     benchmark::DoNotOptimize(out);
   }

@@ -37,7 +37,8 @@ CoupledBus::CoupledBus(BusParams p)
     : model_(p),
       store_capacity_(kStoreBudgetBytes /
                       (model_.params().samples * sizeof(double) +
-                       sizeof(decltype(store_)::value_type))) {}
+                       sizeof(decltype(store_)::value_type))),
+      columns_(model_.params()) {}
 
 CoupledBus CoupledBus::clone() const {
   CoupledBus c = *this;
@@ -52,22 +53,22 @@ CoupledBus CoupledBus::clone() const {
 
 void CoupledBus::scale_coupling(std::size_t pair, double factor) {
   model_.scale_coupling(pair, factor);
-  store_.clear();
+  drop_store();
 }
 
 void CoupledBus::add_series_resistance(std::size_t wire, double ohms) {
   model_.add_series_resistance(wire, ohms);
-  store_.clear();
+  drop_store();
 }
 
 void CoupledBus::inject_crosstalk_defect(std::size_t wire, double severity) {
   model_.inject_crosstalk_defect(wire, severity);
-  store_.clear();
+  drop_store();
 }
 
 void CoupledBus::clear_defects() {
   model_.clear_defects();
-  store_.clear();
+  drop_store();
 }
 
 double CoupledBus::cache_hit_rate() const {
@@ -77,14 +78,19 @@ double CoupledBus::cache_hit_rate() const {
              : static_cast<double>(cache_hits_) / static_cast<double>(lookups);
 }
 
-void CoupledBus::clear_cache() { store_.clear(); }
+void CoupledBus::clear_cache() { drop_store(); }
+
+void CoupledBus::drop_store() {
+  store_.clear();
+  columns_.clear();
+}
 
 void CoupledBus::warm_ma_pairs() {
   const std::size_t n = model_.n();
   for (const mafm::MaFault f : mafm::kAllFaults) {
     for (std::size_t victim = 0; victim < n; ++victim) {
       // Past the budget a miss is only solved into scratch: stop.
-      if (store_.size() >= store_capacity_) return;
+      if (store_full()) return;
       const mafm::VectorPair vp = mafm::vectors_for(f, n, victim);
       transition_batch(vp.v1, vp.v2);
     }
@@ -100,7 +106,10 @@ void CoupledBus::require_vector_widths(const util::BitVec& prev,
 
 void CoupledBus::solve(std::size_t i, const util::BitVec& prev,
                        const util::BitVec& next, double* out) const {
-  model_for(params().model).solve_wire(model_, i, prev, next, out);
+  // A new column may take only a slot no waveform holds; find_or_fill
+  // inserts a stored wire's entry before solving it.
+  columns_.set_limit(store_capacity_ - store_.size());
+  model_for(params().model).solve_wire(model_, i, prev, next, columns_, out);
 }
 
 CoupledBus::Entry* CoupledBus::find_or_fill(std::size_t i,
@@ -114,7 +123,7 @@ CoupledBus::Entry* CoupledBus::find_or_fill(std::size_t i,
     return &it->second;
   }
   ++t.misses;
-  if (store_.size() >= store_capacity_) return nullptr;
+  if (store_full()) return nullptr;
   Entry& e = store_.try_emplace(key).first->second;
   e.wave = Waveform(params().samples, params().sample_dt);
   solve(i, prev, next, e.wave.data());

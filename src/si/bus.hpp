@@ -8,6 +8,7 @@
 
 #include "obs/events.hpp"
 #include "si/bus_model.hpp"
+#include "si/decay_columns.hpp"
 #include "si/detectors.hpp"
 #include "si/waveform.hpp"
 #include "sim/time.hpp"
@@ -59,8 +60,9 @@ struct TransitionBatch {
 ///
 /// Internally this is a facade over an immutable-between-mutations
 /// `BusModel` (SoA electrical state), the bus's `InterconnectModel`
-/// solver, and one waveform store keyed by wire neighbourhood. Every
-/// lookup entry point — `transition_batch()` (the zero-copy hot path),
+/// solver, and one waveform store keyed by wire neighbourhood, with the
+/// decay columns its solves read kept beside it. Every lookup entry
+/// point — `transition_batch()` (the zero-copy hot path),
 /// `wire_response()` and `transition()` (owning copies) — goes through
 /// that store.
 class CoupledBus {
@@ -69,11 +71,11 @@ class CoupledBus {
 
   /// Deep copy for per-shard use: electrical state, injected defects, the
   /// waveform store (entries with their verdict slots *and* hit/miss
-  /// counters) are carried over, so a clone of a warmed bus starts warm
-  /// and keeps the verdicts already judged. The observability sink is
-  /// deliberately NOT carried over — a clone lives on another worker
-  /// thread, and sharing the source's sink would race; attach a
-  /// thread-local sink with set_sink() after cloning. The overflow
+  /// counters) and the decay columns are carried over, so a clone of a
+  /// warmed bus starts warm and keeps the verdicts already judged. The
+  /// observability sink is deliberately NOT carried over — a clone lives
+  /// on another worker thread, and sharing the source's sink would race;
+  /// attach a thread-local sink with set_sink() after cloning. The overflow
   /// scratch is per-clone (fresh and empty), so two clones never alias
   /// storage.
   CoupledBus clone() const;
@@ -87,7 +89,8 @@ class CoupledBus {
   // ---- defect / process-variation injection -------------------------------
   //
   // Every mutator bumps `defect_generation()` and drops the waveform
-  // store wholesale: stored waveforms belong to one electrical state.
+  // store wholesale, decay columns included: stored waveforms belong to
+  // one electrical state.
 
   /// Multiply the coupling capacitance of adjacent pair `pair` = (pair,
   /// pair+1) by `factor`. Cumulative.
@@ -166,19 +169,26 @@ class CoupledBus {
   // which is what lets a batch point into the store while later wires of
   // the same transition miss. Each entry carries a VerdictSlot that the
   // observing OBSC fills, so a waveform is scanned once per param set,
-  // not once per observation. The store is bounded by kStoreBudgetBytes:
-  // a miss that finds it full is solved into scratch and not inserted.
-  // Hit/miss counters survive invalidation (they meter the workload, not
-  // the store contents).
+  // not once per observation. Beside the entries sit the decay columns
+  // the solves read (one per distinct time constant; see DecayColumns),
+  // which share the entries' lifetime. The store is bounded by
+  // kStoreBudgetBytes, waveforms and columns together: a miss that finds
+  // it full is solved into scratch and not inserted, and a column that
+  // does not fit is computed into scratch and not kept. Hit/miss counters
+  // survive invalidation (they meter the workload, not the store
+  // contents) and count waveforms only.
 
-  /// Byte budget of one bus's store (sample data plus entry bookkeeping
-  /// and verdict slot). 64 MiB (about 4,000 entries of 2,048 samples;
-  /// store_capacity() has the exact count) is twice the widest shipped
-  /// bus's working set — the n=64 Table 5 sessions keep 2,075 waveforms,
-  /// ~32 MiB — so no shipped workload reaches it.
+  /// Byte budget of one bus's store, counted in slots of one waveform's
+  /// sample data plus an entry's bookkeeping and verdict slot; a decay
+  /// column (as many samples, less bookkeeping) takes one slot too.
+  /// 64 MiB (about 4,000 slots of 2,048 samples; store_capacity() has the
+  /// exact count) is twice the widest shipped bus's working set — the
+  /// n=64 Table 5 sessions keep 2,075 waveforms and 5 decay columns,
+  /// ~33 MiB — so no shipped workload reaches it.
   static constexpr std::size_t kStoreBudgetBytes = std::size_t{64} << 20;
 
-  /// Entries that fit the budget at this bus's sample count.
+  /// Slots that fit the budget at this bus's sample count; waveforms plus
+  /// decay columns never exceed it.
   std::size_t store_capacity() const { return store_capacity_; }
 
   std::uint64_t cache_hits() const { return cache_hits_; }
@@ -187,12 +197,16 @@ class CoupledBus {
   /// hits / (hits + misses), 0 when nothing was looked up yet.
   double cache_hit_rate() const;
 
-  /// Waveforms currently stored (at most store_capacity()).
+  /// Waveforms currently stored.
   std::size_t cache_entries() const { return store_.size(); }
 
-  /// Drop every stored waveform (counters are kept). Deliberately
-  /// non-const: flushing is a real state mutation, and per-shard clones
-  /// must not be able to reset each other through a const reference.
+  /// The decay columns kept beside the store.
+  const DecayColumns& decay_columns() const { return columns_; }
+
+  /// Drop every stored waveform and decay column (counters are kept).
+  /// Deliberately non-const: flushing is a real state mutation, and
+  /// per-shard clones must not be able to reset each other through a
+  /// const reference.
   void clear_cache();
 
   /// Push the 6*n MA vector pairs of this bus through the store, so every
@@ -216,6 +230,14 @@ class CoupledBus {
 
   void require_vector_widths(const util::BitVec& prev,
                              const util::BitVec& next) const;
+
+  /// Every slot of the budget holds a waveform or a decay column.
+  bool store_full() const {
+    return store_.size() + columns_.size() >= store_capacity_;
+  }
+
+  /// Drop the entries and the columns (every mutator and clear_cache).
+  void drop_store();
 
   /// One stored waveform and the verdict memo that belongs to it.
   struct Entry {
@@ -244,6 +266,7 @@ class CoupledBus {
   std::size_t store_capacity_;
 
   mutable std::unordered_map<std::uint64_t, Entry> store_;
+  mutable DecayColumns columns_;
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "si/bus_model.hpp"
+#include "si/decay_columns.hpp"
 #include "sim/time.hpp"
 #include "util/bitvec.hpp"
 
@@ -23,6 +24,11 @@ namespace jsi::si {
 ///    every miss through it. Build it from the shared `JSI_NOINLINE`
 ///    primitives in solver_primitives.hpp (or your own noinline helpers)
 ///    for anything FP-order-sensitive.
+///  * `solve_wire()` reads every exp(-t/tau) decay through the caller's
+///    `DecayColumns` table (the bus's own, which shares the store's
+///    lifetime and budget), so a decay is computed once per distinct
+///    tau, not once per wire; the primitives already do. The table only
+///    memoizes: the samples written must not depend on what it holds.
 ///  * Implementations are immutable singletons (`model_for` returns a
 ///    shared const instance); all per-bus state lives in `BusModel`.
 ///  * `validate()` throws std::invalid_argument for bad model-specific
@@ -64,10 +70,11 @@ class InterconnectModel {
   /// its skew-immune window from. Includes any fixed receiver delay.
   virtual sim::Time nominal_delay(const BusParams& p, double tau) const = 0;
 
-  /// Fill `out[0 .. samples)` with wire `i`'s waveform for prev -> next.
+  /// Fill `out[0 .. samples)` with wire `i`'s waveform for prev -> next,
+  /// reading decays through `columns` (built for `m`'s params).
   virtual void solve_wire(const BusModel& m, std::size_t i,
                           const util::BitVec& prev, const util::BitVec& next,
-                          double* out) const = 0;
+                          DecayColumns& columns, double* out) const = 0;
 
   /// Are the model-specific params of `a` and `b` equal? The nine shared
   /// fields are compared by `same_params`; this hook covers the rest.

@@ -87,7 +87,8 @@ class LowSwingBusModel final : public InterconnectModel {
   }
 
   void solve_wire(const BusModel& m, std::size_t i, const util::BitVec& prev,
-                  const util::BitVec& next, double* out) const override {
+                  const util::BitVec& next, DecayColumns& columns,
+                  double* out) const override {
     const BusParams& p = m.params();
     const double v_swing = p.vdd * p.swing_frac;
     const int di = detail::delta_of(prev, next, i);
@@ -95,7 +96,7 @@ class LowSwingBusModel final : public InterconnectModel {
       const double tau = rising_tau(m, i, prev, next);
       const double v0 = prev[i] ? v_swing : 0.0;
       const double vf = next[i] ? v_swing : 0.0;
-      detail::fill_switching(m, i, v0, vf, tau, out);
+      detail::fill_switching(m, i, v0, vf, tau, columns, out);
       return;
     }
     const double rail = prev[i] ? v_swing : 0.0;
@@ -106,7 +107,8 @@ class LowSwingBusModel final : public InterconnectModel {
       const int dj = detail::delta_of(prev, next, j);
       if (dj == 0) return;
       const double tau_a = rising_tau(m, j, prev, next);
-      detail::add_glitch(m, out, v_swing, cc, ctot_v, tau_v, tau_a, dj);
+      detail::add_glitch(m, columns, out, v_swing, cc, ctot_v, tau_v, tau_a,
+                         dj);
     };
     const double* couple = m.coupling_data();
     if (i > 0) inject(i - 1, couple[i - 1]);

@@ -32,14 +32,15 @@ class RcFullSwingModel final : public InterconnectModel {
   }
 
   void solve_wire(const BusModel& m, std::size_t i, const util::BitVec& prev,
-                  const util::BitVec& next, double* out) const override {
+                  const util::BitVec& next, DecayColumns& columns,
+                  double* out) const override {
     const BusParams& p = m.params();
     const int di = detail::delta_of(prev, next, i);
     if (di != 0) {
       const double tau = detail::switching_tau(m, i, prev, next);
       const double v0 = prev[i] ? p.vdd : 0.0;
       const double vf = next[i] ? p.vdd : 0.0;
-      detail::fill_switching(m, i, v0, vf, tau, out);
+      detail::fill_switching(m, i, v0, vf, tau, columns, out);
       return;
     }
     // Quiet wire: rail baseline plus superposed neighbor glitches.
@@ -51,7 +52,8 @@ class RcFullSwingModel final : public InterconnectModel {
       const int dj = detail::delta_of(prev, next, j);
       if (dj == 0) return;
       const double tau_a = detail::switching_tau(m, j, prev, next);
-      detail::add_glitch(m, out, p.vdd, cc, ctot_v, tau_v, tau_a, dj);
+      detail::add_glitch(m, columns, out, p.vdd, cc, ctot_v, tau_v, tau_a,
+                         dj);
     };
     const double* couple = m.coupling_data();
     if (i > 0) inject(i - 1, couple[i - 1]);

@@ -21,8 +21,18 @@ JSI_NOINLINE double switching_tau(const BusModel& m, std::size_t i,
   return m.resistance_data()[i] * c;
 }
 
+JSI_NOINLINE void decay_column(std::size_t samples, sim::Time sample_dt,
+                               double tau, double* out) {
+  const double dt = static_cast<double>(sample_dt) * kSecPerTick;
+  for (std::size_t s = 0; s < samples; ++s) {
+    const double t = dt * static_cast<double>(s);
+    out[s] = std::exp(-t / tau);
+  }
+}
+
 JSI_NOINLINE void fill_switching(const BusModel& m, std::size_t i, double v0,
-                                 double vf, double tau, double* out) {
+                                 double vf, double tau, DecayColumns& columns,
+                                 double* out) {
   const BusParams& p = m.params();
   const std::size_t samples = p.samples;
   const double dt = static_cast<double>(p.sample_dt) * kSecPerTick;
@@ -45,27 +55,29 @@ JSI_NOINLINE void fill_switching(const BusModel& m, std::size_t i, double v0,
     }
     // Overdamped RLC degenerates to (slightly slower) RC below.
   }
+  const double* e = columns.column(tau);
   for (std::size_t s = 0; s < samples; ++s) {
-    const double t = dt * static_cast<double>(s);
-    out[s] = vf + (v0 - vf) * std::exp(-t / tau);
+    out[s] = vf + (v0 - vf) * e[s];
   }
 }
 
-JSI_NOINLINE void add_glitch(const BusModel& m, double* w, double rail,
-                             double cc, double ctot_v, double tau_v,
-                             double tau_a, int direction) {
+JSI_NOINLINE void add_glitch(const BusModel& m, DecayColumns& columns,
+                             double* w, double rail, double cc, double ctot_v,
+                             double tau_v, double tau_a, int direction) {
   const BusParams& p = m.params();
   const double amp = direction * rail * cc / ctot_v;
   const double dt = static_cast<double>(p.sample_dt) * kSecPerTick;
   const bool equal = std::abs(tau_v - tau_a) < 1e-15;
   const double scale = equal ? 0.0 : tau_v / (tau_v - tau_a);
+  const double* ev = columns.column(tau_v);
+  const double* ea = equal ? nullptr : columns.column(tau_a);
   for (std::size_t s = 0; s < p.samples; ++s) {
-    const double t = dt * static_cast<double>(s);
     double g;
     if (equal) {
-      g = (t / tau_v) * std::exp(-t / tau_v);
+      const double t = dt * static_cast<double>(s);
+      g = (t / tau_v) * ev[s];
     } else {
-      g = scale * (std::exp(-t / tau_v) - std::exp(-t / tau_a));
+      g = scale * (ev[s] - ea[s]);
     }
     w[s] += amp * g;
   }

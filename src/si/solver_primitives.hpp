@@ -4,6 +4,8 @@
 #include <cstddef>
 
 #include "si/bus_model.hpp"
+#include "si/decay_columns.hpp"
+#include "sim/time.hpp"
 #include "util/bitvec.hpp"
 
 // Under -march=native the compiler may contract a*b+c into FMA
@@ -39,21 +41,30 @@ JSI_NOINLINE double switching_tau(const BusModel& m, std::size_t i,
                                   const util::BitVec& prev,
                                   const util::BitVec& next);
 
-/// Switching wire: single-pole exponential from v0 toward vf, or an
-/// underdamped series-RLC step response when l_wire > 0 and zeta < 1.
+/// Decay column of `tau`: out[s] = exp(-t / tau) with t = dt * s, for
+/// s < samples — the exponential the RC branches below read through a
+/// DecayColumns table, computed here once per distinct tau.
+JSI_NOINLINE void decay_column(std::size_t samples, sim::Time sample_dt,
+                               double tau, double* out);
+
+/// Switching wire: single-pole exponential from v0 toward vf (reading
+/// tau's decay column), or an underdamped series-RLC step response,
+/// evaluated per sample, when l_wire > 0 and zeta < 1.
 JSI_NOINLINE void fill_switching(const BusModel& m, std::size_t i, double v0,
-                                 double vf, double tau, double* out);
+                                 double vf, double tau, DecayColumns& columns,
+                                 double* out);
 
 /// Superpose one neighbor's crosstalk glitch onto a quiet wire.
 /// First-order victim node driven through Cc by an exponential aggressor:
 ///   v(t) = dir * rail * (Cc/Ctot) * tau_v/(tau_v - tau_a)
 ///              * (exp(-t/tau_v) - exp(-t/tau_a))
-/// with the t*exp(-t/tau) limit when the time constants coincide.
-/// `rail` is the aggressor's full swing (vdd for rc_full_swing, the
-/// reduced swing for low_swing).
-JSI_NOINLINE void add_glitch(const BusModel& m, double* w, double rail,
-                             double cc, double ctot_v, double tau_v,
-                             double tau_a, int direction);
+/// with the t*exp(-t/tau) limit when the time constants coincide; both
+/// exponentials are read from their decay columns. `rail` is the
+/// aggressor's full swing (vdd for rc_full_swing, the reduced swing for
+/// low_swing).
+JSI_NOINLINE void add_glitch(const BusModel& m, DecayColumns& columns,
+                             double* w, double rail, double cc, double ctot_v,
+                             double tau_v, double tau_a, int direction);
 
 }  // namespace jsi::si::detail
 

@@ -167,11 +167,13 @@ TEST(BusProperties, NoSelfGlitchWithoutSwitchingNeighbors) {
 // electrical support), and EXPECT_EQ on doubles is the correct assertion
 // strength.
 
-/// The reference side: wire i solved by the model directly, no store.
+/// The reference side: wire i solved by the model directly through a
+/// fresh decay-column table, no store.
 Waveform direct_solve(const BusModel& m, std::size_t i, const BitVec& prev,
                       const BitVec& next) {
   Waveform w(m.params().samples, m.params().sample_dt);
-  model_for(m.params().model).solve_wire(m, i, prev, next, w.data());
+  DecayColumns columns(m.params());
+  model_for(m.params().model).solve_wire(m, i, prev, next, columns, w.data());
   return w;
 }
 

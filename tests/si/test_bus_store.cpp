@@ -2,7 +2,8 @@
 // point against the model's solver called directly, hit/miss metering and
 // its CacheLookup records, the defect-generation invalidation contract,
 // clone warm-carry and independence, the MA warm-up, wide buses, the byte
-// budget, and batch pointer lifetimes. The verdict slots riding on the
+// budget (shared with the decay columns, which follow the entries'
+// lifetime), and batch pointer lifetimes. The verdict slots riding on the
 // entries are pinned the same way: every memoized ND/SD verdict equals a
 // fresh scan of a directly solved waveform, slots follow their entries'
 // lifetime, and sessions flag identically on a warm bus and a fresh one.
@@ -48,11 +49,13 @@ std::vector<mafm::VectorPair> ma_pairs(std::size_t n) {
   return pairs;
 }
 
-/// The reference side: wire i solved by the model directly, no store.
+/// The reference side: wire i solved by the model directly through a
+/// fresh decay-column table, no store.
 Waveform direct_solve(const BusModel& m, std::size_t i,
                       const util::BitVec& prev, const util::BitVec& next) {
   Waveform w(m.params().samples, m.params().sample_dt);
-  model_for(m.params().model).solve_wire(m, i, prev, next, w.data());
+  DecayColumns columns(m.params());
+  model_for(m.params().model).solve_wire(m, i, prev, next, columns, w.data());
   return w;
 }
 
@@ -175,10 +178,12 @@ TEST(BusStore, EveryMutatorBumpsGenerationAndDropsTheStore) {
   for (const auto mutate : mutators) {
     bus.transition(prev, next);
     ASSERT_GT(bus.cache_entries(), 0u);
+    ASSERT_GT(bus.decay_columns().size(), 0u);
     const std::uint64_t gen = bus.defect_generation();
     mutate(bus);
     EXPECT_GT(bus.defect_generation(), gen);
     EXPECT_EQ(bus.cache_entries(), 0u);
+    EXPECT_EQ(bus.decay_columns().size(), 0u);
   }
 }
 
@@ -302,6 +307,7 @@ TEST(BusStore, CloneCarriesStoreAndCounters) {
 
   const CoupledBus copy = bus.clone();
   EXPECT_EQ(copy.cache_entries(), bus.cache_entries());
+  EXPECT_EQ(copy.decay_columns().size(), bus.decay_columns().size());
   EXPECT_EQ(copy.cache_hits(), bus.cache_hits());
   EXPECT_EQ(copy.cache_misses(), bus.cache_misses());
   EXPECT_EQ(copy.defect_generation(), bus.defect_generation());
@@ -321,6 +327,7 @@ TEST(BusStore, CloneCarriesStoreAndCounters) {
   const std::uint64_t src_hits = bus.cache_hits();
   warm.clear_cache();
   EXPECT_EQ(warm.cache_entries(), 0u);
+  EXPECT_EQ(warm.decay_columns().size(), 0u);
   EXPECT_GT(bus.cache_entries(), 0u);
   warm.add_series_resistance(0, 50.0);
   warm.transition(prev, next);
@@ -374,8 +381,9 @@ TEST(BusStore, WideBusesAreServedByTheStore) {
 }
 
 TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
-  // Long waveforms shrink the entry cap below the distinct keys of one
-  // transition: the overflow wires are solved into scratch, not stored.
+  // Long waveforms shrink the slot cap below the distinct keys of one
+  // transition. Waveforms and the decay columns their solves read share
+  // the slots; the overflow wires are solved into scratch, not stored.
   const BusParams p = params_n(20, std::size_t{1} << 19);
   CoupledBus bus(p);
   const std::size_t cap = bus.store_capacity();
@@ -393,16 +401,20 @@ TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
 
   const NdCell nd;
   const SdCell sd;
+  std::size_t stored = 0;
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(round);
     const TransitionBatch b = bus.transition_batch(prev, next);
-    EXPECT_EQ(bus.cache_entries(), cap);
+    // Every slot is taken, so one more entry would not fit.
+    stored = bus.cache_entries();
+    ASSERT_GT(bus.decay_columns().size(), 0u);
+    EXPECT_EQ(stored + bus.decay_columns().size(), cap);
     for (std::size_t i = 0; i < p.n_wires; ++i) {
       const Waveform want = direct_solve(ref, i, prev, next);
       ASSERT_TRUE(same_bits(b.wire(i), want)) << "wire " << i;
       // Only stored wires carry a verdict slot; an overflow wire is
       // judged by a full scan every time.
-      EXPECT_EQ(b.slot(i) != nullptr, i < cap) << "wire " << i;
+      EXPECT_EQ(b.slot(i) != nullptr, i < stored) << "wire " << i;
       const util::Logic init = util::to_logic(prev[i]);
       const util::Logic exp = util::to_logic(next[i]);
       EXPECT_EQ(judge(nd, sd, b.wire(i), init, exp, b.slot(i)),
@@ -411,16 +423,49 @@ TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
           << "wire " << i;
     }
   }
-  // Round 1 stored the first `cap` wires; round 2 hits exactly those.
-  EXPECT_EQ(bus.cache_hits(), cap);
-  EXPECT_EQ(bus.cache_misses(), 2 * p.n_wires - cap);
+  // Round 1 stored the first `stored` wires; round 2 hits exactly those.
+  EXPECT_EQ(bus.cache_hits(), stored);
+  EXPECT_EQ(bus.cache_misses(), 2 * p.n_wires - stored);
 
   // The owning entry point solves an unstored wire straight into its
   // result.
   const std::size_t last = p.n_wires - 1;
   EXPECT_TRUE(same_bits(bus.wire_response(last, prev, next),
                         direct_solve(ref, last, prev, next)));
-  EXPECT_EQ(bus.cache_entries(), cap);
+  EXPECT_EQ(bus.cache_entries(), stored);
+}
+
+TEST(BusStore, TimeConstantsPastTheBudgetStayExact) {
+  // A crosstalk defect of its own severity on every wire gives every
+  // wire its own time constants, so one transition asks for more decay
+  // columns than the budget has slots. Columns that do not fit are
+  // computed into scratch and not kept (a quiet wire's glitch reads two
+  // at once) and the store stays within its slots.
+  const BusParams p = params_n(20, std::size_t{1} << 19);
+  CoupledBus bus(p);
+  BusModel ref(p);
+  for (std::size_t w = 0; w < p.n_wires; ++w) {
+    const double severity = 1.5 + 0.25 * static_cast<double>(w);
+    bus.inject_crosstalk_defect(w, severity);
+    ref.inject_crosstalk_defect(w, severity);
+  }
+  const std::size_t cap = bus.store_capacity();
+  ASSERT_LT(cap, p.n_wires);
+
+  // Even wires rise; each odd wire stays quiet between two aggressors.
+  util::BitVec prev(p.n_wires);
+  util::BitVec next(p.n_wires);
+  for (std::size_t i = 0; i < p.n_wires; i += 2) next.set(i, true);
+
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    const TransitionBatch b = bus.transition_batch(prev, next);
+    EXPECT_EQ(bus.cache_entries() + bus.decay_columns().size(), cap);
+    for (std::size_t i = 0; i < p.n_wires; ++i) {
+      ASSERT_TRUE(same_bits(b.wire(i), direct_solve(ref, i, prev, next)))
+          << "wire " << i;
+    }
+  }
 }
 
 TEST(BusStore, BatchPointersSurviveLaterMissesOfTheSameTransition) {

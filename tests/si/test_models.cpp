@@ -1,12 +1,15 @@
 // The interconnect-model seam (si/model.hpp): registry round-trips, the
 // per-model store==direct-solver bit-for-bit differential contract (the
 // same pin kernel_ratio_guard asserts, here across widths, stacked
-// defects and clones), low_swing electricals and parameter validation, the
-// model-aware require_width diagnostic, and si::same_params — the
-// predicate gating prototype clones in campaigns and sweeps.
+// defects and clones), the solver against the per-sample closed forms it
+// evaluates through decay columns, low_swing electricals and parameter
+// validation, the model-aware require_width diagnostic, and
+// si::same_params — the predicate gating prototype clones in campaigns
+// and sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -17,6 +20,8 @@
 #include "mafm/fault.hpp"
 #include "si/bus.hpp"
 #include "si/model.hpp"
+#include "si/solver_primitives.hpp"
+#include "util/prng.hpp"
 
 namespace jsi::si {
 namespace {
@@ -41,7 +46,8 @@ std::vector<mafm::VectorPair> ma_pairs(std::size_t n) {
 
 /// The differential pin: every sample of every wire of every MA
 /// transition served by `batched` must equal the model's solver, called
-/// directly on an electrically identical `BusModel`, bit-for-bit.
+/// directly (through a fresh decay-column table) on an electrically
+/// identical `BusModel`, bit-for-bit.
 void expect_batched_equals_scalar(CoupledBus& batched, const BusModel& scalar,
                                   const std::string& tag) {
   const std::size_t n = batched.n();
@@ -51,7 +57,8 @@ void expect_batched_equals_scalar(CoupledBus& batched, const BusModel& scalar,
   for (const mafm::VectorPair& vp : ma_pairs(n)) {
     const TransitionBatch b = batched.transition_batch(vp.v1, vp.v2);
     for (std::size_t i = 0; i < n; ++i) {
-      solver.solve_wire(scalar, i, vp.v1, vp.v2, ref.data());
+      DecayColumns columns(scalar.params());
+      solver.solve_wire(scalar, i, vp.v1, vp.v2, columns, ref.data());
       ASSERT_EQ(std::memcmp(b.wire(i).data(), ref.data(),
                             samples * sizeof(double)),
                 0)
@@ -113,6 +120,162 @@ TEST(ModelDifferential, StackedDefectsAndClone) {
     // A clone of the warmed defective bus must serve the same bits.
     CoupledBus copy = batched.clone();
     expect_batched_equals_scalar(copy, scalar, name + " post-clone");
+  }
+}
+
+// ---- solver == per-sample closed forms --------------------------------------
+
+/// Wire i's waveform for prev -> next from the per-sample expressions,
+/// written out with std::exp on every sample and no decay-column table.
+/// Counts the glitches that took the equal-time-constant limit.
+std::vector<double> closed_form(const BusModel& m, std::size_t i,
+                                const util::BitVec& prev,
+                                const util::BitVec& next,
+                                std::size_t& equal_glitches) {
+  const BusParams& p = m.params();
+  const bool low_swing = p.model == ModelKind::LowSwing;
+  const double high = low_swing ? p.vdd * p.swing_frac : p.vdd;
+  const double dt = static_cast<double>(p.sample_dt) * 1e-12;
+  // low_swing slows rising edges by 1/swing_frac.
+  const auto tau_of = [&](std::size_t j) {
+    const double tau = detail::switching_tau(m, j, prev, next);
+    return low_swing && !prev[j] && next[j] ? tau / p.swing_frac : tau;
+  };
+  std::vector<double> w(p.samples);
+  if (prev[i] != next[i]) {
+    const double tau = tau_of(i);
+    const double v0 = prev[i] ? high : 0.0;
+    const double vf = next[i] ? high : 0.0;
+    if (p.l_wire > 0.0) {
+      const double r = m.resistance_data()[i];
+      const double c = m.total_cap_data()[i];
+      const double w0 = 1.0 / std::sqrt(p.l_wire * c);
+      const double zeta = r / 2.0 * std::sqrt(c / p.l_wire);
+      if (zeta < 1.0) {
+        const double wd = w0 * std::sqrt(1.0 - zeta * zeta);
+        const double k = zeta / std::sqrt(1.0 - zeta * zeta);
+        for (std::size_t s = 0; s < p.samples; ++s) {
+          const double t = dt * static_cast<double>(s);
+          const double e = std::exp(-zeta * w0 * t);
+          w[s] =
+              vf + (v0 - vf) * e * (std::cos(wd * t) + k * std::sin(wd * t));
+        }
+        return w;
+      }
+    }
+    for (std::size_t s = 0; s < p.samples; ++s) {
+      const double t = dt * static_cast<double>(s);
+      w[s] = vf + (v0 - vf) * std::exp(-t / tau);
+    }
+    return w;
+  }
+  std::fill(w.begin(), w.end(), prev[i] ? high : 0.0);
+  const double ctot_v = m.total_cap_data()[i];
+  const double tau_v = m.resistance_data()[i] * ctot_v;
+  const auto glitch = [&](std::size_t j, double cc) {
+    const int dj = (next[j] ? 1 : 0) - (prev[j] ? 1 : 0);
+    if (dj == 0) return;
+    const double tau_a = tau_of(j);
+    const double amp = dj * high * cc / ctot_v;
+    const bool equal = std::abs(tau_v - tau_a) < 1e-15;
+    const double scale = equal ? 0.0 : tau_v / (tau_v - tau_a);
+    equal_glitches += equal ? 1 : 0;
+    for (std::size_t s = 0; s < p.samples; ++s) {
+      const double t = dt * static_cast<double>(s);
+      const double g =
+          equal ? (t / tau_v) * std::exp(-t / tau_v)
+                : scale * (std::exp(-t / tau_v) - std::exp(-t / tau_a));
+      w[s] += amp * g;
+    }
+  };
+  if (i > 0) glitch(i - 1, m.coupling_data()[i - 1]);
+  if (i + 1 < p.n_wires) glitch(i + 1, m.coupling_data()[i]);
+  return w;
+}
+
+TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
+  // The store-vs-direct suites compare two column-backed paths, which a
+  // column keyed on a rounded tau or built on another time axis would
+  // pass. Here every sample is pinned against the closed forms through a
+  // cold table (fresh per call), one table warmed by the transitions
+  // before it, and the table a clone carries into its own misses.
+  std::size_t equal_glitches[std::size(kAllModelKinds)] = {};
+  for (const ModelKind kind : kAllModelKinds) {
+    for (const double l_wire : {0.0, 20e-9}) {
+      for (const std::size_t n : {2u, 3u, 8u, 64u}) {
+        SCOPED_TRACE(::testing::Message() << model_kind_name(kind)
+                                          << " n=" << n << " l=" << l_wire);
+        BusParams p = params_for(kind, n, 128);
+        p.l_wire = l_wire;
+        BusModel m(p);
+        CoupledBus source(p);
+        const auto stack_defects = [n](auto& b) {
+          b.inject_crosstalk_defect(n / 2, 6.0);
+          b.add_series_resistance(n / 2, 400.0);
+          b.add_series_resistance(n - 1, 900.0);
+        };
+        stack_defects(m);
+        stack_defects(source);
+
+        // The clone's table was warmed by the MA traffic; the lone
+        // aggressors (every wire rising, then falling, alone — beside a
+        // quiet interior wire that is the equal-tau limit) and random
+        // pairs then miss its store and are solved through it.
+        const std::vector<mafm::VectorPair> ma = ma_pairs(n);
+        std::vector<mafm::VectorPair> traffic = ma;
+        for (std::size_t k = 0; k < n; ++k) {
+          util::BitVec quiet(n);
+          util::BitVec alone(n);
+          alone.set(k, true);
+          traffic.push_back({quiet, alone});
+          traffic.push_back({alone, quiet});
+        }
+        util::Prng rng(0xDECA7u + n);
+        for (int k = 0; k < 16; ++k) {
+          util::BitVec a(n);
+          util::BitVec b(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            a.set(i, rng.next_bool());
+            b.set(i, rng.next_bool());
+          }
+          traffic.push_back({a, b});
+        }
+        for (const mafm::VectorPair& vp : ma) {
+          source.transition_batch(vp.v1, vp.v2);
+        }
+        ASSERT_GT(source.decay_columns().size(), 0u);
+        CoupledBus carried = source.clone();
+
+        const InterconnectModel& solver = model_for(kind);
+        DecayColumns warm(p);
+        std::vector<double> got(p.samples);
+        const auto same = [](const double* a, const std::vector<double>& b) {
+          return std::memcmp(a, b.data(), b.size() * sizeof(double)) == 0;
+        };
+        for (std::size_t k = 0; k < traffic.size(); ++k) {
+          const mafm::VectorPair& vp = traffic[k];
+          const TransitionBatch b = carried.transition_batch(vp.v1, vp.v2);
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::vector<double> want =
+                closed_form(m, i, vp.v1, vp.v2,
+                            equal_glitches[static_cast<std::size_t>(kind)]);
+            DecayColumns cold(p);
+            solver.solve_wire(m, i, vp.v1, vp.v2, cold, got.data());
+            ASSERT_TRUE(same(got.data(), want)) << "cold, pair " << k
+                                                << " wire " << i;
+            solver.solve_wire(m, i, vp.v1, vp.v2, warm, got.data());
+            ASSERT_TRUE(same(got.data(), want)) << "warm, pair " << k
+                                                << " wire " << i;
+            ASSERT_TRUE(same(b.wire(i).data(), want)) << "clone, pair " << k
+                                                      << " wire " << i;
+          }
+        }
+      }
+    }
+  }
+  for (const ModelKind kind : kAllModelKinds) {
+    EXPECT_GT(equal_glitches[static_cast<std::size_t>(kind)], 0u)
+        << model_kind_name(kind) << " never reached the equal-tau limit";
   }
 }
 
