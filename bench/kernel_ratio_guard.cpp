@@ -4,7 +4,7 @@
 // once the waveform store holds the 6*n G-SITEST vector pairs' wires,
 // the steady-state hot path is n store probes and pointer stores instead
 // of n per-wire analytic solves. This guard measures transitions/sec of
-// the batched path against direct `solve_wire` calls
+// the batched path against direct `render(recipe(...))` calls
 // (bench/kernel_throughput.hpp) and fails (exit 1) when the speedup
 // ratio drops below the floor — or, unconditionally, when the two paths
 // disagree on a single output bit.

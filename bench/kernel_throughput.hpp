@@ -1,9 +1,9 @@
 // Shared measurement core for the waveform-kernel throughput metric:
 // transitions/sec of the batched (store-backed) path versus direct
-// `solve_wire` calls over the complete MA pattern workload, plus the
-// bit-for-bit parity pin between the two. Used by bench/perf_kernel.cpp
-// (dumps the numbers into BENCH_perf_kernel.json) and by
-// bench/kernel_ratio_guard.cpp (the CTest ratio assertion).
+// `render(recipe(...))` calls over the complete MA pattern workload,
+// plus the bit-for-bit parity pin between the two. Used by
+// bench/perf_kernel.cpp (dumps the numbers into BENCH_perf_kernel.json)
+// and by bench/kernel_ratio_guard.cpp (the CTest ratio assertion).
 
 #ifndef JSI_BENCH_KERNEL_THROUGHPUT_HPP
 #define JSI_BENCH_KERNEL_THROUGHPUT_HPP
@@ -69,7 +69,7 @@ inline KernelThroughput measure_kernel_throughput(
   const auto solve = [&](std::size_t i, const mafm::VectorPair& vp) {
     si::Waveform w(p.samples, p.sample_dt);
     si::DecayColumns columns(p);
-    solver.solve_wire(scalar, i, vp.v1, vp.v2, columns, w.data());
+    si::render(solver.recipe(scalar, i, vp.v1, vp.v2), columns, w.data());
     return w;
   };
 

@@ -101,7 +101,7 @@ void BM_BusTransitionUncached(benchmark::State& state) {
     for (std::size_t i = 0; i < n; ++i) {
       si::Waveform& w = out.emplace_back(p.samples, p.sample_dt);
       si::DecayColumns columns(p);
-      solver.solve_wire(m, i, a, b, columns, w.data());
+      si::render(solver.recipe(m, i, a, b), columns, w.data());
     }
     benchmark::DoNotOptimize(out);
   }

@@ -1,11 +1,13 @@
 #include "core/checkpoint.hpp"
 
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "util/json.hpp"
@@ -20,11 +22,23 @@ namespace json = jsi::util::json;
   throw std::runtime_error("checkpoint: " + what);
 }
 
-// v2 redefined the bus.* counters chunk records carry (one waveform
-// store instead of a memo plus MA tables), so v1 records must never be
-// folded into a v2 run's registry.
-constexpr const char* kSchema = "jsi.checkpoint.v2";
-constexpr const char* kSchemaV1 = "jsi.checkpoint.v1";
+// Every version so far redefined the bus.* counters chunk records carry
+// (v2: one waveform store instead of a memo plus MA tables; v3: the store
+// keyed by wire recipe), so a record of an older version must never be
+// folded into a current run's registry.
+constexpr const char* kSchema = "jsi.checkpoint.v3";
+constexpr std::string_view kSchemaPrefix = "jsi.checkpoint.v";
+
+/// k of a `jsi.checkpoint.v<k>` schema (canonical decimal), else 0.
+unsigned schema_version(std::string_view schema) {
+  if (!schema.starts_with(kSchemaPrefix)) return 0;
+  const std::string_view digits = schema.substr(kSchemaPrefix.size());
+  unsigned k = 0;
+  const auto parsed =
+      std::from_chars(digits.data(), digits.data() + digits.size(), k);
+  if (parsed.ec != std::errc() || std::to_string(k) != digits) return 0;
+  return k;
+}
 
 // -- bit-exact doubles ------------------------------------------------------
 //
@@ -246,13 +260,14 @@ CheckpointData load_checkpoint(const std::string& path) {
   std::optional<json::Value> header = json::parse(line, &err);
   if (!header) fail("\"" + path + "\" header: " + err);
   const std::string schema = string_member(*header, "schema");
-  if (schema == kSchemaV1) {
-    throw CheckpointMismatchError(
-        "checkpoint: \"" + path + "\" has schema \"" + kSchemaV1 +
-        "\", this build writes \"" + kSchema +
-        "\" (the bus.* counters changed); rerun without --resume");
-  }
   if (schema != kSchema) {
+    const unsigned k = schema_version(schema);
+    if (k != 0 && k < schema_version(kSchema)) {
+      throw CheckpointMismatchError(
+          "checkpoint: \"" + path + "\" has schema \"" + schema +
+          "\", this build writes \"" + kSchema +
+          "\" (the bus.* counters changed); rerun without --resume");
+    }
     fail("\"" + path + "\": unknown schema \"" + schema + "\"");
   }
 

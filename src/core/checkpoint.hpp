@@ -43,8 +43,9 @@ std::string fingerprint_text(std::string_view text);
 /// different campaign: the spec fingerprint (which discriminates the
 /// interconnect model and every other spec field) or the scheduling
 /// layout (units/chunk_size/aggregate) does not match, or the file
-/// predates the current record schema (a `jsi.checkpoint.v1` header —
-/// its chunk registries count bus lookups differently). Derives
+/// predates the current record schema (any `jsi.checkpoint.v<k>` header
+/// below the current version — its chunk registries count bus lookups
+/// differently). Derives
 /// std::runtime_error so pre-existing generic handlers keep working.
 class CheckpointMismatchError : public std::runtime_error {
  public:

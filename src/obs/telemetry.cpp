@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <vector>
+
+#include <pthread.h>
 
 #include "util/json.hpp"
 
@@ -29,6 +37,115 @@ double hit_rate(std::uint64_t hits, std::uint64_t misses) {
   if (total == 0) return 0.0;
   return static_cast<double>(hits) / static_cast<double>(total);
 }
+
+/// Open the heartbeat file, writing from its start. A regular file left
+/// by an earlier run is replaced — removed, then created anew — which
+/// costs a fraction of truncating it in place (on ext4, truncation frees
+/// the old blocks up front and forces the new data out at close).
+/// Anything else (/dev/stdout, a FIFO, a symlink) is opened and truncated
+/// as is, never removed.
+std::unique_ptr<std::ofstream> open_sink(const std::string& path) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (fs::symlink_status(path, ec).type() == fs::file_type::regular) {
+    fs::remove(path, ec);
+  }
+  auto os = std::make_unique<std::ofstream>(path, std::ios::binary);
+  if (!*os) throw std::runtime_error("cannot open telemetry sink " + path);
+  return os;
+}
+
+/// The sampler thread every started Telemetry shares (see Telemetry).
+/// A tick runs under the sampler's lock, so once remove() returns no
+/// tick of that Telemetry runs again.
+class Sampler {
+ public:
+  using Tick = std::function<void()>;
+
+  Sampler(const Sampler&) = delete;
+  Sampler& operator=(const Sampler&) = delete;
+
+  static Sampler& instance() {
+    // Never destroyed, so the thread, which touches nothing but this
+    // object, runs detached until the process exits: no campaign waits
+    // for it, and no exit-time destructor has to stop it.
+    static Sampler* const sampler = [] {
+      auto* s = new Sampler;
+      // A forked child has neither the thread nor the parent's
+      // campaigns: hold the lock across fork() and reset in the child.
+      ::pthread_atfork([] { instance().mu_.lock(); },
+                       [] { instance().mu_.unlock(); },
+                       [] { instance().reset_in_child(); });
+      return s;
+    }();
+    return *sampler;
+  }
+
+  /// Call `tick` every `interval` until remove(key).
+  void add(const void* key, std::chrono::milliseconds interval, Tick tick) {
+    bool wake = false;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (!running_) {
+        running_ = true;
+        std::thread([this] { run(); }).detach();
+      }
+      const Clock::time_point due = Clock::now() + interval;
+      entries_.push_back({key, interval, due, std::move(tick)});
+      // A thread already due to wake by then finds the entry itself.
+      wake = due < wake_at_;
+    }
+    if (wake) cv_.notify_one();
+  }
+
+  void remove(const void* key) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(entries_, [key](const Entry& e) { return e.key == key; });
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+
+  struct Entry {
+    const void* key;
+    std::chrono::milliseconds interval;
+    Clock::time_point due;
+    Tick tick;
+  };
+
+  Sampler() = default;
+
+  void run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      wake_at_ = Clock::time_point::max();
+      cv_.wait(lock, [this] { return !entries_.empty(); });
+      wake_at_ = entries_.front().due;
+      for (const Entry& e : entries_) wake_at_ = std::min(wake_at_, e.due);
+      // add() wakes the thread early for an entry due sooner; any wake-up
+      // ticks what is due and looks again.
+      cv_.wait_until(lock, wake_at_);
+      for (Entry& e : entries_) {
+        if (e.due > Clock::now()) continue;
+        e.tick();
+        e.due = Clock::now() + e.interval;
+      }
+    }
+  }
+
+  void reset_in_child() {
+    entries_.clear();
+    running_ = false;
+    wake_at_ = Clock::time_point::min();
+    mu_.unlock();
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool running_ = false;
+  Clock::time_point wake_at_ = Clock::time_point::min();  // thread's deadline
+  std::vector<Entry> entries_;
+};
 
 }  // namespace
 
@@ -160,10 +277,10 @@ Snapshot Telemetry::sample() {
 }
 
 void Telemetry::emit(const Snapshot& s) {
-  const std::lock_guard<std::mutex> lock(mu_);
   // Belt-and-braces monotonicity: sampler and final emits come from
-  // different threads; the join already orders them, but the clamp makes
-  // "units_done never decreases" a property of the output stream itself.
+  // different threads; the sampler's lock already orders them, but the
+  // clamp makes "units_done never decreases" a property of the output
+  // stream itself.
   Snapshot clamped = s;
   clamped.units_done = std::max(clamped.units_done, last_units_done_);
   last_units_done_ = clamped.units_done;
@@ -184,47 +301,21 @@ void Telemetry::emit(const Snapshot& s) {
 
 void Telemetry::start() {
   if (!cfg_.enabled || started_) return;
-  if (!cfg_.sink_path.empty()) {
-    auto os = std::make_unique<std::ofstream>(cfg_.sink_path,
-                                              std::ios::binary);
-    if (!*os) {
-      throw std::runtime_error("cannot open telemetry sink " +
-                               cfg_.sink_path);
-    }
-    file_ = std::move(os);
-  }
+  if (!cfg_.sink_path.empty()) file_ = open_sink(cfg_.sink_path);
   started_ = true;
   t0_ = std::chrono::steady_clock::now();
   emit(sample());  // seq 0: the campaign is announced before it runs
-  sampler_ = std::thread([this] { sampler_loop(); });
+  Sampler::instance().add(
+      this,
+      std::chrono::milliseconds(std::max<std::uint64_t>(cfg_.interval_ms, 1)),
+      [this] { emit(sample()); });
 }
 
 void Telemetry::stop() {
   if (!started_) return;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  if (sampler_.joinable()) sampler_.join();
+  Sampler::instance().remove(this);
   started_ = false;
-  stop_requested_ = false;
   emit(sample());  // the final heartbeat: totals and utilization
-  if (file_) file_->flush();
-}
-
-void Telemetry::sampler_loop() {
-  const auto interval =
-      std::chrono::milliseconds(std::max<std::uint64_t>(cfg_.interval_ms, 1));
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (cv_.wait_for(lock, interval, [this] { return stop_requested_; })) {
-      return;
-    }
-    lock.unlock();
-    emit(sample());
-    lock.lock();
-  }
 }
 
 }  // namespace jsi::obs

@@ -3,13 +3,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace jsi::obs {
@@ -144,10 +141,17 @@ std::string render_progress_line(const Snapshot& s);
 /// campaign's bytes — only report on them while they are produced.
 ///
 /// Lifecycle: construct (slots exist, everything zero), hand slots to
-/// workers, start() (emits the seq-0 heartbeat, spawns the sampler),
-/// run the campaign, stop() (joins the sampler, emits the final
+/// workers, start() (emits the seq-0 heartbeat, joins the sampler's
+/// round), run the campaign, stop() (leaves the round, emits the final
 /// heartbeat). sample() is safe at any point in between — and without
 /// start()/stop() at all, which is how the unit tests drive it.
+///
+/// The sampler is one process-wide thread that ticks every started
+/// Telemetry, spawned on first use and never joined: a campaign pays
+/// neither a thread spawn nor a join for its heartbeats. Once stop() has
+/// taken a Telemetry out of the round, no periodic heartbeat of it runs
+/// again, so the final one is last. The thread does not survive fork();
+/// a forked child starts its own on first use.
 class Telemetry {
  public:
   Telemetry(TelemetryConfig cfg, std::size_t n_workers,
@@ -172,21 +176,22 @@ class Telemetry {
   /// worker publishing (reads are coherent atomics).
   Snapshot sample();
 
-  /// Open the sink, emit the seq-0 heartbeat, spawn the sampler thread.
+  /// Open the sink, emit the seq-0 heartbeat, join the sampler's round.
   /// No-op when disabled. Throws std::runtime_error when `sink_path`
   /// cannot be opened.
   void start();
 
-  /// Join the sampler and emit the final heartbeat. No-op when disabled
-  /// or never started; idempotent.
+  /// Leave the sampler's round and emit the final heartbeat. No-op when
+  /// disabled or never started; idempotent.
   void stop();
 
   /// Heartbeat records emitted so far (start + periodic + final).
   std::uint64_t heartbeats() const { return heartbeats_.load(); }
 
  private:
+  /// Write one heartbeat to every sink. start(), the sampler's ticks and
+  /// stop() call it in turn, ordered by the sampler's lock.
   void emit(const Snapshot& s);
-  void sampler_loop();
 
   TelemetryConfig cfg_;
   std::size_t units_total_;
@@ -198,11 +203,7 @@ class Telemetry {
   std::atomic<std::uint64_t> heartbeats_{0};
   std::uint64_t last_units_done_ = 0;  // emitted monotonicity clamp
 
-  std::mutex mu_;  // guards emit() and the sampler wait
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
   bool started_ = false;
-  std::thread sampler_;
 };
 
 }  // namespace jsi::obs

@@ -9,32 +9,9 @@
 
 namespace jsi::si {
 
-namespace {
-
-/// Store key of wire `i` under prev -> next (see the store comment in
-/// bus.hpp). Out-of-range positions encode as 0, which the solver ignores.
-std::uint64_t neighborhood_key(std::size_t n_wires, std::size_t i,
-                               const util::BitVec& prev,
-                               const util::BitVec& next) {
-  // 5-bit local windows [i-2, i+2]; positions beyond the bus encode as 0.
-  std::uint64_t pbits = 0;
-  std::uint64_t nbits = 0;
-  for (int off = -2; off <= 2; ++off) {
-    const long long j = static_cast<long long>(i) + off;
-    pbits <<= 1;
-    nbits <<= 1;
-    if (j >= 0 && j < static_cast<long long>(n_wires)) {
-      pbits |= prev[static_cast<std::size_t>(j)] ? 1u : 0u;
-      nbits |= next[static_cast<std::size_t>(j)] ? 1u : 0u;
-    }
-  }
-  return (static_cast<std::uint64_t>(i) << 10) | (pbits << 5) | nbits;
-}
-
-}  // namespace
-
 CoupledBus::CoupledBus(BusParams p)
     : model_(p),
+      solver_(&model_for(model_.params().model)),
       store_capacity_(kStoreBudgetBytes /
                       (model_.params().samples * sizeof(double) +
                        sizeof(decltype(store_)::value_type))),
@@ -51,26 +28,6 @@ CoupledBus CoupledBus::clone() const {
   return c;
 }
 
-void CoupledBus::scale_coupling(std::size_t pair, double factor) {
-  model_.scale_coupling(pair, factor);
-  drop_store();
-}
-
-void CoupledBus::add_series_resistance(std::size_t wire, double ohms) {
-  model_.add_series_resistance(wire, ohms);
-  drop_store();
-}
-
-void CoupledBus::inject_crosstalk_defect(std::size_t wire, double severity) {
-  model_.inject_crosstalk_defect(wire, severity);
-  drop_store();
-}
-
-void CoupledBus::clear_defects() {
-  model_.clear_defects();
-  drop_store();
-}
-
 double CoupledBus::cache_hit_rate() const {
   const std::uint64_t lookups = cache_hits_ + cache_misses_;
   return lookups == 0
@@ -78,9 +35,7 @@ double CoupledBus::cache_hit_rate() const {
              : static_cast<double>(cache_hits_) / static_cast<double>(lookups);
 }
 
-void CoupledBus::clear_cache() { drop_store(); }
-
-void CoupledBus::drop_store() {
+void CoupledBus::clear_cache() {
   store_.clear();
   columns_.clear();
 }
@@ -104,29 +59,25 @@ void CoupledBus::require_vector_widths(const util::BitVec& prev,
   }
 }
 
-void CoupledBus::solve(std::size_t i, const util::BitVec& prev,
-                       const util::BitVec& next, double* out) const {
+void CoupledBus::solve(const WireRecipe& r, double* out) const {
   // A new column may take only a slot no waveform holds; find_or_fill
-  // inserts a stored wire's entry before solving it.
+  // inserts a stored wire's entry before rendering it.
   columns_.set_limit(store_capacity_ - store_.size());
-  model_for(params().model).solve_wire(model_, i, prev, next, columns_, out);
+  render(r, columns_, out);
 }
 
-CoupledBus::Entry* CoupledBus::find_or_fill(std::size_t i,
-                                            const util::BitVec& prev,
-                                            const util::BitVec& next,
+CoupledBus::Entry* CoupledBus::find_or_fill(const WireRecipe& r,
                                             Tally& t) const {
-  const std::uint64_t key = neighborhood_key(model_.n(), i, prev, next);
-  const auto it = store_.find(key);
+  const auto it = store_.find(r);
   if (it != store_.end()) {
     ++t.hits;
     return &it->second;
   }
   ++t.misses;
   if (store_full()) return nullptr;
-  Entry& e = store_.try_emplace(key).first->second;
+  Entry& e = store_.try_emplace(r).first->second;
   e.wave = Waveform(params().samples, params().sample_dt);
-  solve(i, prev, next, e.wave.data());
+  solve(r, e.wave.data());
   return &e;
 }
 
@@ -145,10 +96,11 @@ void CoupledBus::finish_lookup(const Tally& t) const {
 void CoupledBus::copy_wire(std::size_t i, const util::BitVec& prev,
                            const util::BitVec& next, double* out,
                            Tally& t) const {
-  if (const Entry* e = find_or_fill(i, prev, next, t)) {
+  const WireRecipe r = solver_->recipe(model_, i, prev, next);
+  if (const Entry* e = find_or_fill(r, t)) {
     std::memcpy(out, e->wave.data(), params().samples * sizeof(double));
   } else {
-    solve(i, prev, next, out);
+    solve(r, out);
   }
 }
 
@@ -184,15 +136,26 @@ TransitionBatch CoupledBus::transition_batch(const util::BitVec& prev,
   batch_ptrs_.resize(n);
   batch_slots_.resize(n);
   Tally t;
+  Entry* e = nullptr;
+  WireRecipe last;  // e's recipe
   for (std::size_t i = 0; i < n; ++i) {
-    if (Entry* e = find_or_fill(i, prev, next, t)) {
+    const WireRecipe r = solver_->recipe(model_, i, prev, next);
+    // Neighbouring wires often share a recipe (the interior of a bus
+    // under most patterns): compare with the last one before hashing.
+    if (e != nullptr && SameRecipe{}(r, last)) {
+      ++t.hits;
+    } else {
+      e = find_or_fill(r, t);
+      last = r;
+    }
+    if (e != nullptr) {
       batch_ptrs_[i] = e->wave.data();
       batch_slots_[i] = &e->verdict;
       continue;
     }
     overflow_.resize(n * samples);
     double* dst = overflow_.data() + i * samples;
-    solve(i, prev, next, dst);
+    solve(r, dst);
     batch_ptrs_[i] = dst;
     batch_slots_[i] = nullptr;
   }
@@ -207,9 +170,8 @@ TransitionBatch CoupledBus::transition_batch(const util::BitVec& prev,
 }
 
 util::Logic CoupledBus::settled_logic(WaveformView w) const {
-  return util::to_logic(
-      w.final_value() >=
-      model_for(params().model).settled_threshold(model_.params()));
+  return util::to_logic(w.final_value() >=
+                        solver_->settled_threshold(model_.params()));
 }
 
 bool matches_width(const CoupledBus* bus, std::size_t expected) {

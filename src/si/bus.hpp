@@ -10,6 +10,7 @@
 #include "si/bus_model.hpp"
 #include "si/decay_columns.hpp"
 #include "si/detectors.hpp"
+#include "si/recipe.hpp"
 #include "si/waveform.hpp"
 #include "sim/time.hpp"
 #include "util/bitvec.hpp"
@@ -17,11 +18,13 @@
 
 namespace jsi::si {
 
+class InterconnectModel;
+
 /// One evaluated bus transition: per-wire arrays of sample pointers and
 /// verdict-slot pointers into bus-owned storage. Non-owning — the batch
 /// (and every `WaveformView` and slot pointer derived from it) is valid
-/// until the owning `CoupledBus`'s next `transition_batch` call, defect
-/// mutation, `clear_cache`, clone or destruction. A wire solved into the
+/// until the owning `CoupledBus`'s next `transition_batch` call,
+/// `clear_cache`, clone or destruction. A wire rendered into the
 /// overflow block (a miss that found the store full) has no slot: its
 /// `slot(i)` is nullptr.
 struct TransitionBatch {
@@ -58,13 +61,12 @@ struct TransitionBatch {
 /// "process variations and manufacturing defects may lead to an unexpected
 /// increase in coupling capacitances".
 ///
-/// Internally this is a facade over an immutable-between-mutations
-/// `BusModel` (SoA electrical state), the bus's `InterconnectModel`
-/// solver, and one waveform store keyed by wire neighbourhood, with the
-/// decay columns its solves read kept beside it. Every lookup entry
-/// point — `transition_batch()` (the zero-copy hot path),
-/// `wire_response()` and `transition()` (owning copies) — goes through
-/// that store.
+/// Internally this is a facade over a `BusModel` (SoA electrical state),
+/// the bus's `InterconnectModel`, and one waveform store keyed by each
+/// wire's recipe, with the decay columns its renders read kept beside
+/// it. Every lookup entry point — `transition_batch()` (the zero-copy
+/// hot path), `wire_response()` and `transition()` (owning copies) —
+/// goes through that store.
 class CoupledBus {
  public:
   explicit CoupledBus(BusParams p);
@@ -72,7 +74,8 @@ class CoupledBus {
   /// Deep copy for per-shard use: electrical state, injected defects, the
   /// waveform store (entries with their verdict slots *and* hit/miss
   /// counters) and the decay columns are carried over, so a clone of a
-  /// warmed bus starts warm and keeps the verdicts already judged. The
+  /// warmed bus starts warm and keeps the verdicts already judged — also
+  /// through defects injected into the clone afterwards. The
   /// observability sink is deliberately NOT carried over — a clone lives
   /// on another worker thread, and sharing the source's sink would race;
   /// attach a thread-local sink with set_sink() after cloning. The overflow
@@ -88,30 +91,30 @@ class CoupledBus {
 
   // ---- defect / process-variation injection -------------------------------
   //
-  // Every mutator bumps `defect_generation()` and drops the waveform
-  // store wholesale, decay columns included: stored waveforms belong to
-  // one electrical state.
+  // The store is keyed by each wire's electrical inputs, so no mutator
+  // touches it: an entry stays exact under every defect state.
 
   /// Multiply the coupling capacitance of adjacent pair `pair` = (pair,
   /// pair+1) by `factor`. Cumulative.
-  void scale_coupling(std::size_t pair, double factor);
+  void scale_coupling(std::size_t pair, double factor) {
+    model_.scale_coupling(pair, factor);
+  }
 
   /// Add series resistance to `wire` (resistive open, weak driver).
-  void add_series_resistance(std::size_t wire, double ohms);
+  void add_series_resistance(std::size_t wire, double ohms) {
+    model_.add_series_resistance(wire, ohms);
+  }
 
   /// Composite crosstalk defect around `wire`: scales both adjacent
   /// couplings by `severity` and weakens the wire's driver proportionally.
   /// `severity` 1.0 is a no-op; ~5+ produces detectable glitches with the
   /// default detector thresholds.
-  void inject_crosstalk_defect(std::size_t wire, double severity);
+  void inject_crosstalk_defect(std::size_t wire, double severity) {
+    model_.inject_crosstalk_defect(wire, severity);
+  }
 
   /// Remove all injected defects.
-  void clear_defects();
-
-  /// Monotone counter of defect-state mutations.
-  std::uint64_t defect_generation() const {
-    return model_.defect_generation();
-  }
+  void clear_defects() { model_.clear_defects(); }
 
   // ---- electrical queries --------------------------------------------------
 
@@ -161,30 +164,32 @@ class CoupledBus {
 
   // ---- waveform store -------------------------------------------------------
   //
-  // One entry per wire neighbourhood key — the wire index plus the 5-bit
-  // window [i-2, i+2] of both vectors, the exact electrical support of a
-  // wire's waveform (own transition, neighbours' transitions, and *their*
-  // neighbours' Miller time constants) — filled on a miss by the model's
-  // `solve_wire`. Entries are never evicted within a defect generation,
-  // which is what lets a batch point into the store while later wires of
-  // the same transition miss. Each entry carries a VerdictSlot that the
-  // observing OBSC fills, so a waveform is scanned once per param set,
-  // not once per observation. Beside the entries sit the decay columns
-  // the solves read (one per distinct time constant; see DecayColumns),
-  // which share the entries' lifetime. The store is bounded by
-  // kStoreBudgetBytes, waveforms and columns together: a miss that finds
-  // it full is solved into scratch and not inserted, and a column that
-  // does not fit is computed into scratch and not kept. Hit/miss counters
-  // survive invalidation (they meter the workload, not the store
-  // contents) and count waveforms only.
+  // One entry per distinct wire recipe (see WireRecipe): the model's
+  // `recipe()` gathers a wire's electrical inputs, the store looks them
+  // up by their exact bits, and a miss is filled by `render()`. Equal
+  // wires of one transition, of other transitions and of other defect
+  // states therefore share one entry, and no entry ever goes stale.
+  // Entries are only dropped by clear_cache, which is what lets a batch
+  // point into the store while later wires of the same transition miss.
+  // Each entry carries a VerdictSlot that the observing OBSC fills, so a
+  // waveform is scanned once per param set, not once per observation.
+  // Beside the entries sit the decay columns the renders read (one per
+  // distinct time constant; see DecayColumns), which share the entries'
+  // lifetime. The store is bounded by kStoreBudgetBytes, waveforms and
+  // columns together: a miss that finds it full is rendered into scratch
+  // and not inserted, and a column that does not fit is computed into
+  // scratch and not kept. Hit/miss counters survive clear_cache (they
+  // meter the workload, not the store contents) and count waveforms
+  // only.
 
   /// Byte budget of one bus's store, counted in slots of one waveform's
   /// sample data plus an entry's bookkeeping and verdict slot; a decay
   /// column (as many samples, less bookkeeping) takes one slot too.
   /// 64 MiB (about 4,000 slots of 2,048 samples; store_capacity() has the
-  /// exact count) is twice the widest shipped bus's working set — the
-  /// n=64 Table 5 sessions keep 2,075 waveforms and 5 decay columns,
-  /// ~33 MiB — so no shipped workload reaches it.
+  /// exact count) is some fifty times the widest shipped working set — a
+  /// `random_defects` die keeps 54 waveforms and 16 decay columns, the
+  /// n=64 Table 5 sessions 20 and 5 — so no shipped workload reaches it,
+  /// and a bus that goes through many defect states stays bounded.
   static constexpr std::size_t kStoreBudgetBytes = std::size_t{64} << 20;
 
   /// Slots that fit the budget at this bus's sample count; waveforms plus
@@ -236,26 +241,22 @@ class CoupledBus {
     return store_.size() + columns_.size() >= store_capacity_;
   }
 
-  /// Drop the entries and the columns (every mutator and clear_cache).
-  void drop_store();
-
   /// One stored waveform and the verdict memo that belongs to it.
   struct Entry {
     Waveform wave;
     VerdictSlot verdict;
   };
 
-  /// Wire i's store entry, solving and inserting it on a miss; nullptr
-  /// when the miss found the store full (the caller solves into its own
-  /// storage with solve()).
-  Entry* find_or_fill(std::size_t i, const util::BitVec& prev,
-                      const util::BitVec& next, Tally& t) const;
+  /// The store entry of `r`, rendering and inserting it on a miss;
+  /// nullptr when the miss found the store full (the caller renders into
+  /// its own storage with solve()).
+  Entry* find_or_fill(const WireRecipe& r, Tally& t) const;
 
-  void solve(std::size_t i, const util::BitVec& prev,
-             const util::BitVec& next, double* out) const;
+  /// Render `r` into `out` (samples doubles) through the bus's columns.
+  void solve(const WireRecipe& r, double* out) const;
 
   /// Wire i's samples into `out` (samples doubles): a copy of the stored
-  /// waveform, or a direct solve when the store is full.
+  /// waveform, or a direct render when the store is full.
   void copy_wire(std::size_t i, const util::BitVec& prev,
                  const util::BitVec& next, double* out, Tally& t) const;
 
@@ -263,9 +264,11 @@ class CoupledBus {
   void finish_lookup(const Tally& t) const;
 
   BusModel model_;
+  const InterconnectModel* solver_;  // model_for(params().model)
   std::size_t store_capacity_;
 
-  mutable std::unordered_map<std::uint64_t, Entry> store_;
+  mutable std::unordered_map<WireRecipe, Entry, RecipeHash, SameRecipe>
+      store_;
   mutable DecayColumns columns_;
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;

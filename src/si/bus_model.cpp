@@ -9,11 +9,9 @@ namespace jsi::si {
 BusModel::BusModel(BusParams p) : p_(p) {
   if (p_.n_wires == 0) throw std::invalid_argument("bus needs >= 1 wire");
   if (p_.samples < 2) throw std::invalid_argument("bus needs >= 2 samples");
-  const InterconnectModel& im = model_for(p_.model);
-  im.validate(p_);
+  model_for(p_.model).validate(p_);
   couple_.assign(p_.n_wires > 0 ? p_.n_wires - 1 : 0, p_.c_couple);
   extra_r_.assign(p_.n_wires, 0.0);
-  rail_.assign(p_.n_wires, im.high_rail(p_));
   rebuild_derived();
 }
 
@@ -31,13 +29,11 @@ void BusModel::rebuild_derived() {
 
 void BusModel::scale_coupling(std::size_t pair, double factor) {
   couple_.at(pair) *= factor;
-  ++defect_gen_;
   rebuild_derived();
 }
 
 void BusModel::add_series_resistance(std::size_t wire, double ohms) {
   extra_r_.at(wire) += ohms;
-  ++defect_gen_;
   rebuild_derived();
 }
 
@@ -53,7 +49,6 @@ void BusModel::inject_crosstalk_defect(std::size_t wire, double severity) {
 void BusModel::clear_defects() {
   couple_.assign(couple_.size(), p_.c_couple);
   extra_r_.assign(p_.n_wires, 0.0);
-  ++defect_gen_;
   rebuild_derived();
 }
 

@@ -2,7 +2,6 @@
 #define JSI_SI_BUS_MODEL_HPP
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -47,17 +46,13 @@ struct BusParams {
 /// `BusModel` is the passive half of the former monolithic `CoupledBus`:
 /// it answers "what are the time constants of wire i right now" but never
 /// evaluates a waveform — that is the `InterconnectModel` solver's job,
-/// reading the contiguous per-wire arrays below. The model is immutable
-/// between defect mutations; every mutation bumps `defect_generation()`
-/// and rebuilds the derived arrays.
+/// reading the contiguous per-wire arrays below. Every defect mutation
+/// rebuilds the derived arrays.
 ///
 /// SoA arrays (all indexed by wire, except `coupling_data` by pair):
 ///  * `coupling_data()[p]`   — effective coupling cap of pair (p, p+1) [F]
 ///  * `resistance_data()[i]` — total series resistance incl. defects [Ohm]
 ///  * `total_cap_data()[i]`  — ground + both couplings [F]
-///  * `rail_data()[i]`       — per-wire high rail [V] (the model's
-///                             `high_rail`; SoA so v0/vf loads are
-///                             contiguous)
 class BusModel {
  public:
   explicit BusModel(BusParams p);
@@ -83,10 +78,6 @@ class BusModel {
   /// Remove all injected defects.
   void clear_defects();
 
-  /// Monotone counter of defect-state mutations; waveforms solved under
-  /// one generation are never valid under another.
-  std::uint64_t defect_generation() const { return defect_gen_; }
-
   // ---- electrical queries (bounds-checked scalar forms) -------------------
 
   /// Effective coupling capacitance of adjacent pair `pair` [F].
@@ -110,7 +101,6 @@ class BusModel {
   const double* coupling_data() const { return couple_.data(); }
   const double* resistance_data() const { return resistance_.data(); }
   const double* total_cap_data() const { return total_cap_.data(); }
-  const double* rail_data() const { return rail_.data(); }
 
  private:
   /// Recompute resistance_/total_cap_ from couple_/extra_r_. Expression
@@ -123,8 +113,6 @@ class BusModel {
   std::vector<double> extra_r_;     // per wire, defect series resistance
   std::vector<double> resistance_;  // derived: r_driver + r_wire + extra_r
   std::vector<double> total_cap_;   // derived: c_ground + adjacent couplings
-  std::vector<double> rail_;        // per wire high rail (model-dependent)
-  std::uint64_t defect_gen_ = 0;
 };
 
 }  // namespace jsi::si

@@ -15,14 +15,14 @@ namespace jsi::si {
 /// The decay columns of one bus geometry: for a time constant `tau`, the
 /// column e[s] = exp(-t / tau) with t = dt * s over the bus's samples.
 ///
-/// The RC branch of `fill_switching` and both branches of `add_glitch`
-/// read their exponentials from here instead of calling std::exp per
-/// sample. A column is computed once per distinct `tau` by the
-/// `decay_column` solver primitive and kept under `tau`'s exact bit
-/// pattern, so every read equals the per-sample std::exp(-t / tau) bit
-/// for bit. A `CoupledBus` keeps one table beside its waveform store and
-/// bounds both together; a table whose limit was never set (the
-/// direct-solve reference in tests and benches) keeps every column.
+/// `render` reads its RC and glitch exponentials from here instead of
+/// calling std::exp per sample. A column is computed once per distinct
+/// `tau` by the `decay_column` solver primitive and kept under `tau`'s
+/// exact bit pattern, so every read equals the per-sample
+/// std::exp(-t / tau) bit for bit. A `CoupledBus` keeps one table beside
+/// its waveform store and bounds both together; a table whose limit was
+/// never set (the direct-render reference in tests and benches) keeps
+/// every column.
 class DecayColumns {
  public:
   /// A table for buses with `p`'s sample count and sample step.
@@ -38,6 +38,10 @@ class DecayColumns {
 
   /// Keep a new column only while fewer than `max_kept` are kept.
   void set_limit(std::size_t max_kept) { limit_ = max_kept; }
+
+  /// Column length and time step: the bus's `samples` and `sample_dt`.
+  std::size_t samples() const { return samples_; }
+  sim::Time sample_dt() const { return sample_dt_; }
 
   /// Columns kept.
   std::size_t size() const { return kept_.size(); }

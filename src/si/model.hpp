@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "si/bus_model.hpp"
-#include "si/decay_columns.hpp"
+#include "si/recipe.hpp"
 #include "sim/time.hpp"
 #include "util/bitvec.hpp"
 
@@ -20,15 +20,14 @@ namespace jsi::si {
 /// by every model.
 ///
 /// Contract for implementations:
-///  * `solve_wire()` is the only solver: the bus's waveform store fills
-///    every miss through it. Build it from the shared `JSI_NOINLINE`
-///    primitives in solver_primitives.hpp (or your own noinline helpers)
-///    for anything FP-order-sensitive.
-///  * `solve_wire()` reads every exp(-t/tau) decay through the caller's
-///    `DecayColumns` table (the bus's own, which shares the store's
-///    lifetime and budget), so a decay is computed once per distinct
-///    tau, not once per wire; the primitives already do. The table only
-///    memoizes: the samples written must not depend on what it holds.
+///  * `recipe()` is the model's whole say in a waveform: it gathers wire
+///    i's electrical inputs for prev -> next into a `WireRecipe`, and the
+///    shared `render()` (solver_primitives.cpp) turns every recipe into
+///    samples. The bus's waveform store keys on the recipe's bits, so a
+///    recipe must hold every input its waveform and verdicts depend on,
+///    and zeros in the fields its wire kind does not read. Build it with
+///    `detail::wire_recipe` and FP-order-sensitive math in `JSI_NOINLINE`
+///    helpers, as the shipped models do.
 ///  * Implementations are immutable singletons (`model_for` returns a
 ///    shared const instance); all per-bus state lives in `BusModel`.
 ///  * `validate()` throws std::invalid_argument for bad model-specific
@@ -70,11 +69,10 @@ class InterconnectModel {
   /// its skew-immune window from. Includes any fixed receiver delay.
   virtual sim::Time nominal_delay(const BusParams& p, double tau) const = 0;
 
-  /// Fill `out[0 .. samples)` with wire `i`'s waveform for prev -> next,
-  /// reading decays through `columns` (built for `m`'s params).
-  virtual void solve_wire(const BusModel& m, std::size_t i,
-                          const util::BitVec& prev, const util::BitVec& next,
-                          DecayColumns& columns, double* out) const = 0;
+  /// Wire `i`'s recipe for prev -> next on `m`; `render` makes it samples.
+  virtual WireRecipe recipe(const BusModel& m, std::size_t i,
+                            const util::BitVec& prev,
+                            const util::BitVec& next) const = 0;
 
   /// Are the model-specific params of `a` and `b` equal? The nine shared
   /// fields are compared by `same_params`; this hook covers the rest.

@@ -11,8 +11,8 @@
 //    stage whose drive weakens as the wire approaches v_swing, modeled as
 //    a 1/swing_frac slowdown of the rising time constant; falls keep the
 //    plain RC tau (full gate overdrive on the pull-down). The inductive
-//    (RLC) branch of fill_switching is left unchanged — it reads R and C
-//    directly, and low-swing global wires are modeled resistively here.
+//    (RLC) branch of `render` is shared unchanged — it reads R and C from
+//    the recipe, and low-swing global wires are modeled resistively here.
 //  * Receiver: settled_logic decides at the converter threshold
 //    receiver_vt_frac * vdd, and nominal_delay budgets the slower rise to
 //    that threshold plus a fixed 30 ps converter delay.
@@ -23,7 +23,6 @@
 // primitives (shared with rc_full_swing) plus the local noinline
 // rising_tau helper, so every call site executes one copy of the math.
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "si/model.hpp"
@@ -86,33 +85,11 @@ class LowSwingBusModel final : public InterconnectModel {
            kReceiverDelayPs;
   }
 
-  void solve_wire(const BusModel& m, std::size_t i, const util::BitVec& prev,
-                  const util::BitVec& next, DecayColumns& columns,
-                  double* out) const override {
-    const BusParams& p = m.params();
-    const double v_swing = p.vdd * p.swing_frac;
-    const int di = detail::delta_of(prev, next, i);
-    if (di != 0) {
-      const double tau = rising_tau(m, i, prev, next);
-      const double v0 = prev[i] ? v_swing : 0.0;
-      const double vf = next[i] ? v_swing : 0.0;
-      detail::fill_switching(m, i, v0, vf, tau, columns, out);
-      return;
-    }
-    const double rail = prev[i] ? v_swing : 0.0;
-    std::fill_n(out, p.samples, rail);
-    const double ctot_v = m.total_cap_data()[i];
-    const double tau_v = m.resistance_data()[i] * ctot_v;
-    auto inject = [&](std::size_t j, double cc) {
-      const int dj = detail::delta_of(prev, next, j);
-      if (dj == 0) return;
-      const double tau_a = rising_tau(m, j, prev, next);
-      detail::add_glitch(m, columns, out, v_swing, cc, ctot_v, tau_v, tau_a,
-                         dj);
-    };
-    const double* couple = m.coupling_data();
-    if (i > 0) inject(i - 1, couple[i - 1]);
-    if (i + 1 < p.n_wires) inject(i + 1, couple[i]);
+  WireRecipe recipe(const BusModel& m, std::size_t i,
+                    const util::BitVec& prev,
+                    const util::BitVec& next) const override {
+    return detail::wire_recipe(m, i, prev, next, high_rail(m.params()),
+                               rising_tau);
   }
 
   bool same_extra_params(const BusParams& a,

@@ -1,10 +1,8 @@
-// The full-swing coupled-RC(+L) model — the paper's original bus — moved
-// verbatim behind the InterconnectModel seam. Every expression here is
-// byte-for-byte the pre-seam per-wire solver; the parity gate for this
-// file is that all shipped scenario artifacts are bit-identical to
-// pre-refactor output.
-
-#include <algorithm>
+// The full-swing coupled-RC(+L) model — the paper's original bus — behind
+// the InterconnectModel seam: logic-1 wires sit at vdd and switch with the
+// plain Miller-weighted RC time constant. Its waveforms come from the
+// shared `render`; the parity gate for this file is that all shipped
+// scenario artifacts are bit-identical to pre-seam output.
 
 #include "si/model.hpp"
 #include "si/solver_primitives.hpp"
@@ -31,33 +29,11 @@ class RcFullSwingModel final : public InterconnectModel {
                                   0.5);
   }
 
-  void solve_wire(const BusModel& m, std::size_t i, const util::BitVec& prev,
-                  const util::BitVec& next, DecayColumns& columns,
-                  double* out) const override {
-    const BusParams& p = m.params();
-    const int di = detail::delta_of(prev, next, i);
-    if (di != 0) {
-      const double tau = detail::switching_tau(m, i, prev, next);
-      const double v0 = prev[i] ? p.vdd : 0.0;
-      const double vf = next[i] ? p.vdd : 0.0;
-      detail::fill_switching(m, i, v0, vf, tau, columns, out);
-      return;
-    }
-    // Quiet wire: rail baseline plus superposed neighbor glitches.
-    const double rail = prev[i] ? p.vdd : 0.0;
-    std::fill_n(out, p.samples, rail);
-    const double ctot_v = m.total_cap_data()[i];
-    const double tau_v = m.resistance_data()[i] * ctot_v;
-    auto inject = [&](std::size_t j, double cc) {
-      const int dj = detail::delta_of(prev, next, j);
-      if (dj == 0) return;
-      const double tau_a = detail::switching_tau(m, j, prev, next);
-      detail::add_glitch(m, columns, out, p.vdd, cc, ctot_v, tau_v, tau_a,
-                         dj);
-    };
-    const double* couple = m.coupling_data();
-    if (i > 0) inject(i - 1, couple[i - 1]);
-    if (i + 1 < p.n_wires) inject(i + 1, couple[i]);
+  WireRecipe recipe(const BusModel& m, std::size_t i,
+                    const util::BitVec& prev,
+                    const util::BitVec& next) const override {
+    return detail::wire_recipe(m, i, prev, next, high_rail(m.params()),
+                               detail::switching_tau);
   }
 
   const std::vector<std::string>& variable_params() const override {

@@ -1,5 +1,6 @@
 #include "si/solver_primitives.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace jsi::si::detail {
@@ -30,18 +31,23 @@ JSI_NOINLINE void decay_column(std::size_t samples, sim::Time sample_dt,
   }
 }
 
-JSI_NOINLINE void fill_switching(const BusModel& m, std::size_t i, double v0,
-                                 double vf, double tau, DecayColumns& columns,
+namespace {
+
+/// Switching wire: single-pole exponential from v0 toward vf (reading
+/// tau's decay column), or an underdamped series-RLC step response,
+/// evaluated per sample, when l_wire > 0 and zeta < 1.
+JSI_NOINLINE void fill_switching(const WireRecipe& w, DecayColumns& columns,
                                  double* out) {
-  const BusParams& p = m.params();
-  const std::size_t samples = p.samples;
-  const double dt = static_cast<double>(p.sample_dt) * kSecPerTick;
-  if (p.l_wire > 0.0) {
+  const std::size_t samples = columns.samples();
+  const double dt = static_cast<double>(columns.sample_dt()) * kSecPerTick;
+  const double v0 = w.v0;
+  const double vf = w.vf;
+  if (w.l_wire > 0.0) {
     // Series RLC step response; underdamped when R < 2*sqrt(L/C).
-    const double r = m.resistance_data()[i];
-    const double c = m.total_cap_data()[i];
-    const double w0 = 1.0 / std::sqrt(p.l_wire * c);
-    const double zeta = r / 2.0 * std::sqrt(c / p.l_wire);
+    const double r = w.r;
+    const double c = w.c_tot;
+    const double w0 = 1.0 / std::sqrt(w.l_wire * c);
+    const double zeta = r / 2.0 * std::sqrt(c / w.l_wire);
     if (zeta < 1.0) {
       const double wd = w0 * std::sqrt(1.0 - zeta * zeta);
       const double k = zeta / std::sqrt(1.0 - zeta * zeta);
@@ -55,23 +61,30 @@ JSI_NOINLINE void fill_switching(const BusModel& m, std::size_t i, double v0,
     }
     // Overdamped RLC degenerates to (slightly slower) RC below.
   }
-  const double* e = columns.column(tau);
+  const double* e = columns.column(w.tau);
   for (std::size_t s = 0; s < samples; ++s) {
     out[s] = vf + (v0 - vf) * e[s];
   }
 }
 
-JSI_NOINLINE void add_glitch(const BusModel& m, DecayColumns& columns,
-                             double* w, double rail, double cc, double ctot_v,
-                             double tau_v, double tau_a, int direction) {
-  const BusParams& p = m.params();
+/// Superpose one neighbor's crosstalk glitch onto a quiet wire.
+/// First-order victim node driven through Cc by an exponential aggressor:
+///   v(t) = dir * rail * (Cc/Ctot) * tau_v/(tau_v - tau_a)
+///              * (exp(-t/tau_v) - exp(-t/tau_a))
+/// with the t*exp(-t/tau) limit when the time constants coincide; both
+/// exponentials are read from their decay columns. `rail` is the
+/// aggressor's full swing (vdd for rc_full_swing, the reduced swing for
+/// low_swing).
+JSI_NOINLINE void add_glitch(DecayColumns& columns, double* w, double rail,
+                             double cc, double ctot_v, double tau_v,
+                             double tau_a, int direction) {
   const double amp = direction * rail * cc / ctot_v;
-  const double dt = static_cast<double>(p.sample_dt) * kSecPerTick;
+  const double dt = static_cast<double>(columns.sample_dt()) * kSecPerTick;
   const bool equal = std::abs(tau_v - tau_a) < 1e-15;
   const double scale = equal ? 0.0 : tau_v / (tau_v - tau_a);
   const double* ev = columns.column(tau_v);
   const double* ea = equal ? nullptr : columns.column(tau_a);
-  for (std::size_t s = 0; s < p.samples; ++s) {
+  for (std::size_t s = 0; s < columns.samples(); ++s) {
     double g;
     if (equal) {
       const double t = dt * static_cast<double>(s);
@@ -83,4 +96,58 @@ JSI_NOINLINE void add_glitch(const BusModel& m, DecayColumns& columns,
   }
 }
 
+}  // namespace
+
+WireRecipe wire_recipe(const BusModel& m, std::size_t i,
+                       const util::BitVec& prev, const util::BitVec& next,
+                       double high, TauRule tau_of) {
+  const BusParams& p = m.params();
+  WireRecipe r;
+  r.prev_level = prev[i] ? 1 : 0;
+  r.next_level = next[i] ? 1 : 0;
+  r.v0 = prev[i] ? high : 0.0;
+  r.vf = next[i] ? high : 0.0;
+  if (r.switches()) {
+    r.tau = tau_of(m, i, prev, next);
+    if (p.l_wire > 0.0) {
+      r.r = m.resistance_data()[i];
+      r.c_tot = m.total_cap_data()[i];
+      r.l_wire = p.l_wire;
+    }
+    return r;
+  }
+  // Quiet wire: its rail plus a glitch from each switching neighbor.
+  std::size_t k = 0;
+  const auto aggressor = [&](std::size_t j, double cc) {
+    const int dj = delta_of(prev, next, j);
+    if (dj != 0) r.aggressors[k++] = {cc, tau_of(m, j, prev, next), high, dj};
+  };
+  const double* couple = m.coupling_data();
+  if (i > 0) aggressor(i - 1, couple[i - 1]);
+  if (i + 1 < p.n_wires) aggressor(i + 1, couple[i]);
+  if (k > 0) {
+    r.c_tot = m.total_cap_data()[i];
+    r.tau = m.resistance_data()[i] * r.c_tot;
+  }
+  return r;
+}
+
 }  // namespace jsi::si::detail
+
+namespace jsi::si {
+
+JSI_NOINLINE void render(const WireRecipe& r, DecayColumns& columns,
+                         double* out) {
+  if (r.switches()) {
+    detail::fill_switching(r, columns, out);
+    return;
+  }
+  std::fill_n(out, columns.samples(), r.v0);
+  for (const RecipeAggressor& a : r.aggressors) {
+    if (a.direction == 0) break;  // packed from the front
+    detail::add_glitch(columns, out, a.swing, a.cc, r.c_tot, r.tau, a.tau,
+                       static_cast<int>(a.direction));
+  }
+}
+
+}  // namespace jsi::si

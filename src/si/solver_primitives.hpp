@@ -4,7 +4,7 @@
 #include <cstddef>
 
 #include "si/bus_model.hpp"
-#include "si/decay_columns.hpp"
+#include "si/recipe.hpp"
 #include "sim/time.hpp"
 #include "util/bitvec.hpp"
 
@@ -42,29 +42,23 @@ JSI_NOINLINE double switching_tau(const BusModel& m, std::size_t i,
                                   const util::BitVec& next);
 
 /// Decay column of `tau`: out[s] = exp(-t / tau) with t = dt * s, for
-/// s < samples — the exponential the RC branches below read through a
-/// DecayColumns table, computed here once per distinct tau.
+/// s < samples — the exponential `render` reads through a DecayColumns
+/// table, computed here once per distinct tau.
 JSI_NOINLINE void decay_column(std::size_t samples, sim::Time sample_dt,
                                double tau, double* out);
 
-/// Switching wire: single-pole exponential from v0 toward vf (reading
-/// tau's decay column), or an underdamped series-RLC step response,
-/// evaluated per sample, when l_wire > 0 and zeta < 1.
-JSI_NOINLINE void fill_switching(const BusModel& m, std::size_t i, double v0,
-                                 double vf, double tau, DecayColumns& columns,
-                                 double* out);
+/// The per-wire time-constant rule a model builds its recipes with:
+/// `switching_tau` or a model's own variant of it.
+using TauRule = double (*)(const BusModel& m, std::size_t i,
+                           const util::BitVec& prev,
+                           const util::BitVec& next);
 
-/// Superpose one neighbor's crosstalk glitch onto a quiet wire.
-/// First-order victim node driven through Cc by an exponential aggressor:
-///   v(t) = dir * rail * (Cc/Ctot) * tau_v/(tau_v - tau_a)
-///              * (exp(-t/tau_v) - exp(-t/tau_a))
-/// with the t*exp(-t/tau) limit when the time constants coincide; both
-/// exponentials are read from their decay columns. `rail` is the
-/// aggressor's full swing (vdd for rc_full_swing, the reduced swing for
-/// low_swing).
-JSI_NOINLINE void add_glitch(const BusModel& m, DecayColumns& columns,
-                             double* w, double rail, double cc, double ctot_v,
-                             double tau_v, double tau_a, int direction);
+/// Wire i's recipe for prev -> next under a model whose logic-1 wires
+/// sit at `high` and switch with `tau_of`: both models build theirs
+/// here, so the quiet wire's aggressor walk exists once.
+WireRecipe wire_recipe(const BusModel& m, std::size_t i,
+                       const util::BitVec& prev, const util::BitVec& next,
+                       double high, TauRule tau_of);
 
 }  // namespace jsi::si::detail
 

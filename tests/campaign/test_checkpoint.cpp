@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
@@ -415,47 +416,67 @@ TEST(CheckpointRunner, ResumeRejectsMismatchedCampaign) {
 }
 
 TEST(CheckpointRunner, ResumeRejectsPreStoreSchemaWithTypedError) {
-  // v1 chunk records book bus lookups as memo + MA-table counters; folding
-  // them into a v2 run would mix two counter layouts in one registry.
+  // v1 chunk records book bus lookups as memo + MA-table counters, v2
+  // ones as lookups of a store keyed by wire neighbourhood; folding either
+  // into a v3 run would mix two counter layouts in one registry. A schema
+  // that is no older version of ours stays a plain parse error.
   FakeSource src(40);
-  const std::string path = temp_path("schema_v1.jsonl");
-  std::remove(path.c_str());
-  CampaignConfig cfg;
-  cfg.shards = 1;
-  cfg.aggregate_outcomes = true;
-  cfg.chunk_size = 8;
-  cfg.checkpoint_path = path;
-  cfg.fingerprint = "spec-A";
-  cfg.max_chunks = 2;
-  (void)run_once(src, cfg);
-
-  std::string text;
-  {
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    text = ss.str();
-  }
-  const std::string v2 = "\"schema\":\"jsi.checkpoint.v2\"";
-  const std::size_t at = text.find(v2);
-  ASSERT_EQ(at, text.find('"')) << "the header leads with the v2 schema";
-  text.replace(at, v2.size(), "\"schema\":\"jsi.checkpoint.v1\"");
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os << text;
-  }
-
-  cfg.resume = true;
-  cfg.max_chunks = 0;
-  try {
+  const std::string path = temp_path("schema_old.jsonl");
+  const std::string v3 = "\"schema\":\"jsi.checkpoint.v3\"";
+  const std::pair<const char*, bool> inputs[] = {
+      {"jsi.checkpoint.v1", true},
+      {"jsi.checkpoint.v2", true},
+      {"jsi.checkpoint.v4", false},
+      {"jsi.checkpoint.v02", false},
+  };
+  for (const auto& [schema, older] : inputs) {
+    SCOPED_TRACE(schema);
+    std::remove(path.c_str());
+    CampaignConfig cfg;
+    cfg.shards = 1;
+    cfg.aggregate_outcomes = true;
+    cfg.chunk_size = 8;
+    cfg.checkpoint_path = path;
+    cfg.fingerprint = "spec-A";
+    cfg.max_chunks = 2;
     (void)run_once(src, cfg);
-    ADD_FAILURE() << "a v1 checkpoint must not resume";
-  } catch (const core::CheckpointMismatchError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("jsi.checkpoint.v1"), std::string::npos) << what;
-    EXPECT_NE(what.find("jsi.checkpoint.v2"), std::string::npos) << what;
+
+    std::string text;
+    {
+      std::ifstream is(path, std::ios::binary);
+      std::ostringstream ss;
+      ss << is.rdbuf();
+      text = ss.str();
+    }
+    const std::size_t at = text.find(v3);
+    ASSERT_EQ(at, text.find('"')) << "the header leads with the v3 schema";
+    text.replace(at, v3.size(), std::string("\"schema\":\"") + schema + '"');
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os << text;
+    }
+
+    cfg.resume = true;
+    cfg.max_chunks = 0;
+    try {
+      (void)run_once(src, cfg);
+      ADD_FAILURE() << "a foreign checkpoint must not resume";
+    } catch (const core::CheckpointMismatchError& e) {
+      EXPECT_TRUE(older) << e.what();
+      const std::string what = e.what();
+      EXPECT_NE(what.find(schema), std::string::npos) << what;
+      EXPECT_NE(what.find("jsi.checkpoint.v3"), std::string::npos) << what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_FALSE(older) << e.what();
+      EXPECT_NE(std::string(e.what()).find("unknown schema"),
+                std::string::npos)
+          << e.what();
+    }
+    if (older) {
+      EXPECT_THROW(core::load_checkpoint(path),
+                   core::CheckpointMismatchError);
+    }
   }
-  EXPECT_THROW(core::load_checkpoint(path), core::CheckpointMismatchError);
   std::remove(path.c_str());
 }
 

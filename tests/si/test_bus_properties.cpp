@@ -1,7 +1,7 @@
 // Physics property tests for the coupled-bus solver: linearity, symmetry
 // and monotonicity checks that hold for any parameter choice — plus the
 // randomized differential suite pinning the batched (store-backed) path
-// bit-for-bit against direct calls of the model's solver.
+// bit-for-bit against the model's recipes rendered directly.
 
 #include <gtest/gtest.h>
 
@@ -161,19 +161,19 @@ TEST(BusProperties, NoSelfGlitchWithoutSwitchingNeighbors) {
 // ---- batched vs scalar differential suite ---------------------------------
 //
 // The batched path (transition_batch: pointers into the waveform store)
-// must agree with the model's solver called directly on every output
+// must agree with the model's recipe rendered directly on every output
 // *bit* — not just within a tolerance. Any divergence is a real defect
-// (e.g. a stale store entry or a key that misses part of a wire's
-// electrical support), and EXPECT_EQ on doubles is the correct assertion
-// strength.
+// (e.g. a key that misses part of a wire's recipe), and EXPECT_EQ on
+// doubles is the correct assertion strength.
 
-/// The reference side: wire i solved by the model directly through a
-/// fresh decay-column table, no store.
+/// The reference side: wire i's recipe rendered directly through a fresh
+/// decay-column table, no store.
 Waveform direct_solve(const BusModel& m, std::size_t i, const BitVec& prev,
                       const BitVec& next) {
   Waveform w(m.params().samples, m.params().sample_dt);
   DecayColumns columns(m.params());
-  model_for(m.params().model).solve_wire(m, i, prev, next, columns, w.data());
+  render(model_for(m.params().model).recipe(m, i, prev, next), columns,
+         w.data());
   return w;
 }
 
@@ -312,7 +312,7 @@ TEST(BusDifferential, StackedDefectsStayIdentical) {
 TEST(BusDifferential, CloneServesIdenticalBatches) {
   // The campaign path: warm a prototype (MA pairs and a random stream
   // stored), clone it, and difference the clone — its carried store must
-  // serve the same bits as the direct solver.
+  // serve the same bits as the direct render.
   BusParams p = params_n(8);
   p.samples = 512;
   CoupledBus proto(p);

@@ -1,15 +1,24 @@
-// Tests for the CoupledBus waveform store: exactness of every lookup entry
-// point against the model's solver called directly, hit/miss metering and
-// its CacheLookup records, the defect-generation invalidation contract,
+// Tests for the CoupledBus waveform store, keyed by each wire's recipe:
+// exactness of every lookup entry point against `render(recipe(...))`
+// called directly (across widths, both models, ringing, stacked and
+// asymmetric defects, random traffic and clones that inject defects of
+// their own), the recipe key itself (every field compared by its bits,
+// and wires that differ in one input only kept apart), hit/miss metering
+// and its CacheLookup records, entries that survive every defect mutation,
 // clone warm-carry and independence, the MA warm-up, wide buses, the byte
 // budget (shared with the decay columns, which follow the entries'
 // lifetime), and batch pointer lifetimes. The verdict slots riding on the
 // entries are pinned the same way: every memoized ND/SD verdict equals a
-// fresh scan of a directly solved waveform, slots follow their entries'
+// fresh scan of a directly rendered waveform, slots follow their entries'
 // lifetime, and sessions flag identically on a warm bus and a fresh one.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -49,19 +58,31 @@ std::vector<mafm::VectorPair> ma_pairs(std::size_t n) {
   return pairs;
 }
 
-/// The reference side: wire i solved by the model directly through a
-/// fresh decay-column table, no store.
+/// The reference side: wire i's recipe rendered directly through a fresh
+/// decay-column table, no store.
 Waveform direct_solve(const BusModel& m, std::size_t i,
                       const util::BitVec& prev, const util::BitVec& next) {
   Waveform w(m.params().samples, m.params().sample_dt);
   DecayColumns columns(m.params());
-  model_for(m.params().model).solve_wire(m, i, prev, next, columns, w.data());
+  render(model_for(m.params().model).recipe(m, i, prev, next), columns,
+         w.data());
   return w;
 }
 
 bool same_bits(WaveformView a, WaveformView b) {
   return a.samples() == b.samples() &&
          std::memcmp(a.data(), b.data(), a.samples() * sizeof(double)) == 0;
+}
+
+/// MA pairs of an n-wire bus plus `extra` seeded random pairs.
+std::vector<mafm::VectorPair> ma_and_random_pairs(std::size_t n, int extra,
+                                                  std::uint32_t seed) {
+  std::vector<mafm::VectorPair> traffic = ma_pairs(n);
+  util::Prng rng(seed);
+  for (int k = 0; k < extra; ++k) {
+    traffic.push_back({random_vec(rng, n), random_vec(rng, n)});
+  }
+  return traffic;
 }
 
 /// Every wire of prev -> next served by `bus` equals the direct solve on
@@ -94,6 +115,50 @@ struct RecordingSink final : obs::Sink {
   }
 };
 
+/// One detector param set, at the supply the cells observe (the model's
+/// observed swing, as SiSocDevice sets it).
+struct DetectorSettings {
+  NdParams nd;
+  SdParams sd;
+};
+
+/// The differential grid: ND arm/release/overshoot thresholds crossed
+/// with SD windows and receiver thresholds.
+std::vector<DetectorSettings> detector_grid(const BusParams& p) {
+  const double vdd = model_for(p.model).observed_swing(p);
+  const NdParams nds[] = {{vdd, 0.45, 0.35, 0.25},
+                          {vdd, 0.20, 0.10, 0.0},
+                          {vdd, 0.60, 0.50, 0.05}};
+  const SdParams sds[] = {{vdd, 150 * sim::kPs, 0.5},
+                          {vdd, 60 * sim::kPs, 0.3},
+                          {vdd, 400 * sim::kPs, 0.7}};
+  std::vector<DetectorSettings> grid;
+  for (const NdParams& nd : nds) {
+    for (const SdParams& sd : sds) grid.push_back({nd, sd});
+  }
+  return grid;
+}
+
+/// A fresh scan of `w`: the reference every memoized verdict must equal.
+Verdicts fresh_verdicts(const DetectorSettings& s, WaveformView w,
+                        util::Logic initial, util::Logic expected) {
+  return {NdCell(s.nd).violates(w, initial, expected),
+          SdCell(s.sd).violates(w, initial, expected)};
+}
+
+/// Judge wire i of `b` under `s` through its slot.
+Verdicts judge_wire(const DetectorSettings& s, const TransitionBatch& b,
+                    std::size_t i, const mafm::VectorPair& vp) {
+  return judge(NdCell(s.nd), SdCell(s.sd), b.wire(i),
+               util::to_logic(vp.v1[i]), util::to_logic(vp.v2[i]),
+               b.slot(i));
+}
+
+bool slot_holds(const VerdictSlot* slot, const DetectorSettings& s) {
+  return slot != nullptr && slot->filled && slot->nd_params == s.nd &&
+         slot->sd_params == s.sd;
+}
+
 TEST(BusStore, EmptyOnConstruction) {
   CoupledBus bus(params_n(8));
   EXPECT_EQ(bus.cache_hits(), 0u);
@@ -105,27 +170,36 @@ TEST(BusStore, EmptyOnConstruction) {
 
 TEST(BusStore, RepeatedTransitionHits) {
   CoupledBus bus(params_n(8));
+  const BusModel ref(params_n(8));
   util::BitVec prev(8);
   util::BitVec next(8);
   next.set(3, true);
 
+  // Three recipes serve the eight wires: wire 3 rising; wires 2 and 4,
+  // equal interior wires each quiet beside it (one aggressor, packed
+  // into the first slot whichever side it is on); and wires 0, 1, 5, 6
+  // and 7, quiet with no switching neighbour (their level alone).
   bus.transition(prev, next);
-  EXPECT_EQ(bus.cache_hits(), 0u);
-  EXPECT_EQ(bus.cache_misses(), 8u);
-  EXPECT_EQ(bus.cache_entries(), 8u);
+  EXPECT_EQ(bus.cache_hits(), 5u);
+  EXPECT_EQ(bus.cache_misses(), 3u);
+  EXPECT_EQ(bus.cache_entries(), 3u);
 
-  // The other entry points look up the same store.
+  // The other entry points look up the same store: 8 + 1 more hits.
   bus.transition_batch(prev, next);
   bus.wire_response(3, prev, next);
-  EXPECT_EQ(bus.cache_hits(), 9u);
-  EXPECT_EQ(bus.cache_misses(), 8u);
-  EXPECT_EQ(bus.cache_entries(), 8u);
+  EXPECT_EQ(bus.cache_hits(), 14u);
+  EXPECT_EQ(bus.cache_misses(), 3u);
+  EXPECT_EQ(bus.cache_entries(), 3u);
+
+  // The shared entries serve every wire exactly, through every entry
+  // point, without a miss.
+  expect_exact(bus, ref, prev, next);
+  EXPECT_EQ(bus.cache_misses(), 3u);
 }
 
 TEST(BusStore, RandomTrafficMatchesDirectSolver) {
-  // The key is the 5-bit local neighbourhood of each wire; random vector
-  // pairs revisit neighbourhoods, so hits must serve the same bits a
-  // fresh solve produces.
+  // The key is each wire's recipe; random vector pairs revisit recipes,
+  // so hits must serve the same bits a fresh render produces.
   BusParams p = params_n(10);
   CoupledBus bus(p);
   BusModel ref(p);
@@ -139,7 +213,7 @@ TEST(BusStore, RandomTrafficMatchesDirectSolver) {
                  random_vec(rng, p.n_wires));
   }
   EXPECT_GT(bus.cache_hits(), bus.cache_misses())
-      << "40 random 10-wire transitions must revisit neighbourhoods";
+      << "40 random 10-wire transitions must revisit recipes";
 }
 
 TEST(BusStore, SettledLogicMatchesDirectSolver) {
@@ -164,46 +238,90 @@ TEST(BusStore, SettledLogicMatchesDirectSolver) {
   }
 }
 
-TEST(BusStore, EveryMutatorBumpsGenerationAndDropsTheStore) {
-  CoupledBus bus(params_n(6));
-  util::BitVec prev(6);
-  util::BitVec next(6);
-  next.set(2, true);
+TEST(BusStore, EveryMutatorKeepsTheStoreAndServesTheNewState) {
+  // An entry is keyed by its electrical inputs, so no mutator drops
+  // anything: entries, their verdict slots and the decay columns all
+  // stay, and every MA and random transition after each mutation equals
+  // a fresh bus carrying the same defects, in samples and in verdicts.
   const auto mutators = std::vector<void (*)(CoupledBus&)>{
       [](CoupledBus& b) { b.scale_coupling(0, 2.0); },
       [](CoupledBus& b) { b.add_series_resistance(1, 100.0); },
       [](CoupledBus& b) { b.inject_crosstalk_defect(3, 5.0); },
       [](CoupledBus& b) { b.clear_defects(); },
   };
-  for (const auto mutate : mutators) {
-    bus.transition(prev, next);
-    ASSERT_GT(bus.cache_entries(), 0u);
-    ASSERT_GT(bus.decay_columns().size(), 0u);
-    const std::uint64_t gen = bus.defect_generation();
-    mutate(bus);
-    EXPECT_GT(bus.defect_generation(), gen);
-    EXPECT_EQ(bus.cache_entries(), 0u);
-    EXPECT_EQ(bus.decay_columns().size(), 0u);
+  for (const ModelKind model : kAllModelKinds) {
+    SCOPED_TRACE(model_kind_name(model));
+    BusParams p = params_n(6, 128);
+    p.model = model;
+    const std::vector<DetectorSettings> grid = detector_grid(p);
+    const std::vector<mafm::VectorPair> traffic =
+        ma_and_random_pairs(p.n_wires, 8, 0x3E7u);
+    CoupledBus bus(p);
+    std::size_t applied = 0;
+    for (const auto mutate : mutators) {
+      SCOPED_TRACE(applied);
+      // Fill the store and its slots under the current defects.
+      for (const mafm::VectorPair& vp : traffic) {
+        const TransitionBatch b = bus.transition_batch(vp.v1, vp.v2);
+        for (std::size_t i = 0; i < p.n_wires; ++i) {
+          judge_wire(grid[0], b, i, vp);
+        }
+      }
+      const std::size_t entries = bus.cache_entries();
+      const std::size_t columns = bus.decay_columns().size();
+      ASSERT_GT(entries, 0u);
+      ASSERT_GT(columns, 0u);
+      mutate(bus);
+      ++applied;
+      EXPECT_EQ(bus.cache_entries(), entries);
+      EXPECT_EQ(bus.decay_columns().size(), columns);
+
+      CoupledBus fresh(p);
+      for (std::size_t k = 0; k < applied; ++k) mutators[k](fresh);
+      for (const mafm::VectorPair& vp : traffic) {
+        const TransitionBatch got = bus.transition_batch(vp.v1, vp.v2);
+        const TransitionBatch want = fresh.transition_batch(vp.v1, vp.v2);
+        for (std::size_t i = 0; i < p.n_wires; ++i) {
+          ASSERT_TRUE(same_bits(got.wire(i), want.wire(i))) << "wire " << i;
+          for (const DetectorSettings& s : {grid[0], grid[4]}) {
+            const Verdicts v = judge_wire(s, got, i, vp);
+            ASSERT_EQ(v, judge_wire(s, want, i, vp)) << "wire " << i;
+            ASSERT_EQ(v, fresh_verdicts(s, want.wire(i),
+                                        util::to_logic(vp.v1[i]),
+                                        util::to_logic(vp.v2[i])))
+                << "wire " << i;
+          }
+        }
+      }
+    }
   }
 }
 
-TEST(BusStore, DefectServesTheNewGeneration) {
+TEST(BusStore, DefectServesTheNewElectricalState) {
   BusParams p = params_n(6);
   CoupledBus bus(p);
   util::BitVec prev(6);
   util::BitVec next(6);
   next.set(2, true);
 
+  // Three recipes: wire 2 rising, wires 1 and 3 quiet beside it (equal
+  // interior wires), and wires 0, 4 and 5 quiet with no switching
+  // neighbour. Three misses, then three and six hits.
   const std::vector<Waveform> clean = bus.transition(prev, next);
   bus.transition(prev, next);
-  EXPECT_EQ(bus.cache_hits(), 6u);
+  EXPECT_EQ(bus.cache_hits(), 9u);
+  EXPECT_EQ(bus.cache_misses(), 3u);
 
   bus.inject_crosstalk_defect(2, 6.0);
-  // Post-defect lookups miss (stale entries dropped) and serve the new
-  // electrical state, not the stored one.
+  // The defect changes the recipe of wire 2 (its R and Miller load) and
+  // that of wires 1 and 3 (C_tot, tau_v and the aggressor's C_c and tau),
+  // which still share one: two misses. Wires 0, 4 and 5 keep theirs and
+  // hit the entry stored before the defect: three hits, and a fourth on
+  // wire 3.
   const std::vector<Waveform> defective = bus.transition(prev, next);
-  EXPECT_EQ(bus.cache_hits(), 6u);
-  EXPECT_EQ(bus.cache_misses(), 12u);
+  EXPECT_EQ(bus.cache_hits(), 13u);
+  EXPECT_EQ(bus.cache_misses(), 5u);
+  EXPECT_EQ(bus.cache_entries(), 5u);
   BusModel ref(p);
   ref.inject_crosstalk_defect(2, 6.0);
   bool any_changed = false;
@@ -213,38 +331,55 @@ TEST(BusStore, DefectServesTheNewGeneration) {
   }
   EXPECT_TRUE(any_changed) << "a severity-6 defect must alter waveforms";
 
-  // Clearing the defects restores the clean waveforms bit for bit.
+  // Clearing the defects restores the clean recipes, whose entries were
+  // never dropped: six hits, no miss, and the clean waveforms bit for bit.
   bus.clear_defects();
   const std::vector<Waveform> restored = bus.transition(prev, next);
+  EXPECT_EQ(bus.cache_hits(), 19u);
+  EXPECT_EQ(bus.cache_misses(), 5u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_TRUE(same_bits(restored[i], clean[i])) << "wire " << i;
   }
 }
 
-TEST(BusStore, CountersSurviveInvalidation) {
+TEST(BusStore, CountersSurviveMutationAndClearCache) {
   CoupledBus bus(params_n(4));
   util::BitVec prev(4);
   util::BitVec next(4);
   next.set(0, true);
 
+  // Three recipes: wire 0 rising, wire 1 quiet beside it, and wires 2
+  // and 3 quiet with no switching neighbour. 3 misses + 1 hit, 4 hits.
   bus.transition(prev, next);
   bus.transition(prev, next);
-  const std::uint64_t hits = bus.cache_hits();
-  const std::uint64_t misses = bus.cache_misses();
-  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(bus.cache_hits(), 5u);
+  EXPECT_EQ(bus.cache_misses(), 3u);
+  EXPECT_EQ(bus.cache_entries(), 3u);
 
+  // A mutation touches neither the counters nor the entries.
+  bus.inject_crosstalk_defect(1, 3.0);
+  EXPECT_EQ(bus.cache_hits(), 5u);
+  EXPECT_EQ(bus.cache_misses(), 3u);
+  EXPECT_EQ(bus.cache_entries(), 3u);
+
+  // The defect on wire 1 changes the recipes of wires 0 and 1 (two
+  // misses); wires 2 and 3 still have no switching neighbour (two hits).
+  bus.transition(prev, next);
+  EXPECT_EQ(bus.cache_hits(), 7u);
+  EXPECT_EQ(bus.cache_misses(), 5u);
+  EXPECT_EQ(bus.cache_entries(), 5u);
+
+  // clear_cache drops the entries and keeps the counters.
   bus.clear_cache();
   EXPECT_EQ(bus.cache_entries(), 0u);
-  EXPECT_EQ(bus.cache_hits(), hits);
-  EXPECT_EQ(bus.cache_misses(), misses);
+  EXPECT_EQ(bus.decay_columns().size(), 0u);
+  EXPECT_EQ(bus.cache_hits(), 7u);
+  EXPECT_EQ(bus.cache_misses(), 5u);
 
-  bus.inject_crosstalk_defect(1, 3.0);
-  EXPECT_EQ(bus.cache_hits(), hits);
-  EXPECT_EQ(bus.cache_misses(), misses);
-
-  bus.transition(prev, next);  // refill: misses again, hits unchanged
-  EXPECT_EQ(bus.cache_hits(), hits);
-  EXPECT_EQ(bus.cache_misses(), misses + 4);
+  // Refill: wires 0, 1 and 2 miss again, wire 3 hits wire 2's entry.
+  bus.transition(prev, next);
+  EXPECT_EQ(bus.cache_hits(), 8u);
+  EXPECT_EQ(bus.cache_misses(), 8u);
 }
 
 TEST(BusStore, WarmUpStoresEveryMaWaveform) {
@@ -252,7 +387,7 @@ TEST(BusStore, WarmUpStoresEveryMaWaveform) {
   bus.warm_ma_pairs();
   const std::size_t entries = bus.cache_entries();
   EXPECT_GT(entries, 0u);
-  // Deduplicated by neighbourhood: far fewer waveforms than 6*n*n wires.
+  // Deduplicated by recipe: far fewer waveforms than 6*n*n wires.
   EXPECT_LT(entries, 6u * 8u * 8u);
   const std::uint64_t misses = bus.cache_misses();
   EXPECT_EQ(misses, entries) << "every warm-up miss is stored";
@@ -275,11 +410,16 @@ TEST(BusStore, EmitsOneRecordPerLookupCall) {
   bus.set_sink(&sink);
   const mafm::VectorPair vp = mafm::vectors_for(mafm::MaFault::Fs, 8, 5);
 
+  // Fs on victim 5: every wire switches, in three recipes — the falling
+  // victim (both neighbours opposite-phase), its rising neighbours 4 and
+  // 6 (one opposite-, one same-phase neighbour), and wires 0-3 and 7
+  // (rising, no opposite-phase neighbour: tau = R * c_ground each). So
+  // the first batch has 3 misses and 5 hits.
   bus.transition_batch(vp.v1, vp.v2);
   ASSERT_EQ(sink.lookups.size(), 1u) << "one record per batch";
   EXPECT_STREQ(sink.lookups[0].name, "si.store");
-  EXPECT_EQ(sink.lookups[0].a, 0);
-  EXPECT_EQ(sink.lookups[0].b, 8);
+  EXPECT_EQ(sink.lookups[0].a, 5);
+  EXPECT_EQ(sink.lookups[0].b, 3);
 
   bus.transition_batch(vp.v1, vp.v2);
   ASSERT_EQ(sink.lookups.size(), 2u);
@@ -302,15 +442,19 @@ TEST(BusStore, CloneCarriesStoreAndCounters) {
   util::BitVec prev(6);
   util::BitVec next(6);
   next.set(2, true);
-  const std::vector<Waveform> want = bus.transition(prev, next);  // 6 misses
-  bus.transition(prev, next);                                     // 6 hits
+  // Three recipes (wire 2, wires 1 and 3 beside it, the quiet rest):
+  // 3 misses and 3 hits, then 6 hits.
+  const std::vector<Waveform> want = bus.transition(prev, next);
+  bus.transition(prev, next);
+  ASSERT_EQ(bus.cache_entries(), 3u);
 
   const CoupledBus copy = bus.clone();
   EXPECT_EQ(copy.cache_entries(), bus.cache_entries());
   EXPECT_EQ(copy.decay_columns().size(), bus.decay_columns().size());
   EXPECT_EQ(copy.cache_hits(), bus.cache_hits());
   EXPECT_EQ(copy.cache_misses(), bus.cache_misses());
-  EXPECT_EQ(copy.defect_generation(), bus.defect_generation());
+  EXPECT_EQ(copy.coupling(2), bus.coupling(2));
+  EXPECT_EQ(copy.resistance(2), bus.resistance(2));
 
   // The carried entries are live: a clone of a warm bus starts warm, and
   // serves the same waveforms.
@@ -356,7 +500,7 @@ TEST(BusStore, CloneDoesNotInheritSink) {
 }
 
 TEST(BusStore, WideBusesAreServedByTheStore) {
-  // No width limit: keys are per-wire neighbourhoods, not packed vectors.
+  // No width limit: keys are per-wire recipes, not packed vectors.
   for (const std::size_t n : {65u, 128u}) {
     SCOPED_TRACE(n);
     const BusParams p = params_n(n, 32);
@@ -381,23 +525,29 @@ TEST(BusStore, WideBusesAreServedByTheStore) {
 }
 
 TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
-  // Long waveforms shrink the slot cap below the distinct keys of one
-  // transition. Waveforms and the decay columns their solves read share
-  // the slots; the overflow wires are solved into scratch, not stored.
+  // Long waveforms shrink the slot cap below the distinct recipes of one
+  // transition. Waveforms and the decay columns their renders read share
+  // the slots; the overflow wires are rendered into scratch, not stored.
   const BusParams p = params_n(20, std::size_t{1} << 19);
   CoupledBus bus(p);
+  BusModel ref(p);
   const std::size_t cap = bus.store_capacity();
   ASSERT_GT(cap, 0u);
   ASSERT_LT(cap, p.n_wires);
   EXPECT_LE(cap * p.samples * sizeof(double), CoupledBus::kStoreBudgetBytes);
 
-  const BusModel ref(p);
-  // The two edge wires switch (stored and overflow side each see a
-  // switching wire and a glitch); the quiet middle keeps solves cheap.
+  // A resistive defect of its own size on every wire gives every wire its
+  // own recipe. Even wires rise and each odd wire stays quiet between two
+  // of them, so the stored and the overflow side each see switching
+  // wires and glitches.
+  for (std::size_t w = 0; w < p.n_wires; ++w) {
+    const double ohms = 50.0 * static_cast<double>(w + 1);
+    bus.add_series_resistance(w, ohms);
+    ref.add_series_resistance(w, ohms);
+  }
   util::BitVec prev(p.n_wires);
   util::BitVec next(p.n_wires);
-  next.set(0, true);
-  next.set(p.n_wires - 1, true);
+  for (std::size_t i = 0; i < p.n_wires; i += 2) next.set(i, true);
 
   const NdCell nd;
   const SdCell sd;
@@ -423,11 +573,19 @@ TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
           << "wire " << i;
     }
   }
+  // 64 MiB holds 15 slots of 2^19 samples. Each rising wire keeps its
+  // waveform and its tau column, each quiet odd wire its waveform, its
+  // tau_v column and the column of the rising wire to its right. Wires
+  // 0-6 fill 14 slots, wire 7's waveform the 15th (its columns go to
+  // scratch), and wires 8-19 overflow.
+  ASSERT_EQ(cap, 15u);
+  EXPECT_EQ(stored, 8u);
+  EXPECT_EQ(bus.decay_columns().size(), 7u);
   // Round 1 stored the first `stored` wires; round 2 hits exactly those.
   EXPECT_EQ(bus.cache_hits(), stored);
   EXPECT_EQ(bus.cache_misses(), 2 * p.n_wires - stored);
 
-  // The owning entry point solves an unstored wire straight into its
+  // The owning entry point renders an unstored wire straight into its
   // result.
   const std::size_t last = p.n_wires - 1;
   EXPECT_TRUE(same_bits(bus.wire_response(last, prev, next),
@@ -475,68 +633,242 @@ TEST(BusStore, BatchPointersSurviveLaterMissesOfTheSameTransition) {
   const std::size_t n = 64;
   const BusParams p = params_n(n, 128);
   CoupledBus bus(p);
-  const BusModel ref(p);
+  BusModel ref(p);
+  // A resistive defect of its own size on every wire gives every wire its
+  // own recipe, so no later wire hits an earlier one's entry.
+  for (std::size_t w = 0; w < n; ++w) {
+    const double ohms = 10.0 * static_cast<double>(w + 1);
+    bus.add_series_resistance(w, ohms);
+    ref.add_series_resistance(w, ohms);
+  }
   util::BitVec prev(n);
   util::BitVec next(n);
   for (std::size_t i = 0; i < n; i += 2) next.set(i, true);
 
-  // Store only the first four wires' keys.
+  // Store only the first four wires' recipes.
   for (std::size_t i = 0; i < 4; ++i) bus.wire_response(i, prev, next);
   ASSERT_EQ(bus.cache_entries(), 4u);
 
   const TransitionBatch b = bus.transition_batch(prev, next);
   EXPECT_EQ(bus.cache_entries(), n);
+  EXPECT_EQ(bus.cache_hits(), 4u);
+  EXPECT_EQ(bus.cache_misses(), n);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(same_bits(b.wire(i), direct_solve(ref, i, prev, next)))
         << "wire " << i;
   }
 }
 
-// ---- verdict slots ----------------------------------------------------------
+// ---- the recipe key ---------------------------------------------------------
 
-/// One detector param set, at the supply the cells observe (the model's
-/// observed swing, as SiSocDevice sets it).
-struct DetectorSettings {
-  NdParams nd;
-  SdParams sd;
-};
+TEST(BusStore, StoreEqualsDirectRendersAcrossWidthsModelsAndDefects) {
+  // Store vs direct render, bit for bit, through every lookup entry
+  // point: a warmed clean bus, then stacked and asymmetric defects (left
+  // C_c != right C_c, so a quiet wire's aggressors are not mirror
+  // images), then a clone that injects defects of its own after cloning
+  // — which keeps the entries it carried — while its source still serves
+  // the source's state.
+  const auto stacked = [](auto& b, std::size_t n) {
+    b.scale_coupling(0, 2.5);
+    b.inject_crosstalk_defect(n / 2, 4.0);
+    b.add_series_resistance(n / 2, 300.0);
+    if (n > 3) b.scale_coupling(n - 2, 0.4);
+  };
+  const auto after_clone = [](auto& b, std::size_t n) {
+    b.inject_crosstalk_defect(0, 3.0);
+    b.add_series_resistance(n - 1, 700.0);
+  };
+  for (const ModelKind model : kAllModelKinds) {
+    for (const double l_wire : {0.0, 20e-9}) {
+      for (const std::size_t n : {2u, 3u, 5u, 8u, 16u, 64u}) {
+        SCOPED_TRACE(::testing::Message() << model_kind_name(model) << " n="
+                                          << n << " l=" << l_wire);
+        BusParams p = params_n(n, 96);
+        p.model = model;
+        p.l_wire = l_wire;
+        const std::vector<mafm::VectorPair> traffic =
+            ma_and_random_pairs(n, 12, 0xD1FFu + static_cast<unsigned>(n));
+        CoupledBus bus(p);
+        BusModel ref(p);
+        bus.warm_ma_pairs();
+        for (const mafm::VectorPair& vp : traffic) {
+          expect_exact(bus, ref, vp.v1, vp.v2);
+        }
 
-/// The differential grid: ND arm/release/overshoot thresholds crossed
-/// with SD windows and receiver thresholds.
-std::vector<DetectorSettings> detector_grid(const BusParams& p) {
-  const double vdd = model_for(p.model).observed_swing(p);
-  const NdParams nds[] = {{vdd, 0.45, 0.35, 0.25},
-                          {vdd, 0.20, 0.10, 0.0},
-                          {vdd, 0.60, 0.50, 0.05}};
-  const SdParams sds[] = {{vdd, 150 * sim::kPs, 0.5},
-                          {vdd, 60 * sim::kPs, 0.3},
-                          {vdd, 400 * sim::kPs, 0.7}};
-  std::vector<DetectorSettings> grid;
-  for (const NdParams& nd : nds) {
-    for (const SdParams& sd : sds) grid.push_back({nd, sd});
+        stacked(bus, n);
+        stacked(ref, n);
+        for (const mafm::VectorPair& vp : traffic) {
+          expect_exact(bus, ref, vp.v1, vp.v2);
+        }
+
+        CoupledBus copy = bus.clone();
+        BusModel copy_ref = ref;
+        after_clone(copy, n);
+        after_clone(copy_ref, n);
+        EXPECT_EQ(copy.cache_entries(), bus.cache_entries());
+        const std::uint64_t copy_hits = copy.cache_hits();
+        for (const mafm::VectorPair& vp : traffic) {
+          expect_exact(copy, copy_ref, vp.v1, vp.v2);
+          expect_exact(bus, ref, vp.v1, vp.v2);
+        }
+        EXPECT_GT(copy.cache_hits(), copy_hits);
+      }
+    }
   }
-  return grid;
 }
 
-/// A fresh scan of `w`: the reference every memoized verdict must equal.
-Verdicts fresh_verdicts(const DetectorSettings& s, WaveformView w,
-                        util::Logic initial, util::Logic expected) {
-  return {NdCell(s.nd).violates(w, initial, expected),
-          SdCell(s.sd).violates(w, initial, expected)};
+/// The words in which two recipes differ.
+std::vector<std::size_t> differing_words(const WireRecipe& a,
+                                         const WireRecipe& b) {
+  const RecipeBits x = recipe_bits(a);
+  const RecipeBits y = recipe_bits(b);
+  std::vector<std::size_t> out;
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    if (x[k] != y[k]) out.push_back(k);
+  }
+  return out;
 }
 
-/// Judge wire i of `b` under `s` through its slot.
-Verdicts judge_wire(const DetectorSettings& s, const TransitionBatch& b,
-                    std::size_t i, const mafm::VectorPair& vp) {
-  return judge(NdCell(s.nd), SdCell(s.sd), b.wire(i),
-               util::to_logic(vp.v1[i]), util::to_logic(vp.v2[i]),
-               b.slot(i));
+/// Word index of the recipe field at byte `offset`.
+constexpr std::size_t word_at(std::size_t offset) {
+  return offset / sizeof(std::uint64_t);
 }
 
-bool slot_holds(const VerdictSlot* slot, const DetectorSettings& s) {
-  return slot != nullptr && slot->filled && slot->nd_params == s.nd &&
-         slot->sd_params == s.sd;
+/// Word index of a field (at `offset` in RecipeAggressor) of aggressor
+/// `slot`.
+constexpr std::size_t aggressor_word(std::size_t slot, std::size_t offset) {
+  return word_at(offsetof(WireRecipe, aggressors) +
+                 slot * sizeof(RecipeAggressor) + offset);
 }
+
+TEST(BusStore, WiresThatDifferInOneInputGetEntriesOfTheirOwn) {
+  // Two wires of one transition whose recipes differ in exactly one
+  // field, the rest bit-equal (exact binary values, or couplings too
+  // small to move any sum they join): a key that ignored that field would
+  // serve the first wire's waveform for the second.
+  struct Case {
+    const char* field;
+    std::size_t word;
+    BusParams params;
+    void (*defects)(CoupledBus&);
+    std::vector<std::size_t> prev_high;
+    std::vector<std::size_t> next_high;
+    std::size_t a;
+    std::size_t b;
+  };
+  BusParams plain = params_n(8, 256);
+  BusParams nine = params_n(9, 256);
+  // Ringing wires on exact binary values: c_ground = 2u, c_couple = u
+  // (u = 2^-44 F) and R = 256 Ohm, so every sum and product below is
+  // exact.
+  BusParams ringing = params_n(8, 256);
+  ringing.l_wire = 20e-9;
+  ringing.c_ground = std::ldexp(1.0, -43);
+  ringing.c_couple = std::ldexp(1.0, -44);
+  ringing.r_driver = 156.0;
+  ringing.r_wire = 100.0;
+  const std::vector<Case> cases = {
+      // Rising between two quiet neighbours vs beside a same-phase one.
+      {"tau", word_at(offsetof(WireRecipe, tau)), plain, nullptr, {},
+       {1, 4, 5}, 1, 5},
+      // A rising edge wire (C_sw = C_tot = 3u) and an interior one with
+      // one same-phase neighbour (C_sw = 3u, C_tot = 4u).
+      {"c_tot", word_at(offsetof(WireRecipe, c_tot)), ringing, nullptr, {},
+       {0, 2, 3}, 0, 2},
+      // Rising between two rising neighbours with R = 512 (C_sw = 2u) and
+      // between two quiet ones with R = 256 (C_sw = 4u): tau = 1024u and
+      // C_tot = 4u for both.
+      {"r", word_at(offsetof(WireRecipe, r)), ringing,
+       [](CoupledBus& b) { b.add_series_resistance(2, 256.0); }, {},
+       {1, 2, 3, 5}, 2, 5},
+      // Lone left aggressors through couplings of 1e-20 and 3e-20 C_c.
+      {"aggressors[0].cc", aggressor_word(0, offsetof(RecipeAggressor, cc)),
+       plain,
+       [](CoupledBus& b) {
+         b.scale_coupling(1, 1e-20);
+         b.scale_coupling(5, 3e-20);
+       },
+       {}, {1, 5}, 2, 6},
+      // Lone left aggressors with a same-phase vs a quiet neighbour.
+      {"aggressors[0].tau", aggressor_word(0, offsetof(RecipeAggressor, tau)),
+       plain, nullptr, {}, {0, 1, 5}, 2, 6},
+      // Lone left aggressors, one rising, one falling.
+      {"aggressors[0].direction",
+       aggressor_word(0, offsetof(RecipeAggressor, direction)), plain,
+       nullptr, {5}, {1}, 2, 6},
+      // Equal left aggressors through 1e-20 C_c (their glitch must not
+      // swamp the next one); right ones through 1e-20 and 3e-20 C_c.
+      {"aggressors[1].cc", aggressor_word(1, offsetof(RecipeAggressor, cc)),
+       nine,
+       [](CoupledBus& b) {
+         b.scale_coupling(1, 1e-20);
+         b.scale_coupling(5, 1e-20);
+         b.scale_coupling(2, 1e-20);
+         b.scale_coupling(6, 3e-20);
+       },
+       {}, {1, 3, 5, 7}, 2, 6},
+      // Right aggressors with a same-phase vs a quiet outer neighbour.
+      {"aggressors[1].tau", aggressor_word(1, offsetof(RecipeAggressor, tau)),
+       nine, nullptr, {}, {0, 1, 3, 4, 5, 7}, 2, 6},
+      // Right aggressors, one rising, one falling.
+      {"aggressors[1].direction",
+       aggressor_word(1, offsetof(RecipeAggressor, direction)), nine,
+       nullptr, {7}, {1, 3, 5}, 2, 6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    CoupledBus bus(c.params);
+    if (c.defects) c.defects(bus);
+    const std::size_t n = bus.n();
+    util::BitVec prev(n);
+    util::BitVec next(n);
+    for (const std::size_t w : c.prev_high) prev.set(w, true);
+    for (const std::size_t w : c.next_high) next.set(w, true);
+    const InterconnectModel& im = model_for(c.params.model);
+    const WireRecipe ra = im.recipe(bus.model(), c.a, prev, next);
+    const WireRecipe rb = im.recipe(bus.model(), c.b, prev, next);
+    ASSERT_EQ(differing_words(ra, rb), std::vector<std::size_t>{c.word});
+    const Waveform wa = direct_solve(bus.model(), c.a, prev, next);
+    const Waveform wb = direct_solve(bus.model(), c.b, prev, next);
+    ASSERT_FALSE(same_bits(wa, wb)) << "the field must matter";
+
+    const TransitionBatch batch = bus.transition_batch(prev, next);
+    EXPECT_TRUE(same_bits(batch.wire(c.a), wa));
+    EXPECT_TRUE(same_bits(batch.wire(c.b), wb));
+    EXPECT_NE(batch.slot(c.a), batch.slot(c.b));
+  }
+}
+
+TEST(BusStore, RecipeKeyComparesEveryFieldByItsBits) {
+  WireRecipe base;
+  base.prev_level = 1;
+  base.v0 = 1.8;
+  base.c_tot = 300e-15;
+  base.tau = 105e-12;
+  base.aggressors[0] = {50e-15, 88e-12, 1.8, -1};
+  const RecipeBits bits = recipe_bits(base);
+  EXPECT_TRUE(SameRecipe{}(base, base));
+  // Changing any one word, set or zero, makes another key.
+  for (std::size_t k = 0; k < bits.size(); ++k) {
+    SCOPED_TRACE(k);
+    RecipeBits flipped = bits;
+    flipped[k] ^= 1;
+    const WireRecipe other = std::bit_cast<WireRecipe>(flipped);
+    EXPECT_FALSE(SameRecipe{}(base, other));
+    EXPECT_NE(RecipeHash{}(base), RecipeHash{}(other));
+  }
+  // Bits, not double ==: -0.0 == 0.0 but they are different keys, and a
+  // NaN, which is != itself, still finds its own entry.
+  WireRecipe neg = base;
+  neg.vf = -0.0;
+  EXPECT_FALSE(SameRecipe{}(base, neg));
+  WireRecipe nan = base;
+  nan.r = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(SameRecipe{}(nan, nan));
+  EXPECT_EQ(RecipeHash{}(nan), RecipeHash{}(nan));
+}
+
+// ---- verdict slots ----------------------------------------------------------
 
 TEST(BusStore, SlotVerdictsEqualFreshScansOfDirectSolves) {
   struct Case {
@@ -643,6 +975,7 @@ TEST(BusStore, VerdictSlotsLiveAndDieWithTheirEntries) {
   BusModel ref(p);
   bus.inject_crosstalk_defect(4, 3.0);
   ref.inject_crosstalk_defect(4, 3.0);
+  const InterconnectModel& im = model_for(p.model);
 
   const auto fresh = [&](const DetectorSettings& s, std::size_t i) {
     return fresh_verdicts(s, direct_solve(ref, i, vp.v1, vp.v2),
@@ -654,15 +987,27 @@ TEST(BusStore, VerdictSlotsLiveAndDieWithTheirEntries) {
   }
   ASSERT_TRUE(a_and_b_differ) << "a stale slot must be visible";
 
-  // Judge under `s` on `on`: every wire re-judged (the slot held other
-  // params) or served, as `served` says, and equal to a fresh scan.
-  const auto judge_all = [&](CoupledBus& on, const DetectorSettings& s,
-                             bool served) {
+  // One slot per entry, one entry per recipe: `judged` maps each recipe
+  // of a bus to the settings its slot was last judged under. Judging
+  // wire i under `s` is served exactly when its recipe's slot holds `s`
+  // (wires that share a recipe share the slot), and equals a fresh scan
+  // either way.
+  using Judged = std::map<RecipeBits, const DetectorSettings*>;
+  Judged on_bus;
+  std::size_t served = 0;
+  std::size_t rejudged = 0;
+  const auto judge_all = [&](CoupledBus& on, Judged& judged,
+                             const DetectorSettings& s) {
     const TransitionBatch tb = on.transition_batch(vp.v1, vp.v2);
     for (std::size_t i = 0; i < p.n_wires; ++i) {
-      ASSERT_EQ(slot_holds(tb.slot(i), s), served) << "wire " << i;
+      const RecipeBits key = recipe_bits(im.recipe(ref, i, vp.v1, vp.v2));
+      const auto it = judged.find(key);
+      const bool want_served = it != judged.end() && it->second == &s;
+      ASSERT_EQ(slot_holds(tb.slot(i), s), want_served) << "wire " << i;
+      (want_served ? served : rejudged) += 1;
       ASSERT_EQ(judge_wire(s, tb, i, vp), fresh(s, i)) << "wire " << i;
       ASSERT_TRUE(slot_holds(tb.slot(i), s)) << "wire " << i;
+      judged[key] = &s;
     }
   };
   const auto expect_unfilled = [&](CoupledBus& on) {
@@ -674,21 +1019,25 @@ TEST(BusStore, VerdictSlotsLiveAndDieWithTheirEntries) {
   };
 
   expect_unfilled(bus);
-  judge_all(bus, a, false);
-  judge_all(bus, a, true);
-  judge_all(bus, b, false);  // other params: re-judged, not served
-  judge_all(bus, a, false);  // and back
+  judge_all(bus, on_bus, a);
+  judge_all(bus, on_bus, a);
+  judge_all(bus, on_bus, b);  // other params: re-judged, not served
+  judge_all(bus, on_bus, a);  // and back
 
   // A clone carries the slots, re-judges under other params, and leaves
   // the source's slots alone.
   CoupledBus copy = bus.clone();
-  judge_all(copy, a, true);
-  judge_all(copy, b, false);
-  judge_all(bus, a, true);
+  Judged on_copy = on_bus;
+  judge_all(copy, on_copy, a);
+  judge_all(copy, on_copy, b);
+  judge_all(bus, on_bus, a);
 
-  // Every defect mutator and clear_cache drop the slots with the entries
-  // (`ref` follows the mutations, so the re-judged verdicts stay checked).
-  const std::vector<void (*)(CoupledBus&, BusModel&)> droppers = {
+  // No defect mutator drops a slot: entries stay, so a wire whose recipe
+  // the mutation left alone is still served, and one whose recipe is new
+  // gets a fresh slot (`ref` follows the mutations, so every verdict
+  // stays checked). clear_defects brings the clean recipes back, and
+  // their slots were never dropped.
+  const std::vector<void (*)(CoupledBus&, BusModel&)> mutators = {
       [](CoupledBus& x, BusModel& r) {
         x.scale_coupling(0, 2.0);
         r.scale_coupling(0, 2.0);
@@ -705,14 +1054,25 @@ TEST(BusStore, VerdictSlotsLiveAndDieWithTheirEntries) {
         x.clear_defects();
         r.clear_defects();
       },
-      [](CoupledBus& x, BusModel&) { x.clear_cache(); },
   };
-  for (const auto drop : droppers) {
-    judge_all(bus, a, true);
-    drop(bus, ref);
-    expect_unfilled(bus);
-    judge_all(bus, a, false);
+  const std::size_t served_before = served;
+  const std::size_t rejudged_before = rejudged;
+  for (const auto mutate : mutators) {
+    const std::size_t entries = bus.cache_entries();
+    mutate(bus, ref);
+    EXPECT_EQ(bus.cache_entries(), entries);
+    judge_all(bus, on_bus, a);
+    judge_all(bus, on_bus, a);
   }
+  EXPECT_GT(rejudged, rejudged_before) << "some mutation made a new recipe";
+  EXPECT_GT(served, served_before + mutators.size() * p.n_wires)
+      << "some wire kept its slot through a mutation";
+
+  // clear_cache drops every slot with its entry.
+  bus.clear_cache();
+  on_bus.clear();
+  expect_unfilled(bus);
+  judge_all(bus, on_bus, a);
 }
 
 /// What one session decided: the final flags and the DetectorFired

@@ -1,9 +1,9 @@
 // The interconnect-model seam (si/model.hpp): registry round-trips, the
-// per-model store==direct-solver bit-for-bit differential contract (the
+// per-model store==direct-render bit-for-bit differential contract (the
 // same pin kernel_ratio_guard asserts, here across widths, stacked
-// defects and clones), the solver against the per-sample closed forms it
-// evaluates through decay columns, low_swing electricals and parameter
-// validation, the model-aware require_width diagnostic, and
+// defects and clones), `render(recipe(...))` against the per-sample
+// closed forms it evaluates through decay columns, low_swing electricals
+// and parameter validation, the model-aware require_width diagnostic, and
 // si::same_params — the predicate gating prototype clones in campaigns
 // and sweeps.
 #include <gtest/gtest.h>
@@ -45,7 +45,7 @@ std::vector<mafm::VectorPair> ma_pairs(std::size_t n) {
 }
 
 /// The differential pin: every sample of every wire of every MA
-/// transition served by `batched` must equal the model's solver, called
+/// transition served by `batched` must equal the model's recipe rendered
 /// directly (through a fresh decay-column table) on an electrically
 /// identical `BusModel`, bit-for-bit.
 void expect_batched_equals_scalar(CoupledBus& batched, const BusModel& scalar,
@@ -58,7 +58,7 @@ void expect_batched_equals_scalar(CoupledBus& batched, const BusModel& scalar,
     const TransitionBatch b = batched.transition_batch(vp.v1, vp.v2);
     for (std::size_t i = 0; i < n; ++i) {
       DecayColumns columns(scalar.params());
-      solver.solve_wire(scalar, i, vp.v1, vp.v2, columns, ref.data());
+      render(solver.recipe(scalar, i, vp.v1, vp.v2), columns, ref.data());
       ASSERT_EQ(std::memcmp(b.wire(i).data(), ref.data(),
                             samples * sizeof(double)),
                 0)
@@ -194,11 +194,13 @@ std::vector<double> closed_form(const BusModel& m, std::size_t i,
 }
 
 TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
-  // The store-vs-direct suites compare two column-backed paths, which a
-  // column keyed on a rounded tau or built on another time axis would
-  // pass. Here every sample is pinned against the closed forms through a
-  // cold table (fresh per call), one table warmed by the transitions
-  // before it, and the table a clone carries into its own misses.
+  // The store-vs-direct suites compare two column-backed renders of the
+  // same recipes, which a column keyed on a rounded tau, a recipe built
+  // from the wrong inputs or glitches added in another order would pass.
+  // Here every sample of `render(recipe(...))` is pinned against the
+  // closed forms through a cold table (fresh per call), one table warmed
+  // by the transitions before it, and the table a clone carries into its
+  // own misses.
   std::size_t equal_glitches[std::size(kAllModelKinds)] = {};
   for (const ModelKind kind : kAllModelKinds) {
     for (const double l_wire : {0.0, 20e-9}) {
@@ -209,10 +211,14 @@ TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
         p.l_wire = l_wire;
         BusModel m(p);
         CoupledBus source(p);
+        // Stacked defects, and an asymmetric coupling on pair 0: a quiet
+        // wire 1 then takes two unequal glitches, which the closed form
+        // adds left then right.
         const auto stack_defects = [n](auto& b) {
           b.inject_crosstalk_defect(n / 2, 6.0);
           b.add_series_resistance(n / 2, 400.0);
           b.add_series_resistance(n - 1, 900.0);
+          b.scale_coupling(0, 2.5);
         };
         stack_defects(m);
         stack_defects(source);
@@ -259,11 +265,12 @@ TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
             const std::vector<double> want =
                 closed_form(m, i, vp.v1, vp.v2,
                             equal_glitches[static_cast<std::size_t>(kind)]);
+            const WireRecipe r = solver.recipe(m, i, vp.v1, vp.v2);
             DecayColumns cold(p);
-            solver.solve_wire(m, i, vp.v1, vp.v2, cold, got.data());
+            render(r, cold, got.data());
             ASSERT_TRUE(same(got.data(), want)) << "cold, pair " << k
                                                 << " wire " << i;
-            solver.solve_wire(m, i, vp.v1, vp.v2, warm, got.data());
+            render(r, warm, got.data());
             ASSERT_TRUE(same(got.data(), want)) << "warm, pair " << k
                                                 << " wire " << i;
             ASSERT_TRUE(same(b.wire(i).data(), want)) << "clone, pair " << k
