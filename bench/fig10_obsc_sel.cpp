@@ -15,7 +15,7 @@
 using namespace jsi;
 
 int main() {
-  // Table 4 as implemented by the cell (see Obsc::capture / shift_bit).
+  // Table 4 as implemented by the cell (see Obsc::capture / BoundaryCell::shift_bit).
   util::Table t4({"SI", "ShiftDR", "sel", "FF1 source"});
   t4.set_title("Table 4: truth table of signal sel");
   t4.add_row({"0", "x", "1", "pin (standard capture)"});

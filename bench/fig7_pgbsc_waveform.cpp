@@ -40,7 +40,7 @@ int main() {
   bsc::Pgbsc victim, aggressor;
   victim.update(jtag::CellCtl{});  // preload 0, arm FF3
   aggressor.update(jtag::CellCtl{});
-  victim.shift_bit(true, gsitest());  // victim-select = 1
+  victim.shift_bit(true);  // victim-select = 1
 
   std::string upd, v_clk, v_q2, a_clk, a_q2, q3;
   sim::VcdWriter vcd("fig7_pgbsc.vcd");

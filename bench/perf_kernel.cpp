@@ -50,6 +50,8 @@ void BM_BitVecShift(benchmark::State& state) {
 }
 BENCHMARK(BM_BitVecShift)->Arg(64)->Arg(1024)->Arg(16384);
 
+// One full SAMPLE/PRELOAD scan through the 2n+m-cell boundary register,
+// no sink attached. Items are TCKs: the scan body plus its overhead.
 void BM_TapDrScan(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   core::SocConfig cfg;
@@ -57,14 +59,18 @@ void BM_TapDrScan(benchmark::State& state) {
   core::SiSocDevice soc(cfg);
   jtag::TapMaster master(soc.tap());
   master.reset_to_idle();
-  master.scan_ir(util::BitVec::ones(cfg.ir_width));  // BYPASS
+  master.scan_ir(util::BitVec::from_u64(
+      soc.tap().opcode(core::SiSocDevice::kSample), cfg.ir_width));
   const util::BitVec bits(soc.chain_length(), false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(master.scan_dr(util::BitVec(1, false)));
+    benchmark::DoNotOptimize(master.scan_dr(bits));
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(bits.size() +
+                                jtag::TapMaster::kDrScanOverhead));
 }
-BENCHMARK(BM_TapDrScan)->Arg(8)->Arg(32);
+BENCHMARK(BM_TapDrScan)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_BusTransition(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -11,13 +11,6 @@ void Obsc::capture(const jtag::CellCtl& c) {
   }
 }
 
-bool Obsc::shift_bit(bool tdi, const jtag::CellCtl&) {
-  // sel = 1 while ShiftDR: the chain is re-formed through FF1.
-  const bool out = ff1_;
-  ff1_ = tdi;
-  return out;
-}
-
 void Obsc::update(const jtag::CellCtl&) { ff2_ = ff1_; }
 
 void Obsc::reset() {

@@ -30,7 +30,6 @@ class Obsc : public jtag::BoundaryCell {
   Obsc(si::NdParams nd, si::SdParams sd) : nd_(nd), sd_(sd) {}
 
   void capture(const jtag::CellCtl& c) override;
-  bool shift_bit(bool tdi, const jtag::CellCtl& c) override;
   void update(const jtag::CellCtl& c) override;
   void reset() override;
 
@@ -53,7 +52,6 @@ class Obsc : public jtag::BoundaryCell {
   const si::NdCell& nd() const { return nd_; }
   const si::SdCell& sd() const { return sd_; }
 
-  bool ff1() const { return ff1_; }
   bool ff2() const { return ff2_; }
 
   /// Attach an observability sink; a DetectorFired record is reported at
@@ -71,7 +69,6 @@ class Obsc : public jtag::BoundaryCell {
   si::NdCell nd_;
   si::SdCell sd_;
   util::Logic pin_ = util::Logic::X;
-  bool ff1_ = false;
   bool ff2_ = false;
   obs::Sink* sink_ = nullptr;
   std::int64_t wire_id_ = -1;

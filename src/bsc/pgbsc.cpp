@@ -9,12 +9,6 @@ void Pgbsc::capture(const jtag::CellCtl& c) {
   if (!c.si) ff1_ = util::to_bool(core_out_);
 }
 
-bool Pgbsc::shift_bit(bool tdi, const jtag::CellCtl&) {
-  const bool out = ff1_;
-  ff1_ = tdi;
-  return out;
-}
-
 void Pgbsc::update(const jtag::CellCtl& c) {
   clocked_ff2_ = false;
   if (c.si && !c.gen) {

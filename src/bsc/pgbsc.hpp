@@ -35,7 +35,6 @@ class Pgbsc : public jtag::BoundaryCell {
   Pgbsc() = default;
 
   void capture(const jtag::CellCtl& c) override;
-  bool shift_bit(bool tdi, const jtag::CellCtl& c) override;
   void update(const jtag::CellCtl& c) override;
   void reset() override;
 
@@ -55,7 +54,6 @@ class Pgbsc : public jtag::BoundaryCell {
 
  private:
   util::Logic core_out_ = util::Logic::X;
-  bool ff1_ = false;
   bool ff2_ = false;
   bool ff3_ = true;
   bool clocked_ff2_ = false;

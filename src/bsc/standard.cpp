@@ -6,12 +6,6 @@ void StandardBsc::capture(const jtag::CellCtl&) {
   ff1_ = util::to_bool(pin_);
 }
 
-bool StandardBsc::shift_bit(bool tdi, const jtag::CellCtl&) {
-  const bool out = ff1_;
-  ff1_ = tdi;
-  return out;
-}
-
 void StandardBsc::update(const jtag::CellCtl&) { ff2_ = ff1_; }
 
 void StandardBsc::reset() {

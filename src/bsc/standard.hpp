@@ -16,21 +16,17 @@ class StandardBsc : public jtag::BoundaryCell {
   StandardBsc() = default;
 
   void capture(const jtag::CellCtl& c) override;
-  bool shift_bit(bool tdi, const jtag::CellCtl& c) override;
   void update(const jtag::CellCtl& c) override;
   void reset() override;
 
   void set_parallel_in(util::Logic v) override { pin_ = v; }
   util::Logic parallel_out(const jtag::CellCtl& c) const override;
 
-  /// Shift-stage (FF1) content.
-  bool ff1() const { return ff1_; }
   /// Update-stage (FF2) content.
   bool ff2() const { return ff2_; }
 
  private:
   util::Logic pin_ = util::Logic::X;
-  bool ff1_ = false;
   bool ff2_ = false;
 };
 

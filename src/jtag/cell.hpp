@@ -36,6 +36,10 @@ struct CellCtl {
 /// The device invokes `capture`/`shift_bit`/`update` according to the TAP
 /// state (see TapDevice::tick); `set_parallel_in` and `parallel_out` are the
 /// functional-path connections to the pin / core logic.
+///
+/// Every cell's shift stage is the same single flip-flop, FF1, so it lives
+/// here and is not virtual: what a cell type varies is what Capture-DR
+/// loads into FF1 and what Update-DR does with it.
 class BoundaryCell {
  public:
   virtual ~BoundaryCell() = default;
@@ -43,9 +47,16 @@ class BoundaryCell {
   /// Capture-DR behaviour for this cell under controls `c`.
   virtual void capture(const CellCtl& c) = 0;
 
-  /// Shift-DR: consume the bit arriving from the TDI side, return the bit
-  /// leaving toward TDO.
-  virtual bool shift_bit(bool tdi, const CellCtl& c) = 0;
+  /// Shift-DR: FF1 takes the bit arriving from the TDI side; its old
+  /// content leaves toward TDO. No control signal changes the shift path.
+  bool shift_bit(bool tdi) {
+    const bool out = ff1_;
+    ff1_ = tdi;
+    return out;
+  }
+
+  /// Shift-stage (FF1) content.
+  bool ff1() const { return ff1_; }
 
   /// Update-DR behaviour under controls `c`.
   virtual void update(const CellCtl& c) = 0;
@@ -60,6 +71,9 @@ class BoundaryCell {
   /// The cell's parallel output (core input for input cells, pin for output
   /// cells) under controls `c`.
   virtual util::Logic parallel_out(const CellCtl& c) const = 0;
+
+ protected:
+  bool ff1_ = false;
 };
 
 }  // namespace jsi::jtag

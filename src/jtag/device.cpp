@@ -6,6 +6,14 @@ namespace jsi::jtag {
 
 using util::Logic;
 
+util::BitVec TapPort::shift_run(const util::BitVec& tdi) {
+  util::BitVec tdo(tdi.size(), false);
+  for (std::size_t i = 0; i < tdi.size(); ++i) {
+    tdo.set(i, util::to_bool(tick(i + 1 == tdi.size(), tdi[i])));
+  }
+  return tdo;
+}
+
 TapDevice::TapDevice(std::string name, std::size_t ir_width)
     : name_(std::move(name)), ir_width_(ir_width) {
   if (ir_width_ < 2) throw std::invalid_argument("IR width must be >= 2");
@@ -119,6 +127,17 @@ Logic TapDevice::tick(bool tms, bool tdi) {
       prev != TapState::TestLogicReset) {
     enter_test_logic_reset();
   }
+  return tdo;
+}
+
+util::BitVec TapDevice::shift_run(const util::BitVec& tdi) {
+  if (state_ != TapState::ShiftDr || tdi.empty()) {
+    return TapPort::shift_run(tdi);
+  }
+  util::BitVec tdo(tdi.size(), false);
+  selected().shift_run(tdi, tdo);
+  tck_ += tdi.size();
+  state_ = TapState::Exit1Dr;
   return tdo;
 }
 

@@ -10,6 +10,7 @@
 
 #include "jtag/registers.hpp"
 #include "jtag/tap_state.hpp"
+#include "util/bitvec.hpp"
 #include "util/logic.hpp"
 
 namespace jsi::jtag {
@@ -22,6 +23,12 @@ class TapPort {
   /// One rising TCK edge: act on the current state, then move to the next
   /// one. Returns TDO (Z outside shift states, per 1149.1 §6).
   virtual util::Logic tick(bool tms, bool tdi) = 0;
+
+  /// `tdi.size()` edges with TMS=0 and TMS=1 on the last: a scan body
+  /// when entered in Shift-DR or Shift-IR, left in Exit1. Returns each
+  /// edge's TDO. The default is one tick() per edge, so it is exact from
+  /// any state.
+  virtual util::BitVec shift_run(const util::BitVec& tdi);
 
   /// Asynchronous TRST*: force Test-Logic-Reset immediately.
   virtual void async_reset() = 0;
@@ -83,6 +90,9 @@ class TapDevice : public TapPort {
   // ---- runtime --------------------------------------------------------------
 
   util::Logic tick(bool tms, bool tdi) override;
+  /// In Shift-DR the selected register shifts the whole body in one
+  /// `shift_run` call; every other state takes the per-edge default.
+  util::BitVec shift_run(const util::BitVec& tdi) override;
   void async_reset() override;
   std::uint64_t tck_count() const override { return tck_; }
 

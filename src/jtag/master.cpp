@@ -1,5 +1,6 @@
 #include "jtag/master.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +14,18 @@ util::Logic TapMaster::clock(bool tms, bool tdi) {
   const util::Logic tdo = port_->tick(tms, tdi);
   state_ = next_state(state_, tms);
   return tdo;
+}
+
+util::BitVec TapMaster::shift_body(const util::BitVec& bits) {
+  if (sink_) {
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      sink_->on_event(tap_edge_event(state_, i + 1 == bits.size(), bits[i],
+                                     tck_ + 1 + i));
+    }
+  }
+  tck_ += bits.size();
+  state_ = next_state(state_, true);
+  return port_->shift_run(bits);
 }
 
 void TapMaster::require_idle(const char* op) const {
@@ -37,11 +50,7 @@ util::BitVec TapMaster::scan_dr(const util::BitVec& bits) {
   clock(true);   // -> Select-DR-Scan
   clock(false);  // -> Capture-DR
   clock(false);  // capture executes; -> Shift-DR
-  util::BitVec out(bits.size(), false);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const bool last = i + 1 == bits.size();
-    out.set(i, util::to_bool(clock(last, bits[i])));  // shift; last -> Exit1
-  }
+  const util::BitVec out = shift_body(bits);  // last edge -> Exit1-DR
   clock(true);   // Exit1-DR -> Update-DR
   clock(false);  // update executes; -> Run-Test/Idle
   return out;
@@ -56,20 +65,17 @@ util::BitVec TapMaster::scan_dr_paused(const util::BitVec& bits,
   clock(true);   // -> Select-DR-Scan
   clock(false);  // -> Capture-DR
   clock(false);  // capture executes; -> Shift-DR
-  util::BitVec out(bits.size(), false);
-  std::size_t since_pause = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const bool last = i + 1 == bits.size();
-    const bool park = !last && ++since_pause == pause_every;
-    // A shift occurs on this edge either way; TMS=1 moves to Exit1-DR.
-    out.set(i, util::to_bool(clock(last || park, bits[i])));
-    if (park) {
+  util::BitVec out;
+  for (std::size_t first = 0; first < bits.size(); first += pause_every) {
+    const std::size_t len = std::min(pause_every, bits.size() - first);
+    // Each segment's last edge shifts too, and moves to Exit1-DR.
+    out = out.concat(shift_body(bits.slice(first, len)));
+    if (first + len < bits.size()) {
       clock(false);  // Exit1-DR -> Pause-DR
       for (std::size_t p = 0; p < pause_clocks; ++p) clock(false);
       clock(true);   // Pause-DR -> Exit2-DR
       clock(false);  // Exit2-DR -> Shift-DR (no shift on this edge: the
                      // acting state is Exit2-DR)
-      since_pause = 0;
     }
   }
   clock(true);   // Exit1-DR -> Update-DR
@@ -84,11 +90,7 @@ util::BitVec TapMaster::scan_ir(const util::BitVec& bits) {
   clock(true);   // -> Select-IR-Scan
   clock(false);  // -> Capture-IR
   clock(false);  // capture executes; -> Shift-IR
-  util::BitVec out(bits.size(), false);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const bool last = i + 1 == bits.size();
-    out.set(i, util::to_bool(clock(last, bits[i])));
-  }
+  const util::BitVec out = shift_body(bits);  // last edge -> Exit1-IR
   clock(true);   // Exit1-IR -> Update-IR
   clock(false);  // update executes; -> Run-Test/Idle
   return out;

@@ -13,10 +13,22 @@ void BoundaryRegister::capture() {
 }
 
 bool BoundaryRegister::shift(bool tdi) {
-  const CellCtl c = ctl_();
   bool bit = tdi;
-  for (auto& cell : cells_) bit = cell->shift_bit(bit, c);
+  for (auto& cell : cells_) bit = cell->shift_bit(bit);
   return bit;
+}
+
+void BoundaryRegister::shift_run(const util::BitVec& in, util::BitVec& out) {
+  const std::size_t n = cells_.size();
+  const std::size_t len = in.size();
+  // From the TDO end down, so cell k - len still holds its old FF1 when
+  // cell k reads it.
+  for (std::size_t k = n; k-- > 0;) {
+    const bool next = k >= len ? cells_[k - len]->ff1() : in[len - 1 - k];
+    const bool old = cells_[k]->shift_bit(next);
+    if (n - 1 - k < len) out.set(n - 1 - k, old);
+  }
+  for (std::size_t i = n; i < len; ++i) out.set(i, in[i - n]);
 }
 
 void BoundaryRegister::update() {

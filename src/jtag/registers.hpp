@@ -26,6 +26,13 @@ class DataRegister {
   /// Shift-DR action: shift one stage, consuming `tdi`, returning TDO.
   virtual bool shift(bool tdi) = 0;
 
+  /// `in.size()` Shift-DR actions in a row: `in[i]` enters on the i-th and
+  /// `out[i]` receives its TDO. `out` must hold `in.size()` bits. Equal to
+  /// calling `shift` once per bit, which is what the default does.
+  virtual void shift_run(const util::BitVec& in, util::BitVec& out) {
+    for (std::size_t i = 0; i < in.size(); ++i) out.set(i, shift(in[i]));
+  }
+
   /// Update-DR action (no-op for registers without an update stage).
   virtual void update() {}
 
@@ -95,7 +102,8 @@ class ShiftUpdateRegister final : public DataRegister {
 /// The boundary-scan register: an ordered chain of `BoundaryCell`s, cell 0
 /// nearest TDI. Controls (Mode/SI/CE/ND-SD) are supplied per call by the
 /// owning device through a provider function so instruction decode stays in
-/// one place.
+/// one place. Shifting reads no control: every cell's shift stage is its
+/// FF1.
 class BoundaryRegister final : public DataRegister {
  public:
   using CtlProvider = std::function<CellCtl()>;
@@ -108,6 +116,10 @@ class BoundaryRegister final : public DataRegister {
   std::size_t length() const override { return cells_.size(); }
   void capture() override;
   bool shift(bool tdi) override;
+  /// One pass over the cells for the whole run, not one per bit: after L
+  /// shifts of N cells, TDO bit i is cell N-1-i's old FF1 (i < N) or
+  /// in[i-N], and cell k holds in[L-1-k] (k < L) or cell k-L's old FF1.
+  void shift_run(const util::BitVec& in, util::BitVec& out) override;
   void update() override;
   void reset() override;
 

@@ -80,7 +80,7 @@ class StandardEquiv : public ::testing::Test {
   }
 
   void shift(bool tdi) {
-    beh_.shift_bit(tdi, CellCtl{});
+    beh_.shift_bit(tdi);
     net_.set("tdi", tdi);
     net_.set("shift_dr", true);
     net_.pulse("clock_dr");
@@ -163,7 +163,7 @@ class PgbscEquiv : public ::testing::Test {
   }
 
   void shift(bool tdi, bool si) {
-    beh_.shift_bit(tdi, ctl(si));
+    beh_.shift_bit(tdi);
     net_.set("si", si);
     net_.set("tdi", tdi);
     net_.pulse("clock_dr");
@@ -289,7 +289,7 @@ class ObscEquiv : public ::testing::Test {
   }
 
   void shift(bool tdi) {
-    beh_.shift_bit(tdi, CellCtl{});
+    beh_.shift_bit(tdi);
     net_.set("tdi", tdi);
     net_.set("shift_dr", true);
     net_.pulse("clock_dr");

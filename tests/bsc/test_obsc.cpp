@@ -90,7 +90,7 @@ TEST(Obsc, Table4SelZeroOnlyWhenSiAndNotShifting) {
   c.capture(normal());
   EXPECT_FALSE(c.ff1()) << "SI=0: pin capture, not the ND flag";
   // Shifting always re-forms the chain regardless of SI.
-  EXPECT_FALSE(c.shift_bit(true, ositest(true)));
+  EXPECT_FALSE(c.shift_bit(true));
   EXPECT_TRUE(c.ff1());
 }
 
@@ -122,7 +122,7 @@ TEST(Obsc, FlagsAreStickyAcrossManyObservations) {
 TEST(Obsc, ResetClearsEverything) {
   Obsc c(nd_params(), sd_params());
   c.observe(big_glitch(), Logic::L0, Logic::L0, gsitest());
-  c.shift_bit(true, normal());
+  c.shift_bit(true);
   c.update(normal());
   c.reset();
   EXPECT_FALSE(c.nd().flag());
@@ -133,7 +133,7 @@ TEST(Obsc, ResetClearsEverything) {
 
 TEST(Obsc, UpdateLoadsFf2FromFf1) {
   Obsc c(nd_params(), sd_params());
-  c.shift_bit(true, normal());
+  c.shift_bit(true);
   c.update(normal());
   EXPECT_TRUE(c.ff2());
 }

@@ -29,7 +29,7 @@ CellCtl ositest() {
 TEST(Pgbsc, Table1NormalMode) {
   // Normal mode: SI=0, FF2 loads FF1 on Update-DR.
   Pgbsc c;
-  c.shift_bit(true, normal());
+  c.shift_bit(true);
   c.update(normal());
   EXPECT_TRUE(c.q2());
   EXPECT_TRUE(c.q3()) << "FF3 re-armed to 1 by a non-SI update";
@@ -53,7 +53,7 @@ TEST(Pgbsc, Table1VictimTogglesEveryOtherUpdate) {
   // second SI update (FF3 armed to 1).
   Pgbsc c;
   c.update(normal());
-  c.shift_bit(true, gsitest());  // victim-select = 1
+  c.shift_bit(true);  // victim-select = 1
   const bool q2_expected[] = {false, true, true, false, false, true};
   for (int u = 0; u < 6; ++u) {
     c.update(gsitest());
@@ -66,7 +66,7 @@ TEST(Pgbsc, VictimFrequencyIsHalfAggressorFrequency) {
   Pgbsc victim, aggressor;
   victim.update(normal());
   aggressor.update(normal());
-  victim.shift_bit(true, gsitest());
+  victim.shift_bit(true);
   int victim_toggles = 0, aggressor_toggles = 0;
   bool pv = victim.q2(), pa = aggressor.q2();
   for (int u = 0; u < 8; ++u) {
@@ -84,7 +84,7 @@ TEST(Pgbsc, VictimFrequencyIsHalfAggressorFrequency) {
 TEST(Pgbsc, CaptureHoldsFf1InSiMode) {
   Pgbsc c;
   c.set_parallel_in(Logic::L1);
-  c.shift_bit(true, gsitest());
+  c.shift_bit(true);
   c.set_parallel_in(Logic::L0);
   c.capture(gsitest());
   EXPECT_TRUE(c.q1()) << "SI capture must not overwrite victim-select";
@@ -108,11 +108,11 @@ TEST(Pgbsc, OSitestHoldsPatternState) {
 
 TEST(Pgbsc, ShiftRotatesVictimSelect) {
   Pgbsc a, b;
-  a.shift_bit(true, gsitest());
+  a.shift_bit(true);
   EXPECT_TRUE(a.q1());
   // Rotate: shift one 0 in; a's bit moves to b.
-  const bool out = a.shift_bit(false, gsitest());
-  b.shift_bit(out, gsitest());
+  const bool out = a.shift_bit(false);
+  b.shift_bit(out);
   EXPECT_FALSE(a.q1());
   EXPECT_TRUE(b.q1());
 }
@@ -128,7 +128,7 @@ TEST(Pgbsc, ModeMuxDrivesQ2OnlyInTestMode) {
 
 TEST(Pgbsc, ResetState) {
   Pgbsc c;
-  c.shift_bit(true, gsitest());
+  c.shift_bit(true);
   c.update(normal());
   c.reset();
   EXPECT_FALSE(c.q1());
@@ -140,7 +140,7 @@ TEST(Pgbsc, InitialValueOnePatternPhase) {
   // With initial value 1 the aggressor sequence is 1->0->1->0 and the
   // victim 1->1->0->0 (Ng, Fs, Ng' order).
   Pgbsc victim;
-  victim.shift_bit(true, normal());  // FF1=1 so the preload update sets q2=1
+  victim.shift_bit(true);  // FF1=1 so the preload update sets q2=1
   victim.update(normal());
   EXPECT_TRUE(victim.q2());
   const bool expected[] = {true, false, false, true};

@@ -20,14 +20,14 @@ TEST(StandardBsc, CaptureReadsPin) {
 
 TEST(StandardBsc, ShiftMovesTdiToFf1AndReturnsOldFf1) {
   StandardBsc c;
-  EXPECT_FALSE(c.shift_bit(true, CellCtl{}));
-  EXPECT_TRUE(c.shift_bit(false, CellCtl{}));
+  EXPECT_FALSE(c.shift_bit(true));
+  EXPECT_TRUE(c.shift_bit(false));
   EXPECT_FALSE(c.ff1());
 }
 
 TEST(StandardBsc, UpdateCopiesFf1ToFf2) {
   StandardBsc c;
-  c.shift_bit(true, CellCtl{});
+  c.shift_bit(true);
   EXPECT_FALSE(c.ff2());
   c.update(CellCtl{});
   EXPECT_TRUE(c.ff2());
@@ -36,7 +36,7 @@ TEST(StandardBsc, UpdateCopiesFf1ToFf2) {
 TEST(StandardBsc, ModeMuxSelectsSource) {
   StandardBsc c;
   c.set_parallel_in(Logic::L0);
-  c.shift_bit(true, CellCtl{});
+  c.shift_bit(true);
   c.update(CellCtl{});
   CellCtl functional;
   EXPECT_EQ(c.parallel_out(functional), Logic::L0);  // pin passes through
@@ -47,7 +47,7 @@ TEST(StandardBsc, ModeMuxSelectsSource) {
 
 TEST(StandardBsc, ResetClearsState) {
   StandardBsc c;
-  c.shift_bit(true, CellCtl{});
+  c.shift_bit(true);
   c.update(CellCtl{});
   c.reset();
   EXPECT_FALSE(c.ff1());

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bsc/obsc.hpp"
+#include "bsc/pgbsc.hpp"
 #include "bsc/standard.hpp"
+#include "util/prng.hpp"
 
 namespace jsi::jtag {
 namespace {
@@ -112,6 +115,49 @@ TEST(BoundaryRegister, ResetClearsCells) {
   br.update();
   br.reset();
   EXPECT_EQ(br.parallel_out(0, 1)[0], Logic::L0);
+}
+
+/// `n` cells of seeded random types (standard, PGBSC, OBSC) whose FF1s
+/// hold seeded random bits. Equal seeds give equal registers.
+std::unique_ptr<BoundaryRegister> random_register(std::size_t n,
+                                                  std::uint64_t seed) {
+  auto br = std::make_unique<BoundaryRegister>([] { return CellCtl{}; });
+  util::Prng rng(seed);
+  for (std::size_t k = 0; k < n; ++k) {
+    switch (rng.next_below(3)) {
+      case 0: br->add_cell(std::make_unique<bsc::StandardBsc>()); break;
+      case 1: br->add_cell(std::make_unique<bsc::Pgbsc>()); break;
+      default:
+        br->add_cell(
+            std::make_unique<bsc::Obsc>(si::NdParams{}, si::SdParams{}));
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) br->shift(rng.next_bool());
+  return br;
+}
+
+TEST(BoundaryRegister, ShiftRunEqualsShiftingBitByBit) {
+  for (const std::size_t n : {1, 2, 17, 64, 129}) {
+    for (const std::size_t len : {std::size_t{1}, n - 1, n, n + 1, 2 * n + 3}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " len " + std::to_string(len));
+      const std::uint64_t seed = 100 * n + len;
+      auto burst = random_register(n, seed);
+      auto twin = random_register(n, seed);
+      util::Prng rng(~seed);
+      BitVec in(len, false);
+      for (std::size_t i = 0; i < len; ++i) in.set(i, rng.next_bool());
+
+      BitVec out(len, false);
+      burst->shift_run(in, out);
+      BitVec ref(len, false);
+      for (std::size_t i = 0; i < len; ++i) ref.set(i, twin->shift(in[i]));
+
+      EXPECT_EQ(out, ref);
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(burst->cell(k).ff1(), twin->cell(k).ff1()) << "cell " << k;
+      }
+    }
+  }
 }
 
 }  // namespace
