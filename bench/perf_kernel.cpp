@@ -115,14 +115,19 @@ void BM_BusTransitionUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_BusTransitionUncached)->Arg(8)->Arg(32);
 
-void BM_BusTransitionBatched(benchmark::State& state) {
-  // The store-backed hot path: the full MA workload served from a
-  // warmed waveform store. Compare against BM_BusTransitionUncached for
-  // the raw batched-vs-scalar gap (asserted >= 3x by kernel_ratio_guard).
+// The store-backed hot path: the full MA workload served from a warmed
+// waveform store, on a bus with `defects` crosstalk defects of severity
+// 6 spread over it (wide_bus_n64 injects three). Items are transitions.
+// Compare against BM_BusTransitionUncached for the raw batched-vs-scalar
+// gap (asserted >= 3x by kernel_ratio_guard).
+void batched_ma_workload(benchmark::State& state, std::size_t defects) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   si::BusParams p;
   p.n_wires = n;
   si::CoupledBus bus(p);
+  for (std::size_t d = 1; d <= defects; ++d) {
+    bus.inject_crosstalk_defect(d * n / (defects + 1), 6.0);
+  }
   bus.warm_ma_pairs();
   const auto pairs = bench::ma_workload(n);
   double acc = 0.0;
@@ -137,7 +142,16 @@ void BM_BusTransitionBatched(benchmark::State& state) {
                           static_cast<std::int64_t>(pairs.size()));
   state.counters["hit_rate"] = bus.cache_hit_rate();
 }
-BENCHMARK(BM_BusTransitionBatched)->Arg(8)->Arg(32);
+
+void BM_BusTransitionBatched(benchmark::State& state) {
+  batched_ma_workload(state, 0);
+}
+BENCHMARK(BM_BusTransitionBatched)->Arg(8)->Arg(32)->Arg(64);
+
+void BM_BusTransitionBatchedDefects(benchmark::State& state) {
+  batched_ma_workload(state, 3);
+}
+BENCHMARK(BM_BusTransitionBatchedDefects)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_NetlistSimPgbsc(benchmark::State& state) {
   for (auto _ : state) {

@@ -27,12 +27,14 @@ util::Logic Obsc::parallel_out(const jtag::CellCtl& c) const {
 void Obsc::observe(si::WaveformView w, util::Logic initial,
                    util::Logic expected, const jtag::CellCtl& c,
                    si::VerdictSlot* slot) {
+  latch(si::judge(nd_, sd_, w, initial, expected, slot), c);
+}
+
+void Obsc::latch(si::Verdicts v, const jtag::CellCtl& c) {
   nd_.set_enable(c.ce);
   sd_.set_enable(c.ce);
-  if (!c.ce) return;  // disabled sensors keep their flags: nothing to judge
   const bool nd_was = nd_.flag();
   const bool sd_was = sd_.flag();
-  const si::Verdicts v = si::judge(nd_, sd_, w, initial, expected, slot);
   nd_.latch(v.nd);
   sd_.latch(v.sd);
   if (sink_) {

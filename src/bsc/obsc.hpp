@@ -36,18 +36,22 @@ class Obsc : public jtag::BoundaryCell {
   void set_parallel_in(util::Logic v) override { pin_ = v; }
   util::Logic parallel_out(const jtag::CellCtl& c) const override;
 
-  /// Feed one receiving-end waveform to the sensors. `initial` is the
-  /// wire's driven logic level before this bus transition; `expected` the
-  /// level after it. Honors CE: with c.ce == false the sticky flags are
-  /// untouched ("the captured data in their flip-flops remain unchanged").
-  /// Takes a non-owning view so the batched bus path feeds waveform-store
-  /// storage straight to the sensors with no copies. `slot` is the stored
+  /// Feed one receiving-end waveform to the sensors: si::judge, then
+  /// latch(). `initial` is the wire's driven logic level before this bus
+  /// transition; `expected` the level after it. `slot` is the stored
   /// waveform's verdict memo (TransitionBatch::slot): verdicts recorded
   /// there under this cell's params are reused instead of rescanning `w`,
-  /// and fresh ones are recorded (si::judge). nullptr always scans.
+  /// and fresh ones are recorded. nullptr always scans.
   void observe(si::WaveformView w, util::Logic initial,
                util::Logic expected, const jtag::CellCtl& c,
                si::VerdictSlot* slot = nullptr);
+
+  /// Latch the verdicts of this cell's wire into the sticky sensor
+  /// flags. Honors CE: with c.ce == false the flags are untouched ("the
+  /// captured data in their flip-flops remain unchanged"). Wires whose
+  /// waveforms share one store entry share their verdicts, so a device
+  /// judges such a run of wires once and latches it cell by cell.
+  void latch(si::Verdicts v, const jtag::CellCtl& c);
 
   const si::NdCell& nd() const { return nd_; }
   const si::SdCell& sd() const { return sd_; }

@@ -203,16 +203,8 @@ void MultiBusSoc::apply_buses(bool observe) {
       sink_->on_event(e);
     }
     // Batched per-bus evaluation (see SiSocDevice::apply_bus).
-    const si::TransitionBatch batch = buses_[b]->transition_batch(prev, next[b]);
-    for (std::size_t w = 0; w < n; ++w) {
-      const si::WaveformView wf = batch.wire(w);
-      if (observe) {
-        obscs_[b][w]->observe(wf, util::to_logic(prev[w]),
-                              util::to_logic(next[b][w]), ctl_,
-                              batch.slot(w));
-      }
-      obscs_[b][w]->set_parallel_in(buses_[b]->settled_logic(wf));
-    }
+    receive_transition(*buses_[b], buses_[b]->transition_batch(prev, next[b]),
+                       prev, next[b], obscs_[b], ctl_, observe);
   }
 }
 

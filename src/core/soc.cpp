@@ -15,6 +15,31 @@ si::BusParams effective_bus_params(const SocConfig& cfg) {
   return bp;
 }
 
+void receive_transition(const si::CoupledBus& bus,
+                        const si::TransitionBatch& batch,
+                        const BitVec& prev, const BitVec& next,
+                        const std::vector<bsc::Obsc*>& obscs,
+                        const jtag::CellCtl& ctl, bool observe) {
+  for (std::size_t i = 0; i < batch.n_wires;) {
+    si::VerdictSlot* const slot = batch.slot(i);
+    std::size_t end = i + 1;
+    if (slot != nullptr) {
+      while (end < batch.n_wires && batch.slot(end) == slot) ++end;
+    }
+    const si::WaveformView w = batch.wire(i);
+    si::Verdicts v;
+    if (observe) {
+      v = si::judge(obscs[i]->nd(), obscs[i]->sd(), w,
+                    util::to_logic(prev[i]), util::to_logic(next[i]), slot);
+    }
+    const Logic settled = bus.settled_logic(w);
+    for (; i < end; ++i) {
+      if (observe) obscs[i]->latch(v, ctl);
+      obscs[i]->set_parallel_in(settled);
+    }
+  }
+}
+
 SiSocDevice::SiSocDevice(SocConfig cfg)
     : SiSocDevice(std::move(cfg), static_cast<si::CoupledBus*>(nullptr)) {}
 
@@ -225,15 +250,8 @@ void SiSocDevice::apply_bus(bool observe) {
   // One batched store lookup for the whole bus: the sensors judge
   // zero-copy views of the stored waveforms, each waveform once per
   // detector param set (its verdict slot remembers the rest).
-  const si::TransitionBatch batch = bus_->transition_batch(prev, next);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    const si::WaveformView w = batch.wire(i);
-    if (observe) {
-      obscs_[i]->observe(w, util::to_logic(prev[i]), util::to_logic(next[i]),
-                         ctl_, batch.slot(i));
-    }
-    obscs_[i]->set_parallel_in(bus_->settled_logic(w));
-  }
+  receive_transition(*bus_, bus_->transition_batch(prev, next), prev, next,
+                     obscs_, ctl_, observe);
 }
 
 }  // namespace jsi::core

@@ -25,6 +25,9 @@ constexpr std::size_t kMaxNets = 4096;
 constexpr std::size_t kMaxRandomCount = 1024;  ///< random_crosstalk.count
 constexpr std::size_t kMaxSweepPopulation = 10'000'000;
 constexpr std::uint64_t kMaxShards = 256;  ///< one std::thread per shard
+/// obs.trace_capacity: every campaign worker's hub reserves that many
+/// 56-byte records, so 2^20 is 56 MiB per worker.
+constexpr std::size_t kMaxTraceCapacity = std::size_t{1} << 20;
 
 [[noreturn]] void fail(const std::string& path, const std::string& reason) {
   throw SpecError(path, reason);
@@ -625,7 +628,8 @@ ObsSpec parse_obs(const json::Value& v) {
               "tck_period_ps"});
   ObsSpec o;
   if (const json::Value* x = v.find("trace_capacity")) {
-    o.trace_capacity = as_int_min(*x, sub(path, "trace_capacity"), 1);
+    o.trace_capacity =
+        as_int_in(*x, sub(path, "trace_capacity"), 1, kMaxTraceCapacity);
   }
   if (const json::Value* x = v.find("tap_edges")) {
     o.tap_edges = as_bool(*x, sub(path, "tap_edges"));

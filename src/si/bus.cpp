@@ -9,6 +9,14 @@
 
 namespace jsi::si {
 
+namespace {
+
+/// Window codes of one wire: two bits (driven level before, after) for
+/// each of wires i-2 .. i+2, the reach of wire i's recipe.
+constexpr std::size_t kWindowCodes = std::size_t{1} << 10;
+
+}  // namespace
+
 CoupledBus::CoupledBus(BusParams p)
     : model_(p),
       solver_(&model_for(model_.params().model)),
@@ -21,7 +29,8 @@ CoupledBus CoupledBus::clone() const {
   CoupledBus c = *this;
   c.sink_ = nullptr;  // sinks are thread-local; never shared with a clone
   // The last batch's pointers reference *our* storage; a clone starts
-  // with no live batch and no scratch of its own yet.
+  // with no live batch and no scratch of its own yet (nor a window
+  // table, which no copy takes along).
   c.batch_ptrs_.clear();
   c.batch_slots_.clear();
   c.overflow_ = {};
@@ -38,6 +47,7 @@ double CoupledBus::cache_hit_rate() const {
 void CoupledBus::clear_cache() {
   store_.clear();
   columns_.clear();
+  windows_.forget();
 }
 
 void CoupledBus::warm_ma_pairs() {
@@ -135,29 +145,38 @@ TransitionBatch CoupledBus::transition_batch(const util::BitVec& prev,
   const std::size_t samples = params().samples;
   batch_ptrs_.resize(n);
   batch_slots_.resize(n);
+  if (windows_.rows.empty()) windows_.rows.resize(kWindowCodes);
+  // Wire j's driven levels before and after, as two bits; a wire past
+  // either edge reads as 0.
+  const auto levels = [&](std::size_t j) -> std::size_t {
+    if (j >= n) return 0;
+    return (prev[j] ? 1u : 0u) | (next[j] ? 2u : 0u);
+  };
   Tally t;
-  Entry* e = nullptr;
-  WireRecipe last;  // e's recipe
+  // Wire i's window code holds wires i-2 .. i+2 from the low bits up, so
+  // each step shifts one wire out and the next one in.
+  std::size_t code = levels(0) << 6 | levels(1) << 8;
   for (std::size_t i = 0; i < n; ++i) {
-    const WireRecipe r = solver_->recipe(model_, i, prev, next);
-    // Neighbouring wires often share a recipe (the interior of a bus
-    // under most patterns): compare with the last one before hashing.
-    if (e != nullptr && SameRecipe{}(r, last)) {
+    code = code >> 2 | levels(i + 2) << 8;
+    std::unique_ptr<Entry*[]>& row = windows_.rows[code];
+    if (!row) row = std::make_unique<Entry*[]>(n);
+    Entry*& known = row[i];
+    if (known != nullptr) {
       ++t.hits;
     } else {
-      e = find_or_fill(r, t);
-      last = r;
+      const WireRecipe r = solver_->recipe(model_, i, prev, next);
+      known = find_or_fill(r, t);
+      if (known == nullptr) {
+        overflow_.resize(n * samples);
+        double* dst = overflow_.data() + i * samples;
+        solve(r, dst);
+        batch_ptrs_[i] = dst;
+        batch_slots_[i] = nullptr;
+        continue;
+      }
     }
-    if (e != nullptr) {
-      batch_ptrs_[i] = e->wave.data();
-      batch_slots_[i] = &e->verdict;
-      continue;
-    }
-    overflow_.resize(n * samples);
-    double* dst = overflow_.data() + i * samples;
-    solve(r, dst);
-    batch_ptrs_[i] = dst;
-    batch_slots_[i] = nullptr;
+    batch_ptrs_[i] = known->wave.data();
+    batch_slots_[i] = &known->verdict;
   }
   finish_lookup(t);
   TransitionBatch b;

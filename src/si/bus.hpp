@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -79,8 +80,8 @@ class CoupledBus {
   /// observability sink is deliberately NOT carried over — a clone lives
   /// on another worker thread, and sharing the source's sink would race;
   /// attach a thread-local sink with set_sink() after cloning. The overflow
-  /// scratch is per-clone (fresh and empty), so two clones never alias
-  /// storage.
+  /// scratch and the window table are per-clone (fresh and empty), so two
+  /// clones never alias storage.
   CoupledBus clone() const;
 
   const BusParams& params() const { return model_.params(); }
@@ -92,17 +93,21 @@ class CoupledBus {
   // ---- defect / process-variation injection -------------------------------
   //
   // The store is keyed by each wire's electrical inputs, so no mutator
-  // touches it: an entry stays exact under every defect state.
+  // touches it: an entry stays exact under every defect state. Each
+  // mutator forgets the window table, whose codes stand for recipes of
+  // the state before it.
 
   /// Multiply the coupling capacitance of adjacent pair `pair` = (pair,
   /// pair+1) by `factor`. Cumulative.
   void scale_coupling(std::size_t pair, double factor) {
     model_.scale_coupling(pair, factor);
+    windows_.forget();
   }
 
   /// Add series resistance to `wire` (resistive open, weak driver).
   void add_series_resistance(std::size_t wire, double ohms) {
     model_.add_series_resistance(wire, ohms);
+    windows_.forget();
   }
 
   /// Composite crosstalk defect around `wire`: scales both adjacent
@@ -111,10 +116,14 @@ class CoupledBus {
   /// default detector thresholds.
   void inject_crosstalk_defect(std::size_t wire, double severity) {
     model_.inject_crosstalk_defect(wire, severity);
+    windows_.forget();
   }
 
   /// Remove all injected defects.
-  void clear_defects() { model_.clear_defects(); }
+  void clear_defects() {
+    model_.clear_defects();
+    windows_.forget();
+  }
 
   // ---- electrical queries --------------------------------------------------
 
@@ -154,6 +163,16 @@ class CoupledBus {
   /// points straight into the store, verdict slots included (or, for
   /// misses that found it full, into the bus's overflow scratch, with no
   /// slot). See TransitionBatch for lifetime.
+  ///
+  /// A store hit costs O(1) per wire here. Wire i's recipe reads only the
+  /// bus's electrical state and the driven levels before and after of
+  /// wires i-2 .. i+2; those ten bits are the wire's *window code* (a
+  /// wire past either edge reads as 0). The bus keeps one table per wire,
+  /// indexed by window code, holding the entry the wire's recipe found
+  /// the last time it had that code. A table hit counts as the store hit
+  /// the recipe lookup would have counted; a table miss builds the recipe
+  /// and looks it up, then records the entry (never a full store's
+  /// nullptr).
   TransitionBatch transition_batch(const util::BitVec& prev,
                                    const util::BitVec& next) const;
 
@@ -190,6 +209,12 @@ class CoupledBus {
   /// `random_defects` die keeps 54 waveforms and 16 decay columns, the
   /// n=64 Table 5 sessions 20 and 5 — so no shipped workload reaches it,
   /// and a bus that goes through many defect states stays bounded.
+  /// Outside the budget, and bounded by the bus's shape, sit two blocks
+  /// of transition_batch: the overflow block (n x samples doubles, sized
+  /// on the first miss that finds the store full) and the window table
+  /// (an 8 KiB row index from the first batch, plus a row of n entry
+  /// pointers per window code met: at most 8 KiB per wire, so 512 KiB at
+  /// n=64 and 8 MiB at the parser's 1,024-wire cap).
   static constexpr std::size_t kStoreBudgetBytes = std::size_t{64} << 20;
 
   /// Slots that fit the budget at this bus's sample count; waveforms plus
@@ -208,10 +233,10 @@ class CoupledBus {
   /// The decay columns kept beside the store.
   const DecayColumns& decay_columns() const { return columns_; }
 
-  /// Drop every stored waveform and decay column (counters are kept).
-  /// Deliberately non-const: flushing is a real state mutation, and
-  /// per-shard clones must not be able to reset each other through a
-  /// const reference.
+  /// Drop every stored waveform and decay column, and the window table
+  /// that points at them (counters are kept). Deliberately non-const:
+  /// flushing is a real state mutation, and per-shard clones must not be
+  /// able to reset each other through a const reference.
   void clear_cache();
 
   /// Push the 6*n MA vector pairs of this bus through the store, so every
@@ -263,6 +288,26 @@ class CoupledBus {
   /// Count the tally into the bus counters and emit its record.
   void finish_lookup(const Tally& t) const;
 
+  /// transition_batch's per-wire window tables, stored by code: wire i's
+  /// entry for window code c at rows[c][i], nullptr until found. A row
+  /// of n pointers is allocated the first time its code occurs: a bus
+  /// meets few codes (wires far from a pattern's victim share one), so a
+  /// batch mostly reads one row from left to right, and the table stays
+  /// small beside the data the TAP engine walks. The pointers name this
+  /// bus's own store entries, so a copy or a move never takes them
+  /// along: the receiving bus starts without a table.
+  struct WindowTable {
+    std::vector<std::unique_ptr<Entry*[]>> rows;
+
+    WindowTable() = default;
+    WindowTable(const WindowTable&) {}
+    WindowTable& operator=(const WindowTable&) {
+      forget();
+      return *this;
+    }
+    void forget() { rows.clear(); }
+  };
+
   BusModel model_;
   const InterconnectModel* solver_;  // model_for(params().model)
   std::size_t store_capacity_;
@@ -273,12 +318,14 @@ class CoupledBus {
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
 
-  // transition_batch storage: the per-wire pointer arrays it returns and,
-  // for misses on a full store, an n*samples scratch block (wire i at
-  // i*samples; sized once, so pointers into it stay put).
+  // transition_batch storage: the per-wire pointer arrays it returns,
+  // for misses on a full store an n*samples scratch block (wire i at
+  // i*samples; sized once, so pointers into it stay put), and the window
+  // tables.
   mutable std::vector<const double*> batch_ptrs_;
   mutable std::vector<VerdictSlot*> batch_slots_;
   mutable std::vector<double> overflow_;
+  mutable WindowTable windows_;
 
   obs::Sink* sink_ = nullptr;
 };

@@ -9,7 +9,11 @@
 //
 // Both sides share the master, so they cannot catch a change in when the
 // master emits its records. Two golden digests of the event stream,
-// recorded before the burst path existed, pin that order.
+// recorded before the burst path existed, pin that order. Three more,
+// recorded before the devices judged each run of wires that share a
+// store entry once, pin the flags and DetectorFired order of that shared
+// sensor loop: at n=64, where such runs are long, and on the multibus
+// path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,10 +35,11 @@
 namespace jsi::core {
 namespace {
 
-/// Two crosstalk defects at seeded wires and severities.
-void inject_defects(si::CoupledBus& bus, std::size_t n, std::uint64_t seed) {
+/// `count` crosstalk defects at seeded wires and severities.
+void inject_defects(si::CoupledBus& bus, std::size_t n, std::uint64_t seed,
+                    int count = 2) {
   util::Prng rng(seed);
-  for (int d = 0; d < 2; ++d) {
+  for (int d = 0; d < count; ++d) {
     const std::size_t wire = rng.next_below(n);
     bus.inject_crosstalk_defect(wire, 2.0 + 6.0 * rng.next_double());
   }
@@ -288,6 +293,65 @@ TEST(BurstParity, ConventionalPerPatternEventStreamIsPinned) {
 
 TEST(BurstParity, EnhancedPerPatternEventStreamIsPinned) {
   EXPECT_EQ(session_digest<SiTestSession>(true), 372304360535377741ull);
+}
+
+/// Digest of the whole event stream `run` leaves in `hub`, which must
+/// have kept every record and seen `fired` DetectorFired records.
+template <typename Run>
+std::uint64_t fired_digest(obs::Hub& hub, std::size_t fired, Run run) {
+  run();
+  EXPECT_EQ(hub.tracer().dropped(), 0u);
+  std::size_t seen = 0;
+  for (const obs::Event& e : hub.tracer().events()) {
+    seen += e.kind == obs::EventKind::DetectorFired ? 1 : 0;
+  }
+  EXPECT_EQ(seen, fired);
+  return fnv1a(jsonl(hub));
+}
+
+/// Enhanced (or, with `guard`, parallel-victim) method 1 on 64 wires
+/// with three seeded crosstalk defects.
+std::uint64_t wide_digest(std::size_t guard, std::size_t fired) {
+  SocConfig cfg;
+  cfg.n_wires = 64;
+  SiSocDevice soc(cfg);
+  inject_defects(soc.bus(), cfg.n_wires, 6403, 3);
+  SiTestSession session(soc);
+  const auto m = ObservationMethod::OnceAtEnd;
+  obs::Hub hub = make_hub(
+      guard == 0 ? session.plan(m) : session.plan_parallel(m, guard), 1,
+      cfg.n_wires);
+  session.set_sink(&hub);
+  return fired_digest(hub, fired, [&] {
+    if (guard == 0) {
+      session.run(m);
+    } else {
+      session.run_parallel(m, guard);
+    }
+  });
+}
+
+TEST(BurstParity, WideEnhancedEventStreamIsPinned) {
+  EXPECT_EQ(wide_digest(0, 10), 6928559036574821188ull);
+}
+
+TEST(BurstParity, WideParallelEventStreamIsPinned) {
+  EXPECT_EQ(wide_digest(2, 10), 10814951934748768258ull);
+}
+
+TEST(BurstParity, MultiBusEventStreamIsPinned) {
+  MultiBusConfig cfg;
+  cfg.n_buses = 2;
+  cfg.wires_per_bus = 8;
+  MultiBusSoc soc(cfg);
+  soc.bus(1).inject_crosstalk_defect(4, 7.0);
+  MultiBusSession session(soc);
+  const auto m = ObservationMethod::OnceAtEnd;
+  obs::Hub hub = make_hub(session.plan(m), cfg.n_buses,
+                          cfg.n_buses * cfg.wires_per_bus);
+  session.set_sink(&hub);
+  EXPECT_EQ(fired_digest(hub, 4, [&] { session.run(m); }),
+            7025716084984084961ull);
 }
 
 }  // namespace

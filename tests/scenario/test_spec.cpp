@@ -265,6 +265,18 @@ TEST(ScenarioParse, SizeCapsAreTypedDiagnostics) {
   }
   EXPECT_NO_THROW(check_shards(256));
   EXPECT_NO_THROW(check_shards(0));  // 0 = one per hardware thread
+  // Every campaign worker's hub reserves trace_capacity 56-byte records.
+  expect_error(wrap(R"("topology":{"kind":"soc"},"sessions":[{"kind":"bist"}],)"
+                    R"("obs":{"trace_capacity":1048577})"),
+               "obs.trace_capacity: must be <= 1048576");
+  expect_error(wrap(R"("topology":{"kind":"soc"},"sessions":[{"kind":"bist"}],)"
+                    R"("obs":{"trace_capacity":1000000000000000})"),
+               "obs.trace_capacity: must be <= 1048576");
+  EXPECT_EQ(parse_scenario(
+                wrap(R"("topology":{"kind":"soc"},"sessions":[{"kind":"bist"}],)"
+                     R"("obs":{"trace_capacity":1048576})"))
+                .obs.trace_capacity,
+            std::size_t{1} << 20);
 }
 
 TEST(ScenarioParse, JsonErrorsCarryTheJsonPath) {

@@ -309,6 +309,35 @@ TEST(Serve, OversizedScenarioIsRejectedBeforeItAllocates) {
             "topology.n_wires: must be <= 1024");
 }
 
+TEST(Serve, OversizedTraceCapacityIsRejectedAndTheDaemonStaysUp) {
+  // Every campaign worker's hub reserves trace_capacity 56-byte records on
+  // its own thread, so 10^15 of them on a multi-shard, multi-session
+  // scenario would abort the whole daemon with std::bad_alloc. The parse
+  // cap rejects the job before it is queued, and the daemon answers on.
+  Daemon d({});
+  Client c = d.client();
+  std::string text = scenario_text();  // four sessions on four shards
+  const std::string shipped = "\"trace_capacity\": 65536";
+  const std::size_t at = text.find(shipped);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, shipped.size(), "\"trace_capacity\": 1000000000000000");
+  json::Value v = json::Value::make_object();
+  v.add("verb", json::Value::make_string("submit"));
+  v.add("scenario_text", json::Value::make_string(text));
+  const json::Value resp = c.request(v);
+  EXPECT_FALSE(ok(resp));
+  EXPECT_EQ(string_or(resp, "error", ""), "invalid_scenario");
+  EXPECT_EQ(string_or(resp, "message", ""),
+            "obs.trace_capacity: must be <= 1048576");
+
+  json::Value status = json::Value::make_object();
+  status.add("verb", json::Value::make_string("status"));
+  EXPECT_TRUE(ok(c.request(status)));
+  const json::Value admitted = c.request(make_submit());
+  ASSERT_TRUE(ok(admitted)) << json::to_text(admitted);
+  EXPECT_EQ(job_id(admitted), 1u) << "nothing was queued before it";
+}
+
 TEST(Serve, ShardsPastTheCapAreRejectedBeforeQueueing) {
   // One std::thread per shard: an uncapped "shards" could fail to start
   // its pool part-way, and that ends the daemon for every client.

@@ -7,10 +7,12 @@
 // and its CacheLookup records, entries that survive every defect mutation,
 // clone warm-carry and independence, the MA warm-up, wide buses, the byte
 // budget (shared with the decay columns, which follow the entries'
-// lifetime), and batch pointer lifetimes. The verdict slots riding on the
-// entries are pinned the same way: every memoized ND/SD verdict equals a
-// fresh scan of a directly rendered waveform, slots follow their entries'
-// lifetime, and sessions flag identically on a warm bus and a fresh one.
+// lifetime), batch pointer lifetimes, and transition_batch's window table
+// (through every state change, and in copies that outlive their source).
+// The verdict slots riding on the entries are pinned the same way: every
+// memoized ND/SD verdict equals a fresh scan of a directly rendered
+// waveform, slots follow their entries' lifetime, and sessions flag
+// identically on a warm bus and a fresh one.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,6 +21,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -89,17 +92,19 @@ std::vector<mafm::VectorPair> ma_and_random_pairs(std::size_t n, int extra,
 /// `ref`, through all three lookup entry points.
 void expect_exact(const CoupledBus& bus, const BusModel& ref,
                   const util::BitVec& prev, const util::BitVec& next) {
+  std::vector<Waveform> want;
+  for (std::size_t i = 0; i < bus.n(); ++i) {
+    want.push_back(direct_solve(ref, i, prev, next));
+  }
   const TransitionBatch b = bus.transition_batch(prev, next);
   for (std::size_t i = 0; i < bus.n(); ++i) {
-    const Waveform want = direct_solve(ref, i, prev, next);
-    ASSERT_TRUE(same_bits(b.wire(i), want)) << "batch wire " << i;
-    ASSERT_TRUE(same_bits(bus.wire_response(i, prev, next), want))
+    ASSERT_TRUE(same_bits(b.wire(i), want[i])) << "batch wire " << i;
+    ASSERT_TRUE(same_bits(bus.wire_response(i, prev, next), want[i]))
         << "wire_response " << i;
   }
   const std::vector<Waveform> all = bus.transition(prev, next);
   for (std::size_t i = 0; i < bus.n(); ++i) {
-    ASSERT_TRUE(same_bits(all[i], direct_solve(ref, i, prev, next)))
-        << "transition wire " << i;
+    ASSERT_TRUE(same_bits(all[i], want[i])) << "transition wire " << i;
   }
 }
 
@@ -680,7 +685,8 @@ TEST(BusStore, StoreEqualsDirectRendersAcrossWidthsModelsAndDefects) {
   };
   for (const ModelKind model : kAllModelKinds) {
     for (const double l_wire : {0.0, 20e-9}) {
-      for (const std::size_t n : {2u, 3u, 5u, 8u, 16u, 64u}) {
+      // 63, 65 and 130 wires put window codes across BitVec words.
+      for (const std::size_t n : {2u, 3u, 5u, 8u, 16u, 63u, 64u, 65u, 130u}) {
         SCOPED_TRACE(::testing::Message() << model_kind_name(model) << " n="
                                           << n << " l=" << l_wire);
         BusParams p = params_n(n, 96);
@@ -714,6 +720,153 @@ TEST(BusStore, StoreEqualsDirectRendersAcrossWidthsModelsAndDefects) {
         EXPECT_GT(copy.cache_hits(), copy_hits);
       }
     }
+  }
+}
+
+// ---- the window table -------------------------------------------------------
+
+/// Every wire of batch `b` (for vp.v1 -> vp.v2) equals the direct render
+/// on `ref`, and two wires share a verdict slot exactly when their
+/// recipes are bit-equal.
+void expect_batch_exact(const TransitionBatch& b, const BusModel& ref,
+                        const mafm::VectorPair& vp) {
+  const InterconnectModel& model = model_for(ref.params().model);
+  std::map<RecipeBits, const VerdictSlot*> slot_of;
+  std::map<const VerdictSlot*, RecipeBits> recipe_of;
+  for (std::size_t i = 0; i < b.n_wires; ++i) {
+    ASSERT_TRUE(same_bits(b.wire(i), direct_solve(ref, i, vp.v1, vp.v2)))
+        << "batch wire " << i;
+    ASSERT_NE(b.slot(i), nullptr) << "wire " << i;
+    const RecipeBits r = recipe_bits(model.recipe(ref, i, vp.v1, vp.v2));
+    const auto [s, fresh_recipe] = slot_of.emplace(r, b.slot(i));
+    ASSERT_EQ(s->second, b.slot(i)) << "wire " << i << " has another slot "
+                                       "than an earlier wire of its recipe";
+    const auto [q, fresh_slot] = recipe_of.emplace(b.slot(i), r);
+    ASSERT_TRUE(q->second == r) << "wire " << i << " shares a slot with an "
+                                   "earlier wire of another recipe";
+  }
+}
+
+TEST(BusStore, WindowTableFollowsEveryStateChange) {
+  // transition_batch serves a wire from its window table when it had the
+  // same window code before. Interleave traffic with every mutator,
+  // clear_defects, clear_cache and a clone that injects defects of its
+  // own: after each step every batch wire must equal its direct render,
+  // share a slot with exactly the wires of its recipe, and leave the
+  // counters where a twin fed the same traffic through transition() —
+  // the plain recipe lookup — leaves them.
+  const std::size_t n = 70;  // window codes across BitVec words
+  for (const ModelKind model : kAllModelKinds) {
+    SCOPED_TRACE(model_kind_name(model));
+    BusParams p = params_n(n, 48);
+    p.model = model;
+    const std::vector<mafm::VectorPair> traffic =
+        ma_and_random_pairs(n, 24, 0x7AB1Eu);
+    CoupledBus bus(p);
+    CoupledBus twin(p);
+    BusModel ref(p);
+    const auto round = [&](const char* step, CoupledBus& b, CoupledBus& t,
+                           const BusModel& r) {
+      SCOPED_TRACE(step);
+      for (const mafm::VectorPair& vp : traffic) {
+        expect_batch_exact(b.transition_batch(vp.v1, vp.v2), r, vp);
+        t.transition(vp.v1, vp.v2);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      EXPECT_EQ(b.cache_hits(), t.cache_hits());
+      EXPECT_EQ(b.cache_misses(), t.cache_misses());
+    };
+    const auto on_all = [&](auto change) {
+      change(bus);
+      change(twin);
+      change(ref);
+    };
+    round("clean", bus, twin, ref);
+    on_all([](auto& b) { b.scale_coupling(n / 2, 3.0); });
+    round("scale_coupling", bus, twin, ref);
+    on_all([](auto& b) { b.add_series_resistance(n / 3, 450.0); });
+    round("add_series_resistance", bus, twin, ref);
+    on_all([](auto& b) { b.inject_crosstalk_defect(n - 3, 6.0); });
+    round("inject_crosstalk_defect", bus, twin, ref);
+    on_all([](auto& b) { b.clear_defects(); });
+    round("clear_defects", bus, twin, ref);
+    on_all([](auto& b) { b.inject_crosstalk_defect(1, 4.0); });
+    round("defect again", bus, twin, ref);
+    bus.clear_cache();
+    twin.clear_cache();
+    ASSERT_EQ(bus.cache_entries(), 0u);
+    round("clear_cache", bus, twin, ref);
+
+    // A clone serves its own entries, so judging through its slots leaves
+    // every slot of the source unfilled (nothing here judges the source).
+    CoupledBus copy = bus.clone();
+    CoupledBus copy_twin = twin.clone();
+    BusModel copy_ref = ref;
+    round("clone", copy, copy_twin, copy_ref);
+    const NdCell nd(NdParams{});
+    const SdCell sd(SdParams{});
+    for (const mafm::VectorPair& vp : traffic) {
+      const TransitionBatch b = copy.transition_batch(vp.v1, vp.v2);
+      for (std::size_t i = 0; i < n; ++i) {
+        judge(nd, sd, b.wire(i), util::to_logic(vp.v1[i]),
+              util::to_logic(vp.v2[i]), b.slot(i));
+      }
+      const TransitionBatch src = bus.transition_batch(vp.v1, vp.v2);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_FALSE(src.slot(i)->filled) << "the clone judged into the "
+                                             "source's slot of wire " << i;
+      }
+      twin.transition(vp.v1, vp.v2);
+      copy_twin.transition(vp.v1, vp.v2);
+    }
+    const auto after_clone = [](auto& b) {
+      b.inject_crosstalk_defect(n / 4, 5.0);
+      b.add_series_resistance(n - 1, 700.0);
+    };
+    after_clone(copy);
+    after_clone(copy_twin);
+    after_clone(copy_ref);
+    round("clone with defects", copy, copy_twin, copy_ref);
+    round("source after the clone", bus, twin, ref);
+  }
+}
+
+TEST(BusStore, ACopyOfAWarmBusOutlivesItsSource) {
+  // A copy made by clone(), the copy constructor or copy assignment
+  // serves its own entries, never the table of the bus it came from:
+  // once that bus is gone (its entries freed, and their memory reused by
+  // another bus), every copy still serves exact batches from its store,
+  // without a miss. obs_sanitize runs this under ASan.
+  const std::size_t n = 65;
+  const BusParams p = params_n(n, 64);
+  const BusModel ref(p);
+  const std::vector<mafm::VectorPair> traffic =
+      ma_and_random_pairs(n, 16, 0xC091u);
+  std::unique_ptr<CoupledBus> copies[3];
+  std::uint64_t misses = 0;
+  {
+    CoupledBus source(p);
+    for (const mafm::VectorPair& vp : traffic) {
+      source.transition_batch(vp.v1, vp.v2);
+    }
+    misses = source.cache_misses();
+    copies[0] = std::make_unique<CoupledBus>(source.clone());
+    copies[1] = std::make_unique<CoupledBus>(source);
+    copies[2] = std::make_unique<CoupledBus>(params_n(3, 8));
+    *copies[2] = source;
+  }
+  CoupledBus other(p);
+  other.inject_crosstalk_defect(n / 2, 6.0);
+  for (const mafm::VectorPair& vp : traffic) {
+    other.transition_batch(vp.v1, vp.v2);
+  }
+  for (std::size_t c = 0; c < 3; ++c) {
+    SCOPED_TRACE(c);
+    for (const mafm::VectorPair& vp : traffic) {
+      expect_batch_exact(copies[c]->transition_batch(vp.v1, vp.v2), ref, vp);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(copies[c]->cache_misses(), misses);
   }
 }
 
