@@ -254,6 +254,73 @@ BENCHMARK(BM_FullSiSessionObserved)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
+// One wide_bus_n64 pass worth of StateEdge records: the 114,552 edges its
+// metrics.json books (102,644 shift, 2,371 capture, 2,371 update, 7,166
+// navigation), laid out as 2,371 scans of navigation, capture, shift body
+// and update.
+std::vector<obs::Event> wide_bus_edge_stream() {
+  constexpr std::size_t kScans = 2'371;
+  constexpr std::size_t kShift = 102'644;
+  constexpr std::size_t kOther = 7'166;
+  std::vector<obs::Event> edges;
+  edges.reserve(kOther + kShift + 2 * kScans);
+  const auto push = [&](obs::TckPhase phase, const char* state) {
+    obs::Event e;
+    e.kind = obs::EventKind::StateEdge;
+    e.phase = phase;
+    e.tck = edges.size() + 1;
+    e.name = state;
+    e.a = phase == obs::TckPhase::Shift ? 0 : 1;  // TMS
+    e.b = static_cast<std::int64_t>(edges.size() & 1);  // TDI
+    edges.push_back(e);
+  };
+  for (std::size_t s = 0; s < kScans; ++s) {
+    const std::size_t other = kOther / kScans + (s < kOther % kScans ? 1 : 0);
+    const std::size_t shift = kShift / kScans + (s < kShift % kScans ? 1 : 0);
+    for (std::size_t k = 0; k < other; ++k) {
+      push(obs::TckPhase::Other, "SelectDrScan");
+    }
+    push(obs::TckPhase::Capture, "CaptureDr");
+    for (std::size_t k = 0; k < shift; ++k) {
+      push(obs::TckPhase::Shift, "ShiftDr");
+    }
+    push(obs::TckPhase::Update, "UpdateDr");
+  }
+  return edges;
+}
+
+// What observing the TAP costs per edge, through the Sink* a TapMaster
+// calls. Items are edges. Arg 0: the default Hub every campaign worker
+// runs (metrics fold plus the 65,536-record tracer ring); 1: a Hub whose
+// tracer drops StateEdges (`tap_edges` false); 2: a bare MetricsSink.
+// Row 0 minus row 1 is what the ring costs a campaign that never reads
+// it. Each iteration starts from a reset, as each campaign unit does.
+void BM_HubStateEdges(benchmark::State& state) {
+  const std::vector<obs::Event> edges = wide_bus_edge_stream();
+  obs::TracerConfig tc;
+  tc.tap_edges = state.range(0) != 1;
+  obs::Hub hub(tc);
+  obs::Registry reg;
+  obs::MetricsSink bare(reg);
+  obs::Sink* sink = &hub;
+  if (state.range(0) == 2) sink = &bare;
+  for (auto _ : state) {
+    hub.reset();
+    reg.reset();
+    for (const obs::Event& e : edges) sink->on_event(e);
+    benchmark::ClobberMemory();
+  }
+  const std::uint64_t tcks = hub.registry().counter_value("tck.total") +
+                             reg.counter_value("tck.total");
+  if (tcks != edges.size()) state.SkipWithError("tck.total != edges fed");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges.size()));
+  static const char* const kLabels[] = {"hub", "hub_no_tap_edges",
+                                        "metrics_sink"};
+  state.SetLabel(kLabels[state.range(0)]);
+}
+BENCHMARK(BM_HubStateEdges)->Arg(0)->Arg(1)->Arg(2);
+
 void BM_ParallelVictimSession(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

@@ -102,11 +102,13 @@ void CampaignRunner::set_source(const UnitSource* source) { source_ = source; }
 std::size_t CampaignRunner::effective_chunk_size() const {
   if (cfg_.chunk_size != 0) return cfg_.chunk_size;
   // Auto rule: per-unit chunks when outcomes are retained (the historic
-  // merge grouping, byte-exact with pre-chunking releases), 64 units per
-  // claim in aggregate mode. Depends only on the config — never on the
-  // shard count — because the chunk layout determines the FP summation
-  // grouping of the merged registry.
-  return cfg_.aggregate_outcomes ? 64 : 1;
+  // merge grouping, byte-exact with pre-chunking releases); in aggregate
+  // mode ceil(units / 64) clamped to [1, 64], so a sweep has at most 64
+  // near-equal chunks and no worker idles through a short last round.
+  // Depends only on the unit count — never on the shard count — so
+  // checkpoints resume, and --workers ranges align, at any shard count.
+  if (!cfg_.aggregate_outcomes) return 1;
+  return std::clamp<std::size_t>((size() + 63) / 64, 1, 64);
 }
 
 void CampaignRunner::add_enhanced(std::string name, SocConfig cfg,
@@ -292,11 +294,10 @@ CampaignResult CampaignRunner::run() {
             "campaign: checkpoint layout mismatch (units/chunk_size/aggregate "
             "differ from this campaign's configuration)");
       }
+      // load_checkpoint checked every record against the header's layout,
+      // which the check above made equal to ours: each record books
+      // exactly its own chunk.
       for (ChunkRecord& rec : data.records) {
-        if (rec.chunk >= n_chunks) {
-          throw std::runtime_error(
-              "campaign: checkpoint chunk id out of range");
-        }
         loaded[rec.chunk] = 1;
         records[rec.chunk] = std::move(rec);
       }
@@ -401,18 +402,6 @@ CampaignResult CampaignRunner::run() {
         break;
       }
 
-      // One prototype clone per chunk: units inside the chunk clone from
-      // this worker-local copy instead of the shared campaign prototype.
-      // A clone of a clone is state-identical, so observable behaviour
-      // (memoization hits included) is unchanged — this only moves the
-      // clone source into the worker's cache.
-      std::optional<si::CoupledBus> chunk_proto;
-      const si::CoupledBus* proto = prototype_;
-      if (prototype_ != nullptr) {
-        chunk_proto.emplace(prototype_->clone());
-        proto = &*chunk_proto;
-      }
-
       ChunkRecord rec;
       rec.chunk = c;
       const std::size_t lo = c * chunk_size;
@@ -438,7 +427,7 @@ CampaignResult CampaignRunner::run() {
                   .count()));
           tp->begin_unit(unit->name.c_str());
         }
-        CampaignContext ctx(hub, worker_id, i, proto);
+        CampaignContext ctx(hub, worker_id, i, prototype_);
         UnitOutcome out;
         try {
           out = unit->run(ctx);

@@ -169,14 +169,18 @@ struct CampaignConfig {
   obs::TelemetryConfig telemetry{};
 
   /// Units per scheduling claim. Workers claim whole index ranges (one
-  /// atomic increment per chunk instead of per unit) and clone the
-  /// warmed prototype bus once per chunk, which is what amortizes
-  /// dispatch overhead at sweep scale. 0 = auto: 1 when per-unit
-  /// outcomes are retained (the historic per-unit grouping, byte-exact
-  /// with pre-chunking releases), 64 in aggregate mode. The chunk layout
-  /// is part of the deterministic artifact contract — the merged
-  /// registry folds chunk sub-merges in chunk order — so it is a pure
-  /// function of (unit count, chunk_size) and NEVER of the shard count.
+  /// atomic increment, one publish and one checkpoint record per chunk
+  /// instead of per unit). 0 = auto: 1 when per-unit outcomes are
+  /// retained (the historic per-unit grouping, byte-exact with
+  /// pre-chunking releases); in aggregate mode
+  /// clamp(ceil(units / 64), 1, 64), so a sweep has at most 64 near-equal
+  /// chunks and no worker idles through a short last round. The merged
+  /// books do not depend on the layout — every campaign registry value
+  /// is an integer (counters, histograms of TCK counts), so any grouping
+  /// sums to the same numbers. The layout matters for checkpoints (the
+  /// header records it; a resume under another layout is refused) and
+  /// for the `--workers` range split, so it is a pure function of
+  /// (unit count, chunk_size) and NEVER of the shard count.
   std::size_t chunk_size = 0;
   /// Fold outcomes into streaming per-chunk aggregates instead of
   /// retaining the per-unit list: O(1) memory in campaign size (only

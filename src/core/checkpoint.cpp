@@ -1,5 +1,6 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstdio>
@@ -171,6 +172,58 @@ ChunkRecord parse_record(const json::Value& v) {
   return rec;
 }
 
+// -- record validation ------------------------------------------------------
+
+[[noreturn]] void mismatch(const std::string& what) {
+  throw CheckpointMismatchError("checkpoint: " + what);
+}
+
+/// A record must book exactly its chunk [lo, hi) of the header's layout:
+/// the fold adds its books to the campaign totals unseen, so a record
+/// that claims more (or other) units than its chunk holds would print a
+/// report no run of this campaign can produce.
+void check_record(const ChunkRecord& rec, const CheckpointHeader& h) {
+  const std::string at = "chunk " + std::to_string(rec.chunk);
+  const std::uint64_t n_chunks =
+      h.chunk_size == 0 ? 0
+                        : h.units / h.chunk_size + (h.units % h.chunk_size != 0);
+  if (rec.chunk >= n_chunks) {
+    mismatch(at + " is out of range (" + std::to_string(n_chunks) +
+             " chunks of " + std::to_string(h.chunk_size) + " units)");
+  }
+  // rec.chunk < n_chunks, so lo < units and neither bound can overflow.
+  const std::uint64_t lo = rec.chunk * h.chunk_size;
+  const std::uint64_t hi = lo + std::min(h.chunk_size, h.units - lo);
+  const ChunkAggregate& a = rec.agg;
+  if (a.units != hi - lo) {
+    mismatch(at + " books " + std::to_string(a.units) + " units, its range [" +
+             std::to_string(lo) + ", " + std::to_string(hi) + ") holds " +
+             std::to_string(hi - lo));
+  }
+  if (a.violations > a.units || a.failures > a.units) {
+    mismatch(at + " books more violations or failures than units");
+  }
+  std::uint64_t next = lo;
+  for (const UnitOutcome& o : rec.outcomes) {
+    if (o.index < next || o.index >= hi) {
+      mismatch(at + ": outcome index " + std::to_string(o.index) +
+               " is out of order or outside [" + std::to_string(lo) + ", " +
+               std::to_string(hi) + ")");
+    }
+    if (h.aggregate && !o.failed) {
+      mismatch(at + ": aggregate records retain failed outcomes only");
+    }
+    next = o.index + 1;
+  }
+  // Aggregate records keep one outcome per failure; per-unit records one
+  // per unit.
+  const std::uint64_t want = h.aggregate ? a.failures : a.units;
+  if (rec.outcomes.size() != want) {
+    mismatch(at + " retains " + std::to_string(rec.outcomes.size()) +
+             " outcomes, its books call for " + std::to_string(want));
+  }
+}
+
 }  // namespace
 
 std::string fingerprint_text(std::string_view text) {
@@ -288,6 +341,7 @@ CheckpointData load_checkpoint(const std::string& path) {
       break;
     }
     data.records.push_back(parse_record(*v));
+    check_record(data.records.back(), data.header);
   }
   return data;
 }

@@ -45,7 +45,8 @@ std::string fingerprint_text(std::string_view text);
 /// layout (units/chunk_size/aggregate) does not match, or the file
 /// predates the current record schema (any `jsi.checkpoint.v<k>` header
 /// below the current version — its chunk registries count bus lookups
-/// differently). Derives
+/// differently), or a record disagrees with its chunk of the header's
+/// layout (see load_checkpoint). Derives
 /// std::runtime_error so pre-existing generic handlers keep working.
 class CheckpointMismatchError : public std::runtime_error {
  public:
@@ -67,7 +68,12 @@ struct CheckpointData {
 };
 
 /// Parse `path`. Throws std::runtime_error when the file cannot be read
-/// or the header/records are malformed.
+/// or the header/records are malformed, and CheckpointMismatchError when
+/// a record disagrees with its chunk c = [lo, hi) of the header's
+/// (units, chunk_size) layout: c out of range, `agg.units` != hi − lo,
+/// more violations or failures than units, outcome indices not strictly
+/// ascending inside [lo, hi), or an outcome list other than one failed
+/// outcome per failure (aggregate) / one outcome per unit (per-unit).
 CheckpointData load_checkpoint(const std::string& path);
 
 /// Concatenate worker part files into one merged checkpoint at `dst`:

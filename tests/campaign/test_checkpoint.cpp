@@ -1,8 +1,9 @@
 // Chunked scheduling + checkpoint/resume mechanics at the core layer:
-// the lazy UnitSource path, chunk-size invariance of the merged books,
-// the checkpoint file round-trip (bit-exact doubles included), torn-tail
-// tolerance, and kill-at-a-boundary resume equivalence at 1 and 4
-// shards. The scenario-level sweep suite rides on these guarantees in
+// the lazy UnitSource path, the auto chunk size and chunk-size invariance
+// of the merged books, the checkpoint file round-trip (bit-exact doubles
+// included), torn-tail tolerance, the loader's check of every record
+// against its chunk, and kill-at-a-boundary resume equivalence at 1 and
+// 4 shards. The scenario-level sweep suite rides on these guarantees in
 // tests/scenario/test_sweep.cpp.
 #include <gtest/gtest.h>
 
@@ -112,10 +113,10 @@ TEST(Checkpoint, RecordRoundTripIsBitExact) {
   rec.registry.gauge("g.tiny").set(4.9406564584124654e-324);  // denormal
   rec.registry.histogram("h.x").observe(0.30000000000000004);
   rec.registry.histogram("h.x").observe(1e9);  // overflow bucket
-  UnitOutcome fail;
-  fail.name = "fake_23";
-  fail.index = 23;
-  fail.summary = "error: die 23 is cursed \"quoted\"";
+  UnitOutcome fail;  // inside chunk 5 = [320, 384) of the header below
+  fail.name = "fake_343";
+  fail.index = 343;
+  fail.summary = "error: die 343 is cursed \"quoted\"";
   fail.failed = true;
   rec.outcomes.push_back(fail);
 
@@ -155,8 +156,8 @@ TEST(Checkpoint, RecordRoundTripIsBitExact) {
   EXPECT_EQ(h.sum(), 0.30000000000000004 + 1e9);
   ASSERT_EQ(data.records.size(), 1u);
   ASSERT_FALSE(got.outcomes.empty());
-  EXPECT_EQ(got.outcomes[0].index, 23u);
-  EXPECT_EQ(got.outcomes[0].summary, "error: die 23 is cursed \"quoted\"");
+  EXPECT_EQ(got.outcomes[0].index, 343u);
+  EXPECT_EQ(got.outcomes[0].summary, "error: die 343 is cursed \"quoted\"");
   EXPECT_TRUE(got.outcomes[0].failed);
   std::remove(path.c_str());
 }
@@ -171,6 +172,7 @@ TEST(Checkpoint, TornTailLineIsDropped) {
   core::ChunkRecord rec;
   rec.chunk = 0;
   rec.agg.units = 1;
+  rec.outcomes.emplace_back();  // per-unit records keep every outcome
   {
     core::CheckpointWriter writer;
     writer.open(path, header, false);
@@ -197,6 +199,148 @@ TEST(Checkpoint, RejectsWrongSchemaAndMissingFile) {
   }
   EXPECT_THROW(core::load_checkpoint(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// ---- record validation ------------------------------------------------------
+
+/// A 37-unit layout in chunks of 8: chunks 0..3 hold 8 units, chunk 4
+/// holds [32, 37).
+core::CheckpointHeader layout_header(bool aggregate) {
+  core::CheckpointHeader h;
+  h.fingerprint = "layout";
+  h.units = 37;
+  h.chunk_size = 8;
+  h.aggregate = aggregate;
+  return h;
+}
+
+UnitOutcome outcome_at(std::size_t index, bool failed) {
+  UnitOutcome o;
+  o.name = "fake_" + std::to_string(index);
+  o.index = index;
+  o.failed = failed;
+  return o;
+}
+
+/// A consistent aggregate record of chunk 2 = [16, 24): one violation,
+/// one failure (unit 19), the failure retained.
+core::ChunkRecord aggregate_chunk2() {
+  core::ChunkRecord rec;
+  rec.chunk = 2;
+  rec.agg.units = 8;
+  rec.agg.violations = 1;
+  rec.agg.failures = 1;
+  rec.registry.counter("fake.units").inc(8);
+  rec.outcomes.push_back(outcome_at(19, true));
+  return rec;
+}
+
+std::string validate_path() { return temp_path("validate.jsonl"); }
+
+/// Write `header` plus `rec` as a checkpoint file and load it back.
+core::CheckpointData write_and_load(const core::CheckpointHeader& header,
+                                    const core::ChunkRecord& rec) {
+  {
+    core::CheckpointWriter writer;
+    writer.open(validate_path(), header, /*resume_existing=*/false);
+    writer.append(rec);
+  }
+  return core::load_checkpoint(validate_path());
+}
+
+TEST(CheckpointValidation, ConsistentRecordsLoad) {
+  const core::CheckpointData data =
+      write_and_load(layout_header(true), aggregate_chunk2());
+  ASSERT_EQ(data.records.size(), 1u);
+  EXPECT_EQ(data.records[0].outcomes.at(0).index, 19u);
+  core::ChunkRecord last;  // the short last chunk, no failures
+  last.chunk = 4;
+  last.agg.units = 5;
+  EXPECT_NO_THROW(write_and_load(layout_header(true), last));
+  core::ChunkRecord per_unit;  // one outcome per unit, in index order
+  per_unit.chunk = 4;
+  per_unit.agg.units = 5;
+  per_unit.agg.failures = 1;
+  for (std::size_t i = 32; i < 37; ++i) {
+    per_unit.outcomes.push_back(outcome_at(i, i == 35));
+  }
+  EXPECT_NO_THROW(write_and_load(layout_header(false), per_unit));
+  std::remove(validate_path().c_str());
+}
+
+TEST(CheckpointValidation, RejectsRecordsThatDisagreeWithTheirChunk) {
+  // Each corruption alone turns a consistent record into one the fold
+  // would add to the books unseen; each must be refused with the typed
+  // error, never folded.
+  struct Corruption {
+    const char* what;
+    bool aggregate;
+    void (*apply)(core::ChunkRecord&);
+  };
+  const Corruption corruptions[] = {
+      {"chunk id past the last chunk", true,
+       [](core::ChunkRecord& r) { r.chunk = 5; }},
+      {"chunk id far out of range", true,
+       [](core::ChunkRecord& r) { r.chunk = std::size_t{1} << 60; }},
+      {"more units than the chunk holds", true,
+       [](core::ChunkRecord& r) { r.agg.units = 999; }},
+      {"fewer units than the chunk holds", true,
+       [](core::ChunkRecord& r) { r.agg.units = 7; }},
+      {"a full chunk's units in the short last chunk", true,
+       [](core::ChunkRecord& r) {
+         r.chunk = 4;
+         r.outcomes[0].index = 33;
+       }},
+      {"more violations than units", true,
+       [](core::ChunkRecord& r) { r.agg.violations = 9; }},
+      {"more failures than units", true,
+       [](core::ChunkRecord& r) { r.agg.failures = 9; }},
+      {"outcome before the chunk", true,
+       [](core::ChunkRecord& r) { r.outcomes[0].index = 15; }},
+      {"outcome past the chunk", true,
+       [](core::ChunkRecord& r) { r.outcomes[0].index = 24; }},
+      {"outcomes out of order", true,
+       [](core::ChunkRecord& r) {
+         r.agg.failures = 2;
+         r.outcomes.insert(r.outcomes.begin(), outcome_at(20, true));
+       }},
+      {"one outcome twice", true,
+       [](core::ChunkRecord& r) {
+         r.agg.failures = 2;
+         r.outcomes.push_back(r.outcomes[0]);
+       }},
+      {"fewer outcomes than failures", true,
+       [](core::ChunkRecord& r) { r.agg.failures = 2; }},
+      {"more outcomes than failures", true,
+       [](core::ChunkRecord& r) { r.agg.failures = 0; }},
+      {"a retained outcome that did not fail", true,
+       [](core::ChunkRecord& r) { r.outcomes[0].failed = false; }},
+      {"per-unit record missing an outcome", false,
+       [](core::ChunkRecord& r) {
+         // Seven of the chunk's eight outcomes: 16..23 without 19.
+         r.outcomes.clear();
+         for (std::size_t i = 16; i < 24; ++i) {
+           if (i != 19) r.outcomes.push_back(outcome_at(i, false));
+         }
+       }},
+  };
+  for (const Corruption& c : corruptions) {
+    SCOPED_TRACE(c.what);
+    core::ChunkRecord rec = aggregate_chunk2();
+    c.apply(rec);
+    EXPECT_THROW(write_and_load(layout_header(c.aggregate), rec),
+                 core::CheckpointMismatchError);
+  }
+  std::remove(validate_path().c_str());
+}
+
+TEST(CheckpointValidation, ChunkSizeZeroHeaderHoldsNoChunk) {
+  core::CheckpointHeader h = layout_header(true);
+  h.chunk_size = 0;
+  core::ChunkRecord rec;
+  rec.agg.units = 1;
+  EXPECT_THROW(write_and_load(h, rec), core::CheckpointMismatchError);
+  std::remove(validate_path().c_str());
 }
 
 // ---- lazy source + chunked scheduling --------------------------------------
@@ -263,6 +407,39 @@ TEST(CheckpointRunner, ChunkSizeInvariantBooksInAggregateMode) {
     }
     EXPECT_EQ(r.to_text(), baseline_text) << "chunk_size " << chunk;
     EXPECT_EQ(r.metrics.to_json(), baseline_json) << "chunk_size " << chunk;
+  }
+}
+
+TEST(CheckpointRunner, AutoChunkSizeFollowsTheUnitCountAlone) {
+  // Aggregate mode: clamp(ceil(units / 64), 1, 64) — at most 64
+  // near-equal chunks, and 64-unit chunks past 4,096 units — whatever
+  // the shard count. Per-unit mode keeps one unit per chunk, and an
+  // explicit chunk_size wins in both modes.
+  const std::pair<std::size_t, std::size_t> expected[] = {
+      {0, 1},    {1, 1},     {64, 1},     {65, 2},     {129, 3},
+      {150, 3},  {384, 6},   {4096, 64},  {4097, 64},  {10000, 64},
+  };
+  for (const auto& [units, chunk] : expected) {
+    SCOPED_TRACE("units=" + std::to_string(units));
+    FakeSource src(units);
+    for (const std::size_t shards : {1u, 4u}) {
+      CampaignConfig cfg;
+      cfg.shards = shards;
+      cfg.aggregate_outcomes = true;
+      CampaignRunner aggregate(cfg);
+      aggregate.set_source(&src);
+      EXPECT_EQ(aggregate.effective_chunk_size(), chunk);
+
+      cfg.aggregate_outcomes = false;
+      CampaignRunner per_unit(cfg);
+      per_unit.set_source(&src);
+      EXPECT_EQ(per_unit.effective_chunk_size(), 1u);
+
+      per_unit.config().chunk_size = 7;
+      aggregate.config().chunk_size = 7;
+      EXPECT_EQ(per_unit.effective_chunk_size(), 7u);
+      EXPECT_EQ(aggregate.effective_chunk_size(), 7u);
+    }
   }
 }
 
@@ -411,6 +588,36 @@ TEST(CheckpointRunner, ResumeRejectsMismatchedCampaign) {
 
   cfg.fingerprint = "spec-A";
   cfg.chunk_size = 4;  // different chunk layout
+  EXPECT_THROW(run_once(src, cfg), core::CheckpointMismatchError);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointRunner, ResumeRejectsARecordThatBooksTooManyUnits) {
+  // An edited record used to fold as is: 999 units booked for an 8-unit
+  // chunk printed a 1031-unit report for a 40-unit campaign.
+  FakeSource src(40);
+  const std::string path = temp_path("edited.jsonl");
+  std::remove(path.c_str());
+  CampaignConfig cfg;
+  cfg.shards = 1;
+  cfg.aggregate_outcomes = true;
+  cfg.chunk_size = 8;
+  cfg.checkpoint_path = path;
+  cfg.fingerprint = "spec-A";
+  cfg.max_chunks = 1;
+  (void)run_once(src, cfg);
+
+  std::string text = slurp(path);
+  const std::string units = "\"agg\":{\"units\":8,";
+  const std::size_t at = text.find(units);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, units.size(), "\"agg\":{\"units\":999,");
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+  }
+  cfg.resume = true;
+  cfg.max_chunks = 0;
   EXPECT_THROW(run_once(src, cfg), core::CheckpointMismatchError);
   std::remove(path.c_str());
 }

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <string>
 
+#include "core/checkpoint.hpp"
 #include "core/soc.hpp"
 #include "scenario/build.hpp"
 #include "scenario/parse.hpp"
@@ -57,6 +58,16 @@ std::string small_sweep_doc(bool truth = false) {
       (truth ? R"(,"spec_limits":{"max_glitch_frac":0.45,"max_settle_ps":150})"
              : "") +
       R"(},"campaign":{"seed":77})");
+}
+
+/// The smallest aggregated sweep: 129 units crosses
+/// kSweepTranscriptThreshold = 128, so it runs in 43 auto-sized chunks of
+/// 3 units (ceil(129 / 64)).
+std::string large_sweep_doc() {
+  return wrap(
+      R"("topology":{"kind":"soc","n_wires":4,"bus":{"samples":512}},)"
+      R"("sessions":[{"kind":"enhanced","method":1}],)"
+      R"("sweep":{"samples":129},"campaign":{"seed":1})");
 }
 
 /// Member `key` of the "truth" object of a rendered yield.json's
@@ -269,11 +280,7 @@ TEST(SweepBuild, SmallSweepKeepsPerUnitTranscript) {
 }
 
 TEST(SweepBuild, LargeSweepAggregates) {
-  // 129 units crosses kSweepTranscriptThreshold = 128.
-  const ScenarioSpec spec = parse_scenario(
-      wrap(R"("topology":{"kind":"soc","n_wires":4,"bus":{"samples":512}},)"
-           R"("sessions":[{"kind":"enhanced","method":1}],)"
-           R"("sweep":{"samples":129},"campaign":{"seed":1})"));
+  const ScenarioSpec spec = parse_scenario(large_sweep_doc());
   const scenario::ScenarioOutcome out = scenario::run_scenario(spec);
   EXPECT_TRUE(out.result.aggregated);
   EXPECT_TRUE(out.result.units.empty());
@@ -423,6 +430,83 @@ TEST(SweepDeterminism, ForkedWorkersByteIdentical) {
                                 " workers=" + std::to_string(workers));
     }
   }
+}
+
+TEST(SweepDeterminism, AggregatedSweepByteIdenticalAcrossShardsWorkersAndResume) {
+  // The per-unit sweep above has one unit per chunk; this one runs in
+  // multi-unit auto-sized chunks, whose layout must not show in any
+  // artifact at any shard count, worker count or kill boundary.
+  const ScenarioSpec spec = parse_scenario(large_sweep_doc());
+  ASSERT_EQ(scenario::build_campaign(spec).runner().effective_chunk_size(),
+            3u);
+  scenario::RunOptions one;
+  one.shards = 1;
+  const scenario::ScenarioOutcome base = scenario::run_scenario(spec, one);
+  ASSERT_TRUE(base.result.aggregated);
+  ASSERT_EQ(base.result.units_run, 129u);
+
+  for (const std::size_t shards : {3u, 4u}) {
+    scenario::RunOptions opt;
+    opt.shards = shards;
+    expect_same_artifacts(base, scenario::run_scenario(spec, opt),
+                          "shards=" + std::to_string(shards));
+  }
+  {
+    scenario::RunOptions multi;
+    multi.shards = 1;
+    multi.workers = 3;
+    expect_same_artifacts(base, scenario::run_scenario(spec, multi),
+                          "workers=3");
+  }
+  for (const std::size_t shards : {1u, 4u}) {
+    const std::string tag = "max_chunks=5 + resume, shards=" +
+                            std::to_string(shards);
+    const std::string ckpt = temp_file("aggregated_resume");
+    std::remove(ckpt.c_str());
+    scenario::RunOptions step;
+    step.shards = shards;
+    step.checkpoint_path = ckpt;
+    step.max_chunks = 5;
+    EXPECT_FALSE(scenario::run_scenario(spec, step).result.complete) << tag;
+
+    scenario::RunOptions rest;
+    rest.shards = shards;
+    rest.checkpoint_path = ckpt;
+    rest.resume = true;
+    const scenario::ScenarioOutcome resumed =
+        scenario::run_scenario(spec, rest);
+    EXPECT_TRUE(resumed.result.complete) << tag;
+    expect_same_artifacts(base, resumed, tag);
+    std::remove(ckpt.c_str());
+  }
+}
+
+TEST(SweepDeterminism, ResumeRefusesACheckpointOfTheOld64UnitLayout) {
+  // Aggregated sweeps used to run in fixed 64-unit chunks. A checkpoint
+  // of that layout (header chunk_size 64, a consistent first record) is
+  // a different schedule of the same campaign: refused with the typed
+  // error, never folded.
+  const ScenarioSpec spec = parse_scenario(large_sweep_doc());
+  const std::string ckpt = temp_file("old_layout");
+  std::remove(ckpt.c_str());
+  {
+    scenario::BuildOptions bo;
+    bo.checkpoint_path = ckpt;
+    bo.max_chunks = 1;
+    scenario::ScenarioCampaign old = scenario::build_campaign(spec, bo);
+    old.runner().config().chunk_size = 64;
+    ASSERT_FALSE(old.run().complete);
+  }
+  const core::CheckpointData data = core::load_checkpoint(ckpt);
+  ASSERT_EQ(data.header.chunk_size, 64u);
+  ASSERT_EQ(data.records.size(), 1u);
+
+  scenario::RunOptions rest;
+  rest.checkpoint_path = ckpt;
+  rest.resume = true;
+  EXPECT_THROW(scenario::run_scenario(spec, rest),
+               core::CheckpointMismatchError);
+  std::remove(ckpt.c_str());
 }
 
 // ---- yield rendering --------------------------------------------------------
