@@ -254,72 +254,100 @@ BENCHMARK(BM_FullSiSessionObserved)
     ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-// One wide_bus_n64 pass worth of StateEdge records: the 114,552 edges its
-// metrics.json books (102,644 shift, 2,371 capture, 2,371 update, 7,166
-// navigation), laid out as 2,371 scans of navigation, capture, shift body
-// and update.
-std::vector<obs::Event> wide_bus_edge_stream() {
+// One wide_bus_n64 pass worth of TAP edges as a TapMaster reports them:
+// the 114,552 edges its metrics.json books (102,644 shift, 2,371 capture,
+// 2,371 update, 7,166 navigation), laid out as 2,371 scans of navigation
+// and capture edges, one scan-body burst of the shift edges, and an
+// update edge. 11,908 edges arrive one on_event call each, the other
+// 102,644 in 2,371 on_shift_run calls.
+struct EdgeStep {
+  obs::Event edge;     // the edge, or a burst's first edge
+  util::BitVec body;   // empty for a single edge; else the burst's TDI
+};
+
+std::vector<EdgeStep> wide_bus_edge_steps() {
   constexpr std::size_t kScans = 2'371;
   constexpr std::size_t kShift = 102'644;
   constexpr std::size_t kOther = 7'166;
-  std::vector<obs::Event> edges;
-  edges.reserve(kOther + kShift + 2 * kScans);
-  const auto push = [&](obs::TckPhase phase, const char* state) {
+  std::vector<EdgeStep> steps;
+  std::uint64_t tck = 0;
+  const auto edge = [&](obs::TckPhase phase, const char* state, bool tms,
+                        bool tdi) {
     obs::Event e;
     e.kind = obs::EventKind::StateEdge;
     e.phase = phase;
-    e.tck = edges.size() + 1;
+    e.tck = ++tck;
     e.name = state;
-    e.a = phase == obs::TckPhase::Shift ? 0 : 1;  // TMS
-    e.b = static_cast<std::int64_t>(edges.size() & 1);  // TDI
-    edges.push_back(e);
+    e.a = tms ? 1 : 0;
+    e.b = tdi ? 1 : 0;
+    return e;
   };
   for (std::size_t s = 0; s < kScans; ++s) {
     const std::size_t other = kOther / kScans + (s < kOther % kScans ? 1 : 0);
     const std::size_t shift = kShift / kScans + (s < kShift % kScans ? 1 : 0);
     for (std::size_t k = 0; k < other; ++k) {
-      push(obs::TckPhase::Other, "SelectDrScan");
+      steps.push_back({edge(obs::TckPhase::Other, "SelectDrScan", true, false),
+                       {}});
     }
-    push(obs::TckPhase::Capture, "CaptureDr");
-    for (std::size_t k = 0; k < shift; ++k) {
-      push(obs::TckPhase::Shift, "ShiftDr");
-    }
-    push(obs::TckPhase::Update, "UpdateDr");
+    steps.push_back({edge(obs::TckPhase::Capture, "CaptureDr", false, false),
+                     {}});
+    util::BitVec body(shift);
+    for (std::size_t k = 0; k < shift; ++k) body.set(k, ((tck + k) & 1) != 0);
+    steps.push_back({edge(obs::TckPhase::Shift, "ShiftDr", shift == 1, body[0]),
+                     body});
+    tck += shift - 1;
+    steps.push_back({edge(obs::TckPhase::Update, "UpdateDr", true, false), {}});
   }
-  return edges;
+  return steps;
 }
 
 // What observing the TAP costs per edge, through the Sink* a TapMaster
-// calls. Items are edges. Arg 0: the default Hub every campaign worker
-// runs (metrics fold plus the 65,536-record tracer ring); 1: a Hub whose
-// tracer drops StateEdges (`tap_edges` false); 2: a bare MetricsSink.
-// Row 0 minus row 1 is what the ring costs a campaign that never reads
-// it. Each iteration starts from a reset, as each campaign unit does.
+// calls. Items are edges. Arg 0: the hub every campaign worker runs
+// without keep_events (metrics fold, no tracer ring); 1: a hub keeping
+// the default 65,536-record ring, as with keep_events, which expands
+// every burst into stamped records; 2: a bare MetricsSink; 3: a
+// NullSink. Each iteration starts from a reset, as each campaign unit
+// does.
 void BM_HubStateEdges(benchmark::State& state) {
-  const std::vector<obs::Event> edges = wide_bus_edge_stream();
+  const std::vector<EdgeStep> steps = wide_bus_edge_steps();
+  std::uint64_t edges = 0;
+  for (const EdgeStep& s : steps) edges += s.body.empty() ? 1 : s.body.size();
   obs::TracerConfig tc;
-  tc.tap_edges = state.range(0) != 1;
+  if (state.range(0) == 0) tc.capacity = 0;
   obs::Hub hub(tc);
   obs::Registry reg;
   obs::MetricsSink bare(reg);
-  obs::Sink* sink = &hub;
-  if (state.range(0) == 2) sink = &bare;
+  obs::NullSink null;
+  obs::Sink* sinks[] = {&hub, &hub, &bare, &null};
+  obs::Sink* sink = sinks[state.range(0)];
   for (auto _ : state) {
     hub.reset();
     reg.reset();
-    for (const obs::Event& e : edges) sink->on_event(e);
+    for (const EdgeStep& s : steps) {
+      if (s.body.empty()) {
+        sink->on_event(s.edge);
+      } else {
+        sink->on_shift_run(s.edge, s.body);
+      }
+    }
     benchmark::ClobberMemory();
   }
   const std::uint64_t tcks = hub.registry().counter_value("tck.total") +
                              reg.counter_value("tck.total");
-  if (tcks != edges.size()) state.SkipWithError("tck.total != edges fed");
+  if (state.range(0) != 3 && tcks != edges) {
+    state.SkipWithError("tck.total != edges fed");
+  }
+  if (state.range(0) == 1 &&
+      hub.tracer().recorded() != edges * state.iterations()) {
+    state.SkipWithError("ring kept fewer records than edges fed");
+  }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(edges.size()));
-  static const char* const kLabels[] = {"hub", "hub_no_tap_edges",
-                                        "metrics_sink"};
+                          static_cast<std::int64_t>(edges));
+  static const char* const kLabels[] = {"campaign_hub", "hub_ring",
+                                        "metrics_sink", "null_sink"};
   state.SetLabel(kLabels[state.range(0)]);
 }
-BENCHMARK(BM_HubStateEdges)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_HubStateEdges)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_ParallelVictimSession(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -13,6 +13,7 @@
 #include "core/bist.hpp"
 #include "core/checkpoint.hpp"
 #include "core/session.hpp"
+#include "si/sample_pool.hpp"
 
 namespace jsi::core {
 
@@ -371,10 +372,19 @@ CampaignResult CampaignRunner::run() {
   obs::Telemetry telemetry(cfg_.telemetry, shards, runnable_units);
   telemetry.start();
 
+  // Only keep_events reads a worker hub's tracer ring; without it the
+  // hubs keep and reserve none.
+  obs::TracerConfig trace = cfg_.trace;
+  if (!cfg_.keep_events) trace.capacity = 0;
+
   auto worker = [&](std::size_t worker_id) {
+    // Each die's bus frees its sample buffers when the unit ends; the
+    // worker's pool hands them to the next die, and frees them when the
+    // worker returns.
+    si::SamplePool samples;
     // The hub is built inside the worker: one observer per thread, never
     // shared. Only the optional live sink crosses threads.
-    obs::Hub hub(cfg_.trace);
+    obs::Hub hub(trace);
     hub.set_strict(cfg_.strict_metrics);
     if (live_sink_ != nullptr) hub.add_sink(live_sink_);
 
@@ -468,10 +478,13 @@ CampaignResult CampaignRunner::run() {
       }
 
       // Publish: checkpoint the completed chunk, slot it, advance the
-      // streaming fold over any now-consecutive frontier.
+      // streaming fold over any now-consecutive frontier. The record's
+      // line is formatted before the lock; only its write is under it.
+      const std::string line =
+          ckpt.is_open() ? chunk_record_line(rec) : std::string();
       {
         std::lock_guard<std::mutex> lk(publish_mu);
-        if (ckpt.is_open()) ckpt.append(rec);
+        if (ckpt.is_open()) ckpt.append_line(line);
         records[c] = std::move(rec);
         drain();
       }

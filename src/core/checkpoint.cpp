@@ -406,13 +406,17 @@ void CheckpointWriter::open(const std::string& path, const CheckpointHeader& h,
   }
 }
 
-void CheckpointWriter::append(const ChunkRecord& rec) {
-  // Build the full line first so the stream sees one write: a crash can
-  // tear the last line but never interleave two records.
+std::string chunk_record_line(const ChunkRecord& rec) {
   std::ostringstream line;
   write_chunk_record(line, rec);
   line << '\n';
-  os_ << line.str();
+  return std::move(line).str();
+}
+
+void CheckpointWriter::append_line(const std::string& line) {
+  // The whole line in one write: a crash can tear the last line but
+  // never interleave two records.
+  os_ << line;
   os_.flush();
   if (!os_) fail("append failed");
 }

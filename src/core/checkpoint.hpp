@@ -97,10 +97,15 @@ void merge_checkpoint_parts(const std::string& dst, const CheckpointHeader& h,
 void write_checkpoint_header(std::ostream& os, const CheckpointHeader& h);
 void write_chunk_record(std::ostream& os, const ChunkRecord& rec);
 
+/// One record's whole checkpoint line, trailing newline included.
+std::string chunk_record_line(const ChunkRecord& rec);
+
 /// Append-mode writer used by CampaignRunner::run(). open() either
 /// starts a fresh file (truncate + header) or, in resume mode, validates
-/// the existing header and seeks to the end; append() writes one record
-/// line and flushes. All methods throw std::runtime_error on I/O errors.
+/// the existing header and seeks to the end; append() and append_line()
+/// write one record line in one write and flush, so a crash can tear the
+/// last line but never interleave two records. All methods throw
+/// std::runtime_error on I/O errors.
 class CheckpointWriter {
  public:
   /// No-op writer (no checkpoint configured).
@@ -114,7 +119,11 @@ class CheckpointWriter {
 
   bool is_open() const { return os_.is_open(); }
 
-  void append(const ChunkRecord& rec);
+  void append(const ChunkRecord& rec) { append_line(chunk_record_line(rec)); }
+
+  /// Write a line from chunk_record_line(), so a caller can format it
+  /// before taking the lock its writes go under.
+  void append_line(const std::string& line);
 
  private:
   std::ofstream os_;

@@ -18,10 +18,8 @@ util::Logic TapMaster::clock(bool tms, bool tdi) {
 
 util::BitVec TapMaster::shift_body(const util::BitVec& bits) {
   if (sink_) {
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      sink_->on_event(tap_edge_event(state_, i + 1 == bits.size(), bits[i],
-                                     tck_ + 1 + i));
-    }
+    sink_->on_shift_run(
+        tap_edge_event(state_, bits.size() == 1, bits[0], tck_ + 1), bits);
   }
   tck_ += bits.size();
   state_ = next_state(state_, true);

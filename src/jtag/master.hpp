@@ -73,18 +73,18 @@ class TapMaster {
   /// Attach an observability sink; every TCK edge is reported as a
   /// StateEdge event (acting state, TMS, TDI) *before* the port ticks,
   /// so events raised inside the device inherit this edge's TCK stamp.
-  /// A scan body's edges are all reported before the port shifts it,
-  /// which gives the same stream because nothing in a device emits
-  /// while it shifts. nullptr (the default) disables emission — one
-  /// branch per edge.
+  /// A scan body's edges are reported as one obs::Sink::on_shift_run
+  /// burst before the port shifts it, which gives the same stream
+  /// because nothing in a device emits while it shifts. nullptr (the
+  /// default) disables emission — one branch per edge or burst.
   void set_sink(obs::Sink* sink) { sink_ = sink; }
 
  private:
   util::Logic clock(bool tms, bool tdi = false);
   /// The body of a scan, from Shift-DR or Shift-IR into Exit1: one edge
   /// per bit of `bits`, TMS=1 on the last, handed to the port as one
-  /// TapPort::shift_run burst. Counts and reports the edges as clock()
-  /// would; returns the TDO bits.
+  /// TapPort::shift_run burst and to the sink as one on_shift_run call.
+  /// Counts the edges as clock() would; returns the TDO bits.
   util::BitVec shift_body(const util::BitVec& bits);
   void require_idle(const char* op) const;
 

@@ -34,6 +34,12 @@ class AggregatingSink final : public Sink {
     metrics_.on_event(e);
   }
 
+  /// A scan body folds under one lock, in O(1).
+  void on_shift_run(const Event& first_edge, const util::BitVec& tdi) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    metrics_.on_shift_run(first_edge, tdi);
+  }
+
   /// Consistent copy of the aggregate registry (taken under the lock).
   Registry snapshot() const {
     const std::lock_guard<std::mutex> lock(mu_);

@@ -2,6 +2,12 @@
 
 namespace jsi::obs {
 
+void Sink::on_shift_run(const Event& first_edge, const util::BitVec& tdi) {
+  for (std::size_t i = 0; i < tdi.size(); ++i) {
+    on_event(shift_run_edge(first_edge, tdi, i));
+  }
+}
+
 const char* event_kind_name(EventKind k) {
   switch (k) {
     case EventKind::SessionBegin: return "SessionBegin";

@@ -1,7 +1,10 @@
 #ifndef JSI_OBS_EVENTS_HPP
 #define JSI_OBS_EVENTS_HPP
 
+#include <cstddef>
 #include <cstdint>
+
+#include "util/bitvec.hpp"
 
 namespace jsi::obs {
 
@@ -60,15 +63,39 @@ struct Event {
   std::uint64_t value = 0;           ///< counts / TCK totals
 };
 
+/// Edge `i` of a scan body (see Sink::on_shift_run): `first_edge` with
+/// tck advanced by i, TMS 1 on the last edge only, TDI `tdi[i]`, and no
+/// time stamp (a Hub stamps each edge it expands from its tck).
+inline Event shift_run_edge(const Event& first_edge, const util::BitVec& tdi,
+                            std::size_t i) {
+  Event e = first_edge;
+  e.tck = first_edge.tck + i;
+  e.time_ps = Event::kNoStamp;
+  e.a = i + 1 == tdi.size() ? 1 : 0;
+  e.b = tdi[i] ? 1 : 0;
+  return e;
+}
+
 /// Consumer of the event stream. Instrumented components hold a plain
 /// `Sink*` that defaults to nullptr, so the disabled path is one
 /// predicted-not-taken branch per would-be event — no virtual call, no
 /// record construction (the "<2% when disabled" guarantee, pinned by
 /// `bench/obs_overhead_guard`).
+///
+/// A TapMaster reports a scan body — the tdi.size() >= 1 Shift-DR or
+/// Shift-IR edges of one scan, TMS 1 on the last — as one burst through
+/// on_shift_run. `first_edge` is the StateEdge record of the body's first
+/// edge, tck set and time_ps not; shift_run_edge() gives edge i. The
+/// default expands the burst into exactly those on_event calls, in
+/// order, so a sink that overrides only on_event sees the per-edge
+/// stream. An override must leave the sink as those calls would: the
+/// metrics fold adds L edges of one phase in O(1), a Hub expands only
+/// for a ring that keeps edges and for its extra sinks.
 class Sink {
  public:
   virtual ~Sink() = default;
   virtual void on_event(const Event& e) = 0;
+  virtual void on_shift_run(const Event& first_edge, const util::BitVec& tdi);
 };
 
 /// Accepts and discards everything: the attached-but-inert baseline the
@@ -76,6 +103,7 @@ class Sink {
 class NullSink final : public Sink {
  public:
   void on_event(const Event&) override {}
+  void on_shift_run(const Event&, const util::BitVec&) override {}
 };
 
 /// Convenience emitter for span-style records (SessionBegin/End and

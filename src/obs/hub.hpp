@@ -14,7 +14,15 @@ namespace jsi::obs {
 /// Registry, stamps incoming events with the last-seen TCK (so records
 /// from layers that have no clock — detectors, the bus cache — inherit
 /// the edge that caused them), and fans the stamped stream out to the
-/// tracer, the metrics fold, and any extra sinks.
+/// metrics fold, the tracer, and any extra sinks. Each record is stamped
+/// once, here; the tracer takes it as stamped.
+///
+/// A scan body (on_shift_run) goes to the metrics fold whole, in O(1).
+/// The hub expands it into stamped per-edge records only for a tracer
+/// ring that keeps StateEdges and for the extra sinks, so both see
+/// exactly the stream of per-edge calls. A hub whose tracer has no ring
+/// (capacity 0) and no extra sinks pays for a scan body once, not per
+/// edge.
 class Hub final : public Sink {
  public:
   Hub() : Hub(TracerConfig{}) {}
@@ -58,8 +66,23 @@ class Hub final : public Sink {
       stamped.time_ps = stamped.tck * period_ps_;
     }
     metrics_.on_event(stamped);
-    tracer_.on_event(stamped);
+    tracer_.record(stamped);
     for (Sink* s : extra_) s->on_event(stamped);
+  }
+
+  void on_shift_run(const Event& first_edge, const util::BitVec& tdi) override {
+    last_tck_ = first_edge.tck + tdi.size() - 1;
+    metrics_.on_shift_run(first_edge, tdi);
+    if (extra_.empty()) {
+      tracer_.on_shift_run(first_edge, tdi);  // expands only to keep edges
+      return;
+    }
+    for (std::size_t i = 0; i < tdi.size(); ++i) {
+      Event e = shift_run_edge(first_edge, tdi, i);
+      e.time_ps = e.tck * period_ps_;
+      tracer_.record(e);
+      for (Sink* s : extra_) s->on_event(e);
+    }
   }
 
  private:

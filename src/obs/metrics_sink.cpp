@@ -16,23 +16,49 @@ MetricsSink::MetricsSink(Registry& reg) : reg_(&reg) {
   op_tcks_ = &reg.histogram("op.tcks");
 }
 
+void MetricsSink::fold_edges(TckPhase phase, std::uint64_t edges) {
+  tck_total_->inc(edges);
+  tck_state_[static_cast<int>(phase)]->inc(edges);
+  plan_edges_ += edges;
+  if (in_observation_) {
+    tck_observation_->inc(edges);
+    plan_observation_ += edges;
+  } else {
+    tck_generation_->inc(edges);
+    plan_generation_ += edges;
+  }
+}
+
+Counter& MetricsSink::lazy(Counter*& slot, const char* name) {
+  if (slot == nullptr) slot = &reg_->counter(name);
+  return *slot;
+}
+
+Counter& MetricsSink::op_counter(const char* name) {
+  for (std::size_t i = 0; i < ops_; ++i) {
+    if (op_names_[i] == name) return *op_counters_[i];
+  }
+  Counter& c = reg_->counter(std::string("op.") + name);
+  if (ops_ < kOpSlots) {
+    op_names_[ops_] = name;
+    op_counters_[ops_] = &c;
+    ++ops_;
+  }
+  return c;
+}
+
+void MetricsSink::on_shift_run(const Event& first_edge,
+                               const util::BitVec& tdi) {
+  fold_edges(first_edge.phase, tdi.size());
+}
+
 void MetricsSink::on_event(const Event& e) {
   switch (e.kind) {
-    case EventKind::StateEdge: {
-      tck_total_->inc();
-      tck_state_[static_cast<int>(e.phase)]->inc();
-      ++plan_edges_;
-      if (in_observation_) {
-        tck_observation_->inc();
-        ++plan_observation_;
-      } else {
-        tck_generation_->inc();
-        ++plan_generation_;
-      }
+    case EventKind::StateEdge:
+      fold_edges(e.phase, 1);
       break;
-    }
     case EventKind::TapOpBegin:
-      reg_->counter(std::string("op.") + e.name).inc();
+      op_counter(e.name).inc();
       if (e.b == 1) in_observation_ = true;
       break;
     case EventKind::TapOpEnd:
@@ -74,23 +100,27 @@ void MetricsSink::on_event(const Event& e) {
     case EventKind::SessionEnd:
       break;
     case EventKind::BusTransition:
-      reg_->counter("bus.transitions").inc();
+      lazy(bus_transitions_, "bus.transitions").inc();
       break;
     case EventKind::CacheLookup:
       // One record per store lookup call, carrying its wire tallies. The
       // counters are created only once they have something to count, so
       // registries without bus traffic keep their key set.
       if (e.a > 0) {
-        reg_->counter("bus.cache_hits").inc(static_cast<std::uint64_t>(e.a));
+        lazy(bus_cache_hits_, "bus.cache_hits")
+            .inc(static_cast<std::uint64_t>(e.a));
       }
       if (e.b > 0) {
-        reg_->counter("bus.cache_misses").inc(static_cast<std::uint64_t>(e.b));
+        lazy(bus_cache_misses_, "bus.cache_misses")
+            .inc(static_cast<std::uint64_t>(e.b));
       }
       break;
     case EventKind::DetectorFired:
-      reg_->counter(e.name[0] == 'N' ? "detector.nd_fired"
-                                     : "detector.sd_fired")
-          .inc();
+      if (e.name[0] == 'N') {
+        lazy(nd_fired_, "detector.nd_fired").inc();
+      } else {
+        lazy(sd_fired_, "detector.sd_fired").inc();
+      }
       break;
     case EventKind::SchedulerRun:
       reg_->counter("sim.scheduler_events").inc(e.value);

@@ -31,8 +31,11 @@ namespace jsi::obs {
 /// must agree; a mismatch bumps `obs.consistency_errors` and — in strict
 /// mode — throws, so tests pin dry-run == engine == metrics.
 ///
-/// Hot-path metric handles are resolved once at construction, so a
-/// StateEdge costs a few increments, not a map lookup.
+/// The tck.* handles are resolved at construction, so a StateEdge costs a
+/// few increments, not a map lookup, and a scan body (on_shift_run) the
+/// same few additions of its length. The op.*, bus.* and detector.*
+/// counters are resolved on first use and kept, so a registry gains
+/// those keys only once it has something to count in them.
 class MetricsSink final : public Sink {
  public:
   explicit MetricsSink(Registry& reg);
@@ -58,8 +61,16 @@ class MetricsSink final : public Sink {
   }
 
   void on_event(const Event& e) override;
+  void on_shift_run(const Event& first_edge, const util::BitVec& tdi) override;
 
  private:
+  /// Fold `edges` StateEdges of one phase.
+  void fold_edges(TckPhase phase, std::uint64_t edges);
+  /// `*slot`, resolving it to the counter `name` on first use.
+  Counter& lazy(Counter*& slot, const char* name);
+  /// The op.<name> counter of a TapOp kind label.
+  Counter& op_counter(const char* name);
+
   Registry* reg_;
   // Pre-resolved hot-path handles (stable: Registry is node-based).
   Counter* tck_total_;
@@ -67,6 +78,19 @@ class MetricsSink final : public Sink {
   Counter* tck_generation_;
   Counter* tck_observation_;
   Histogram* op_tcks_;
+  // Resolved on first use (see the class comment).
+  Counter* bus_transitions_ = nullptr;
+  Counter* bus_cache_hits_ = nullptr;
+  Counter* bus_cache_misses_ = nullptr;
+  Counter* nd_fired_ = nullptr;
+  Counter* sd_fired_ = nullptr;
+  // op.<name> by the label's address: labels are static strings, one
+  // per TapOp kind. Past kOpSlots distinct addresses a label is looked
+  // up by name each time.
+  static constexpr std::size_t kOpSlots = 8;
+  const char* op_names_[kOpSlots] = {};
+  Counter* op_counters_[kOpSlots] = {};
+  std::size_t ops_ = 0;
 
   bool strict_ = false;
   bool in_observation_ = false;  // inside a Readout op span

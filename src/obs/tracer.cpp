@@ -37,7 +37,13 @@ void write_event_jsonl(std::ostream& os, const Event& e) {
 }
 
 Tracer::Tracer(TracerConfig cfg) : cfg_(cfg) {
-  if (cfg_.capacity == 0) cfg_.capacity = 1;
+  if (cfg_.capacity == 0) return;  // no ring: keeps nothing
+  for (int k = 0; k < kEventKindCount; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    if (kind == EventKind::StateEdge && !cfg_.tap_edges) continue;
+    if (kind == EventKind::CacheLookup && !cfg_.cache_lookups) continue;
+    kept_ |= std::uint32_t{1} << k;
+  }
   ring_.reserve(cfg_.capacity);
 }
 
@@ -56,17 +62,22 @@ void Tracer::push(const Event& e) {
 
 void Tracer::on_event(const Event& e) {
   Event stamped = e;
-  if (stamped.tck == Event::kNoStamp) {
-    stamped.tck = last_tck_;
-  } else {
-    last_tck_ = stamped.tck;
-  }
+  if (stamped.tck == Event::kNoStamp) stamped.tck = last_tck_;
   if (stamped.time_ps == Event::kNoStamp) {
     stamped.time_ps = stamped.tck * cfg_.tck_period_ps;
   }
-  if (e.kind == EventKind::StateEdge && !cfg_.tap_edges) return;
-  if (e.kind == EventKind::CacheLookup && !cfg_.cache_lookups) return;
-  push(stamped);
+  record(stamped);
+}
+
+void Tracer::on_shift_run(const Event& first_edge, const util::BitVec& tdi) {
+  if (!keeps(EventKind::StateEdge)) {
+    // Dropped edges still advance the stamp clock.
+    last_tck_ = first_edge.tck + tdi.size() - 1;
+    return;
+  }
+  for (std::size_t i = 0; i < tdi.size(); ++i) {
+    on_event(shift_run_edge(first_edge, tdi, i));
+  }
 }
 
 std::vector<Event> Tracer::events() const {

@@ -17,7 +17,10 @@ void write_event_jsonl(std::ostream& os, const Event& e);
 
 /// What the tracer keeps and how it stamps time.
 struct TracerConfig {
-  std::size_t capacity = 1 << 16;  ///< ring entries; oldest dropped when full
+  /// Ring entries; the oldest is dropped when full. 0 keeps no ring: the
+  /// tracer records and reserves nothing (a campaign worker's hub when
+  /// no one reads its events).
+  std::size_t capacity = 1 << 16;
   bool tap_edges = true;      ///< keep per-TCK StateEdge records
   bool cache_lookups = false;  ///< keep CacheLookup records (one per bus lookup)
   /// TCK period used to stamp `time_ps` on records that lack one — the
@@ -32,6 +35,12 @@ struct TracerConfig {
 /// (Session/Plan/TapOp Begin+End) become duration slices; detector
 /// firings and bus transitions become instant markers carrying their VCD
 /// timestamp in `args`.
+///
+/// Attached on its own, the tracer stamps what it receives (on_event) and
+/// expands a scan body into stamped edges only when it keeps StateEdges
+/// (on_shift_run). Inside a Hub it is fed through record(): the hub has
+/// stamped the record already, and expands a scan body only when the
+/// tracer keeps edges or the hub has extra sinks.
 class Tracer final : public Sink {
  public:
   Tracer() : Tracer(TracerConfig{}) {}
@@ -40,6 +49,18 @@ class Tracer final : public Sink {
   const TracerConfig& config() const { return cfg_; }
 
   void on_event(const Event& e) override;
+  void on_shift_run(const Event& first_edge, const util::BitVec& tdi) override;
+
+  /// Whether records of `kind` enter the ring (never, with no ring).
+  bool keeps(EventKind kind) const {
+    return (kept_ >> static_cast<unsigned>(kind)) & 1u;
+  }
+
+  /// Take a record whose tck and time_ps are already stamped.
+  void record(const Event& stamped) {
+    last_tck_ = stamped.tck;
+    if (keeps(stamped.kind)) push(stamped);
+  }
 
   /// Retained records, oldest first.
   std::vector<Event> events() const;
@@ -66,6 +87,7 @@ class Tracer final : public Sink {
   void push(const Event& e);
 
   TracerConfig cfg_;
+  std::uint32_t kept_ = 0;  // bit k: keeps EventKind k
   std::vector<Event> ring_;
   std::size_t head_ = 0;  // oldest slot once the ring is full
   std::uint64_t recorded_ = 0;

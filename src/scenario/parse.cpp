@@ -25,8 +25,10 @@ constexpr std::size_t kMaxNets = 4096;
 constexpr std::size_t kMaxRandomCount = 1024;  ///< random_crosstalk.count
 constexpr std::size_t kMaxSweepPopulation = 10'000'000;
 constexpr std::uint64_t kMaxShards = 256;  ///< one std::thread per shard
-/// obs.trace_capacity: every campaign worker's hub reserves that many
-/// 56-byte records, so 2^20 is 56 MiB per worker.
+/// obs.trace_capacity: with campaign.keep_events set, every campaign
+/// worker's hub reserves that many 56-byte records, so 2^20 is 56 MiB per
+/// worker. Without keep_events no ring is kept; the cap holds anyway, so
+/// whether a spec parses never depends on another field.
 constexpr std::size_t kMaxTraceCapacity = std::size_t{1} << 20;
 
 [[noreturn]] void fail(const std::string& path, const std::string& reason) {

@@ -145,6 +145,9 @@ struct CampaignSpec {
 };
 
 /// Observability settings of every worker hub (mirrors obs::TracerConfig).
+/// The tracer ring they describe is kept only with campaign.keep_events,
+/// so trace_capacity and tap_edges take effect only then; without it the
+/// hubs keep no ring.
 struct ObsSpec {
   std::size_t trace_capacity = 1 << 16;
   bool tap_edges = true;
