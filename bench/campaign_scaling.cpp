@@ -5,15 +5,22 @@
 // BENCH_campaign.json (gauge families `campaign.*` and `sweep.*`):
 //
 //  * campaign — the declarative scenarios/campaign_multibus.scenario.json
-//    description (12 multibus units, crosstalk on a different wire of
-//    bus 1 each, 64-entry trace ring) at 1/2/4/8 shards.
+//    description (multibus units, crosstalk on a different wire of bus 1
+//    each, 64-entry trace ring) at 1/2/4/8 shards, with as many units as
+//    fill a 0.5 s 1-shard run (at least the shipped 12).
 //  * sweep — a programmatic Monte-Carlo sweep: a 2x2 detector-threshold
-//    grid with JSI_SWEEP_UNITS/4 sampled dies per point (default 10^4
-//    units), each die placing one seeded random crosstalk defect from
-//    Prng(seed).split(i), at 1/2/4 shards. The population is far above
+//    grid of sampled dies, each placing one seeded random crosstalk
+//    defect from Prng(seed).split(i), at 1/2/4 shards, with as many dies
+//    as fill a 2 s 1-shard run. The population is far above
 //    kSweepTranscriptThreshold, so this exercises lazy unit generation,
 //    chunked scheduling, warmed prototype clones and streaming
 //    aggregation end to end.
+//
+// Each workload is sized by time (bench/harness.hpp): a calibration run
+// at a small unit count prices one unit, and the measured runs get the
+// count that fills the budget. A fixed count would let the speedup's
+// fixed serial part (thread start-up, the merge) grow in share whenever
+// a unit gets cheaper.
 //
 // Two classes of check, per workload:
 //
@@ -31,19 +38,21 @@
 // a bare run writes both families into BENCH_campaign.json. CTest runs
 // each workload as its own test (campaign_scaling, sweep_scaling).
 //
-// Knobs: JSI_CAMPAIGN_UNITS (default 12), JSI_SWEEP_UNITS (default
-// 10000), JSI_CAMPAIGN_ATTEMPTS (default 3, for each workload).
+// Knob: JSI_CAMPAIGN_ATTEMPTS (default 3, for each workload).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "harness.hpp"
 #include "obs/registry.hpp"
 #include "scenario/parse.hpp"
 #include "scenario/run.hpp"
@@ -51,18 +60,11 @@
 
 namespace {
 
-using clock_type = std::chrono::steady_clock;
+using jsi::bench::clock_type;
 
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const long parsed = std::strtol(v, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
-// The scenario ships 12 units; JSI_CAMPAIGN_UNITS regenerates the session
-// list programmatically so bigger boxes can be driven harder without
-// editing the file. Unit i keeps the shipped template (multibus, method 2,
+// The scenario ships 12 units; the session list is regenerated
+// programmatically at the count the time budget asks for. Unit i keeps
+// the shipped template (multibus, method 2,
 // one crosstalk defect) but draws its own placement from
 // Prng(campaign.seed).split(i) — every unit is a distinct die, unlike the
 // old truncate/repeat path whose extra units were byte-copies of the
@@ -91,8 +93,8 @@ jsi::scenario::ScenarioSpec campaign_workload(std::size_t units) {
 }
 
 // 2x2 grid => samples = units/4 dies per point. A 4-wire 512-sample bus
-// keeps one die under a millisecond, so the default population finishes
-// in seconds while still being 10^4 real sessions.
+// keeps one die well under a millisecond, so a population of 10^4 and
+// more real sessions finishes in seconds.
 jsi::scenario::ScenarioSpec sweep_workload(std::size_t units) {
   const std::size_t samples = std::max<std::size_t>(1, units / 4);
   const std::string doc =
@@ -113,6 +115,16 @@ struct Workload {
   jsi::scenario::ScenarioSpec spec;
   std::size_t units = 0;
   std::vector<std::size_t> shard_counts;  ///< beside the 1-shard reference
+};
+
+/// A family's workload builder, its calibration unit count, and the wall
+/// time its 1-shard run should fill.
+struct Family {
+  std::string name;
+  std::function<jsi::scenario::ScenarioSpec(std::size_t)> build;
+  std::size_t probe_units;
+  double budget_s;
+  std::vector<std::size_t> shard_counts;
 };
 
 struct Timed {
@@ -152,9 +164,29 @@ Timed run_once(const jsi::scenario::ScenarioSpec& spec, std::size_t shards) {
   return out;
 }
 
+/// The family's workload at the unit count that fills its budget: one
+/// 1-shard run at the calibration count prices a unit (and warms the
+/// box up).
+Workload sized(const Family& fam) {
+  const Timed probe = run_once(fam.build(fam.probe_units), 1);
+  const double per_unit_s =
+      probe.ms / 1000.0 / static_cast<double>(fam.probe_units);
+  jsi::scenario::ScenarioSpec spec = fam.build(jsi::bench::units_for_budget(
+      fam.budget_s, per_unit_s, fam.probe_units));
+  // A sweep rounds its population down to whole grid rows.
+  const std::size_t units =
+      spec.sweep ? spec.sweep->samples * spec.sweep->nd_vhthr_frac.size() *
+                       spec.sweep->sd_budget_ps.size()
+                 : spec.sessions.size();
+  std::cout << fam.name << " sizing: " << fam.probe_units << " units in "
+            << probe.ms << " ms, so " << units << " units fill "
+            << fam.budget_s << " s\n";
+  return {fam.name, std::move(spec), units, fam.shard_counts};
+}
+
 /// Time one workload at every shard count; false when a run differs
 /// from the 1-shard reference or the 4-shard bar is missed.
-bool measure(const Workload& w, std::size_t attempts, unsigned hw) {
+bool measure(const Workload& w, int attempts, unsigned hw) {
   std::cout << w.family << " scaling: " << w.units << " units, hw=" << hw
             << " threads\n";
   jsi::obs::Registry& reg = jsi::obs::global_registry();
@@ -164,7 +196,7 @@ bool measure(const Workload& w, std::size_t attempts, unsigned hw) {
   bool identical = true;
   Timed ref;  // last 1-shard run (deterministic, so any attempt's will do)
 
-  for (std::size_t attempt = 1; attempt <= attempts; ++attempt) {
+  jsi::bench::retry(attempts, [&](int attempt) {
     const Timed base = run_once(w.spec, 1);
     ref = base;
     double t4 = base.ms;
@@ -190,11 +222,10 @@ bool measure(const Workload& w, std::size_t attempts, unsigned hw) {
     reg.gauge(f + ".ms.shards_1").set(base.ms);
     if (best_ms == 0.0 || base.ms < best_ms) best_ms = base.ms;
     best_speedup4 = std::max(best_speedup4, base.ms / t4);
-    if (!identical) break;
-    // Performance is satisfied as soon as one attempt clears the bar; a
-    // quiet machine exits on attempt 1.
-    if (hw < 4 || best_speedup4 >= 2.5) break;
-  }
+    // Stop on a correctness failure, or as soon as one attempt clears the
+    // bar: a quiet machine exits on attempt 1.
+    return !identical || hw < 4 || best_speedup4 >= 2.5;
+  });
 
   reg.gauge(f + ".speedup.best_4shard").set(best_speedup4);
   reg.gauge(f + ".hw_threads").set(static_cast<double>(hw));
@@ -235,29 +266,26 @@ bool measure(const Workload& w, std::size_t attempts, unsigned hw) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t attempts = env_or("JSI_CAMPAIGN_ATTEMPTS", 3);
+  const int attempts =
+      static_cast<int>(jsi::bench::env_or("JSI_CAMPAIGN_ATTEMPTS", 3));
   const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t campaign_units = env_or("JSI_CAMPAIGN_UNITS", 12);
-  const jsi::scenario::ScenarioSpec sweep =
-      sweep_workload(env_or("JSI_SWEEP_UNITS", 10000));
-  const Workload workloads[] = {
-      {"campaign", campaign_workload(campaign_units), campaign_units,
-       {2, 4, 8}},
-      {"sweep", sweep, sweep.sweep->samples * 4, {2, 4}},
+  const Family families[] = {
+      {"campaign", campaign_workload, 12, 0.5, {2, 4, 8}},
+      {"sweep", sweep_workload, 400, 2.0, {2, 4}},
   };
 
   std::vector<std::string> names(argv + 1, argv + argc);
   if (names.empty()) names = {"campaign", "sweep"};
   bool ok = true;
   for (const std::string& name : names) {
-    const auto w = std::find_if(
-        std::begin(workloads), std::end(workloads),
-        [&](const Workload& candidate) { return candidate.family == name; });
-    if (w == std::end(workloads)) {
+    const auto fam = std::find_if(
+        std::begin(families), std::end(families),
+        [&](const Family& candidate) { return candidate.name == name; });
+    if (fam == std::end(families)) {
       std::cerr << "usage: campaign_scaling [campaign|sweep]...\n";
       return 2;
     }
-    ok = measure(*w, attempts, hw) && ok;
+    ok = measure(sized(*fam), attempts, hw) && ok;
   }
   const std::string path = jsi::obs::jsi_metrics_dump(names.front());
   if (!path.empty()) std::cout << "metrics: " << path << "\n";

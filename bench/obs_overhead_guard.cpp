@@ -7,90 +7,77 @@
 // case of the *disabled* configuration — and fails (exit 1) if the
 // attached run is more than 2% slower than the detached run.
 //
-// Methodology: min-of-K medians. Wall-clock noise is one-sided (the OS
-// only ever steals time), so the minimum over repetitions estimates the
-// true cost; the whole comparison retries a few times before failing to
-// ride out machine-load spikes on CI boxes. Each retry doubles the
-// repetition count, so a temporarily noisy box gets progressively more
-// chances for the true minimum to surface before the guard gives up.
+// Methodology (bench/harness.hpp): min-of-K. The two runs alternate for
+// a wall-time budget (at least 7 pairs), and the least time of each is
+// compared; wall-clock noise is one-sided, so the minimum estimates the
+// true cost. The comparison retries a few times before failing to ride
+// out machine-load spikes on CI boxes, each retry doubling the budget,
+// so a temporarily noisy box gets progressively more chances for the
+// true minimum to surface before the guard gives up. Sizing by time
+// rather than by a repetition count keeps the sample count up as the
+// session gets cheaper.
 //
 // Knobs for hostile CI environments (never needed on a quiet box):
 //   JSI_OVERHEAD_BUDGET_PCT  overhead budget in percent (default 2)
 //   JSI_OVERHEAD_ATTEMPTS    retry attempts (default 5)
 
-#include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <vector>
 
 #include "core/session.hpp"
+#include "harness.hpp"
 #include "obs/events.hpp"
 
 namespace {
 
-using clock_type = std::chrono::steady_clock;
+/// Wall time the first attempt alternates the two runs for [s].
+constexpr double kBudgetS = 0.02;
 
-std::uint64_t run_session_ns(jsi::obs::Sink* sink) {
+/// Seconds one 16-wire G-SITEST session takes, device set-up excluded.
+double run_session_s(jsi::obs::Sink* sink) {
   jsi::core::SocConfig cfg;
   cfg.n_wires = 16;
   jsi::core::SiSocDevice soc(cfg);
   jsi::core::SiTestSession session(soc);
   if (sink != nullptr) session.set_sink(sink);
-  const auto t0 = clock_type::now();
+  const auto t0 = jsi::bench::clock_type::now();
   const auto report = session.run(jsi::core::ObservationMethod::OnceAtEnd);
-  const auto t1 = clock_type::now();
+  const auto t1 = jsi::bench::clock_type::now();
   if (report.total_tcks == 0) std::abort();  // keep the run observable
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-}
-
-double env_or(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || parsed <= 0.0) return fallback;
-  return parsed;
+  return std::chrono::duration<double>(t1 - t0).count();
 }
 
 }  // namespace
 
 int main() {
-  const double kMaxOverhead = env_or("JSI_OVERHEAD_BUDGET_PCT", 2.0) / 100.0;
-  const int kAttempts =
-      static_cast<int>(env_or("JSI_OVERHEAD_ATTEMPTS", 5.0));
-  constexpr int kBaseReps = 7;
+  const double kMaxOverhead =
+      jsi::bench::env_or("JSI_OVERHEAD_BUDGET_PCT", 2.0) / 100.0;
+  const int attempts =
+      static_cast<int>(jsi::bench::env_or("JSI_OVERHEAD_ATTEMPTS", 5.0));
 
   jsi::obs::NullSink null_sink;
   // Warm-up: fault in code and allocator pools on both paths.
-  run_session_ns(nullptr);
-  run_session_ns(&null_sink);
+  run_session_s(nullptr);
+  run_session_s(&null_sink);
 
   double best_ratio = 1e9;
-  for (int attempt = 1; attempt <= kAttempts; ++attempt) {
-    // Interleave to give both paths the same machine conditions; double
-    // the repetitions each retry so noise has to persist to fail us.
-    const int reps = kBaseReps << std::min(attempt - 1, 4);
-    std::uint64_t detached = UINT64_MAX;
-    std::uint64_t attached = UINT64_MAX;
-    for (int i = 0; i < reps; ++i) {
-      detached = std::min(detached, run_session_ns(nullptr));
-      attached = std::min(attached, run_session_ns(&null_sink));
-    }
-    const double ratio = static_cast<double>(attached) /
-                         static_cast<double>(detached);
+  const bool ok = jsi::bench::retry(attempts, [&](int attempt) {
+    const jsi::bench::MinPair m = jsi::bench::interleaved_min(
+        kBudgetS * jsi::bench::attempt_scale(attempt), 7,
+        [] { return run_session_s(nullptr); },
+        [&] { return run_session_s(&null_sink); });
+    const double ratio = m.b_s / m.a_s;
     best_ratio = std::min(best_ratio, ratio);
-    std::cout << "attempt " << attempt << " (" << reps
-              << " reps): detached " << detached << " ns, null-sink "
-              << attached << " ns, ratio " << ratio << "\n";
-    if (best_ratio <= 1.0 + kMaxOverhead) {
-      std::cout << "OK: instrumentation overhead "
-                << (best_ratio - 1.0) * 100.0 << "% <= "
-                << kMaxOverhead * 100.0 << "% budget\n";
-      return 0;
-    }
+    std::cout << "attempt " << attempt << " (" << m.pairs
+              << " pairs): detached " << m.a_s * 1e9 << " ns, null-sink "
+              << m.b_s * 1e9 << " ns, ratio " << ratio << "\n";
+    return best_ratio <= 1.0 + kMaxOverhead;
+  });
+  if (ok) {
+    std::cout << "OK: instrumentation overhead " << (best_ratio - 1.0) * 100.0
+              << "% <= " << kMaxOverhead * 100.0 << "% budget\n";
+    return 0;
   }
   std::cout << "FAIL: best ratio " << best_ratio << " exceeds "
             << 1.0 + kMaxOverhead << "\n";

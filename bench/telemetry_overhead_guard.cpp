@@ -9,17 +9,21 @@
 // contract on the way: the report and merged metrics with telemetry on
 // must equal the telemetry-off reference exactly.
 //
-// Methodology: min-of-K, interleaved, doubling repetitions per retry —
-// the same one-sided-noise argument as obs_overhead_guard.
+// Methodology (bench/harness.hpp): min-of-K, interleaved, the budget
+// doubling per retry — the same one-sided-noise argument as
+// obs_overhead_guard. The campaign is sized by time: as many units as
+// fill an 80 ms telemetry-off run (at least the shipped 12), so the fixed
+// cost telemetry adds to every run (creating and replacing the heartbeat
+// file, starting the sampler) keeps its share of the run as units get
+// cheaper. That fixed cost is measured on its own, over a one-unit
+// campaign, and printed in microseconds, so the sizing hides nothing.
 //
 // Knobs for hostile CI environments:
 //   JSI_TELEMETRY_BUDGET_PCT  overhead budget in percent (default 2)
 //   JSI_TELEMETRY_ATTEMPTS    retry attempts (default 5)
-//   JSI_TELEMETRY_UNITS       campaign size (default 12)
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -27,21 +31,16 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "scenario/parse.hpp"
 #include "scenario/run.hpp"
 
 namespace {
 
-using clock_type = std::chrono::steady_clock;
-
-double env_or(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || parsed <= 0.0) return fallback;
-  return parsed;
-}
+/// Wall time a telemetry-off run of the sized campaign takes [s].
+constexpr double kRunBudgetS = 0.08;
+/// Wall time the first attempt alternates the two runs for [s].
+constexpr double kBudgetS = 0.8;
 
 jsi::scenario::ScenarioSpec make_workload(std::size_t units) {
   jsi::scenario::ScenarioSpec spec = jsi::scenario::load_scenario(
@@ -57,24 +56,23 @@ jsi::scenario::ScenarioSpec make_workload(std::size_t units) {
 }
 
 struct Timed {
-  std::uint64_t ns = 0;
+  double s = 0.0;
   std::string text;
   std::string metrics_json;
 };
 
 Timed run_once(const jsi::scenario::ScenarioSpec& spec,
                const jsi::scenario::RunOptions& opt) {
-  const auto t0 = clock_type::now();
+  const auto t0 = jsi::bench::clock_type::now();
   const jsi::scenario::ScenarioOutcome r =
       jsi::scenario::run_scenario(spec, opt);
-  const auto t1 = clock_type::now();
+  const auto t1 = jsi::bench::clock_type::now();
   if (r.result.failures != 0) {
     std::cerr << "FAIL: campaign units failed:\n" << r.report_text;
     std::exit(1);
   }
   Timed out;
-  out.ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  out.s = std::chrono::duration<double>(t1 - t0).count();
   out.text = r.report_text;
   out.metrics_json = r.metrics_json;
   return out;
@@ -84,14 +82,9 @@ Timed run_once(const jsi::scenario::ScenarioSpec& spec,
 
 int main() {
   const double kMaxOverhead =
-      env_or("JSI_TELEMETRY_BUDGET_PCT", 2.0) / 100.0;
-  const int kAttempts =
-      static_cast<int>(env_or("JSI_TELEMETRY_ATTEMPTS", 5.0));
-  const std::size_t units =
-      static_cast<std::size_t>(env_or("JSI_TELEMETRY_UNITS", 12.0));
-  constexpr int kBaseReps = 5;
-
-  const jsi::scenario::ScenarioSpec spec = make_workload(units);
+      jsi::bench::env_or("JSI_TELEMETRY_BUDGET_PCT", 2.0) / 100.0;
+  const int attempts =
+      static_cast<int>(jsi::bench::env_or("JSI_TELEMETRY_ATTEMPTS", 5.0));
   const std::string hb_path =
       (std::filesystem::temp_directory_path() / "jsi_telemetry_guard.jsonl")
           .string();
@@ -107,9 +100,31 @@ int main() {
     on.telemetry = t;
   }
 
-  // Warm-up both paths, and pin byte-identity while we are at it: the
-  // overhead number is only meaningful if telemetry really is a pure
-  // side channel.
+  // The fixed per-run cost: telemetry on against off over one unit,
+  // where the per-unit publishing is next to nothing. This also warms
+  // both paths up.
+  const jsi::bench::MinPair fixed = jsi::bench::interleaved_min(
+      kBudgetS, 20, [&] { return run_once(make_workload(1), off).s; },
+      [&] { return run_once(make_workload(1), on).s; });
+
+  // Size the campaign: the shipped 12 units against the one-unit run
+  // price a unit, and the guard runs as many as fill the run budget.
+  constexpr std::size_t kProbeUnits = 12;
+  const jsi::scenario::ScenarioSpec probe = make_workload(kProbeUnits);
+  double probe_s = run_once(probe, off).s;
+  for (int k = 0; k < 2; ++k) probe_s = std::min(probe_s, run_once(probe, off).s);
+  const std::size_t units = jsi::bench::units_for_budget(
+      kRunBudgetS - fixed.a_s, (probe_s - fixed.a_s) / (kProbeUnits - 1),
+      kProbeUnits);
+  const jsi::scenario::ScenarioSpec spec = make_workload(units);
+  std::cout << "campaign: " << units << " units (" << kProbeUnits
+            << " took " << probe_s * 1e3 << " ms); fixed per-run telemetry "
+            << "cost " << (fixed.b_s - fixed.a_s) * 1e6 << " us (one unit: "
+            << "off " << fixed.a_s * 1e6 << " us, on " << fixed.b_s * 1e6
+            << " us)\n";
+
+  // Pin byte-identity on the sized campaign: the overhead number is only
+  // meaningful if telemetry really is a pure side channel.
   const Timed ref = run_once(spec, off);
   const Timed live = run_once(spec, on);
   if (live.text != ref.text || live.metrics_json != ref.metrics_json) {
@@ -118,29 +133,25 @@ int main() {
   }
 
   double best_ratio = 1e9;
-  for (int attempt = 1; attempt <= kAttempts; ++attempt) {
-    const int reps = kBaseReps << std::min(attempt - 1, 4);
-    std::uint64_t base_ns = UINT64_MAX;
-    std::uint64_t tele_ns = UINT64_MAX;
-    for (int i = 0; i < reps; ++i) {
-      base_ns = std::min(base_ns, run_once(spec, off).ns);
-      tele_ns = std::min(tele_ns, run_once(spec, on).ns);
-    }
-    const double ratio =
-        static_cast<double>(tele_ns) / static_cast<double>(base_ns);
+  const bool ok = jsi::bench::retry(attempts, [&](int attempt) {
+    const jsi::bench::MinPair m = jsi::bench::interleaved_min(
+        kBudgetS * jsi::bench::attempt_scale(attempt), 5,
+        [&] { return run_once(spec, off).s; },
+        [&] { return run_once(spec, on).s; });
+    const double ratio = m.b_s / m.a_s;
     best_ratio = std::min(best_ratio, ratio);
-    std::cout << "attempt " << attempt << " (" << reps << " reps): off "
-              << base_ns << " ns, on " << tele_ns << " ns, ratio " << ratio
-              << "\n";
-    if (best_ratio <= 1.0 + kMaxOverhead) {
-      std::cout << "OK: telemetry overhead " << (best_ratio - 1.0) * 100.0
-                << "% <= " << kMaxOverhead * 100.0 << "% budget\n";
-      std::remove(hb_path.c_str());
-      return 0;
-    }
+    std::cout << "attempt " << attempt << " (" << m.pairs << " pairs): off "
+              << m.a_s * 1e9 << " ns, on " << m.b_s * 1e9 << " ns, ratio "
+              << ratio << "\n";
+    return best_ratio <= 1.0 + kMaxOverhead;
+  });
+  std::remove(hb_path.c_str());
+  if (ok) {
+    std::cout << "OK: telemetry overhead " << (best_ratio - 1.0) * 100.0
+              << "% <= " << kMaxOverhead * 100.0 << "% budget\n";
+    return 0;
   }
   std::cout << "FAIL: best ratio " << best_ratio << " exceeds "
             << 1.0 + kMaxOverhead << "\n";
-  std::remove(hb_path.c_str());
   return 1;
 }

@@ -25,9 +25,9 @@ util::Logic Obsc::parallel_out(const jtag::CellCtl& c) const {
 }
 
 void Obsc::observe(si::WaveformView w, util::Logic initial,
-                   util::Logic expected, const jtag::CellCtl& c,
-                   si::VerdictSlot* slot) {
-  latch(si::judge(nd_, sd_, w, initial, expected, slot), c);
+                   util::Logic expected, const jtag::CellCtl& c) {
+  latch({nd_.violates(w, initial, expected), sd_.violates(w, initial, expected)},
+        c);
 }
 
 void Obsc::latch(si::Verdicts v, const jtag::CellCtl& c) {

@@ -36,15 +36,13 @@ class Obsc : public jtag::BoundaryCell {
   void set_parallel_in(util::Logic v) override { pin_ = v; }
   util::Logic parallel_out(const jtag::CellCtl& c) const override;
 
-  /// Feed one receiving-end waveform to the sensors: si::judge, then
-  /// latch(). `initial` is the wire's driven logic level before this bus
-  /// transition; `expected` the level after it. `slot` is the stored
-  /// waveform's verdict memo (TransitionBatch::slot): verdicts recorded
-  /// there under this cell's params are reused instead of rescanning `w`,
-  /// and fresh ones are recorded. nullptr always scans.
+  /// Feed one receiving-end waveform to the sensors: scan it with both
+  /// (NdCell/SdCell::violates), then latch(). `initial` is the wire's
+  /// driven logic level before this bus transition; `expected` the level
+  /// after it. The device path judges store entries instead (see
+  /// core::receive_transition).
   void observe(si::WaveformView w, util::Logic initial,
-               util::Logic expected, const jtag::CellCtl& c,
-               si::VerdictSlot* slot = nullptr);
+               util::Logic expected, const jtag::CellCtl& c);
 
   /// Latch the verdicts of this cell's wire into the sticky sensor
   /// flags. Honors CE: with c.ce == false the flags are untouched ("the

@@ -13,7 +13,6 @@
 #include "core/bist.hpp"
 #include "core/checkpoint.hpp"
 #include "core/session.hpp"
-#include "si/sample_pool.hpp"
 
 namespace jsi::core {
 
@@ -378,10 +377,6 @@ CampaignResult CampaignRunner::run() {
   if (!cfg_.keep_events) trace.capacity = 0;
 
   auto worker = [&](std::size_t worker_id) {
-    // Each die's bus frees its sample buffers when the unit ends; the
-    // worker's pool hands them to the next die, and frees them when the
-    // worker returns.
-    si::SamplePool samples;
     // The hub is built inside the worker: one observer per thread, never
     // shared. Only the optional live sink crosses threads.
     obs::Hub hub(trace);

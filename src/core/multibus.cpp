@@ -204,7 +204,7 @@ void MultiBusSoc::apply_buses(bool observe) {
     }
     // Batched per-bus evaluation (see SiSocDevice::apply_bus).
     receive_transition(*buses_[b], buses_[b]->transition_batch(prev, next[b]),
-                       prev, next[b], obscs_[b], ctl_, observe);
+                       obscs_[b], ctl_, observe);
   }
 }
 

@@ -17,22 +17,17 @@ si::BusParams effective_bus_params(const SocConfig& cfg) {
 
 void receive_transition(const si::CoupledBus& bus,
                         const si::TransitionBatch& batch,
-                        const BitVec& prev, const BitVec& next,
                         const std::vector<bsc::Obsc*>& obscs,
                         const jtag::CellCtl& ctl, bool observe) {
   for (std::size_t i = 0; i < batch.n_wires;) {
-    si::VerdictSlot* const slot = batch.slot(i);
+    const si::WireEntry& w = batch.entry(i);
     std::size_t end = i + 1;
-    if (slot != nullptr) {
-      while (end < batch.n_wires && batch.slot(end) == slot) ++end;
+    if (w.slot != nullptr) {
+      while (end < batch.n_wires && batch.slot(end) == w.slot) ++end;
     }
-    const si::WaveformView w = batch.wire(i);
     si::Verdicts v;
-    if (observe) {
-      v = si::judge(obscs[i]->nd(), obscs[i]->sd(), w,
-                    util::to_logic(prev[i]), util::to_logic(next[i]), slot);
-    }
-    const Logic settled = bus.settled_logic(w);
+    if (observe) v = bus.judge(obscs[i]->nd(), obscs[i]->sd(), w);
+    const Logic settled = bus.settled_logic(w.final_sample);
     for (; i < end; ++i) {
       if (observe) obscs[i]->latch(v, ctl);
       obscs[i]->set_parallel_in(settled);
@@ -247,11 +242,11 @@ void SiSocDevice::apply_bus(bool observe) {
     e.value = bus_transitions_;
     sink_->on_event(e);
   }
-  // One batched store lookup for the whole bus: the sensors judge
-  // zero-copy views of the stored waveforms, each waveform once per
-  // detector param set (its verdict slot remembers the rest).
-  receive_transition(*bus_, bus_->transition_batch(prev, next), prev, next,
-                     obscs_, ctl_, observe);
+  // One batched store lookup for the whole bus: the sensors judge each
+  // entry's recipe once per detector param set (its verdict slot
+  // remembers the rest), and no waveform is rendered.
+  receive_transition(*bus_, bus_->transition_batch(prev, next), obscs_, ctl_,
+                     observe);
 }
 
 }  // namespace jsi::core

@@ -37,18 +37,18 @@ struct SocConfig {
 /// through it.
 si::BusParams effective_bus_params(const SocConfig& cfg);
 
-/// The receiving end of bus transition `prev -> next`, which `bus`
-/// served as `batch`: each OBSC's pin takes its wire's settled logic and,
-/// when `observe`, its sensors latch the wire's ND/SD verdicts under
-/// `ctl`. Wires that share a verdict slot share a store entry — its
-/// samples and its recipe, so also its driven levels — and every OBSC of
-/// a device has the same detector params, so each run of such wires is
-/// judged and settled once, then latched cell by cell in wire order (the
-/// DetectorFired order of judging every wire). SiSocDevice and
-/// MultiBusSoc (once per bus) receive through this one loop.
+/// The receiving end of one bus transition, which `bus` served as
+/// `batch`: each OBSC's pin takes its wire's settled logic (read from the
+/// entry's final sample) and, when `observe`, its sensors latch the
+/// wire's ND/SD verdicts (CoupledBus::judge) under `ctl`. Wires that
+/// share a verdict slot share a store entry — its recipe, so also its
+/// samples and driven levels — and every OBSC of a device has the same
+/// detector params, so each run of such wires is judged and settled
+/// once, then latched cell by cell in wire order (the DetectorFired order
+/// of judging every wire). SiSocDevice and MultiBusSoc (once per bus)
+/// receive through this one loop.
 void receive_transition(const si::CoupledBus& bus,
                         const si::TransitionBatch& batch,
-                        const util::BitVec& prev, const util::BitVec& next,
                         const std::vector<bsc::Obsc*>& obscs,
                         const jtag::CellCtl& ctl, bool observe);
 

@@ -1,6 +1,7 @@
 #include "jtag/master.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -96,11 +97,22 @@ util::BitVec TapMaster::scan_ir(const util::BitVec& bits) {
 
 void TapMaster::pulse_update_dr() {
   require_idle("pulse_update_dr");
-  clock(true);   // -> Select-DR-Scan
-  clock(false);  // -> Capture-DR
-  clock(true);   // capture executes; -> Exit1-DR
-  clock(true);   // -> Update-DR
-  clock(false);  // update executes; -> Run-Test/Idle
+  // -> Select-DR-Scan, -> Capture-DR, capture executes; -> Exit1-DR,
+  // -> Update-DR, update executes; -> Run-Test/Idle. Only the last tick
+  // makes a device emit, so the five edges go to the sink first, as one
+  // run, and the stream is that of clocking them one by one.
+  static const obs::Event kPulse[] = {
+      tap_edge_event(TapState::RunTestIdle, true, false, 0),
+      tap_edge_event(TapState::SelectDrScan, false, false, 0),
+      tap_edge_event(TapState::CaptureDr, true, false, 0),
+      tap_edge_event(TapState::Exit1Dr, true, false, 0),
+      tap_edge_event(TapState::UpdateDr, false, false, 0)};
+  if (sink_) sink_->on_edges(kPulse, std::size(kPulse), tck_ + 1);
+  for (const obs::Event& e : kPulse) {
+    ++tck_;
+    port_->tick(e.a != 0, false);
+  }
+  state_ = TapState::RunTestIdle;
 }
 
 void TapMaster::run_idle(std::size_t n) {

@@ -75,8 +75,11 @@ class TapMaster {
   /// so events raised inside the device inherit this edge's TCK stamp.
   /// A scan body's edges are reported as one obs::Sink::on_shift_run
   /// burst before the port shifts it, which gives the same stream
-  /// because nothing in a device emits while it shifts. nullptr (the
-  /// default) disables emission — one branch per edge or burst.
+  /// because nothing in a device emits while it shifts; an Update-DR
+  /// pulse's five edges go as one obs::Sink::on_edges run before its
+  /// ticks, likewise, since only the last tick makes a device emit.
+  /// nullptr (the default) disables emission — one branch per edge, run
+  /// or burst.
   void set_sink(obs::Sink* sink) { sink_ = sink; }
 
  private:

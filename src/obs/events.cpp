@@ -8,6 +8,15 @@ void Sink::on_shift_run(const Event& first_edge, const util::BitVec& tdi) {
   }
 }
 
+void Sink::on_edges(const Event* edges, std::size_t n,
+                    std::uint64_t first_tck) {
+  for (std::size_t i = 0; i < n; ++i) {
+    Event e = edges[i];
+    e.tck = first_tck + i;
+    on_event(e);
+  }
+}
+
 const char* event_kind_name(EventKind k) {
   switch (k) {
     case EventKind::SessionBegin: return "SessionBegin";

@@ -96,6 +96,14 @@ class Sink {
   virtual ~Sink() = default;
   virtual void on_event(const Event& e) = 0;
   virtual void on_shift_run(const Event& first_edge, const util::BitVec& tdi);
+  /// A run of `n` consecutive StateEdge records: `edges[i]` with its tck
+  /// set to `first_tck + i`. A TapMaster hands the fixed navigation runs
+  /// of its operations (an Update-DR pulse, the edges around a scan body)
+  /// over in one call from a table of their records. The default calls
+  /// on_event for each, so a sink that overrides only on_event sees the
+  /// per-edge stream.
+  virtual void on_edges(const Event* edges, std::size_t n,
+                        std::uint64_t first_tck);
 };
 
 /// Accepts and discards everything: the attached-but-inert baseline the
@@ -104,6 +112,7 @@ class NullSink final : public Sink {
  public:
   void on_event(const Event&) override {}
   void on_shift_run(const Event&, const util::BitVec&) override {}
+  void on_edges(const Event*, std::size_t, std::uint64_t) override {}
 };
 
 /// Convenience emitter for span-style records (SessionBegin/End and

@@ -51,14 +51,15 @@ std::unique_ptr<si::CoupledBus> build_prototype(const ScenarioSpec& spec) {
   auto proto = std::make_unique<si::CoupledBus>(bp);
   // One canonical warming transition (all-zero -> even wires high):
   // every unit's clone starts from this memoized state, independent of
-  // shard count or worker identity.
+  // shard count or worker identity. A batch stores its entries and
+  // renders nothing.
   util::BitVec zeros(bp.n_wires, false);
   util::BitVec evens(bp.n_wires, false);
   for (std::size_t w = 0; w < bp.n_wires; w += 2) evens.set(w, true);
-  proto->transition(zeros, evens);
-  // Warm the MA pattern waveforms too: every per-unit clone then starts
-  // with them stored, so no worker pays those solves (shard-count
-  // invariant by construction).
+  proto->transition_batch(zeros, evens);
+  // Warm the MA pattern entries too: every per-unit clone then starts
+  // with them stored, so no worker pays those lookups' misses
+  // (shard-count invariant by construction).
   proto->warm_ma_pairs();
   return proto;
 }

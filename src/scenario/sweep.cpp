@@ -1,6 +1,7 @@
 #include "scenario/sweep.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -263,8 +264,6 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
           throw std::logic_error("sweep: unsupported session kind");
       }
       if (limits) {
-        // Truth lookups emit no events and move no bus.cache_* counter.
-        bus.set_sink(nullptr);
         book_truth(reg, prefix, die_truth(bus, *limits), o.violation,
                    flagged);
       }
@@ -291,24 +290,33 @@ DieTruth die_truth(const si::CoupledBus& bus, const ShippingLimits& limits) {
       si::model_for(bus.params().model).observed_swing(bus.params());
   const auto max_settle =
       static_cast<sim::Time>(limits.max_settle_ps) * sim::kPs;
+  const double max_glitch = limits.max_glitch_frac * swing;
   DieTruth truth{util::BitVec(n, false), util::BitVec(n, false)};
   for (std::size_t w = 0; w < n; ++w) {
-    // Worst quiet-wire stress: both glitch polarities on both rails.
+    // Worst quiet-wire stress: both glitch polarities on both rails. The
+    // probes read the samples that decide each question from the wire's
+    // recipe; only what they cannot prove is rendered.
     for (const auto f : {mafm::MaFault::Pg, mafm::MaFault::PgBar,
                          mafm::MaFault::Ng, mafm::MaFault::NgBar}) {
       const mafm::VectorPair p = mafm::vectors_for(f, n, w);
-      const si::Waveform wf = bus.wire_response(w, p.v1, p.v2);
+      const si::WireRecipe r = bus.recipe(w, p.v1, p.v2);
       const double rail = p.v1[w] ? swing : 0.0;
-      const double excursion =
-          std::max(wf.max_value() - rail, rail - wf.min_value());
-      if (excursion >= limits.max_glitch_frac * swing) truth.noisy.set(w, true);
+      std::optional<bool> noisy = bus.probe(r).strays(rail, max_glitch);
+      if (!noisy.has_value()) {
+        const si::WaveformView wf = bus.render_fallback(r);
+        noisy = std::max(wf.max_value() - rail, rail - wf.min_value()) >=
+                max_glitch;
+      }
+      if (*noisy) truth.noisy.set(w, true);
     }
     // Worst switching stress: Miller-doubled rising and falling edges.
     for (const auto f : {mafm::MaFault::Rs, mafm::MaFault::Fs}) {
       const mafm::VectorPair p = mafm::vectors_for(f, n, w);
-      const si::Waveform wf = bus.wire_response(w, p.v1, p.v2);
-      const auto t = wf.last_crossing(swing / 2);
-      if (!t.has_value() || *t > max_settle) truth.skewed.set(w, true);
+      const si::WireRecipe r = bus.recipe(w, p.v1, p.v2);
+      std::optional<std::optional<sim::Time>> t =
+          bus.probe(r).last_crossing(swing / 2);
+      if (!t.has_value()) t = bus.render_fallback(r).last_crossing(swing / 2);
+      if (!t->has_value() || **t > max_settle) truth.skewed.set(w, true);
     }
   }
   return truth;

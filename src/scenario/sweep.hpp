@@ -99,10 +99,11 @@ struct DieTruth {
 };
 
 /// Judge the die `bus` models against `limits`, relative to the swing
-/// its interconnect model's detectors observe. Reads every stress
-/// waveform through `bus.wire_response`, so the ones a G-SITEST session
-/// already solved come from the store; detach the bus's sink first to
-/// keep these lookups out of the metrics.
+/// its interconnect model's detectors observe. Each stress waveform's
+/// maximum excursion and 50% last crossing come from a WireProbe of its
+/// recipe, with no store lookup (so nothing reaches the bus's sink or
+/// counters but probe_fallbacks); only a question no probe can prove is
+/// answered by rendering the waveform (CoupledBus::render_fallback).
 DieTruth die_truth(const si::CoupledBus& bus, const ShippingLimits& limits);
 
 }  // namespace jsi::scenario

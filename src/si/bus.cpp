@@ -1,6 +1,7 @@
 #include "si/bus.hpp"
 
-#include <cstring>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,12 +29,12 @@ CoupledBus::CoupledBus(BusParams p)
 CoupledBus CoupledBus::clone() const {
   CoupledBus c = *this;
   c.sink_ = nullptr;  // sinks are thread-local; never shared with a clone
-  // The last batch's pointers reference *our* storage; a clone starts
+  // The last batch's entries reference *our* storage; a clone starts
   // with no live batch and no scratch of its own yet (nor a window
   // table, which no copy takes along).
-  c.batch_ptrs_.clear();
-  c.batch_slots_.clear();
-  c.overflow_ = {};
+  c.batch_.clear();
+  c.unstored_ = {};
+  c.scratch_ = {};
   return c;
 }
 
@@ -54,7 +55,7 @@ void CoupledBus::warm_ma_pairs() {
   const std::size_t n = model_.n();
   for (const mafm::MaFault f : mafm::kAllFaults) {
     for (std::size_t victim = 0; victim < n; ++victim) {
-      // Past the budget a miss is only solved into scratch: stop.
+      // Past the budget a miss is not stored: stop.
       if (store_full()) return;
       const mafm::VectorPair vp = mafm::vectors_for(f, n, victim);
       transition_batch(vp.v1, vp.v2);
@@ -70,24 +71,34 @@ void CoupledBus::require_vector_widths(const util::BitVec& prev,
 }
 
 void CoupledBus::solve(const WireRecipe& r, double* out) const {
-  // A new column may take only a slot no waveform holds; find_or_fill
-  // inserts a stored wire's entry before rendering it.
+  // A new column may take only a slot no entry holds.
   columns_.set_limit(store_capacity_ - store_.size());
   render(r, columns_, out);
 }
 
-CoupledBus::Entry* CoupledBus::find_or_fill(const WireRecipe& r,
-                                            Tally& t) const {
+double CoupledBus::final_sample(const WireRecipe& r) const {
+  const double v = probe(r).final_sample();
+  if (ProbeAudit* a = probe_audit()) {
+    const std::vector<double> want =
+        render_reference(r, params().samples, params().sample_dt);
+    audit_answer(*a, "final", std::bit_cast<std::uint64_t>(v) ==
+                                  std::bit_cast<std::uint64_t>(want.back()),
+                 r);
+  }
+  return v;
+}
+
+CoupledBus::Stored* CoupledBus::find_or_fill(const WireRecipe& r,
+                                             Tally& t) const {
   const auto it = store_.find(r);
   if (it != store_.end()) {
     ++t.hits;
-    return &it->second;
+    return &*it;
   }
   ++t.misses;
   if (store_full()) return nullptr;
-  Entry& e = store_.try_emplace(r).first->second;
-  e.wave = Waveform(params().samples, params().sample_dt);
-  solve(r, e.wave.data());
+  Stored& e = *store_.try_emplace(r).first;
+  e.second.final_sample = final_sample(e.first);
   return &e;
 }
 
@@ -103,15 +114,12 @@ void CoupledBus::finish_lookup(const Tally& t) const {
   sink_->on_event(e);
 }
 
-void CoupledBus::copy_wire(std::size_t i, const util::BitVec& prev,
-                           const util::BitVec& next, double* out,
-                           Tally& t) const {
+void CoupledBus::render_wire(std::size_t i, const util::BitVec& prev,
+                             const util::BitVec& next, double* out,
+                             Tally& t) const {
   const WireRecipe r = solver_->recipe(model_, i, prev, next);
-  if (const Entry* e = find_or_fill(r, t)) {
-    std::memcpy(out, e->wave.data(), params().samples * sizeof(double));
-  } else {
-    solve(r, out);
-  }
+  find_or_fill(r, t);
+  solve(r, out);
 }
 
 Waveform CoupledBus::wire_response(std::size_t i, const util::BitVec& prev,
@@ -119,7 +127,7 @@ Waveform CoupledBus::wire_response(std::size_t i, const util::BitVec& prev,
   require_vector_widths(prev, next);
   Waveform w(params().samples, params().sample_dt);
   Tally t;
-  copy_wire(i, prev, next, w.data(), t);
+  render_wire(i, prev, next, w.data(), t);
   finish_lookup(t);
   return w;
 }
@@ -131,8 +139,9 @@ std::vector<Waveform> CoupledBus::transition(const util::BitVec& prev,
   out.reserve(model_.n());
   Tally t;
   for (std::size_t i = 0; i < model_.n(); ++i) {
-    copy_wire(i, prev, next,
-              out.emplace_back(params().samples, params().sample_dt).data(), t);
+    render_wire(
+        i, prev, next,
+        out.emplace_back(params().samples, params().sample_dt).data(), t);
   }
   finish_lookup(t);
   return out;
@@ -142,9 +151,7 @@ TransitionBatch CoupledBus::transition_batch(const util::BitVec& prev,
                                              const util::BitVec& next) const {
   require_vector_widths(prev, next);
   const std::size_t n = model_.n();
-  const std::size_t samples = params().samples;
-  batch_ptrs_.resize(n);
-  batch_slots_.resize(n);
+  batch_.resize(n);
   if (windows_.rows.empty()) windows_.rows.resize(kWindowCodes);
   // Wire j's driven levels before and after, as two bits; a wire past
   // either edge reads as 0.
@@ -158,38 +165,70 @@ TransitionBatch CoupledBus::transition_batch(const util::BitVec& prev,
   std::size_t code = levels(0) << 6 | levels(1) << 8;
   for (std::size_t i = 0; i < n; ++i) {
     code = code >> 2 | levels(i + 2) << 8;
-    std::unique_ptr<Entry*[]>& row = windows_.rows[code];
-    if (!row) row = std::make_unique<Entry*[]>(n);
-    Entry*& known = row[i];
+    std::unique_ptr<Stored*[]>& row = windows_.rows[code];
+    if (!row) row = std::make_unique<Stored*[]>(n);
+    Stored*& known = row[i];
     if (known != nullptr) {
       ++t.hits;
     } else {
       const WireRecipe r = solver_->recipe(model_, i, prev, next);
       known = find_or_fill(r, t);
       if (known == nullptr) {
-        overflow_.resize(n * samples);
-        double* dst = overflow_.data() + i * samples;
-        solve(r, dst);
-        batch_ptrs_[i] = dst;
-        batch_slots_[i] = nullptr;
+        unstored_.resize(n);
+        unstored_[i] = r;
+        batch_[i] = {&unstored_[i], final_sample(unstored_[i]), nullptr};
         continue;
       }
     }
-    batch_ptrs_[i] = known->wave.data();
-    batch_slots_[i] = &known->verdict;
+    batch_[i] = {&known->first, known->second.final_sample,
+                 &known->second.verdict};
   }
   finish_lookup(t);
-  TransitionBatch b;
-  b.ptrs = batch_ptrs_.data();
-  b.slots = batch_slots_.data();
-  b.n_wires = n;
-  b.samples = samples;
-  b.dt = params().sample_dt;
-  return b;
+  return TransitionBatch{batch_.data(), n};
 }
 
-util::Logic CoupledBus::settled_logic(WaveformView w) const {
-  return util::to_logic(w.final_value() >=
+Verdicts CoupledBus::judge(const NdCell& nd, const SdCell& sd,
+                           const WireEntry& w) const {
+  VerdictSlot* const slot = w.slot;
+  if (slot != nullptr && slot->filled && slot->nd_params == nd.params() &&
+      slot->sd_params == sd.params()) {
+    return slot->verdicts;
+  }
+  const WireRecipe& r = *w.recipe;
+  const WireProbe p = probe(r);
+  std::optional<bool> v_nd = p.nd_violates(nd.params());
+  std::optional<bool> v_sd = p.sd_violates(sd.params());
+  if (!v_nd.has_value() || !v_sd.has_value()) {
+    const WaveformView view = render_fallback(r);
+    const util::Logic initial = util::to_logic(r.prev_level != 0);
+    const util::Logic expected = util::to_logic(r.next_level != 0);
+    if (!v_nd.has_value()) v_nd = nd.violates(view, initial, expected);
+    if (!v_sd.has_value()) v_sd = sd.violates(view, initial, expected);
+  }
+  const Verdicts v{*v_nd, *v_sd};
+  if (slot != nullptr) *slot = {true, nd.params(), sd.params(), v};
+  return v;
+}
+
+WireRecipe CoupledBus::recipe(std::size_t i, const util::BitVec& prev,
+                              const util::BitVec& next) const {
+  require_vector_widths(prev, next);
+  if (i >= model_.n()) throw std::out_of_range("wire index past bus width");
+  return solver_->recipe(model_, i, prev, next);
+}
+
+WaveformView CoupledBus::render_fallback(const WireRecipe& r) const {
+  ++probe_fallbacks_;
+  if (ProbeAudit* a = probe_audit()) {
+    a->fallbacks.fetch_add(1, std::memory_order_relaxed);
+  }
+  scratch_.resize(params().samples);
+  solve(r, scratch_.data());
+  return WaveformView(scratch_.data(), params().samples, params().sample_dt);
+}
+
+util::Logic CoupledBus::settled_logic(double final_sample) const {
+  return util::to_logic(final_sample >=
                         solver_->settled_threshold(model_.params()));
 }
 

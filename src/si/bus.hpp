@@ -11,6 +11,7 @@
 #include "si/bus_model.hpp"
 #include "si/decay_columns.hpp"
 #include "si/detectors.hpp"
+#include "si/probe.hpp"
 #include "si/recipe.hpp"
 #include "si/waveform.hpp"
 #include "sim/time.hpp"
@@ -21,24 +22,31 @@ namespace jsi::si {
 
 class InterconnectModel;
 
-/// One evaluated bus transition: per-wire arrays of sample pointers and
-/// verdict-slot pointers into bus-owned storage. Non-owning — the batch
-/// (and every `WaveformView` and slot pointer derived from it) is valid
-/// until the owning `CoupledBus`'s next `transition_batch` call,
-/// `clear_cache`, clone or destruction. A wire rendered into the
-/// overflow block (a miss that found the store full) has no slot: its
-/// `slot(i)` is nullptr.
-struct TransitionBatch {
-  const double* const* ptrs = nullptr;  ///< ptrs[i] = wire i's samples
-  VerdictSlot* const* slots = nullptr;  ///< slots[i] = its entry's slot
-  std::size_t n_wires = 0;
-  std::size_t samples = 0;
-  sim::Time dt = sim::kPs;
+/// One wire of a TransitionBatch, as the waveform store serves it: the
+/// wire's recipe, its waveform's final sample, and the verdict memo of
+/// its store entry.
+struct WireEntry {
+  /// The store's key, or — for a wire that missed a full store — the
+  /// bus's own copy of its recipe.
+  const WireRecipe* recipe = nullptr;
+  /// The waveform's last sample: the value `settled_logic` reads.
+  double final_sample = 0.0;
+  /// The entry's verdict memo; nullptr for a wire the store did not take.
+  VerdictSlot* slot = nullptr;
+};
 
-  WaveformView wire(std::size_t i) const {
-    return WaveformView(ptrs[i], samples, dt);
-  }
-  VerdictSlot* slot(std::size_t i) const { return slots[i]; }
+/// One evaluated bus transition: an entry per wire, in bus-owned
+/// storage. Non-owning — the batch (and every recipe and slot pointer in
+/// it) is valid until the owning `CoupledBus`'s next `transition_batch`
+/// call, `clear_cache`, clone or destruction. No wire's samples are
+/// rendered: `CoupledBus::judge` decides verdicts from the recipe, and
+/// `wire_response()` / `transition()` render on demand.
+struct TransitionBatch {
+  const WireEntry* entries = nullptr;
+  std::size_t n_wires = 0;
+
+  const WireEntry& entry(std::size_t i) const { return entries[i]; }
+  VerdictSlot* slot(std::size_t i) const { return entries[i].slot; }
 };
 
 /// Analytic coupled-RC(+L) model of the bus between two cores.
@@ -64,24 +72,25 @@ struct TransitionBatch {
 ///
 /// Internally this is a facade over a `BusModel` (SoA electrical state),
 /// the bus's `InterconnectModel`, and one waveform store keyed by each
-/// wire's recipe, with the decay columns its renders read kept beside
-/// it. Every lookup entry point — `transition_batch()` (the zero-copy
-/// hot path), `wire_response()` and `transition()` (owning copies) —
-/// goes through that store.
+/// wire's recipe: an entry holds the recipe, its waveform's final sample
+/// and a verdict memo, and no samples. Every lookup entry point —
+/// `transition_batch()` (the hot path, which renders nothing),
+/// `wire_response()` and `transition()` (which render on demand, with the
+/// decay columns kept beside the store) — goes through that store.
 class CoupledBus {
  public:
   explicit CoupledBus(BusParams p);
 
   /// Deep copy for per-shard use: electrical state, injected defects, the
-  /// waveform store (entries with their verdict slots *and* hit/miss
-  /// counters) and the decay columns are carried over, so a clone of a
-  /// warmed bus starts warm and keeps the verdicts already judged — also
-  /// through defects injected into the clone afterwards. The
-  /// observability sink is deliberately NOT carried over — a clone lives
-  /// on another worker thread, and sharing the source's sink would race;
-  /// attach a thread-local sink with set_sink() after cloning. The overflow
-  /// scratch and the window table are per-clone (fresh and empty), so two
-  /// clones never alias storage.
+  /// waveform store (entries with their verdict slots *and* the hit/miss
+  /// and fallback counters) and the decay columns are carried over, so a
+  /// clone of a warmed bus starts warm and keeps the verdicts already
+  /// judged — also through defects injected into the clone afterwards.
+  /// The observability sink is deliberately NOT carried over — a clone
+  /// lives on another worker thread, and sharing the source's sink would
+  /// race; attach a thread-local sink with set_sink() after cloning. The
+  /// batch storage, the render scratch and the window table are per-clone
+  /// (fresh and empty), so two clones never alias storage.
   CoupledBus clone() const;
 
   const BusParams& params() const { return model_.params(); }
@@ -150,19 +159,19 @@ class CoupledBus {
   // ---- simulation ----------------------------------------------------------
 
   /// Receiving-end waveform of wire `i` for bus transition `prev -> next`
-  /// (bit vectors of width n, bit k = logic level of wire k), copied out
-  /// of the store.
+  /// (bit vectors of width n, bit k = logic level of wire k), rendered
+  /// from the recipe the store looks up.
   Waveform wire_response(std::size_t i, const util::BitVec& prev,
                          const util::BitVec& next) const;
 
-  /// All wire waveforms for one bus transition, copied out of the store.
+  /// All wire waveforms for one bus transition, rendered on demand.
   std::vector<Waveform> transition(const util::BitVec& prev,
                                    const util::BitVec& next) const;
 
-  /// All wire waveforms for one bus transition, zero-copy: the batch
-  /// points straight into the store, verdict slots included (or, for
-  /// misses that found it full, into the bus's overflow scratch, with no
-  /// slot). See TransitionBatch for lifetime.
+  /// All wires of one bus transition as store entries — recipe, final
+  /// sample and verdict slot — rendering nothing (a wire that misses a
+  /// full store gets an entry with no slot). See TransitionBatch for
+  /// lifetime.
   ///
   /// A store hit costs O(1) per wire here. Wire i's recipe reads only the
   /// bus's electrical state and the driven levels before and after of
@@ -176,48 +185,75 @@ class CoupledBus {
   TransitionBatch transition_batch(const util::BitVec& prev,
                                    const util::BitVec& next) const;
 
+  /// The ND and SD verdicts of batch wire `w` under the cells' params
+  /// (NdCell::violates and SdCell::violates on its rendered waveform,
+  /// under the recipe's driven levels). Served from the wire's slot when
+  /// it was filled under params equal to the cells'; otherwise decided
+  /// from the recipe by a WireProbe and recorded in the slot. A verdict
+  /// no probe can prove (see WireProbe) is a fallback: the wire is
+  /// rendered into the bus's scratch and scanned in full.
+  Verdicts judge(const NdCell& nd, const SdCell& sd, const WireEntry& w) const;
+
   /// Logic value a receiver reads once the waveform settles (the
   /// interconnect model's receiver threshold on the final sample —
   /// vdd/2 for rc_full_swing, the level-converter Vt for low_swing).
-  util::Logic settled_logic(WaveformView w) const;
+  util::Logic settled_logic(double final_sample) const;
+  util::Logic settled_logic(WaveformView w) const {
+    return settled_logic(w.final_value());
+  }
+
+  /// Wire i's recipe for prev -> next, built without a store lookup.
+  WireRecipe recipe(std::size_t i, const util::BitVec& prev,
+                    const util::BitVec& next) const;
+
+  /// A probe of `r` on this bus's sample grid; `r` must outlive it.
+  WireProbe probe(const WireRecipe& r) const {
+    return WireProbe(r, params().samples, params().sample_dt);
+  }
+
+  /// `r` rendered into the bus's scratch: the fallback for what no probe
+  /// decides, counted in probe_fallbacks(). Valid until the next call.
+  WaveformView render_fallback(const WireRecipe& r) const;
 
   // ---- waveform store -------------------------------------------------------
   //
   // One entry per distinct wire recipe (see WireRecipe): the model's
-  // `recipe()` gathers a wire's electrical inputs, the store looks them
-  // up by their exact bits, and a miss is filled by `render()`. Equal
-  // wires of one transition, of other transitions and of other defect
-  // states therefore share one entry, and no entry ever goes stale.
-  // Entries are only dropped by clear_cache, which is what lets a batch
-  // point into the store while later wires of the same transition miss.
-  // Each entry carries a VerdictSlot that the observing OBSC fills, so a
-  // waveform is scanned once per param set, not once per observation.
-  // Beside the entries sit the decay columns the renders read (one per
-  // distinct time constant; see DecayColumns), which share the entries'
-  // lifetime. The store is bounded by kStoreBudgetBytes, waveforms and
-  // columns together: a miss that finds it full is rendered into scratch
-  // and not inserted, and a column that does not fit is computed into
+  // `recipe()` gathers a wire's electrical inputs, and the store looks
+  // them up by their exact bits. A miss stores the recipe with its
+  // waveform's final sample, which a WireProbe computes from the recipe
+  // alone; no entry holds samples. Equal wires of one transition, of
+  // other transitions and of other defect states therefore share one
+  // entry, and no entry ever goes stale. Entries are only dropped by
+  // clear_cache, which is what lets a batch point into the store while
+  // later wires of the same transition miss. Each entry carries a
+  // VerdictSlot that judge() fills, so a recipe is judged once per param
+  // set, not once per observation. Beside the entries sit the decay
+  // columns that on-demand renders (wire_response, transition, and the
+  // fallbacks) read, one per distinct time constant (see DecayColumns);
+  // they share the entries' lifetime. The store is bounded by
+  // kStoreBudgetBytes, entries and columns together: a miss that finds it
+  // full is not inserted, and a column that does not fit is computed into
   // scratch and not kept. Hit/miss counters survive clear_cache (they
-  // meter the workload, not the store contents) and count waveforms
-  // only.
+  // meter the workload, not the store contents) and count wires only.
 
   /// Byte budget of one bus's store, counted in slots of one waveform's
   /// sample data plus an entry's bookkeeping and verdict slot; a decay
-  /// column (as many samples, less bookkeeping) takes one slot too.
-  /// 64 MiB (about 4,000 slots of 2,048 samples; store_capacity() has the
-  /// exact count) is some fifty times the widest shipped working set — a
-  /// `random_defects` die keeps 54 waveforms and 16 decay columns, the
-  /// n=64 Table 5 sessions 20 and 5 — so no shipped workload reaches it,
-  /// and a bus that goes through many defect states stays bounded.
-  /// Outside the budget, and bounded by the bus's shape, sit two blocks
-  /// of transition_batch: the overflow block (n x samples doubles, sized
-  /// on the first miss that finds the store full) and the window table
-  /// (an 8 KiB row index from the first batch, plus a row of n entry
-  /// pointers per window code met: at most 8 KiB per wire, so 512 KiB at
-  /// n=64 and 8 MiB at the parser's 1,024-wire cap).
+  /// column (as many samples, less bookkeeping) takes one slot too. An
+  /// entry holds no samples, so its slot overstates it some eighty-fold;
+  /// what the budget does is bound the count of slots (about 4,000 at
+  /// 2,048 samples; store_capacity() has the exact count), which keeps a
+  /// bus that goes through many defect states bounded and is far above
+  /// any shipped working set — a `random_defects` die keeps 54 entries,
+  /// the n=64 Table 5 sessions 20. Outside the budget, and
+  /// bounded by the bus's shape, sit transition_batch's storage (n
+  /// entries, and n recipes for wires that miss a full store), one render
+  /// scratch of `samples` doubles, and the window table (an 8 KiB row
+  /// index from the first batch, plus a row of n entry pointers per
+  /// window code met: at most 8 KiB per wire, so 512 KiB at n=64 and
+  /// 8 MiB at the parser's 1,024-wire cap).
   static constexpr std::size_t kStoreBudgetBytes = std::size_t{64} << 20;
 
-  /// Slots that fit the budget at this bus's sample count; waveforms plus
+  /// Slots that fit the budget at this bus's sample count; entries plus
   /// decay columns never exceed it.
   std::size_t store_capacity() const { return store_capacity_; }
 
@@ -227,20 +263,25 @@ class CoupledBus {
   /// hits / (hits + misses), 0 when nothing was looked up yet.
   double cache_hit_rate() const;
 
-  /// Waveforms currently stored.
+  /// Judgments and probe queries that no probe could decide, so the
+  /// wire was rendered and scanned (see render_fallback). Survives
+  /// clear_cache and is carried by clones, like the hit/miss counters.
+  std::uint64_t probe_fallbacks() const { return probe_fallbacks_; }
+
+  /// Entries currently stored.
   std::size_t cache_entries() const { return store_.size(); }
 
   /// The decay columns kept beside the store.
   const DecayColumns& decay_columns() const { return columns_; }
 
-  /// Drop every stored waveform and decay column, and the window table
+  /// Drop every store entry and decay column, and the window table
   /// that points at them (counters are kept). Deliberately non-const:
   /// flushing is a real state mutation, and per-shard clones must not be
   /// able to reset each other through a const reference.
   void clear_cache();
 
   /// Push the 6*n MA vector pairs of this bus through the store, so every
-  /// waveform a G-SITEST session needs is resident. The campaign runner
+  /// entry a G-SITEST session needs is resident. The campaign runner
   /// calls this on the prototype so every per-unit clone starts warm.
   /// Stops early once the store is full.
   void warm_ma_pairs();
@@ -261,29 +302,34 @@ class CoupledBus {
   void require_vector_widths(const util::BitVec& prev,
                              const util::BitVec& next) const;
 
-  /// Every slot of the budget holds a waveform or a decay column.
+  /// Every slot of the budget holds an entry or a decay column.
   bool store_full() const {
     return store_.size() + columns_.size() >= store_capacity_;
   }
 
-  /// One stored waveform and the verdict memo that belongs to it.
+  /// What the store keeps of one recipe (its key).
   struct Entry {
-    Waveform wave;
+    double final_sample = 0.0;
     VerdictSlot verdict;
   };
+  using Store = std::unordered_map<WireRecipe, Entry, RecipeHash, SameRecipe>;
+  using Stored = Store::value_type;
 
-  /// The store entry of `r`, rendering and inserting it on a miss;
-  /// nullptr when the miss found the store full (the caller renders into
-  /// its own storage with solve()).
-  Entry* find_or_fill(const WireRecipe& r, Tally& t) const;
+  /// The store entry of `r`, inserted on a miss; nullptr when the miss
+  /// found the store full.
+  Stored* find_or_fill(const WireRecipe& r, Tally& t) const;
+
+  /// The final sample of `r`, cross-checked against a render while a
+  /// ProbeAudit is installed.
+  double final_sample(const WireRecipe& r) const;
 
   /// Render `r` into `out` (samples doubles) through the bus's columns.
   void solve(const WireRecipe& r, double* out) const;
 
-  /// Wire i's samples into `out` (samples doubles): a copy of the stored
-  /// waveform, or a direct render when the store is full.
-  void copy_wire(std::size_t i, const util::BitVec& prev,
-                 const util::BitVec& next, double* out, Tally& t) const;
+  /// Look up wire i's entry (counting it in `t`), then render its
+  /// waveform into `out` (samples doubles).
+  void render_wire(std::size_t i, const util::BitVec& prev,
+                   const util::BitVec& next, double* out, Tally& t) const;
 
   /// Count the tally into the bus counters and emit its record.
   void finish_lookup(const Tally& t) const;
@@ -297,7 +343,7 @@ class CoupledBus {
   /// bus's own store entries, so a copy or a move never takes them
   /// along: the receiving bus starts without a table.
   struct WindowTable {
-    std::vector<std::unique_ptr<Entry*[]>> rows;
+    std::vector<std::unique_ptr<Stored*[]>> rows;
 
     WindowTable() = default;
     WindowTable(const WindowTable&) {}
@@ -312,20 +358,20 @@ class CoupledBus {
   const InterconnectModel* solver_;  // model_for(params().model)
   std::size_t store_capacity_;
 
-  mutable std::unordered_map<WireRecipe, Entry, RecipeHash, SameRecipe>
-      store_;
+  mutable Store store_;
   mutable DecayColumns columns_;
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
+  mutable std::uint64_t probe_fallbacks_ = 0;
 
-  // transition_batch storage: the per-wire pointer arrays it returns,
-  // for misses on a full store an n*samples scratch block (wire i at
-  // i*samples; sized once, so pointers into it stay put), and the window
-  // tables.
-  mutable std::vector<const double*> batch_ptrs_;
-  mutable std::vector<VerdictSlot*> batch_slots_;
-  mutable std::vector<double> overflow_;
+  // transition_batch storage: the entries it returns, the recipes of
+  // wires that missed a full store (wire i at i; sized once, so pointers
+  // into it stay put), and the window tables. Beside them, the scratch
+  // render_fallback renders into.
+  mutable std::vector<WireEntry> batch_;
+  mutable std::vector<WireRecipe> unstored_;
   mutable WindowTable windows_;
+  mutable std::vector<double> scratch_;
 
   obs::Sink* sink_ = nullptr;
 };

@@ -22,7 +22,7 @@ const double* DecayColumns::column(double tau) {
     detail::decay_column(samples_, sample_dt_, tau, scratch.data());
     return scratch.data();
   }
-  SampleBuffer col(samples_);
+  std::vector<double> col(samples_);
   detail::decay_column(samples_, sample_dt_, tau, col.data());
   return kept_.emplace(key, std::move(col)).first->second.data();
 }

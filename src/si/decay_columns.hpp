@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "si/bus_model.hpp"
-#include "si/sample_pool.hpp"
 #include "sim/time.hpp"
 
 namespace jsi::si {
@@ -23,7 +22,7 @@ namespace jsi::si {
 /// std::exp(-t / tau) bit for bit. A `CoupledBus` keeps one table beside
 /// its waveform store and bounds both together; a table whose limit was
 /// never set (the direct-render reference in tests and benches) keeps
-/// every column. Kept columns live in SampleBuffers, like waveforms.
+/// every column.
 class DecayColumns {
  public:
   /// A table for buses with `p`'s sample count and sample step.
@@ -54,7 +53,7 @@ class DecayColumns {
   std::size_t samples_;
   sim::Time sample_dt_;
   std::size_t limit_ = std::numeric_limits<std::size_t>::max();
-  std::unordered_map<std::uint64_t, SampleBuffer> kept_;
+  std::unordered_map<std::uint64_t, std::vector<double>> kept_;
   std::vector<double> scratch_[2];
   std::size_t next_scratch_ = 0;
 };

@@ -67,16 +67,4 @@ bool SdCell::violates(WaveformView w, Logic initial,
   return *t > p_.skew_budget;
 }
 
-Verdicts judge(const NdCell& nd, const SdCell& sd, WaveformView w,
-               Logic initial, Logic expected, VerdictSlot* slot) {
-  if (slot != nullptr && slot->filled && slot->nd_params == nd.params() &&
-      slot->sd_params == sd.params()) {
-    return slot->verdicts;
-  }
-  const Verdicts v{nd.violates(w, initial, expected),
-                   sd.violates(w, initial, expected)};
-  if (slot != nullptr) *slot = {true, nd.params(), sd.params(), v};
-  return v;
-}
-
 }  // namespace jsi::si

@@ -46,6 +46,9 @@ class NdCell {
   bool enabled() const { return ce_; }
 
   /// Pure query: would this waveform set the flag? (No state change.)
+  /// The reference scan: CoupledBus::judge reaches the same verdict from
+  /// a wire's recipe by a WireProbe, which reads only the samples that
+  /// decide it, and falls back to this scan when it cannot prove it.
   /// Scans `w` given the line's driven logic level before (`initial`) and
   /// after (`expected`) the transition. Passing the *driven* final level —
   /// rather than inferring it from the waveform — lets the cell flag a
@@ -55,8 +58,9 @@ class NdCell {
   bool violates(WaveformView w, util::Logic initial,
                 util::Logic expected) const;
 
-  /// Feed one verdict of violates() (fresh, or memoized by judge()): sets
-  /// the flag when the cell is enabled and `violation` holds.
+  /// Feed one verdict of violates() (scanned, or decided from a recipe by
+  /// CoupledBus::judge): sets the flag when the cell is enabled and
+  /// `violation` holds.
   void latch(bool violation) {
     if (ce_ && violation) flag_ = true;
   }
@@ -101,12 +105,14 @@ class SdCell {
 
   /// Pure query: would this waveform set the flag? Scans `w` for a wire
   /// whose driven value changed from `initial` to `expected` this cycle.
-  /// Quiet wires are ND territory and never violate.
+  /// Quiet wires are ND territory and never violate. The reference scan
+  /// for CoupledBus::judge, as for NdCell::violates.
   bool violates(WaveformView w, util::Logic initial,
                 util::Logic expected) const;
 
-  /// Feed one verdict of violates() (fresh, or memoized by judge()): sets
-  /// the flag when the cell is enabled and `violation` holds.
+  /// Feed one verdict of violates() (scanned, or decided from a recipe by
+  /// CoupledBus::judge): sets the flag when the cell is enabled and
+  /// `violation` holds.
   void latch(bool violation) {
     if (ce_ && violation) flag_ = true;
   }
@@ -133,25 +139,19 @@ struct Verdicts {
   bool operator==(const Verdicts&) const = default;
 };
 
-/// Verdict memo of one stored waveform: the slot beside each entry of the
+/// Verdict memo of one store entry: the slot beside each entry of the
 /// `CoupledBus` waveform store, living and dying with it (see
-/// TransitionBatch). A verdict is a pure function of the samples, the
-/// wire's driven levels before and after the transition, and the detector
-/// params; the entry holds the samples and its key fixes the levels, so
-/// verdicts judged under `nd_params`/`sd_params` hold for every later
-/// observation under params equal to those.
+/// TransitionBatch). A verdict is a pure function of the wire's recipe
+/// (which fixes its samples and its driven levels before and after the
+/// transition) and the detector params, so verdicts judged under
+/// `nd_params`/`sd_params` hold for every later observation of the entry
+/// under params equal to those. `CoupledBus::judge` reads and fills it.
 struct VerdictSlot {
   bool filled = false;
   NdParams nd_params;
   SdParams sd_params;
   Verdicts verdicts;
 };
-
-/// `nd.violates()` and `sd.violates()` on `w`: read from `slot` when it was
-/// filled under params equal to the cells', otherwise judged and recorded
-/// in `slot`. A null `slot` (a waveform with no store entry) is judged.
-Verdicts judge(const NdCell& nd, const SdCell& sd, WaveformView w,
-               util::Logic initial, util::Logic expected, VerdictSlot* slot);
 
 }  // namespace jsi::si
 

@@ -24,11 +24,8 @@ JSI_NOINLINE double switching_tau(const BusModel& m, std::size_t i,
 
 JSI_NOINLINE void decay_column(std::size_t samples, sim::Time sample_dt,
                                double tau, double* out) {
-  const double dt = static_cast<double>(sample_dt) * kSecPerTick;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const double t = dt * static_cast<double>(s);
-    out[s] = std::exp(-t / tau);
-  }
+  const double dt = step_seconds(sample_dt);
+  for (std::size_t s = 0; s < samples; ++s) out[s] = decay_at(dt, s, tau);
 }
 
 namespace {
@@ -39,23 +36,13 @@ namespace {
 JSI_NOINLINE void fill_switching(const WireRecipe& w, DecayColumns& columns,
                                  double* out) {
   const std::size_t samples = columns.samples();
-  const double dt = static_cast<double>(columns.sample_dt()) * kSecPerTick;
-  const double v0 = w.v0;
-  const double vf = w.vf;
+  const double dt = step_seconds(columns.sample_dt());
   if (w.l_wire > 0.0) {
     // Series RLC step response; underdamped when R < 2*sqrt(L/C).
-    const double r = w.r;
-    const double c = w.c_tot;
-    const double w0 = 1.0 / std::sqrt(w.l_wire * c);
-    const double zeta = r / 2.0 * std::sqrt(c / w.l_wire);
-    if (zeta < 1.0) {
-      const double wd = w0 * std::sqrt(1.0 - zeta * zeta);
-      const double k = zeta / std::sqrt(1.0 - zeta * zeta);
+    const Rlc m = rlc_of(w.r, w.c_tot, w.l_wire);
+    if (m.zeta < 1.0) {
       for (std::size_t s = 0; s < samples; ++s) {
-        const double t = dt * static_cast<double>(s);
-        const double e = std::exp(-zeta * w0 * t);
-        out[s] =
-            vf + (v0 - vf) * e * (std::cos(wd * t) + k * std::sin(wd * t));
+        out[s] = rlc_step(w.v0, w.vf, m, dt * static_cast<double>(s));
       }
       return;
     }
@@ -63,36 +50,26 @@ JSI_NOINLINE void fill_switching(const WireRecipe& w, DecayColumns& columns,
   }
   const double* e = columns.column(w.tau);
   for (std::size_t s = 0; s < samples; ++s) {
-    out[s] = vf + (v0 - vf) * e[s];
+    out[s] = rc_step(w.v0, w.vf, e[s]);
   }
 }
 
 /// Superpose one neighbor's crosstalk glitch onto a quiet wire.
-/// First-order victim node driven through Cc by an exponential aggressor:
-///   v(t) = dir * rail * (Cc/Ctot) * tau_v/(tau_v - tau_a)
-///              * (exp(-t/tau_v) - exp(-t/tau_a))
-/// with the t*exp(-t/tau) limit when the time constants coincide; both
-/// exponentials are read from their decay columns. `rail` is the
-/// aggressor's full swing (vdd for rc_full_swing, the reduced swing for
-/// low_swing).
+/// First-order victim node driven through Cc by an exponential aggressor
+/// (see Glitch); both exponentials are read from their decay columns.
+/// `rail` is the aggressor's full swing (vdd for rc_full_swing, the
+/// reduced swing for low_swing).
 JSI_NOINLINE void add_glitch(DecayColumns& columns, double* w, double rail,
                              double cc, double ctot_v, double tau_v,
                              double tau_a, int direction) {
-  const double amp = direction * rail * cc / ctot_v;
-  const double dt = static_cast<double>(columns.sample_dt()) * kSecPerTick;
-  const bool equal = std::abs(tau_v - tau_a) < 1e-15;
-  const double scale = equal ? 0.0 : tau_v / (tau_v - tau_a);
+  const Glitch g = glitch_of(rail, cc, ctot_v, tau_v, tau_a, direction);
+  const double dt = step_seconds(columns.sample_dt());
   const double* ev = columns.column(tau_v);
-  const double* ea = equal ? nullptr : columns.column(tau_a);
+  const double* ea = g.equal ? nullptr : columns.column(tau_a);
   for (std::size_t s = 0; s < columns.samples(); ++s) {
-    double g;
-    if (equal) {
-      const double t = dt * static_cast<double>(s);
-      g = (t / tau_v) * ev[s];
-    } else {
-      g = scale * (ev[s] - ea[s]);
-    }
-    w[s] += amp * g;
+    const double t = dt * static_cast<double>(s);
+    w[s] = add_glitch_term(w[s], g,
+                           glitch_shape(g, t, ev[s], g.equal ? 0.0 : ea[s]));
   }
 }
 

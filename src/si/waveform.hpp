@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <vector>
 
-#include "si/sample_pool.hpp"
 #include "sim/time.hpp"
 
 namespace jsi::si {
@@ -69,8 +69,7 @@ class WaveformView {
 /// on the scalar path; the ND/SD detector models then scan it for threshold
 /// crossings (via its `WaveformView`). Sampling step defaults to 1 ps which
 /// comfortably resolves the ~100 ps RC time constants of the modeled
-/// interconnects. The samples live in a SampleBuffer, so a campaign
-/// worker's SamplePool recycles them from one die to the next.
+/// interconnects.
 class Waveform {
  public:
   Waveform() = default;
@@ -80,7 +79,8 @@ class Waveform {
       : dt_(dt), v_(n, init) {}
 
   /// Materialize (copy) a view into an owning waveform.
-  explicit Waveform(WaveformView v) : dt_(v.dt()), v_(v.data(), v.samples()) {}
+  explicit Waveform(WaveformView v)
+      : dt_(v.dt()), v_(v.data(), v.data() + v.samples()) {}
 
   sim::Time dt() const { return dt_; }
   std::size_t samples() const { return v_.size(); }
@@ -102,7 +102,7 @@ class Waveform {
   double at(sim::Time t) const { return view().at(t); }
 
   /// Voltage of the last sample (the settled value).
-  double final_value() const { return v_.empty() ? 0.0 : v_[v_.size() - 1]; }
+  double final_value() const { return v_.empty() ? 0.0 : v_.back(); }
 
   double max_value() const { return view().max_value(); }
   double min_value() const { return view().min_value(); }
@@ -136,7 +136,7 @@ class Waveform {
 
  private:
   sim::Time dt_ = sim::kPs;
-  SampleBuffer v_;
+  std::vector<double> v_;
 };
 
 }  // namespace jsi::si

@@ -1,27 +1,22 @@
 // Campaign-runner mechanics: unit ordering, error isolation, the
 // prototype-bus clone path, the external-bus device constructors, the
-// additive Registry merge, the thread-safe aggregating live sink, the
-// per-edge stream a live sink gets, and each worker's sample pool.
+// additive Registry merge, the thread-safe aggregating live sink, and the
+// per-edge stream a live sink gets.
 // The byte-identity guarantee across shard counts has its own suite in
 // test_campaign_determinism.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/session.hpp"
-#include "mafm/fault.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/hub.hpp"
 #include "obs/registry.hpp"
 #include "si/bus.hpp"
-#include "si/sample_pool.hpp"
 
 namespace jsi {
 namespace {
@@ -350,102 +345,6 @@ TEST(Campaign, WorkerHubsKeepARingOnlyForKeepEvents) {
     runner.run();
     EXPECT_EQ(capacity, keep ? 1000u : 0u);
   }
-}
-
-TEST(Campaign, WorkerReusesSampleBuffersAcrossDies) {
-  // Each unit is a fresh die: a bus of its own driver strength, so none
-  // of its waveforms or decay columns come from a prototype. When a die
-  // ends, its bus's sample buffers go to the worker's pool, and the next
-  // die's renders take them.
-  struct Die {
-    const si::SamplePool* pool = nullptr;
-    std::size_t held_at_start = 0;
-    std::uint64_t reused = 0;  // buffers this die took from the pool
-    std::size_t buffers = 0;   // waveforms + kept decay columns
-    std::set<const double*> samples;
-  };
-  constexpr int kDies = 3;
-  std::vector<Die> dies(kDies);
-  CampaignRunner runner;  // one shard: every die on one worker
-  for (int i = 0; i < kDies; ++i) {
-    CampaignUnit u;
-    u.name = "die" + std::to_string(i);
-    u.run = [i, &dies](CampaignContext&) {
-      Die& d = dies[static_cast<std::size_t>(i)];
-      d.pool = si::SamplePool::current();
-      if (d.pool == nullptr) throw std::logic_error("no pool");
-      d.held_at_start = d.pool->held_buffers();
-      const std::uint64_t reused_before = d.pool->reused();
-      si::BusParams p;
-      p.r_driver = 250.0 + 10.0 * i;
-      si::CoupledBus bus(p);
-      for (const mafm::MaFault f : mafm::kAllFaults) {
-        for (std::size_t victim = 0; victim < p.n_wires; ++victim) {
-          const mafm::VectorPair vp = mafm::vectors_for(f, p.n_wires, victim);
-          const si::TransitionBatch b = bus.transition_batch(vp.v1, vp.v2);
-          for (std::size_t w = 0; w < b.n_wires; ++w) {
-            d.samples.insert(b.ptrs[w]);
-          }
-        }
-      }
-      d.buffers = bus.cache_entries() + bus.decay_columns().size();
-      d.reused = d.pool->reused() - reused_before;
-      if (d.pool->peak_bytes() > si::SamplePool::kMaxBytes) {
-        throw std::logic_error("pool past its bound");
-      }
-      UnitOutcome o;
-      o.summary = "ok";
-      return o;
-    };
-    runner.add(std::move(u));
-  }
-  ASSERT_EQ(si::SamplePool::current(), nullptr);
-  const auto r = runner.run();
-  ASSERT_EQ(r.failures, 0u);
-
-  ASSERT_NE(dies[0].pool, nullptr);
-  EXPECT_EQ(dies[1].pool, dies[0].pool);  // one pool per worker
-  EXPECT_EQ(dies[0].held_at_start, 0u);
-  EXPECT_EQ(dies[0].reused, 0u);
-  for (int i = 1; i < kDies; ++i) {
-    const Die& prev = dies[static_cast<std::size_t>(i - 1)];
-    const Die& d = dies[static_cast<std::size_t>(i)];
-    // The previous die's buffers were all in the pool when this one
-    // started, and this die's samples came out of the pool while it
-    // had any: among them the previous die's waveforms.
-    EXPECT_GE(d.held_at_start, prev.buffers) << "die " << i;
-    EXPECT_EQ(d.reused, std::min(d.buffers, d.held_at_start)) << "die " << i;
-    std::size_t shared = 0;
-    for (const double* s : d.samples) shared += prev.samples.count(s);
-    EXPECT_GT(shared, 0u) << "die " << i;
-  }
-  // Nothing outlives the worker: the pool is gone and freed its list.
-  EXPECT_EQ(si::SamplePool::current(), nullptr);
-  EXPECT_EQ(si::SamplePool::held_by_all_pools(), 0u);
-}
-
-TEST(Campaign, WorkerPoolsAreReleasedWhenTheWorkersReturn) {
-  CampaignConfig cfg;
-  cfg.shards = 3;
-  CampaignRunner runner(cfg);
-  core::SocConfig soc;
-  soc.n_wires = 8;
-  std::mutex mu;
-  std::set<const si::SamplePool*> pools;
-  for (int i = 0; i < 9; ++i) {
-    core::SocConfig c = soc;
-    c.bus.r_driver = 250.0 + 5.0 * i;  // a fresh die per unit
-    runner.add_enhanced("die" + std::to_string(i), c,
-                        ObservationMethod::OnceAtEnd,
-                        [&mu, &pools](si::CoupledBus&) {
-                          const std::lock_guard<std::mutex> lk(mu);
-                          pools.insert(si::SamplePool::current());
-                        });
-  }
-  const auto r = runner.run();
-  EXPECT_EQ(r.failures, 0u);
-  EXPECT_EQ(pools.count(nullptr), 0u);
-  EXPECT_EQ(si::SamplePool::held_by_all_pools(), 0u);
 }
 
 TEST(Campaign, RunIsRepeatable) {

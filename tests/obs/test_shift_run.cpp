@@ -1,8 +1,10 @@
 // A scan body handed to a sink in one on_shift_run call must leave every
-// sink exactly as the L per-edge on_event calls a TapMaster used to make.
+// sink exactly as the L per-edge on_event calls a TapMaster used to make;
+// so must a run of navigation edges handed over in one on_edges call.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -318,6 +320,25 @@ TEST(ShiftRun, AggregatingSinkFoldsABodyAsItsEdges) {
     EXPECT_EQ(burst.snapshot().to_json(), edges.snapshot().to_json())
         << "L=" << len;
   }
+}
+
+TEST(ShiftRun, DefaultExpandsAnEdgeRunIntoItsEdges) {
+  // An Update-DR pulse's five records, stamped from their first TCK.
+  const Event run[] = {edge("Run-Test/Idle", TckPhase::Other, true, false, 0),
+                       edge("Select-DR-Scan", TckPhase::Other, false, false, 0),
+                       edge("Capture-DR", TckPhase::Capture, true, false, 0),
+                       edge("Exit1-DR", TckPhase::Other, true, false, 0),
+                       edge("Update-DR", TckPhase::Update, false, false, 0)};
+  Capture batched;
+  Capture edges;
+  batched.on_edges(run, std::size(run), 77);
+  for (std::size_t i = 0; i < std::size(run); ++i) {
+    Event e = run[i];
+    e.tck = 77 + i;
+    edges.on_event(e);
+  }
+  EXPECT_EQ(batched.count, std::size(run));
+  EXPECT_EQ(batched.jsonl.str(), edges.jsonl.str());
 }
 
 TEST(ShiftRun, NullSinkTakesABody) {

@@ -160,11 +160,12 @@ TEST(BusProperties, NoSelfGlitchWithoutSwitchingNeighbors) {
 
 // ---- batched vs scalar differential suite ---------------------------------
 //
-// The batched path (transition_batch: pointers into the waveform store)
-// must agree with the model's recipe rendered directly on every output
-// *bit* — not just within a tolerance. Any divergence is a real defect
-// (e.g. a key that misses part of a wire's recipe), and EXPECT_EQ on
-// doubles is the correct assertion strength.
+// The batched path (transition_batch: store entries judged from their
+// recipes) and the on-demand renders (transition()) must agree with the
+// model's recipe rendered directly on every output *bit* — not just
+// within a tolerance. Any divergence is a real defect (e.g. a key that
+// misses part of a wire's recipe), and EXPECT_EQ on doubles is the
+// correct assertion strength.
 
 /// The reference side: wire i's recipe rendered directly through a fresh
 /// decay-column table, no store.
@@ -205,12 +206,20 @@ void expect_batch_bit_identical(const CoupledBus& batched, const BusModel& ref,
                                 const std::vector<mafm::VectorPair>& pairs) {
   const std::size_t n = batched.n();
   for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
+    const std::vector<Waveform> rendered =
+        batched.transition(pairs[pi].v1, pairs[pi].v2);
     const TransitionBatch b =
         batched.transition_batch(pairs[pi].v1, pairs[pi].v2);
     ASSERT_EQ(b.n_wires, n);
     for (std::size_t i = 0; i < n; ++i) {
       const Waveform want = direct_solve(ref, i, pairs[pi].v1, pairs[pi].v2);
-      const WaveformView got = b.wire(i);
+      ASSERT_TRUE(SameRecipe{}(
+          *b.entry(i).recipe, model_for(ref.params().model)
+                                  .recipe(ref, i, pairs[pi].v1, pairs[pi].v2)))
+          << "pair " << pi << " wire " << i;
+      ASSERT_EQ(b.entry(i).final_sample, want.final_value())
+          << "pair " << pi << " wire " << i;
+      const WaveformView got = rendered[i];
       ASSERT_EQ(got.samples(), want.samples());
       if (std::memcmp(got.data(), want.data(),
                       want.samples() * sizeof(double)) == 0) {
@@ -250,8 +259,8 @@ TEST(BusDifferential, FullDepthDefaultParams) {
 
 TEST(BusDifferential, DetectorVerdictsIdentical) {
   // What the system actually consumes: ND/SD firings, SD arrival times
-  // and settled logic must agree between the two paths — on a defective
-  // bus where detectors really fire.
+  // and settled logic must agree between the judged batch and full scans
+  // of direct renders — on a defective bus where detectors really fire.
   BusParams p = params_n(8);
   p.samples = 1024;
   CoupledBus batched(p);
@@ -268,13 +277,21 @@ TEST(BusDifferential, DetectorVerdictsIdentical) {
     const TransitionBatch b = batched.transition_batch(vp.v1, vp.v2);
     for (std::size_t i = 0; i < 8; ++i) {
       const Waveform want = direct_solve(ref, i, vp.v1, vp.v2);
-      const WaveformView got = b.wire(i);
+      const WireEntry& got = b.entry(i);
       const util::Logic li = util::to_logic(vp.v1[i]);
       const util::Logic le = util::to_logic(vp.v2[i]);
-      EXPECT_EQ(nd.violates(got, li, le), nd.violates(want, li, le));
-      EXPECT_EQ(sd.violates(got, li, le), sd.violates(want, li, le));
-      EXPECT_EQ(sd.arrival_time(got), sd.arrival_time(want));
-      EXPECT_EQ(batched.settled_logic(got), batched.settled_logic(want));
+      EXPECT_EQ(batched.judge(nd, sd, got),
+                (Verdicts{nd.violates(want, li, le),
+                          sd.violates(want, li, le)}));
+      if (li != le) {
+        const auto arrival = batched.probe(*got.recipe)
+                                 .last_crossing(sd.params().vth_frac *
+                                                sd.params().vdd);
+        ASSERT_TRUE(arrival.has_value()) << "an RC edge is decided";
+        EXPECT_EQ(*arrival, sd.arrival_time(want));
+      }
+      EXPECT_EQ(batched.settled_logic(got.final_sample),
+                batched.settled_logic(want));
     }
   }
 }

@@ -1,18 +1,20 @@
 // Tests for the CoupledBus waveform store, keyed by each wire's recipe:
 // exactness of every lookup entry point against `render(recipe(...))`
-// called directly (across widths, both models, ringing, stacked and
+// called directly — the on-demand renders of wire_response() and
+// transition() sample for sample, and each batch entry's recipe and
+// final sample — across widths, both models, ringing, stacked and
 // asymmetric defects, random traffic and clones that inject defects of
-// their own), the recipe key itself (every field compared by its bits,
+// their own; the recipe key itself (every field compared by its bits,
 // and wires that differ in one input only kept apart), hit/miss metering
 // and its CacheLookup records, entries that survive every defect mutation,
 // clone warm-carry and independence, the MA warm-up, wide buses, the byte
-// budget (shared with the decay columns, which follow the entries'
-// lifetime), batch pointer lifetimes, and transition_batch's window table
-// (through every state change, and in copies that outlive their source).
-// The verdict slots riding on the entries are pinned the same way: every
-// memoized ND/SD verdict equals a fresh scan of a directly rendered
-// waveform, slots follow their entries' lifetime, and sessions flag
-// identically on a warm bus and a fresh one.
+// budget (shared with the decay columns the on-demand renders keep),
+// batch pointer lifetimes, and transition_batch's window table (through
+// every state change, and in copies that outlive their source). The
+// verdict slots riding on the entries are pinned the same way: every
+// judged ND/SD verdict, memoized or fresh, equals a full scan of a
+// directly rendered waveform, slots follow their entries' lifetime, and
+// sessions flag identically on a warm bus and a fresh one.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -77,6 +79,27 @@ bool same_bits(WaveformView a, WaveformView b) {
          std::memcmp(a.data(), b.data(), a.samples() * sizeof(double)) == 0;
 }
 
+/// A batch entry's final sample is the rendered waveform's last, bit for
+/// bit.
+bool same_final(const WireEntry& e, WaveformView want) {
+  return std::bit_cast<std::uint64_t>(e.final_sample) ==
+         std::bit_cast<std::uint64_t>(want.final_value());
+}
+
+/// A batch entry carries wire i's recipe on `ref` for prev -> next.
+bool has_recipe(const WireEntry& e, const BusModel& ref, std::size_t i,
+                const util::BitVec& prev, const util::BitVec& next) {
+  return SameRecipe{}(*e.recipe,
+                      model_for(ref.params().model).recipe(ref, i, prev, next));
+}
+
+/// Two batch entries hold bit-equal recipes and final samples.
+bool same_entry(const WireEntry& a, const WireEntry& b) {
+  return SameRecipe{}(*a.recipe, *b.recipe) &&
+         std::bit_cast<std::uint64_t>(a.final_sample) ==
+             std::bit_cast<std::uint64_t>(b.final_sample);
+}
+
 /// MA pairs of an n-wire bus plus `extra` seeded random pairs.
 std::vector<mafm::VectorPair> ma_and_random_pairs(std::size_t n, int extra,
                                                   std::uint32_t seed) {
@@ -89,7 +112,8 @@ std::vector<mafm::VectorPair> ma_and_random_pairs(std::size_t n, int extra,
 }
 
 /// Every wire of prev -> next served by `bus` equals the direct solve on
-/// `ref`, through all three lookup entry points.
+/// `ref`, through all three lookup entry points: the batch entry in its
+/// recipe and final sample, the on-demand renders sample for sample.
 void expect_exact(const CoupledBus& bus, const BusModel& ref,
                   const util::BitVec& prev, const util::BitVec& next) {
   std::vector<Waveform> want;
@@ -98,7 +122,9 @@ void expect_exact(const CoupledBus& bus, const BusModel& ref,
   }
   const TransitionBatch b = bus.transition_batch(prev, next);
   for (std::size_t i = 0; i < bus.n(); ++i) {
-    ASSERT_TRUE(same_bits(b.wire(i), want[i])) << "batch wire " << i;
+    ASSERT_TRUE(has_recipe(b.entry(i), ref, i, prev, next))
+        << "batch wire " << i;
+    ASSERT_TRUE(same_final(b.entry(i), want[i])) << "batch wire " << i;
     ASSERT_TRUE(same_bits(bus.wire_response(i, prev, next), want[i]))
         << "wire_response " << i;
   }
@@ -151,12 +177,10 @@ Verdicts fresh_verdicts(const DetectorSettings& s, WaveformView w,
           SdCell(s.sd).violates(w, initial, expected)};
 }
 
-/// Judge wire i of `b` under `s` through its slot.
-Verdicts judge_wire(const DetectorSettings& s, const TransitionBatch& b,
-                    std::size_t i, const mafm::VectorPair& vp) {
-  return judge(NdCell(s.nd), SdCell(s.sd), b.wire(i),
-               util::to_logic(vp.v1[i]), util::to_logic(vp.v2[i]),
-               b.slot(i));
+/// Judge wire i of `b` (a batch of `bus`) under `s` through its slot.
+Verdicts judge_wire(const CoupledBus& bus, const DetectorSettings& s,
+                    const TransitionBatch& b, std::size_t i) {
+  return bus.judge(NdCell(s.nd), SdCell(s.sd), b.entry(i));
 }
 
 bool slot_holds(const VerdictSlot* slot, const DetectorSettings& s) {
@@ -237,7 +261,7 @@ TEST(BusStore, SettledLogicMatchesDirectSolver) {
     }
     const TransitionBatch b = bus.transition_batch(prev, next);
     for (std::size_t i = 0; i < p.n_wires; ++i) {
-      EXPECT_EQ(bus.settled_logic(b.wire(i)),
+      EXPECT_EQ(bus.settled_logic(b.entry(i).final_sample),
                 bus.settled_logic(direct_solve(ref, i, prev, next)));
     }
   }
@@ -245,9 +269,10 @@ TEST(BusStore, SettledLogicMatchesDirectSolver) {
 
 TEST(BusStore, EveryMutatorKeepsTheStoreAndServesTheNewState) {
   // An entry is keyed by its electrical inputs, so no mutator drops
-  // anything: entries, their verdict slots and the decay columns all
-  // stay, and every MA and random transition after each mutation equals
-  // a fresh bus carrying the same defects, in samples and in verdicts.
+  // anything: entries, their verdict slots and the decay columns (kept
+  // by on-demand renders) all stay, and every MA and random transition
+  // after each mutation equals a fresh bus carrying the same defects, in
+  // entries and in verdicts.
   const auto mutators = std::vector<void (*)(CoupledBus&)>{
       [](CoupledBus& b) { b.scale_coupling(0, 2.0); },
       [](CoupledBus& b) { b.add_series_resistance(1, 100.0); },
@@ -265,11 +290,13 @@ TEST(BusStore, EveryMutatorKeepsTheStoreAndServesTheNewState) {
     std::size_t applied = 0;
     for (const auto mutate : mutators) {
       SCOPED_TRACE(applied);
-      // Fill the store and its slots under the current defects.
+      // Fill the store and its slots under the current defects, and
+      // the decay columns through one on-demand render.
+      bus.transition(traffic[0].v1, traffic[0].v2);
       for (const mafm::VectorPair& vp : traffic) {
         const TransitionBatch b = bus.transition_batch(vp.v1, vp.v2);
         for (std::size_t i = 0; i < p.n_wires; ++i) {
-          judge_wire(grid[0], b, i, vp);
+          judge_wire(bus, grid[0], b, i);
         }
       }
       const std::size_t entries = bus.cache_entries();
@@ -287,12 +314,14 @@ TEST(BusStore, EveryMutatorKeepsTheStoreAndServesTheNewState) {
         const TransitionBatch got = bus.transition_batch(vp.v1, vp.v2);
         const TransitionBatch want = fresh.transition_batch(vp.v1, vp.v2);
         for (std::size_t i = 0; i < p.n_wires; ++i) {
-          ASSERT_TRUE(same_bits(got.wire(i), want.wire(i))) << "wire " << i;
+          ASSERT_TRUE(same_entry(got.entry(i), want.entry(i)))
+              << "wire " << i;
+          const Waveform w = direct_solve(fresh.model(), i, vp.v1, vp.v2);
+          ASSERT_TRUE(same_final(got.entry(i), w)) << "wire " << i;
           for (const DetectorSettings& s : {grid[0], grid[4]}) {
-            const Verdicts v = judge_wire(s, got, i, vp);
-            ASSERT_EQ(v, judge_wire(s, want, i, vp)) << "wire " << i;
-            ASSERT_EQ(v, fresh_verdicts(s, want.wire(i),
-                                        util::to_logic(vp.v1[i]),
+            const Verdicts v = judge_wire(bus, s, got, i);
+            ASSERT_EQ(v, judge_wire(fresh, s, want, i)) << "wire " << i;
+            ASSERT_EQ(v, fresh_verdicts(s, w, util::to_logic(vp.v1[i]),
                                         util::to_logic(vp.v2[i])))
                 << "wire " << i;
           }
@@ -468,7 +497,7 @@ TEST(BusStore, CloneCarriesStoreAndCounters) {
   EXPECT_EQ(warm.cache_hits(), bus.cache_hits() + 6);
   EXPECT_EQ(warm.cache_misses(), bus.cache_misses());
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_TRUE(same_bits(got.wire(i), want[i])) << "wire " << i;
+    EXPECT_TRUE(same_final(got.entry(i), want[i])) << "wire " << i;
   }
 
   // Clones are independent: flushing or mutating one leaves the other
@@ -520,7 +549,10 @@ TEST(BusStore, WideBusesAreServedByTheStore) {
     for (const mafm::VectorPair& vp : ma_pairs(n)) {
       const TransitionBatch b = bus.transition_batch(vp.v1, vp.v2);
       for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(same_bits(b.wire(i), direct_solve(ref, i, vp.v1, vp.v2)))
+        ASSERT_TRUE(has_recipe(b.entry(i), ref, i, vp.v1, vp.v2))
+            << "wire " << i;
+        ASSERT_TRUE(
+            same_final(b.entry(i), direct_solve(ref, i, vp.v1, vp.v2)))
             << "wire " << i;
       }
     }
@@ -531,8 +563,9 @@ TEST(BusStore, WideBusesAreServedByTheStore) {
 
 TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
   // Long waveforms shrink the slot cap below the distinct recipes of one
-  // transition. Waveforms and the decay columns their renders read share
-  // the slots; the overflow wires are rendered into scratch, not stored.
+  // transition. The batch renders nothing, so its entries alone fill the
+  // slots; the wires past the cap get entries with no slot, judged from
+  // their recipes every time, and are not stored.
   const BusParams p = params_n(20, std::size_t{1} << 19);
   CoupledBus bus(p);
   BusModel ref(p);
@@ -543,7 +576,7 @@ TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
 
   // A resistive defect of its own size on every wire gives every wire its
   // own recipe. Even wires rise and each odd wire stays quiet between two
-  // of them, so the stored and the overflow side each see switching
+  // of them, so the stored and the unstored side each see switching
   // wires and glitches.
   for (std::size_t w = 0; w < p.n_wires; ++w) {
     const double ohms = 50.0 * static_cast<double>(w + 1);
@@ -562,48 +595,46 @@ TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
     const TransitionBatch b = bus.transition_batch(prev, next);
     // Every slot is taken, so one more entry would not fit.
     stored = bus.cache_entries();
-    ASSERT_GT(bus.decay_columns().size(), 0u);
-    EXPECT_EQ(stored + bus.decay_columns().size(), cap);
+    EXPECT_EQ(bus.decay_columns().size(), 0u) << "a batch renders nothing";
+    EXPECT_EQ(stored, cap);
     for (std::size_t i = 0; i < p.n_wires; ++i) {
       const Waveform want = direct_solve(ref, i, prev, next);
-      ASSERT_TRUE(same_bits(b.wire(i), want)) << "wire " << i;
-      // Only stored wires carry a verdict slot; an overflow wire is
-      // judged by a full scan every time.
+      ASSERT_TRUE(has_recipe(b.entry(i), ref, i, prev, next)) << "wire " << i;
+      ASSERT_TRUE(same_final(b.entry(i), want)) << "wire " << i;
+      // Only stored wires carry a verdict slot; an unstored wire is
+      // judged afresh every time.
       EXPECT_EQ(b.slot(i) != nullptr, i < stored) << "wire " << i;
       const util::Logic init = util::to_logic(prev[i]);
       const util::Logic exp = util::to_logic(next[i]);
-      EXPECT_EQ(judge(nd, sd, b.wire(i), init, exp, b.slot(i)),
+      EXPECT_EQ(bus.judge(nd, sd, b.entry(i)),
                 (Verdicts{nd.violates(want, init, exp),
                           sd.violates(want, init, exp)}))
           << "wire " << i;
     }
   }
-  // 64 MiB holds 15 slots of 2^19 samples. Each rising wire keeps its
-  // waveform and its tau column, each quiet odd wire its waveform, its
-  // tau_v column and the column of the rising wire to its right. Wires
-  // 0-6 fill 14 slots, wire 7's waveform the 15th (its columns go to
-  // scratch), and wires 8-19 overflow.
+  // 64 MiB holds 15 slots of 2^19 samples: wires 0-14 take them, and
+  // wires 15-19 stay unstored.
   ASSERT_EQ(cap, 15u);
-  EXPECT_EQ(stored, 8u);
-  EXPECT_EQ(bus.decay_columns().size(), 7u);
   // Round 1 stored the first `stored` wires; round 2 hits exactly those.
   EXPECT_EQ(bus.cache_hits(), stored);
   EXPECT_EQ(bus.cache_misses(), 2 * p.n_wires - stored);
 
   // The owning entry point renders an unstored wire straight into its
-  // result.
+  // result, keeping no decay column (the slots are full).
   const std::size_t last = p.n_wires - 1;
   EXPECT_TRUE(same_bits(bus.wire_response(last, prev, next),
                         direct_solve(ref, last, prev, next)));
   EXPECT_EQ(bus.cache_entries(), stored);
+  EXPECT_EQ(bus.decay_columns().size(), 0u);
 }
 
 TEST(BusStore, TimeConstantsPastTheBudgetStayExact) {
   // A crosstalk defect of its own severity on every wire gives every
-  // wire its own time constants, so one transition asks for more decay
-  // columns than the budget has slots. Columns that do not fit are
-  // computed into scratch and not kept (a quiet wire's glitch reads two
-  // at once) and the store stays within its slots.
+  // wire its own time constants, so one transition's on-demand renders
+  // ask for more decay columns than the budget has slots. Columns that
+  // do not fit are computed into scratch and not kept (a quiet wire's
+  // glitch reads two at once), and entries plus kept columns fill the
+  // slots exactly.
   const BusParams p = params_n(20, std::size_t{1} << 19);
   CoupledBus bus(p);
   BusModel ref(p);
@@ -622,11 +653,19 @@ TEST(BusStore, TimeConstantsPastTheBudgetStayExact) {
 
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(round);
-    const TransitionBatch b = bus.transition_batch(prev, next);
+    const std::vector<Waveform> all = bus.transition(prev, next);
     EXPECT_EQ(bus.cache_entries() + bus.decay_columns().size(), cap);
+    // Each rising wire keeps its entry and its tau column, each quiet
+    // odd wire its entry, its tau_v column and the column of the rising
+    // wire to its right: wires 0-6 fill 14 slots, wire 7's entry the
+    // 15th (its columns go to scratch).
+    EXPECT_EQ(bus.cache_entries(), 8u);
+    EXPECT_EQ(bus.decay_columns().size(), 7u);
+    const TransitionBatch b = bus.transition_batch(prev, next);
     for (std::size_t i = 0; i < p.n_wires; ++i) {
-      ASSERT_TRUE(same_bits(b.wire(i), direct_solve(ref, i, prev, next)))
-          << "wire " << i;
+      const Waveform want = direct_solve(ref, i, prev, next);
+      ASSERT_TRUE(same_bits(all[i], want)) << "wire " << i;
+      ASSERT_TRUE(same_final(b.entry(i), want)) << "wire " << i;
     }
   }
 }
@@ -659,7 +698,8 @@ TEST(BusStore, BatchPointersSurviveLaterMissesOfTheSameTransition) {
   EXPECT_EQ(bus.cache_hits(), 4u);
   EXPECT_EQ(bus.cache_misses(), n);
   for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(same_bits(b.wire(i), direct_solve(ref, i, prev, next)))
+    ASSERT_TRUE(has_recipe(b.entry(i), ref, i, prev, next)) << "wire " << i;
+    ASSERT_TRUE(same_final(b.entry(i), direct_solve(ref, i, prev, next)))
         << "wire " << i;
   }
 }
@@ -725,16 +765,18 @@ TEST(BusStore, StoreEqualsDirectRendersAcrossWidthsModelsAndDefects) {
 
 // ---- the window table -------------------------------------------------------
 
-/// Every wire of batch `b` (for vp.v1 -> vp.v2) equals the direct render
-/// on `ref`, and two wires share a verdict slot exactly when their
-/// recipes are bit-equal.
+/// Every wire of batch `b` (for vp.v1 -> vp.v2) carries its recipe on
+/// `ref` and the direct render's final sample, and two wires share a
+/// verdict slot exactly when their recipes are bit-equal.
 void expect_batch_exact(const TransitionBatch& b, const BusModel& ref,
                         const mafm::VectorPair& vp) {
   const InterconnectModel& model = model_for(ref.params().model);
   std::map<RecipeBits, const VerdictSlot*> slot_of;
   std::map<const VerdictSlot*, RecipeBits> recipe_of;
   for (std::size_t i = 0; i < b.n_wires; ++i) {
-    ASSERT_TRUE(same_bits(b.wire(i), direct_solve(ref, i, vp.v1, vp.v2)))
+    ASSERT_TRUE(has_recipe(b.entry(i), ref, i, vp.v1, vp.v2))
+        << "batch wire " << i;
+    ASSERT_TRUE(same_final(b.entry(i), direct_solve(ref, i, vp.v1, vp.v2)))
         << "batch wire " << i;
     ASSERT_NE(b.slot(i), nullptr) << "wire " << i;
     const RecipeBits r = recipe_bits(model.recipe(ref, i, vp.v1, vp.v2));
@@ -808,8 +850,7 @@ TEST(BusStore, WindowTableFollowsEveryStateChange) {
     for (const mafm::VectorPair& vp : traffic) {
       const TransitionBatch b = copy.transition_batch(vp.v1, vp.v2);
       for (std::size_t i = 0; i < n; ++i) {
-        judge(nd, sd, b.wire(i), util::to_logic(vp.v1[i]),
-              util::to_logic(vp.v2[i]), b.slot(i));
+        copy.judge(nd, sd, b.entry(i));
       }
       const TransitionBatch src = bus.transition_batch(vp.v1, vp.v2);
       for (std::size_t i = 0; i < n; ++i) {
@@ -986,8 +1027,10 @@ TEST(BusStore, WiresThatDifferInOneInputGetEntriesOfTheirOwn) {
     ASSERT_FALSE(same_bits(wa, wb)) << "the field must matter";
 
     const TransitionBatch batch = bus.transition_batch(prev, next);
-    EXPECT_TRUE(same_bits(batch.wire(c.a), wa));
-    EXPECT_TRUE(same_bits(batch.wire(c.b), wb));
+    EXPECT_TRUE(SameRecipe{}(*batch.entry(c.a).recipe, ra));
+    EXPECT_TRUE(SameRecipe{}(*batch.entry(c.b).recipe, rb));
+    EXPECT_TRUE(same_final(batch.entry(c.a), wa));
+    EXPECT_TRUE(same_final(batch.entry(c.b), wb));
     EXPECT_NE(batch.slot(c.a), batch.slot(c.b));
   }
 }
@@ -1097,7 +1140,7 @@ TEST(BusStore, SlotVerdictsEqualFreshScansOfDirectSolves) {
               ASSERT_TRUE(hit) << "pair " << k << " wire " << i;
             }
             served += hit ? 1 : 0;
-            const Verdicts got = judge_wire(grid[g], b, i, traffic[k]);
+            const Verdicts got = judge_wire(bus, grid[g], b, i);
             ASSERT_EQ(got, want[(k * c.n + i) * grid.size() + g])
                 << "setting " << g << " pass " << pass << " pair " << k
                 << " wire " << i;
@@ -1158,7 +1201,7 @@ TEST(BusStore, VerdictSlotsLiveAndDieWithTheirEntries) {
       const bool want_served = it != judged.end() && it->second == &s;
       ASSERT_EQ(slot_holds(tb.slot(i), s), want_served) << "wire " << i;
       (want_served ? served : rejudged) += 1;
-      ASSERT_EQ(judge_wire(s, tb, i, vp), fresh(s, i)) << "wire " << i;
+      ASSERT_EQ(judge_wire(on, s, tb, i), fresh(s, i)) << "wire " << i;
       ASSERT_TRUE(slot_holds(tb.slot(i), s)) << "wire " << i;
       judged[key] = &s;
     }

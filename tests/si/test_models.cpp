@@ -1,8 +1,8 @@
 // The interconnect-model seam (si/model.hpp): registry round-trips, the
 // per-model store==direct-render bit-for-bit differential contract (the
 // same pin kernel_ratio_guard asserts, here across widths, stacked
-// defects and clones), `render(recipe(...))` against the per-sample
-// closed forms it evaluates through decay columns, low_swing electricals
+// defects and clones), `render(recipe(...))` and WireProbe's samples
+// against the per-sample closed forms they evaluate, low_swing electricals
 // and parameter validation, the model-aware require_width diagnostic, and
 // si::same_params — the predicate gating prototype clones in campaigns
 // and sweeps.
@@ -45,9 +45,10 @@ std::vector<mafm::VectorPair> ma_pairs(std::size_t n) {
 }
 
 /// The differential pin: every sample of every wire of every MA
-/// transition served by `batched` must equal the model's recipe rendered
-/// directly (through a fresh decay-column table) on an electrically
-/// identical `BusModel`, bit-for-bit.
+/// transition `batched` renders on demand, and each batch entry's final
+/// sample, must equal the model's recipe rendered directly (through a
+/// fresh decay-column table) on an electrically identical `BusModel`,
+/// bit-for-bit.
 void expect_batched_equals_scalar(CoupledBus& batched, const BusModel& scalar,
                                   const std::string& tag) {
   const std::size_t n = batched.n();
@@ -55,13 +56,16 @@ void expect_batched_equals_scalar(CoupledBus& batched, const BusModel& scalar,
   const InterconnectModel& solver = model_for(scalar.params().model);
   Waveform ref(samples, scalar.params().sample_dt);
   for (const mafm::VectorPair& vp : ma_pairs(n)) {
+    const std::vector<Waveform> rendered = batched.transition(vp.v1, vp.v2);
     const TransitionBatch b = batched.transition_batch(vp.v1, vp.v2);
     for (std::size_t i = 0; i < n; ++i) {
       DecayColumns columns(scalar.params());
       render(solver.recipe(scalar, i, vp.v1, vp.v2), columns, ref.data());
-      ASSERT_EQ(std::memcmp(b.wire(i).data(), ref.data(),
+      ASSERT_EQ(std::memcmp(rendered[i].data(), ref.data(),
                             samples * sizeof(double)),
                 0)
+          << tag << ": wire " << i;
+      ASSERT_EQ(b.entry(i).final_sample, ref.final_value())
           << tag << ": wire " << i;
     }
   }
@@ -200,7 +204,9 @@ TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
   // Here every sample of `render(recipe(...))` is pinned against the
   // closed forms through a cold table (fresh per call), one table warmed
   // by the transitions before it, and the table a clone carries into its
-  // own misses.
+  // own misses — and so is every sample a WireProbe reads from the
+  // recipe, which evaluates the same per-sample functions without a
+  // table.
   std::size_t equal_glitches[std::size(kAllModelKinds)] = {};
   for (const ModelKind kind : kAllModelKinds) {
     for (const double l_wire : {0.0, 20e-9}) {
@@ -247,7 +253,7 @@ TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
           traffic.push_back({a, b});
         }
         for (const mafm::VectorPair& vp : ma) {
-          source.transition_batch(vp.v1, vp.v2);
+          source.transition(vp.v1, vp.v2);
         }
         ASSERT_GT(source.decay_columns().size(), 0u);
         CoupledBus carried = source.clone();
@@ -260,7 +266,8 @@ TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
         };
         for (std::size_t k = 0; k < traffic.size(); ++k) {
           const mafm::VectorPair& vp = traffic[k];
-          const TransitionBatch b = carried.transition_batch(vp.v1, vp.v2);
+          const std::vector<Waveform> served =
+              carried.transition(vp.v1, vp.v2);
           for (std::size_t i = 0; i < n; ++i) {
             const std::vector<double> want =
                 closed_form(m, i, vp.v1, vp.v2,
@@ -273,8 +280,14 @@ TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
             render(r, warm, got.data());
             ASSERT_TRUE(same(got.data(), want)) << "warm, pair " << k
                                                 << " wire " << i;
-            ASSERT_TRUE(same(b.wire(i).data(), want)) << "clone, pair " << k
-                                                      << " wire " << i;
+            ASSERT_TRUE(same(served[i].data(), want)) << "clone, pair " << k
+                                                        << " wire " << i;
+            const WireProbe probe = carried.probe(r);
+            for (std::size_t s = 0; s < p.samples; ++s) {
+              got[s] = probe.sample(s);
+            }
+            ASSERT_TRUE(same(got.data(), want)) << "probe, pair " << k
+                                                << " wire " << i;
           }
         }
       }
@@ -299,12 +312,9 @@ TEST(LowSwingModel, RailsThresholdsAndSwing) {
   // A quiet-high wire sits at the reduced rail, not at vdd.
   CoupledBus bus(p);
   const mafm::VectorPair vp = mafm::vectors_for(mafm::MaFault::Rs, 4, 1);
-  const TransitionBatch b = bus.transition_batch(vp.v1, vp.v2);
   double peak = 0.0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t s = 0; s < p.samples; ++s) {
-      peak = std::max(peak, b.wire(i)[s]);
-    }
+  for (const Waveform& w : bus.transition(vp.v1, vp.v2)) {
+    peak = std::max(peak, w.max_value());
   }
   EXPECT_LT(peak, 0.45 * 1.5) << "no wire may stray far above the reduced "
                                  "rail (coupling overshoot only)";
