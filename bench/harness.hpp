@@ -1,5 +1,5 @@
 // The timing harness the bench guards share (campaign_scaling,
-// kernel_ratio_guard, obs_overhead_guard, telemetry_overhead_guard):
+// obs_overhead_guard, telemetry_overhead_guard):
 // environment knobs, wall-clock timing, workloads sized by a wall-time
 // budget rather than a unit count, and the min-of-K retry schedule.
 //

@@ -15,8 +15,11 @@
 // fill an 80 ms telemetry-off run (at least the shipped 12), so the fixed
 // cost telemetry adds to every run (creating and replacing the heartbeat
 // file, starting the sampler) keeps its share of the run as units get
-// cheaper. That fixed cost is measured on its own, over a one-unit
-// campaign, and printed in microseconds, so the sizing hides nothing.
+// cheaper. A unit is priced on a probe campaign at the same 4 shards,
+// grown until it runs long enough to be steady and timed against the
+// one-unit campaign, alternately. The fixed cost is measured on its own,
+// over a one-unit campaign, and printed in microseconds, so the sizing
+// hides nothing.
 //
 // Knobs for hostile CI environments:
 //   JSI_TELEMETRY_BUDGET_PCT  overhead budget in percent (default 2)
@@ -39,7 +42,11 @@ namespace {
 
 /// Wall time a telemetry-off run of the sized campaign takes [s].
 constexpr double kRunBudgetS = 0.08;
-/// Wall time the first attempt alternates the two runs for [s].
+/// Least wall time of one run of the probe campaign a unit is priced on
+/// [s].
+constexpr double kProbeMinS = 0.02;
+/// Wall time each alternation of two runs takes at least [s]: the fixed
+/// cost's, the unit price's and the first attempt's.
 constexpr double kBudgetS = 0.8;
 
 jsi::scenario::ScenarioSpec make_workload(std::size_t units) {
@@ -107,18 +114,27 @@ int main() {
       kBudgetS, 20, [&] { return run_once(make_workload(1), off).s; },
       [&] { return run_once(make_workload(1), on).s; });
 
-  // Size the campaign: the shipped 12 units against the one-unit run
-  // price a unit, and the guard runs as many as fill the run budget.
-  constexpr std::size_t kProbeUnits = 12;
-  const jsi::scenario::ScenarioSpec probe = make_workload(kProbeUnits);
-  double probe_s = run_once(probe, off).s;
-  for (int k = 0; k < 2; ++k) probe_s = std::min(probe_s, run_once(probe, off).s);
+  // Size the campaign. The probe campaign grows from the shipped 12
+  // units, doubling, until one run takes kProbeMinS: a shorter probe at
+  // 4 shards is mostly thread start-up, which would price each unit too
+  // high. The probe then alternates with the one-unit campaign, so both
+  // least times come from the same spell of the box; their difference
+  // prices a unit, and the guard runs as many as fill the run budget.
+  constexpr std::size_t kMinUnits = 12;
+  std::size_t probe_units = kMinUnits;
+  while (run_once(make_workload(probe_units), off).s < kProbeMinS) {
+    probe_units *= 2;
+  }
+  const jsi::scenario::ScenarioSpec probe = make_workload(probe_units);
+  const jsi::bench::MinPair priced = jsi::bench::interleaved_min(
+      kBudgetS, 3, [&] { return run_once(make_workload(1), off).s; },
+      [&] { return run_once(probe, off).s; });
   const std::size_t units = jsi::bench::units_for_budget(
-      kRunBudgetS - fixed.a_s, (probe_s - fixed.a_s) / (kProbeUnits - 1),
-      kProbeUnits);
+      kRunBudgetS - priced.a_s,
+      (priced.b_s - priced.a_s) / (probe_units - 1), kMinUnits);
   const jsi::scenario::ScenarioSpec spec = make_workload(units);
-  std::cout << "campaign: " << units << " units (" << kProbeUnits
-            << " took " << probe_s * 1e3 << " ms); fixed per-run telemetry "
+  std::cout << "campaign: " << units << " units (" << probe_units
+            << " took " << priced.b_s * 1e3 << " ms); fixed per-run telemetry "
             << "cost " << (fixed.b_s - fixed.a_s) * 1e6 << " us (one unit: "
             << "off " << fixed.a_s * 1e6 << " us, on " << fixed.b_s * 1e6
             << " us)\n";

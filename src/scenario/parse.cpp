@@ -6,7 +6,6 @@
 #include <initializer_list>
 #include <sstream>
 
-#include "si/bus.hpp"
 #include "si/model.hpp"
 #include "util/json.hpp"
 
@@ -30,6 +29,10 @@ constexpr std::uint64_t kMaxShards = 256;  ///< one std::thread per shard
 /// worker. Without keep_events no ring is kept; the cap holds anyway, so
 /// whether a spec parses never depends on another field.
 constexpr std::size_t kMaxTraceCapacity = std::size_t{1} << 20;
+/// bus width x samples x 8 B: the samples of one transition's rendered
+/// waveforms (`transition()`, VCD dumps), and so also of the one wire a
+/// bus renders into its scratch when no probe decides it.
+constexpr std::size_t kMaxTransitionBytes = std::size_t{64} << 20;
 
 [[noreturn]] void fail(const std::string& path, const std::string& reason) {
   throw SpecError(path, reason);
@@ -257,17 +260,14 @@ TopologySpec parse_topology(const json::Value& v) {
   if (const json::Value* x = v.find("bus")) {
     t.bus = parse_bus(*x, sub(path, "bus"));
   }
-  // One transition's waveforms (every wire of a bus) must fit the
-  // waveform store's budget. Divided, not multiplied: samples can be
-  // up to 2^53.
+  // Divided, not multiplied: samples can be up to 2^53.
   const std::size_t width =
       t.kind == TopologyKind::Soc ? t.n_wires : t.wires_per_bus;
-  if (t.bus.samples >
-      si::CoupledBus::kStoreBudgetBytes / (width * sizeof(double))) {
+  if (t.bus.samples > kMaxTransitionBytes / (width * sizeof(double))) {
     fail(sub(path, "bus.samples"),
          "bus width x samples x 8 B exceeds the " +
-             std::to_string(si::CoupledBus::kStoreBudgetBytes) +
-             " B waveform store budget");
+             std::to_string(kMaxTransitionBytes) +
+             " B bound on one transition's waveforms");
   }
   return t;
 }

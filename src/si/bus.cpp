@@ -19,12 +19,7 @@ constexpr std::size_t kWindowCodes = std::size_t{1} << 10;
 }  // namespace
 
 CoupledBus::CoupledBus(BusParams p)
-    : model_(p),
-      solver_(&model_for(model_.params().model)),
-      store_capacity_(kStoreBudgetBytes /
-                      (model_.params().samples * sizeof(double) +
-                       sizeof(decltype(store_)::value_type))),
-      columns_(model_.params()) {}
+    : model_(p), solver_(&model_for(model_.params().model)) {}
 
 CoupledBus CoupledBus::clone() const {
   CoupledBus c = *this;
@@ -47,7 +42,6 @@ double CoupledBus::cache_hit_rate() const {
 
 void CoupledBus::clear_cache() {
   store_.clear();
-  columns_.clear();
   windows_.forget();
 }
 
@@ -55,7 +49,7 @@ void CoupledBus::warm_ma_pairs() {
   const std::size_t n = model_.n();
   for (const mafm::MaFault f : mafm::kAllFaults) {
     for (std::size_t victim = 0; victim < n; ++victim) {
-      // Past the budget a miss is not stored: stop.
+      // A full store takes no more entries: stop.
       if (store_full()) return;
       const mafm::VectorPair vp = mafm::vectors_for(f, n, victim);
       transition_batch(vp.v1, vp.v2);
@@ -70,19 +64,13 @@ void CoupledBus::require_vector_widths(const util::BitVec& prev,
   }
 }
 
-void CoupledBus::solve(const WireRecipe& r, double* out) const {
-  // A new column may take only a slot no entry holds.
-  columns_.set_limit(store_capacity_ - store_.size());
-  render(r, columns_, out);
-}
-
 double CoupledBus::final_sample(const WireRecipe& r) const {
   const double v = probe(r).final_sample();
   if (ProbeAudit* a = probe_audit()) {
-    const std::vector<double> want =
-        render_reference(r, params().samples, params().sample_dt);
+    const double want =
+        render(r, params().samples, params().sample_dt).final_value();
     audit_answer(*a, "final", std::bit_cast<std::uint64_t>(v) ==
-                                  std::bit_cast<std::uint64_t>(want.back()),
+                                  std::bit_cast<std::uint64_t>(want),
                  r);
   }
   return v;
@@ -114,20 +102,18 @@ void CoupledBus::finish_lookup(const Tally& t) const {
   sink_->on_event(e);
 }
 
-void CoupledBus::render_wire(std::size_t i, const util::BitVec& prev,
-                             const util::BitVec& next, double* out,
-                             Tally& t) const {
+Waveform CoupledBus::render_wire(std::size_t i, const util::BitVec& prev,
+                                 const util::BitVec& next, Tally& t) const {
   const WireRecipe r = solver_->recipe(model_, i, prev, next);
   find_or_fill(r, t);
-  solve(r, out);
+  return render(r, params().samples, params().sample_dt);
 }
 
 Waveform CoupledBus::wire_response(std::size_t i, const util::BitVec& prev,
                                    const util::BitVec& next) const {
   require_vector_widths(prev, next);
-  Waveform w(params().samples, params().sample_dt);
   Tally t;
-  render_wire(i, prev, next, w.data(), t);
+  Waveform w = render_wire(i, prev, next, t);
   finish_lookup(t);
   return w;
 }
@@ -139,9 +125,7 @@ std::vector<Waveform> CoupledBus::transition(const util::BitVec& prev,
   out.reserve(model_.n());
   Tally t;
   for (std::size_t i = 0; i < model_.n(); ++i) {
-    render_wire(
-        i, prev, next,
-        out.emplace_back(params().samples, params().sample_dt).data(), t);
+    out.push_back(render_wire(i, prev, next, t));
   }
   finish_lookup(t);
   return out;
@@ -222,9 +206,8 @@ WaveformView CoupledBus::render_fallback(const WireRecipe& r) const {
   if (ProbeAudit* a = probe_audit()) {
     a->fallbacks.fetch_add(1, std::memory_order_relaxed);
   }
-  scratch_.resize(params().samples);
-  solve(r, scratch_.data());
-  return WaveformView(scratch_.data(), params().samples, params().sample_dt);
+  scratch_ = render(r, params().samples, params().sample_dt);
+  return scratch_;
 }
 
 util::Logic CoupledBus::settled_logic(double final_sample) const {

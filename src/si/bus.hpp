@@ -9,7 +9,6 @@
 
 #include "obs/events.hpp"
 #include "si/bus_model.hpp"
-#include "si/decay_columns.hpp"
 #include "si/detectors.hpp"
 #include "si/probe.hpp"
 #include "si/recipe.hpp"
@@ -75,17 +74,17 @@ struct TransitionBatch {
 /// wire's recipe: an entry holds the recipe, its waveform's final sample
 /// and a verdict memo, and no samples. Every lookup entry point —
 /// `transition_batch()` (the hot path, which renders nothing),
-/// `wire_response()` and `transition()` (which render on demand, with the
-/// decay columns kept beside the store) — goes through that store.
+/// `wire_response()` and `transition()` (which render on demand) — goes
+/// through that store.
 class CoupledBus {
  public:
   explicit CoupledBus(BusParams p);
 
-  /// Deep copy for per-shard use: electrical state, injected defects, the
-  /// waveform store (entries with their verdict slots *and* the hit/miss
-  /// and fallback counters) and the decay columns are carried over, so a
-  /// clone of a warmed bus starts warm and keeps the verdicts already
-  /// judged — also through defects injected into the clone afterwards.
+  /// Deep copy for per-shard use: electrical state, injected defects and
+  /// the waveform store (entries with their verdict slots *and* the
+  /// hit/miss and fallback counters) are carried over, so a clone of a
+  /// warmed bus starts warm and keeps the verdicts already judged — also
+  /// through defects injected into the clone afterwards.
   /// The observability sink is deliberately NOT carried over — a clone
   /// lives on another worker thread, and sharing the source's sink would
   /// race; attach a thread-local sink with set_sink() after cloning. The
@@ -227,35 +226,24 @@ class CoupledBus {
   // clear_cache, which is what lets a batch point into the store while
   // later wires of the same transition miss. Each entry carries a
   // VerdictSlot that judge() fills, so a recipe is judged once per param
-  // set, not once per observation. Beside the entries sit the decay
-  // columns that on-demand renders (wire_response, transition, and the
-  // fallbacks) read, one per distinct time constant (see DecayColumns);
-  // they share the entries' lifetime. The store is bounded by
-  // kStoreBudgetBytes, entries and columns together: a miss that finds it
-  // full is not inserted, and a column that does not fit is computed into
-  // scratch and not kept. Hit/miss counters survive clear_cache (they
-  // meter the workload, not the store contents) and count wires only.
+  // set, not once per observation. The store holds at most
+  // kMaxStoreEntries entries: a miss that finds it full is not inserted.
+  // Hit/miss counters survive clear_cache (they meter the workload, not
+  // the store contents) and count wires only.
 
-  /// Byte budget of one bus's store, counted in slots of one waveform's
-  /// sample data plus an entry's bookkeeping and verdict slot; a decay
-  /// column (as many samples, less bookkeeping) takes one slot too. An
-  /// entry holds no samples, so its slot overstates it some eighty-fold;
-  /// what the budget does is bound the count of slots (about 4,000 at
-  /// 2,048 samples; store_capacity() has the exact count), which keeps a
-  /// bus that goes through many defect states bounded and is far above
-  /// any shipped working set — a `random_defects` die keeps 54 entries,
-  /// the n=64 Table 5 sessions 20. Outside the budget, and
-  /// bounded by the bus's shape, sit transition_batch's storage (n
-  /// entries, and n recipes for wires that miss a full store), one render
-  /// scratch of `samples` doubles, and the window table (an 8 KiB row
-  /// index from the first batch, plus a row of n entry pointers per
-  /// window code met: at most 8 KiB per wire, so 512 KiB at n=64 and
-  /// 8 MiB at the parser's 1,024-wire cap).
-  static constexpr std::size_t kStoreBudgetBytes = std::size_t{64} << 20;
-
-  /// Slots that fit the budget at this bus's sample count; entries plus
-  /// decay columns never exceed it.
-  std::size_t store_capacity() const { return store_capacity_; }
+  /// The most entries one bus's store holds. An entry is its recipe, its
+  /// final sample and its verdict slot (about 210 B, 230 B in its hash
+  /// node), so a full store takes about 16 MiB whatever the bus's sample
+  /// count. The bound keeps a bus that goes through many defect states
+  /// bounded and is far above any shipped working set — a
+  /// `random_defects` die keeps 54 entries, the n=64 Table 5 sessions 20.
+  /// Outside it, and bounded by the bus's shape, sit transition_batch's
+  /// storage (n entries, and n recipes for wires that miss a full store),
+  /// the last fallback's render scratch (`samples` doubles), and the
+  /// window table (an 8 KiB row index from the first batch, plus a row of
+  /// n entry pointers per window code met: at most 8 KiB per wire, so
+  /// 512 KiB at n=64 and 8 MiB at the parser's 1,024-wire cap).
+  static constexpr std::size_t kMaxStoreEntries = std::size_t{1} << 16;
 
   std::uint64_t cache_hits() const { return cache_hits_; }
   std::uint64_t cache_misses() const { return cache_misses_; }
@@ -271,13 +259,10 @@ class CoupledBus {
   /// Entries currently stored.
   std::size_t cache_entries() const { return store_.size(); }
 
-  /// The decay columns kept beside the store.
-  const DecayColumns& decay_columns() const { return columns_; }
-
-  /// Drop every store entry and decay column, and the window table
-  /// that points at them (counters are kept). Deliberately non-const:
-  /// flushing is a real state mutation, and per-shard clones must not be
-  /// able to reset each other through a const reference.
+  /// Drop every store entry, and the window table that points at them
+  /// (counters are kept). Deliberately non-const: flushing is a real
+  /// state mutation, and per-shard clones must not be able to reset each
+  /// other through a const reference.
   void clear_cache();
 
   /// Push the 6*n MA vector pairs of this bus through the store, so every
@@ -302,10 +287,7 @@ class CoupledBus {
   void require_vector_widths(const util::BitVec& prev,
                              const util::BitVec& next) const;
 
-  /// Every slot of the budget holds an entry or a decay column.
-  bool store_full() const {
-    return store_.size() + columns_.size() >= store_capacity_;
-  }
+  bool store_full() const { return store_.size() >= kMaxStoreEntries; }
 
   /// What the store keeps of one recipe (its key).
   struct Entry {
@@ -323,13 +305,10 @@ class CoupledBus {
   /// ProbeAudit is installed.
   double final_sample(const WireRecipe& r) const;
 
-  /// Render `r` into `out` (samples doubles) through the bus's columns.
-  void solve(const WireRecipe& r, double* out) const;
-
   /// Look up wire i's entry (counting it in `t`), then render its
-  /// waveform into `out` (samples doubles).
-  void render_wire(std::size_t i, const util::BitVec& prev,
-                   const util::BitVec& next, double* out, Tally& t) const;
+  /// waveform.
+  Waveform render_wire(std::size_t i, const util::BitVec& prev,
+                       const util::BitVec& next, Tally& t) const;
 
   /// Count the tally into the bus counters and emit its record.
   void finish_lookup(const Tally& t) const;
@@ -356,10 +335,8 @@ class CoupledBus {
 
   BusModel model_;
   const InterconnectModel* solver_;  // model_for(params().model)
-  std::size_t store_capacity_;
 
   mutable Store store_;
-  mutable DecayColumns columns_;
   mutable std::uint64_t cache_hits_ = 0;
   mutable std::uint64_t cache_misses_ = 0;
   mutable std::uint64_t probe_fallbacks_ = 0;
@@ -371,7 +348,7 @@ class CoupledBus {
   mutable std::vector<WireEntry> batch_;
   mutable std::vector<WireRecipe> unstored_;
   mutable WindowTable windows_;
-  mutable std::vector<double> scratch_;
+  mutable Waveform scratch_;
 
   obs::Sink* sink_ = nullptr;
 };

@@ -22,7 +22,7 @@ namespace jsi::si {
 /// Contract for implementations:
 ///  * `recipe()` is the model's whole say in a waveform: it gathers wire
 ///    i's electrical inputs for prev -> next into a `WireRecipe`, and the
-///    shared `render()` (solver_primitives.cpp) turns every recipe into
+///    shared `render()` (si/probe.hpp) turns every recipe into
 ///    samples. The bus's waveform store keys on the recipe's bits, so a
 ///    recipe must hold every input its waveform and verdicts depend on,
 ///    and zeros in the fields its wire kind does not read. Build it with
@@ -38,7 +38,7 @@ namespace jsi::si {
 /// interface in a new src/si/model_<name>.cpp, register it in
 /// `model_for()`/`kAllModelKinds`, and give it a scenario-facing `name()`
 /// — parsing, serialization, sweep variation validation, checkpoint
-/// fingerprinting, area accounting and the per-model bench guards all
+/// fingerprinting, area accounting and the per-model bench gauges all
 /// key off the registry.
 class InterconnectModel {
  public:

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "si/decay_columns.hpp"
-
 namespace jsi::si {
 
 namespace {
@@ -282,11 +280,10 @@ std::optional<bool> WireProbe::sd_decide(const SdParams& p) const {
 std::optional<bool> WireProbe::nd_violates(const NdParams& p) const {
   const std::optional<bool> v = nd_decide(p);
   if (ProbeAudit* a = probe_audit(); a != nullptr && v.has_value()) {
-    const std::vector<double> w = render_reference(*r_, samples_, tick_);
     audit_answer(*a, "nd",
-                 *v == NdCell(p).violates(
-                           WaveformView(w.data(), samples_, tick_),
-                           level(r_->prev_level), level(r_->next_level)),
+                 *v == NdCell(p).violates(render(*r_, samples_, tick_),
+                                          level(r_->prev_level),
+                                          level(r_->next_level)),
                  *r_);
   }
   return v;
@@ -295,11 +292,10 @@ std::optional<bool> WireProbe::nd_violates(const NdParams& p) const {
 std::optional<bool> WireProbe::sd_violates(const SdParams& p) const {
   const std::optional<bool> v = sd_decide(p);
   if (ProbeAudit* a = probe_audit(); a != nullptr && v.has_value()) {
-    const std::vector<double> w = render_reference(*r_, samples_, tick_);
     audit_answer(*a, "sd",
-                 *v == SdCell(p).violates(
-                           WaveformView(w.data(), samples_, tick_),
-                           level(r_->prev_level), level(r_->next_level)),
+                 *v == SdCell(p).violates(render(*r_, samples_, tick_),
+                                          level(r_->prev_level),
+                                          level(r_->next_level)),
                  *r_);
   }
   return v;
@@ -310,11 +306,8 @@ std::optional<std::optional<sim::Time>> WireProbe::last_crossing(
   if (!r_->switches() || !monotone_) return std::nullopt;
   const std::optional<sim::Time> t = monotone_crossing(level);
   if (ProbeAudit* a = probe_audit(); a != nullptr) {
-    const std::vector<double> w = render_reference(*r_, samples_, tick_);
-    audit_answer(
-        *a, "crossing",
-        t == WaveformView(w.data(), samples_, tick_).last_crossing(level),
-        *r_);
+    audit_answer(*a, "crossing",
+                 t == render(*r_, samples_, tick_).last_crossing(level), *r_);
   }
   return t;
 }
@@ -323,25 +316,21 @@ std::optional<bool> WireProbe::strays(double rail, double limit) const {
   const std::optional<bool> v = any_sample(
       [&](double x) { return x - rail >= limit || rail - x >= limit; });
   if (ProbeAudit* a = probe_audit(); a != nullptr && v.has_value()) {
-    const std::vector<double> w = render_reference(*r_, samples_, tick_);
-    const WaveformView view(w.data(), samples_, tick_);
-    audit_answer(*a, "strays",
-                 *v == (std::max(view.max_value() - rail,
-                                 rail - view.min_value()) >= limit),
-                 *r_);
+    const Waveform w = render(*r_, samples_, tick_);
+    audit_answer(
+        *a, "strays",
+        *v == (std::max(w.max_value() - rail, rail - w.min_value()) >= limit),
+        *r_);
   }
   return v;
 }
 
-std::vector<double> render_reference(const WireRecipe& r, std::size_t samples,
-                                     sim::Time sample_dt) {
-  BusParams p;
-  p.samples = samples;
-  p.sample_dt = sample_dt;
-  DecayColumns columns(p);
-  std::vector<double> out(samples);
-  render(r, columns, out.data());
-  return out;
+Waveform render(const WireRecipe& r, std::size_t samples,
+                sim::Time sample_dt) {
+  const WireProbe p(r, samples, sample_dt);
+  Waveform w(samples, sample_dt);
+  for (std::size_t s = 0; s < samples; ++s) w[s] = p.sample(s);
+  return w;
 }
 
 void install_probe_audit(ProbeAudit* audit) {

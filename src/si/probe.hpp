@@ -5,23 +5,24 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "si/detectors.hpp"
 #include "si/recipe.hpp"
 #include "si/solver_primitives.hpp"
+#include "si/waveform.hpp"
 #include "sim/time.hpp"
 
 namespace jsi::si {
 
 /// Reads one wire's waveform from its recipe without rendering it.
 ///
-/// `sample(s)` is sample s of `render(r)` bit for bit: both evaluate the
-/// same per-sample functions (solver_primitives.hpp), so a probe reads
-/// any sample for the cost of its few exponentials. The deciders answer
-/// the questions a full scan of the rendered waveform answers — the ND
-/// and SD verdicts (with the scan's own comparisons) and die_truth's
-/// excursion and 50% crossing — from the few samples that decide them:
+/// `sample(s)` evaluates sample s from the per-sample functions
+/// (solver_primitives.hpp), and `render(r)` is `sample(s)` at every s, so
+/// a probe reads any rendered sample, bit for bit, for the cost of its
+/// few exponentials. The deciders answer the questions a full scan of the
+/// rendered waveform answers — the ND and SD verdicts (with the scan's
+/// own comparisons) and die_truth's excursion and 50% crossing — from the
+/// few samples that decide them:
 ///
 ///  * A switching RC wire (`l_wire` 0) runs monotonically from v0 to vf,
 ///    so every extreme sits at an end, and each threshold crossing is
@@ -140,10 +141,11 @@ void install_probe_audit(ProbeAudit* audit);
 /// The installed audit, or nullptr.
 ProbeAudit* probe_audit();
 
-/// `r` rendered through a fresh decay-column table: the reference an
-/// audit compares against, which touches no bus's columns.
-std::vector<double> render_reference(const WireRecipe& r, std::size_t samples,
-                                     sim::Time sample_dt);
+/// The waveform of `r` on a grid of `samples` samples `sample_dt` apart:
+/// WireProbe(r, samples, sample_dt).sample(s) at every sample s. The one
+/// renderer every model's waveforms come from, and the reference an
+/// audit compares against.
+Waveform render(const WireRecipe& r, std::size_t samples, sim::Time sample_dt);
 
 /// Record one comparison of a proved answer with its reference.
 void audit_answer(ProbeAudit& audit, const char* what, bool agrees,

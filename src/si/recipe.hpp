@@ -7,8 +7,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "si/decay_columns.hpp"
-
 namespace jsi::si {
 
 /// One switching neighbour of a quiet wire, as its crosstalk glitch sees
@@ -22,9 +20,10 @@ struct RecipeAggressor {
 
 /// Every input of one wire's receiving-end waveform for one bus
 /// transition, beyond the bus's `samples` and `sample_dt`: `render()`
-/// reads nothing else, so equal recipes give equal samples, whichever
-/// wire, bus state or defect produced them. Fields a wire's kind does not
-/// read stay zero, so they never split equal waveforms across recipes.
+/// (si/probe.hpp) reads nothing else, so equal recipes give equal
+/// samples, whichever wire, bus state or defect produced them. Fields a
+/// wire's kind does not read stay zero, so they never split equal
+/// waveforms across recipes.
 ///
 ///  * Switching wire (`prev_level != next_level`): v0 -> vf with time
 ///    constant `tau`; with `l_wire > 0` also `r` and `c_tot`, the series
@@ -94,11 +93,6 @@ struct RecipeHash {
     return static_cast<std::size_t>(h);
   }
 };
-
-/// Fill `out[0 .. columns.samples())` with the waveform of `r`, reading
-/// every exp(-t/tau) through `columns`. The one solver every model's
-/// waveforms come from; defined with the other solver primitives.
-void render(const WireRecipe& r, DecayColumns& columns, double* out);
 
 }  // namespace jsi::si
 

@@ -1,8 +1,5 @@
 #include "si/solver_primitives.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace jsi::si::detail {
 
 JSI_NOINLINE double switching_tau(const BusModel& m, std::size_t i,
@@ -21,59 +18,6 @@ JSI_NOINLINE double switching_tau(const BusModel& m, std::size_t i,
   if (i + 1 < m.n()) c += couple[i] * factor(i + 1);
   return m.resistance_data()[i] * c;
 }
-
-JSI_NOINLINE void decay_column(std::size_t samples, sim::Time sample_dt,
-                               double tau, double* out) {
-  const double dt = step_seconds(sample_dt);
-  for (std::size_t s = 0; s < samples; ++s) out[s] = decay_at(dt, s, tau);
-}
-
-namespace {
-
-/// Switching wire: single-pole exponential from v0 toward vf (reading
-/// tau's decay column), or an underdamped series-RLC step response,
-/// evaluated per sample, when l_wire > 0 and zeta < 1.
-JSI_NOINLINE void fill_switching(const WireRecipe& w, DecayColumns& columns,
-                                 double* out) {
-  const std::size_t samples = columns.samples();
-  const double dt = step_seconds(columns.sample_dt());
-  if (w.l_wire > 0.0) {
-    // Series RLC step response; underdamped when R < 2*sqrt(L/C).
-    const Rlc m = rlc_of(w.r, w.c_tot, w.l_wire);
-    if (m.zeta < 1.0) {
-      for (std::size_t s = 0; s < samples; ++s) {
-        out[s] = rlc_step(w.v0, w.vf, m, dt * static_cast<double>(s));
-      }
-      return;
-    }
-    // Overdamped RLC degenerates to (slightly slower) RC below.
-  }
-  const double* e = columns.column(w.tau);
-  for (std::size_t s = 0; s < samples; ++s) {
-    out[s] = rc_step(w.v0, w.vf, e[s]);
-  }
-}
-
-/// Superpose one neighbor's crosstalk glitch onto a quiet wire.
-/// First-order victim node driven through Cc by an exponential aggressor
-/// (see Glitch); both exponentials are read from their decay columns.
-/// `rail` is the aggressor's full swing (vdd for rc_full_swing, the
-/// reduced swing for low_swing).
-JSI_NOINLINE void add_glitch(DecayColumns& columns, double* w, double rail,
-                             double cc, double ctot_v, double tau_v,
-                             double tau_a, int direction) {
-  const Glitch g = glitch_of(rail, cc, ctot_v, tau_v, tau_a, direction);
-  const double dt = step_seconds(columns.sample_dt());
-  const double* ev = columns.column(tau_v);
-  const double* ea = g.equal ? nullptr : columns.column(tau_a);
-  for (std::size_t s = 0; s < columns.samples(); ++s) {
-    const double t = dt * static_cast<double>(s);
-    w[s] = add_glitch_term(w[s], g,
-                           glitch_shape(g, t, ev[s], g.equal ? 0.0 : ea[s]));
-  }
-}
-
-}  // namespace
 
 WireRecipe wire_recipe(const BusModel& m, std::size_t i,
                        const util::BitVec& prev, const util::BitVec& next,
@@ -110,21 +54,3 @@ WireRecipe wire_recipe(const BusModel& m, std::size_t i,
 }
 
 }  // namespace jsi::si::detail
-
-namespace jsi::si {
-
-JSI_NOINLINE void render(const WireRecipe& r, DecayColumns& columns,
-                         double* out) {
-  if (r.switches()) {
-    detail::fill_switching(r, columns, out);
-    return;
-  }
-  std::fill_n(out, columns.samples(), r.v0);
-  for (const RecipeAggressor& a : r.aggressors) {
-    if (a.direction == 0) break;  // packed from the front
-    detail::add_glitch(columns, out, a.swing, a.cc, r.c_tot, r.tau, a.tau,
-                       static_cast<int>(a.direction));
-  }
-}
-
-}  // namespace jsi::si

@@ -42,19 +42,12 @@ JSI_NOINLINE double switching_tau(const BusModel& m, std::size_t i,
                                   const util::BitVec& prev,
                                   const util::BitVec& next);
 
-/// Decay column of `tau`: out[s] = decay_at(dt, s, tau) for s < samples
-/// — the exponential `render` reads through a DecayColumns table,
-/// computed here once per distinct tau.
-JSI_NOINLINE void decay_column(std::size_t samples, sim::Time sample_dt,
-                               double tau, double* out);
-
 // ---- per-sample math --------------------------------------------------------
 //
-// Every expression `render` evaluates per sample, one inline function
-// each. `render`'s loops and the verdict probes (si/probe.hpp) both call
-// these, so a probed sample is the rendered one bit for bit: a host
-// build that contracts a + b*c into an FMA does so in both, because both
-// compile the same expression.
+// Every expression a waveform's sample is made of, one inline function
+// each. WireProbe::sample (si/probe.hpp) evaluates a sample from these,
+// and `render` calls WireProbe::sample for every sample, so a probed
+// sample is the rendered one bit for bit.
 
 /// Seconds between two samples of a `sample_dt` grid.
 inline double step_seconds(sim::Time sample_dt) {

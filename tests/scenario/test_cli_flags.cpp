@@ -169,7 +169,8 @@ TEST(CliFlags, OversizedSamplesIsASpecErrorNotBadAlloc) {
   EXPECT_EQ(r.status, 2) << r.err;
   EXPECT_EQ(r.err, "jsi: " + spec.string() +
                        ": topology.bus.samples: bus width x samples x 8 B "
-                       "exceeds the 67108864 B waveform store budget\n");
+                       "exceeds the 67108864 B bound on one transition's "
+                       "waveforms\n");
 }
 
 TEST(CliFlags, ShardsPastTheCapAreASpecError) {

@@ -228,16 +228,17 @@ TEST(ScenarioParse, SizeCapsAreTypedDiagnostics) {
   expect_error(
       wrap(R"("topology":{"kind":"board","n_nets":4097},"sessions":[])"),
       "topology.n_nets: must be <= 4096");
-  // 8 wires x 2^20 samples x 8 B is exactly the 64 MiB store budget.
-  const std::string store_budget =
+  // 8 wires x 2^20 samples x 8 B is exactly the 64 MiB bound on one
+  // transition's waveforms.
+  const std::string transition_bound =
       "topology.bus.samples: bus width x samples x 8 B exceeds the "
-      "67108864 B waveform store budget";
+      "67108864 B bound on one transition's waveforms";
   expect_error(wrap(R"("topology":{"kind":"soc","n_wires":8,)"
                     R"("bus":{"samples":1048577}},"sessions":[])"),
-               store_budget);
+               transition_bound);
   expect_error(wrap(R"("topology":{"kind":"soc","n_wires":8,)"
                     R"("bus":{"samples":1e11}},"sessions":[])"),
-               store_budget);
+               transition_bound);
   EXPECT_NO_THROW(parse_scenario(
       wrap(R"("topology":{"kind":"soc","n_wires":8,)"
            R"("bus":{"samples":1048576}},"sessions":[{"kind":"bist"}])")));

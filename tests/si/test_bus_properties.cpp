@@ -167,15 +167,11 @@ TEST(BusProperties, NoSelfGlitchWithoutSwitchingNeighbors) {
 // misses part of a wire's recipe), and EXPECT_EQ on doubles is the
 // correct assertion strength.
 
-/// The reference side: wire i's recipe rendered directly through a fresh
-/// decay-column table, no store.
+/// The reference side: wire i's recipe rendered directly, no store.
 Waveform direct_solve(const BusModel& m, std::size_t i, const BitVec& prev,
                       const BitVec& next) {
-  Waveform w(m.params().samples, m.params().sample_dt);
-  DecayColumns columns(m.params());
-  render(model_for(m.params().model).recipe(m, i, prev, next), columns,
-         w.data());
-  return w;
+  return render(model_for(m.params().model).recipe(m, i, prev, next),
+                m.params().samples, m.params().sample_dt);
 }
 
 BitVec random_vec(util::Prng& rng, std::size_t n) {

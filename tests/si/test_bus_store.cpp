@@ -7,10 +7,10 @@
 // their own; the recipe key itself (every field compared by its bits,
 // and wires that differ in one input only kept apart), hit/miss metering
 // and its CacheLookup records, entries that survive every defect mutation,
-// clone warm-carry and independence, the MA warm-up, wide buses, the byte
-// budget (shared with the decay columns the on-demand renders keep),
-// batch pointer lifetimes, and transition_batch's window table (through
-// every state change, and in copies that outlive their source). The
+// clone warm-carry and independence, the MA warm-up, wide buses, the
+// entry bound (reached by real traffic, and independent of the sample
+// count), batch pointer lifetimes, and transition_batch's window table
+// (through every state change, and in copies that outlive their source). The
 // verdict slots riding on the entries are pinned the same way: every
 // judged ND/SD verdict, memoized or fresh, equals a full scan of a
 // directly rendered waveform, slots follow their entries' lifetime, and
@@ -63,15 +63,11 @@ std::vector<mafm::VectorPair> ma_pairs(std::size_t n) {
   return pairs;
 }
 
-/// The reference side: wire i's recipe rendered directly through a fresh
-/// decay-column table, no store.
+/// The reference side: wire i's recipe rendered directly, no store.
 Waveform direct_solve(const BusModel& m, std::size_t i,
                       const util::BitVec& prev, const util::BitVec& next) {
-  Waveform w(m.params().samples, m.params().sample_dt);
-  DecayColumns columns(m.params());
-  render(model_for(m.params().model).recipe(m, i, prev, next), columns,
-         w.data());
-  return w;
+  return render(model_for(m.params().model).recipe(m, i, prev, next),
+                m.params().samples, m.params().sample_dt);
 }
 
 bool same_bits(WaveformView a, WaveformView b) {
@@ -194,7 +190,6 @@ TEST(BusStore, EmptyOnConstruction) {
   EXPECT_EQ(bus.cache_misses(), 0u);
   EXPECT_EQ(bus.cache_entries(), 0u);
   EXPECT_DOUBLE_EQ(bus.cache_hit_rate(), 0.0);
-  EXPECT_GT(bus.store_capacity(), 0u);
 }
 
 TEST(BusStore, RepeatedTransitionHits) {
@@ -269,10 +264,9 @@ TEST(BusStore, SettledLogicMatchesDirectSolver) {
 
 TEST(BusStore, EveryMutatorKeepsTheStoreAndServesTheNewState) {
   // An entry is keyed by its electrical inputs, so no mutator drops
-  // anything: entries, their verdict slots and the decay columns (kept
-  // by on-demand renders) all stay, and every MA and random transition
-  // after each mutation equals a fresh bus carrying the same defects, in
-  // entries and in verdicts.
+  // anything: entries and their verdict slots all stay, and every MA and
+  // random transition after each mutation equals a fresh bus carrying the
+  // same defects, in entries and in verdicts.
   const auto mutators = std::vector<void (*)(CoupledBus&)>{
       [](CoupledBus& b) { b.scale_coupling(0, 2.0); },
       [](CoupledBus& b) { b.add_series_resistance(1, 100.0); },
@@ -290,9 +284,7 @@ TEST(BusStore, EveryMutatorKeepsTheStoreAndServesTheNewState) {
     std::size_t applied = 0;
     for (const auto mutate : mutators) {
       SCOPED_TRACE(applied);
-      // Fill the store and its slots under the current defects, and
-      // the decay columns through one on-demand render.
-      bus.transition(traffic[0].v1, traffic[0].v2);
+      // Fill the store and its slots under the current defects.
       for (const mafm::VectorPair& vp : traffic) {
         const TransitionBatch b = bus.transition_batch(vp.v1, vp.v2);
         for (std::size_t i = 0; i < p.n_wires; ++i) {
@@ -300,13 +292,10 @@ TEST(BusStore, EveryMutatorKeepsTheStoreAndServesTheNewState) {
         }
       }
       const std::size_t entries = bus.cache_entries();
-      const std::size_t columns = bus.decay_columns().size();
       ASSERT_GT(entries, 0u);
-      ASSERT_GT(columns, 0u);
       mutate(bus);
       ++applied;
       EXPECT_EQ(bus.cache_entries(), entries);
-      EXPECT_EQ(bus.decay_columns().size(), columns);
 
       CoupledBus fresh(p);
       for (std::size_t k = 0; k < applied; ++k) mutators[k](fresh);
@@ -406,7 +395,6 @@ TEST(BusStore, CountersSurviveMutationAndClearCache) {
   // clear_cache drops the entries and keeps the counters.
   bus.clear_cache();
   EXPECT_EQ(bus.cache_entries(), 0u);
-  EXPECT_EQ(bus.decay_columns().size(), 0u);
   EXPECT_EQ(bus.cache_hits(), 7u);
   EXPECT_EQ(bus.cache_misses(), 5u);
 
@@ -484,7 +472,6 @@ TEST(BusStore, CloneCarriesStoreAndCounters) {
 
   const CoupledBus copy = bus.clone();
   EXPECT_EQ(copy.cache_entries(), bus.cache_entries());
-  EXPECT_EQ(copy.decay_columns().size(), bus.decay_columns().size());
   EXPECT_EQ(copy.cache_hits(), bus.cache_hits());
   EXPECT_EQ(copy.cache_misses(), bus.cache_misses());
   EXPECT_EQ(copy.coupling(2), bus.coupling(2));
@@ -505,7 +492,6 @@ TEST(BusStore, CloneCarriesStoreAndCounters) {
   const std::uint64_t src_hits = bus.cache_hits();
   warm.clear_cache();
   EXPECT_EQ(warm.cache_entries(), 0u);
-  EXPECT_EQ(warm.decay_columns().size(), 0u);
   EXPECT_GT(bus.cache_entries(), 0u);
   warm.add_series_resistance(0, 50.0);
   warm.transition(prev, next);
@@ -543,7 +529,7 @@ TEST(BusStore, WideBusesAreServedByTheStore) {
     const std::uint64_t hits = bus.cache_hits();
     const std::uint64_t misses = bus.cache_misses();
     ASSERT_GT(bus.cache_entries(), 0u);
-    ASSERT_LT(bus.cache_entries(), bus.store_capacity());
+    ASSERT_LT(bus.cache_entries(), CoupledBus::kMaxStoreEntries);
 
     const BusModel ref(p);
     for (const mafm::VectorPair& vp : ma_pairs(n)) {
@@ -562,22 +548,79 @@ TEST(BusStore, WideBusesAreServedByTheStore) {
 }
 
 TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
-  // Long waveforms shrink the slot cap below the distinct recipes of one
-  // transition. The batch renders nothing, so its entries alone fill the
-  // slots; the wires past the cap get entries with no slot, judged from
-  // their recipes every time, and are not stored.
+  // Real traffic fills the store to kMaxStoreEntries, and the wires past
+  // it stay exact. Each round gives every wire a series resistance no
+  // other (round, wire) pair has, so each of a round's recipes is new:
+  // even wires rise and each odd wire stays quiet between two of them,
+  // so the stored and the unstored side each see switching wires and
+  // glitches. The cap falls inside the last round's transition.
+  const std::size_t n = 60;
+  const BusParams p = params_n(n, 16);
+  CoupledBus bus(p);
+  util::BitVec prev(n);
+  util::BitVec next(n);
+  for (std::size_t i = 0; i < n; i += 2) next.set(i, true);
+  const auto defects = [n](auto& b, std::size_t round) {
+    b.clear_defects();
+    for (std::size_t w = 0; w < n; ++w) {
+      b.add_series_resistance(w, 1.0 + static_cast<double>(round * n + w));
+    }
+  };
+  const std::size_t rounds = CoupledBus::kMaxStoreEntries / n;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    defects(bus, round);
+    bus.transition_batch(prev, next);
+  }
+  ASSERT_EQ(bus.cache_hits(), 0u) << "every (round, wire) has its own recipe";
+  ASSERT_EQ(bus.cache_entries(), rounds * n);
+
+  // The last round: the first wires take what is left of the bound, the
+  // rest get entries with no slot, judged from their recipes every time,
+  // and are not stored.
+  const std::size_t room = CoupledBus::kMaxStoreEntries - rounds * n;
+  ASSERT_GT(room, 0u);
+  ASSERT_LT(room, n);
+  defects(bus, rounds);
+  BusModel ref(p);
+  defects(ref, rounds);
+  const NdCell nd;
+  const SdCell sd;
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass);
+    const TransitionBatch b = bus.transition_batch(prev, next);
+    EXPECT_EQ(bus.cache_entries(), CoupledBus::kMaxStoreEntries);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Waveform want = direct_solve(ref, i, prev, next);
+      ASSERT_TRUE(has_recipe(b.entry(i), ref, i, prev, next)) << "wire " << i;
+      ASSERT_TRUE(same_final(b.entry(i), want)) << "wire " << i;
+      EXPECT_EQ(b.slot(i) != nullptr, i < room) << "wire " << i;
+      const util::Logic init = util::to_logic(prev[i]);
+      const util::Logic exp = util::to_logic(next[i]);
+      EXPECT_EQ(bus.judge(nd, sd, b.entry(i)),
+                (Verdicts{nd.violates(want, init, exp),
+                          sd.violates(want, init, exp)}))
+          << "wire " << i;
+    }
+  }
+  // The second pass hits exactly the stored wires, through the window
+  // table, and every unstored wire misses again.
+  EXPECT_EQ(bus.cache_hits(), room);
+  EXPECT_EQ(bus.cache_misses(), (rounds + 2) * n - room);
+
+  // The owning entry point renders an unstored wire straight into its
+  // result, and stores nothing.
+  EXPECT_TRUE(same_bits(bus.wire_response(n - 1, prev, next),
+                        direct_solve(ref, n - 1, prev, next)));
+  EXPECT_EQ(bus.cache_entries(), CoupledBus::kMaxStoreEntries);
+}
+
+TEST(BusStore, LongWaveformsStoreEveryRecipe) {
+  // The bound counts entries, and an entry holds no samples, so a bus
+  // of long waveforms stores as many recipes as any other: 20 wires of
+  // 2^19 samples, each with its own recipe, take 20 entries.
   const BusParams p = params_n(20, std::size_t{1} << 19);
   CoupledBus bus(p);
   BusModel ref(p);
-  const std::size_t cap = bus.store_capacity();
-  ASSERT_GT(cap, 0u);
-  ASSERT_LT(cap, p.n_wires);
-  EXPECT_LE(cap * p.samples * sizeof(double), CoupledBus::kStoreBudgetBytes);
-
-  // A resistive defect of its own size on every wire gives every wire its
-  // own recipe. Even wires rise and each odd wire stays quiet between two
-  // of them, so the stored and the unstored side each see switching
-  // wires and glitches.
   for (std::size_t w = 0; w < p.n_wires; ++w) {
     const double ohms = 50.0 * static_cast<double>(w + 1);
     bus.add_series_resistance(w, ohms);
@@ -589,85 +632,22 @@ TEST(BusStore, TrafficPastTheBudgetStaysExactAtTheCap) {
 
   const NdCell nd;
   const SdCell sd;
-  std::size_t stored = 0;
-  for (int round = 0; round < 2; ++round) {
-    SCOPED_TRACE(round);
-    const TransitionBatch b = bus.transition_batch(prev, next);
-    // Every slot is taken, so one more entry would not fit.
-    stored = bus.cache_entries();
-    EXPECT_EQ(bus.decay_columns().size(), 0u) << "a batch renders nothing";
-    EXPECT_EQ(stored, cap);
-    for (std::size_t i = 0; i < p.n_wires; ++i) {
-      const Waveform want = direct_solve(ref, i, prev, next);
-      ASSERT_TRUE(has_recipe(b.entry(i), ref, i, prev, next)) << "wire " << i;
-      ASSERT_TRUE(same_final(b.entry(i), want)) << "wire " << i;
-      // Only stored wires carry a verdict slot; an unstored wire is
-      // judged afresh every time.
-      EXPECT_EQ(b.slot(i) != nullptr, i < stored) << "wire " << i;
-      const util::Logic init = util::to_logic(prev[i]);
-      const util::Logic exp = util::to_logic(next[i]);
-      EXPECT_EQ(bus.judge(nd, sd, b.entry(i)),
-                (Verdicts{nd.violates(want, init, exp),
-                          sd.violates(want, init, exp)}))
-          << "wire " << i;
-    }
+  const TransitionBatch b = bus.transition_batch(prev, next);
+  EXPECT_EQ(bus.cache_entries(), p.n_wires);
+  for (std::size_t i = 0; i < p.n_wires; ++i) {
+    const Waveform want = direct_solve(ref, i, prev, next);
+    ASSERT_TRUE(same_final(b.entry(i), want)) << "wire " << i;
+    ASSERT_NE(b.slot(i), nullptr) << "wire " << i;
+    const util::Logic init = util::to_logic(prev[i]);
+    const util::Logic exp = util::to_logic(next[i]);
+    EXPECT_EQ(bus.judge(nd, sd, b.entry(i)),
+              (Verdicts{nd.violates(want, init, exp),
+                        sd.violates(want, init, exp)}))
+        << "wire " << i;
   }
-  // 64 MiB holds 15 slots of 2^19 samples: wires 0-14 take them, and
-  // wires 15-19 stay unstored.
-  ASSERT_EQ(cap, 15u);
-  // Round 1 stored the first `stored` wires; round 2 hits exactly those.
-  EXPECT_EQ(bus.cache_hits(), stored);
-  EXPECT_EQ(bus.cache_misses(), 2 * p.n_wires - stored);
-
-  // The owning entry point renders an unstored wire straight into its
-  // result, keeping no decay column (the slots are full).
-  const std::size_t last = p.n_wires - 1;
-  EXPECT_TRUE(same_bits(bus.wire_response(last, prev, next),
-                        direct_solve(ref, last, prev, next)));
-  EXPECT_EQ(bus.cache_entries(), stored);
-  EXPECT_EQ(bus.decay_columns().size(), 0u);
-}
-
-TEST(BusStore, TimeConstantsPastTheBudgetStayExact) {
-  // A crosstalk defect of its own severity on every wire gives every
-  // wire its own time constants, so one transition's on-demand renders
-  // ask for more decay columns than the budget has slots. Columns that
-  // do not fit are computed into scratch and not kept (a quiet wire's
-  // glitch reads two at once), and entries plus kept columns fill the
-  // slots exactly.
-  const BusParams p = params_n(20, std::size_t{1} << 19);
-  CoupledBus bus(p);
-  BusModel ref(p);
-  for (std::size_t w = 0; w < p.n_wires; ++w) {
-    const double severity = 1.5 + 0.25 * static_cast<double>(w);
-    bus.inject_crosstalk_defect(w, severity);
-    ref.inject_crosstalk_defect(w, severity);
-  }
-  const std::size_t cap = bus.store_capacity();
-  ASSERT_LT(cap, p.n_wires);
-
-  // Even wires rise; each odd wire stays quiet between two aggressors.
-  util::BitVec prev(p.n_wires);
-  util::BitVec next(p.n_wires);
-  for (std::size_t i = 0; i < p.n_wires; i += 2) next.set(i, true);
-
-  for (int round = 0; round < 2; ++round) {
-    SCOPED_TRACE(round);
-    const std::vector<Waveform> all = bus.transition(prev, next);
-    EXPECT_EQ(bus.cache_entries() + bus.decay_columns().size(), cap);
-    // Each rising wire keeps its entry and its tau column, each quiet
-    // odd wire its entry, its tau_v column and the column of the rising
-    // wire to its right: wires 0-6 fill 14 slots, wire 7's entry the
-    // 15th (its columns go to scratch).
-    EXPECT_EQ(bus.cache_entries(), 8u);
-    EXPECT_EQ(bus.decay_columns().size(), 7u);
-    const TransitionBatch b = bus.transition_batch(prev, next);
-    for (std::size_t i = 0; i < p.n_wires; ++i) {
-      const Waveform want = direct_solve(ref, i, prev, next);
-      ASSERT_TRUE(same_bits(all[i], want)) << "wire " << i;
-      ASSERT_TRUE(same_final(b.entry(i), want)) << "wire " << i;
-    }
-  }
+  bus.transition_batch(prev, next);
+  EXPECT_EQ(bus.cache_hits(), p.n_wires);
+  EXPECT_EQ(bus.cache_misses(), p.n_wires);
 }
 
 TEST(BusStore, BatchPointersSurviveLaterMissesOfTheSameTransition) {
@@ -1071,20 +1051,25 @@ TEST(BusStore, SlotVerdictsEqualFreshScansOfDirectSolves) {
     std::size_t n;
     ModelKind model;
     double l_wire;
+    bool defects;
   };
   std::vector<Case> cases;
   for (const std::size_t n : {2u, 3u, 8u, 16u, 64u}) {
-    cases.push_back({n, ModelKind::RcFullSwing, 0.0});
+    cases.push_back({n, ModelKind::RcFullSwing, 0.0, true});
     // 20 nH underdamps the nominal wires (see InductanceCausesOvershoot).
-    cases.push_back({n, ModelKind::RcFullSwing, 20e-9});
-    cases.push_back({n, ModelKind::LowSwing, 0.0});
+    cases.push_back({n, ModelKind::RcFullSwing, 20e-9, true});
+    cases.push_back({n, ModelKind::LowSwing, 0.0, true});
   }
+  // A clean 8-wire bus of each model, whose MA traffic shares recipes
+  // across victims, so the slots serve many wires per fill.
+  cases.push_back({8, ModelKind::RcFullSwing, 0.0, false});
+  cases.push_back({8, ModelKind::LowSwing, 0.0, false});
   std::size_t outcomes[2][2] = {};  // [nd|sd][verdict]
   bool rang = false;  // some rising wire of an inductive bus overshot
   for (const Case& c : cases) {
     SCOPED_TRACE(::testing::Message()
                  << "n=" << c.n << " " << model_kind_name(c.model)
-                 << " l_wire=" << c.l_wire);
+                 << " l_wire=" << c.l_wire << " defects=" << c.defects);
     BusParams p = params_n(c.n, 512);
     p.model = c.model;
     p.l_wire = c.l_wire;
@@ -1097,8 +1082,10 @@ TEST(BusStore, SlotVerdictsEqualFreshScansOfDirectSolves) {
       b.add_series_resistance(c.n / 2, 400.0);
       b.add_series_resistance(c.n - 1, 900.0);
     };
-    stack_defects(bus);
-    stack_defects(ref);
+    if (c.defects) {
+      stack_defects(bus);
+      stack_defects(ref);
+    }
 
     std::vector<mafm::VectorPair> traffic = ma_pairs(c.n);
     util::Prng rng(0x5107u + c.n);

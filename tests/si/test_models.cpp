@@ -1,11 +1,10 @@
 // The interconnect-model seam (si/model.hpp): registry round-trips, the
-// per-model store==direct-render bit-for-bit differential contract (the
-// same pin kernel_ratio_guard asserts, here across widths, stacked
-// defects and clones), `render(recipe(...))` and WireProbe's samples
-// against the per-sample closed forms they evaluate, low_swing electricals
-// and parameter validation, the model-aware require_width diagnostic, and
-// si::same_params — the predicate gating prototype clones in campaigns
-// and sweeps.
+// per-model store==direct-render bit-for-bit differential contract
+// (across widths, stacked defects and clones), `render(recipe(...))` (and
+// so WireProbe's samples) against the per-sample closed forms it evaluates,
+// low_swing electricals and parameter validation, the model-aware
+// require_width diagnostic, and si::same_params — the predicate gating
+// prototype clones in campaigns and sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,21 +45,19 @@ std::vector<mafm::VectorPair> ma_pairs(std::size_t n) {
 
 /// The differential pin: every sample of every wire of every MA
 /// transition `batched` renders on demand, and each batch entry's final
-/// sample, must equal the model's recipe rendered directly (through a
-/// fresh decay-column table) on an electrically identical `BusModel`,
-/// bit-for-bit.
+/// sample, must equal the model's recipe rendered directly on an
+/// electrically identical `BusModel`, bit-for-bit.
 void expect_batched_equals_scalar(CoupledBus& batched, const BusModel& scalar,
                                   const std::string& tag) {
   const std::size_t n = batched.n();
   const std::size_t samples = batched.params().samples;
   const InterconnectModel& solver = model_for(scalar.params().model);
-  Waveform ref(samples, scalar.params().sample_dt);
   for (const mafm::VectorPair& vp : ma_pairs(n)) {
     const std::vector<Waveform> rendered = batched.transition(vp.v1, vp.v2);
     const TransitionBatch b = batched.transition_batch(vp.v1, vp.v2);
     for (std::size_t i = 0; i < n; ++i) {
-      DecayColumns columns(scalar.params());
-      render(solver.recipe(scalar, i, vp.v1, vp.v2), columns, ref.data());
+      const Waveform ref = render(solver.recipe(scalar, i, vp.v1, vp.v2),
+                                  samples, scalar.params().sample_dt);
       ASSERT_EQ(std::memcmp(rendered[i].data(), ref.data(),
                             samples * sizeof(double)),
                 0)
@@ -130,7 +127,7 @@ TEST(ModelDifferential, StackedDefectsAndClone) {
 // ---- solver == per-sample closed forms --------------------------------------
 
 /// Wire i's waveform for prev -> next from the per-sample expressions,
-/// written out with std::exp on every sample and no decay-column table.
+/// written out with std::exp on every sample.
 /// Counts the glitches that took the equal-time-constant limit.
 std::vector<double> closed_form(const BusModel& m, std::size_t i,
                                 const util::BitVec& prev,
@@ -198,15 +195,13 @@ std::vector<double> closed_form(const BusModel& m, std::size_t i,
 }
 
 TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
-  // The store-vs-direct suites compare two column-backed renders of the
-  // same recipes, which a column keyed on a rounded tau, a recipe built
-  // from the wrong inputs or glitches added in another order would pass.
-  // Here every sample of `render(recipe(...))` is pinned against the
-  // closed forms through a cold table (fresh per call), one table warmed
-  // by the transitions before it, and the table a clone carries into its
-  // own misses — and so is every sample a WireProbe reads from the
-  // recipe, which evaluates the same per-sample functions without a
-  // table.
+  // The store-vs-direct suites compare two renders of the same recipes,
+  // which a recipe built from the wrong inputs or glitches added in
+  // another order would pass. Here every sample of `render(recipe(...))`
+  // is pinned against the closed forms, directly and through a clone of a
+  // warm bus that renders its own misses on demand. `render` reads every
+  // sample through WireProbe::sample, so this pins the probes' samples
+  // too.
   std::size_t equal_glitches[std::size(kAllModelKinds)] = {};
   for (const ModelKind kind : kAllModelKinds) {
     for (const double l_wire : {0.0, 20e-9}) {
@@ -229,10 +224,10 @@ TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
         stack_defects(m);
         stack_defects(source);
 
-        // The clone's table was warmed by the MA traffic; the lone
+        // The clone's store was warmed by the MA traffic; the lone
         // aggressors (every wire rising, then falling, alone — beside a
         // quiet interior wire that is the equal-tau limit) and random
-        // pairs then miss its store and are solved through it.
+        // pairs then miss it.
         const std::vector<mafm::VectorPair> ma = ma_pairs(n);
         std::vector<mafm::VectorPair> traffic = ma;
         for (std::size_t k = 0; k < n; ++k) {
@@ -255,12 +250,10 @@ TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
         for (const mafm::VectorPair& vp : ma) {
           source.transition(vp.v1, vp.v2);
         }
-        ASSERT_GT(source.decay_columns().size(), 0u);
+        ASSERT_GT(source.cache_entries(), 0u);
         CoupledBus carried = source.clone();
 
         const InterconnectModel& solver = model_for(kind);
-        DecayColumns warm(p);
-        std::vector<double> got(p.samples);
         const auto same = [](const double* a, const std::vector<double>& b) {
           return std::memcmp(a, b.data(), b.size() * sizeof(double)) == 0;
         };
@@ -273,21 +266,10 @@ TEST(ModelDifferential, SolveWireEqualsThePerSampleClosedForms) {
                 closed_form(m, i, vp.v1, vp.v2,
                             equal_glitches[static_cast<std::size_t>(kind)]);
             const WireRecipe r = solver.recipe(m, i, vp.v1, vp.v2);
-            DecayColumns cold(p);
-            render(r, cold, got.data());
-            ASSERT_TRUE(same(got.data(), want)) << "cold, pair " << k
-                                                << " wire " << i;
-            render(r, warm, got.data());
-            ASSERT_TRUE(same(got.data(), want)) << "warm, pair " << k
-                                                << " wire " << i;
+            ASSERT_TRUE(same(render(r, p.samples, p.sample_dt).data(), want))
+                << "direct, pair " << k << " wire " << i;
             ASSERT_TRUE(same(served[i].data(), want)) << "clone, pair " << k
                                                         << " wire " << i;
-            const WireProbe probe = carried.probe(r);
-            for (std::size_t s = 0; s < p.samples; ++s) {
-              got[s] = probe.sample(s);
-            }
-            ASSERT_TRUE(same(got.data(), want)) << "probe, pair " << k
-                                                << " wire " << i;
           }
         }
       }

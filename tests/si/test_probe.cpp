@@ -40,18 +40,6 @@ namespace {
 using util::BitVec;
 using util::Logic;
 
-/// `r` rendered directly through a fresh decay-column table.
-std::vector<double> rendered(const WireRecipe& r, std::size_t samples,
-                             sim::Time dt) {
-  BusParams p;
-  p.samples = samples;
-  p.sample_dt = dt;
-  DecayColumns columns(p);
-  std::vector<double> out(samples);
-  render(r, columns, out.data());
-  return out;
-}
-
 Logic level(std::uint64_t bit) { return util::to_logic(bit != 0); }
 
 /// One detector setting.
@@ -170,7 +158,7 @@ void expect_probes_match_scans(const CoupledBus& bus, const BusModel& ref,
                                Outcomes& seen) {
   const BusParams& p = bus.params();
   const InterconnectModel& model = model_for(p.model);
-  std::map<RecipeBits, std::vector<double>> renders;
+  std::map<RecipeBits, Waveform> renders;
   for (const Cells& c : grid) {
     const NdCell nd(c.nd);
     const SdCell sd(c.sd);
@@ -182,8 +170,8 @@ void expect_probes_match_scans(const CoupledBus& bus, const BusModel& ref,
         ASSERT_TRUE(SameRecipe{}(*e.recipe, model.recipe(ref, i, vp.v1, vp.v2)))
             << "pair " << k << " wire " << i;
         auto [it, fresh] = renders.try_emplace(recipe_bits(*e.recipe));
-        if (fresh) it->second = rendered(*e.recipe, p.samples, p.sample_dt);
-        const WaveformView want(it->second.data(), p.samples, p.sample_dt);
+        if (fresh) it->second = render(*e.recipe, p.samples, p.sample_dt);
+        const WaveformView want = it->second;
         ASSERT_EQ(std::bit_cast<std::uint64_t>(e.final_sample),
                   std::bit_cast<std::uint64_t>(want.final_value()))
             << "pair " << k << " wire " << i;
@@ -336,8 +324,7 @@ Cells random_cells(util::Prng& rng, double swing) {
 /// Every probe answer on `r` under `c` that is proved equals the scan;
 /// returns how many were proved.
 int expect_recipe_matches(const WireRecipe& r, const Cells& c) {
-  const std::vector<double> w = rendered(r, kSamples, kDt);
-  const WaveformView view(w.data(), kSamples, kDt);
+  const Waveform view = render(r, kSamples, kDt);
   const WireProbe probe(r, kSamples, kDt);
   const Logic initial = level(r.prev_level);
   const Logic expected = level(r.next_level);
@@ -395,7 +382,7 @@ TEST(ProbeDifferential, ThresholdsOnExactSampleValues) {
   for (int k = 0; k < 600; ++k) {
     const int kind = static_cast<int>(rng.next_below(4));
     const WireRecipe r = random_recipe(rng, kind);
-    const std::vector<double> w = rendered(r, kSamples, kDt);
+    const Waveform w = render(r, kSamples, kDt);
     const std::size_t s = 1 + rng.next_below(kSamples - 3);
     SCOPED_TRACE(::testing::Message() << "recipe " << k << " sample " << s);
     Cells c;
@@ -414,8 +401,8 @@ TEST(ProbeDifferential, ThresholdsOnExactSampleValues) {
     } else {
       // Arm at the largest inward deviation: a tie on the peak sample.
       double peak = 0.0;
-      for (const double x : w) {
-        peak = std::max(peak, r.next_level ? 1.0 - x : x);
+      for (std::size_t j = 0; j < w.samples(); ++j) {
+        peak = std::max(peak, r.next_level ? 1.0 - w[j] : w[j]);
       }
       c.nd.v_hthr_frac = peak;
       c.nd.v_hmin_frac = peak;
