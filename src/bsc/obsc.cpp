@@ -33,23 +33,8 @@ void Obsc::observe(si::WaveformView w, util::Logic initial,
 void Obsc::latch(si::Verdicts v, const jtag::CellCtl& c) {
   nd_.set_enable(c.ce);
   sd_.set_enable(c.ce);
-  const bool nd_was = nd_.flag();
-  const bool sd_was = sd_.flag();
   nd_.latch(v.nd);
   sd_.latch(v.sd);
-  if (sink_) {
-    if (!nd_was && nd_.flag()) fire("ND");
-    if (!sd_was && sd_.flag()) fire("SD");
-  }
-}
-
-void Obsc::fire(const char* which) {
-  obs::Event e;
-  e.kind = obs::EventKind::DetectorFired;
-  e.name = which;
-  e.a = wire_id_;
-  e.b = bus_id_;
-  sink_->on_event(e);
 }
 
 }  // namespace jsi::bsc

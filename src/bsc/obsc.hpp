@@ -1,10 +1,7 @@
 #ifndef JSI_BSC_OBSC_HPP
 #define JSI_BSC_OBSC_HPP
 
-#include <cstdint>
-
 #include "jtag/cell.hpp"
-#include "obs/events.hpp"
 #include "si/detectors.hpp"
 #include "si/waveform.hpp"
 
@@ -46,9 +43,9 @@ class Obsc : public jtag::BoundaryCell {
 
   /// Latch the verdicts of this cell's wire into the sticky sensor
   /// flags. Honors CE: with c.ce == false the flags are untouched ("the
-  /// captured data in their flip-flops remain unchanged"). Wires whose
-  /// waveforms share one store entry share their verdicts, so a device
-  /// judges such a run of wires once and latches it cell by cell.
+  /// captured data in their flip-flops remain unchanged"). The devices
+  /// latch whole runs of wires into a PlaneRegister instead; this is the
+  /// per-cell reference it is tested against.
   void latch(si::Verdicts v, const jtag::CellCtl& c);
 
   const si::NdCell& nd() const { return nd_; }
@@ -56,25 +53,11 @@ class Obsc : public jtag::BoundaryCell {
 
   bool ff2() const { return ff2_; }
 
-  /// Attach an observability sink; a DetectorFired record is reported at
-  /// the moment a sticky flag transitions 0->1 (once per latch, not per
-  /// observation). `wire`/`bus` identify this cell in the records.
-  void set_sink(obs::Sink* sink, std::int64_t wire, std::int64_t bus = -1) {
-    sink_ = sink;
-    wire_id_ = wire;
-    bus_id_ = bus;
-  }
-
  private:
-  void fire(const char* which);
-
   si::NdCell nd_;
   si::SdCell sd_;
   util::Logic pin_ = util::Logic::X;
   bool ff2_ = false;
-  obs::Sink* sink_ = nullptr;
-  std::int64_t wire_id_ = -1;
-  std::int64_t bus_id_ = -1;
 };
 
 }  // namespace jsi::bsc

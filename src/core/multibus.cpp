@@ -48,35 +48,20 @@ MultiBusSoc::MultiBusSoc(MultiBusConfig cfg, const si::CoupledBus* prototype)
           std::make_unique<si::CoupledBus>(effective_bus_params(cfg_)));
     }
     pins_.emplace_back(cfg_.wires_per_bus, false);
+    next_pins_.emplace_back(cfg_.wires_per_bus, false);
   }
 
   tap_ = std::make_unique<jtag::TapDevice>("multibus_soc", cfg_.ir_width);
   tap_->add_idcode(cfg_.idcode, 0b0010);
 
+  const std::size_t wires = cfg_.n_buses * cfg_.wires_per_bus;
+  std::vector<bsc::CellKind> kinds(wires, bsc::CellKind::Pgbsc);
+  kinds.insert(kinds.end(), wires, bsc::CellKind::Obsc);
+  kinds.insert(kinds.end(), cfg_.m_extra_cells, bsc::CellKind::Standard);
   auto boundary =
-      std::make_shared<jtag::BoundaryRegister>([this] { return ctl_; });
+      std::make_shared<bsc::PlaneRegister>(kinds, ctl_, cfg_.nd, cfg_.sd);
   boundary_ = boundary.get();
-
-  pgbscs_.resize(cfg_.n_buses);
-  obscs_.resize(cfg_.n_buses);
-  for (std::size_t b = 0; b < cfg_.n_buses; ++b) {
-    for (std::size_t w = 0; w < cfg_.wires_per_bus; ++w) {
-      auto cell = std::make_unique<bsc::Pgbsc>();
-      cell->set_parallel_in(Logic::L0);
-      pgbscs_[b].push_back(cell.get());
-      boundary_->add_cell(std::move(cell));
-    }
-  }
-  for (std::size_t b = 0; b < cfg_.n_buses; ++b) {
-    for (std::size_t w = 0; w < cfg_.wires_per_bus; ++w) {
-      auto cell = std::make_unique<bsc::Obsc>(cfg_.nd, cfg_.sd);
-      obscs_[b].push_back(cell.get());
-      boundary_->add_cell(std::move(cell));
-    }
-  }
-  for (std::size_t i = 0; i < cfg_.m_extra_cells; ++i) {
-    boundary_->add_cell(std::make_unique<bsc::StandardBsc>());
-  }
+  boundary_->set_parallel_in(0, wires, Logic::L0);
 
   tap_->add_data_register("BOUNDARY", boundary);
   tap_->add_instruction(SiSocDevice::kExtest, 0b0000, "BOUNDARY");
@@ -88,9 +73,8 @@ MultiBusSoc::MultiBusSoc(MultiBusConfig cfg, const si::CoupledBus* prototype)
       [this](const std::string& name) { decode_instruction(name); });
   tap_->on_update_dr([this] { on_update_dr(); });
   tap_->on_reset([this] {
-    ctl_ = jtag::CellCtl{};
     pins_valid_ = false;
-    apply_buses(false);
+    decode_instruction(tap_->current_instruction());
   });
 
   decode_instruction(tap_->current_instruction());
@@ -100,54 +84,30 @@ std::size_t MultiBusSoc::chain_length() const {
   return 2 * cfg_.n_buses * cfg_.wires_per_bus + cfg_.m_extra_cells;
 }
 
-bsc::Pgbsc& MultiBusSoc::pgbsc(std::size_t b, std::size_t wire) {
-  return *pgbscs_.at(b).at(wire);
-}
-
-bsc::Obsc& MultiBusSoc::obsc(std::size_t b, std::size_t wire) {
-  return *obscs_.at(b).at(wire);
-}
-
 BitVec MultiBusSoc::nd_flags(std::size_t b) const {
-  BitVec v(cfg_.wires_per_bus, false);
-  for (std::size_t w = 0; w < cfg_.wires_per_bus; ++w) {
-    v.set(w, obscs_.at(b)[w]->nd().flag());
-  }
-  return v;
+  if (b >= cfg_.n_buses) throw std::out_of_range("bad bus");
+  return boundary_->nd().slice(obsc_first(b), cfg_.wires_per_bus);
 }
 
 BitVec MultiBusSoc::sd_flags(std::size_t b) const {
-  BitVec v(cfg_.wires_per_bus, false);
-  for (std::size_t w = 0; w < cfg_.wires_per_bus; ++w) {
-    v.set(w, obscs_.at(b)[w]->sd().flag());
-  }
-  return v;
+  if (b >= cfg_.n_buses) throw std::out_of_range("bad bus");
+  return boundary_->sd().slice(obsc_first(b), cfg_.wires_per_bus);
 }
 
 void MultiBusSoc::set_sink(obs::Sink* sink) {
   sink_ = sink;
-  for (std::size_t b = 0; b < cfg_.n_buses; ++b) {
-    buses_[b]->set_sink(sink);
-    for (std::size_t w = 0; w < cfg_.wires_per_bus; ++w) {
-      obscs_[b][w]->set_sink(sink, static_cast<std::int64_t>(w),
-                             static_cast<std::int64_t>(b));
-    }
-  }
-}
-
-bool MultiBusSoc::boundary_selected() const {
-  const std::string& inst = tap_->current_instruction();
-  return inst == SiSocDevice::kExtest || inst == SiSocDevice::kSample ||
-         inst == SiSocDevice::kGSitest || inst == SiSocDevice::kOSitest;
+  for (auto& bus : buses_) bus->set_sink(sink);
 }
 
 void MultiBusSoc::decode_instruction(const std::string& name) {
   jtag::CellCtl c;
+  ositest_ = name == SiSocDevice::kOSitest;
+  scans_boundary_ = &tap_->selected() == boundary_;
   if (name == SiSocDevice::kExtest) {
     c = {.mode = true, .si = false, .ce = false, .gen = false, .nd_sd = true};
   } else if (name == SiSocDevice::kGSitest) {
     c = {.mode = true, .si = true, .ce = true, .gen = true, .nd_sd = true};
-  } else if (name == SiSocDevice::kOSitest) {
+  } else if (ositest_) {
     c = {.mode = true, .si = true, .ce = false, .gen = false, .nd_sd = true};
   }
   ctl_ = c;
@@ -155,43 +115,32 @@ void MultiBusSoc::decode_instruction(const std::string& name) {
 }
 
 void MultiBusSoc::on_update_dr() {
-  if (!boundary_selected()) return;
-  if (tap_->current_instruction() == SiSocDevice::kOSitest) {
-    ctl_.nd_sd = !ctl_.nd_sd;
-  }
+  if (!scans_boundary_) return;
+  if (ositest_) ctl_.nd_sd = !ctl_.nd_sd;
   apply_buses(/*observe=*/ctl_.ce);
 }
 
 void MultiBusSoc::apply_buses(bool observe) {
   const std::size_t n = cfg_.wires_per_bus;
-  bool any_change = false;
-  std::vector<BitVec> next;
-  next.reserve(cfg_.n_buses);
+  bool any_change = !pins_valid_;
   for (std::size_t b = 0; b < cfg_.n_buses; ++b) {
-    BitVec v(n, false);
-    for (std::size_t w = 0; w < n; ++w) {
-      v.set(w, util::to_bool(pgbscs_[b][w]->parallel_out(ctl_)));
-    }
-    if (!pins_valid_ || v != pins_[b]) any_change = true;
-    next.push_back(std::move(v));
+    boundary_->parallel_out(b * n, next_pins_[b]);
+    if (next_pins_[b] != pins_[b]) any_change = true;
   }
-  if (pins_valid_ && !any_change) return;
+  if (!any_change) return;
 
   if (!pins_valid_) {
-    pins_ = next;
     pins_valid_ = true;
     for (std::size_t b = 0; b < cfg_.n_buses; ++b) {
-      for (std::size_t w = 0; w < n; ++w) {
-        obscs_[b][w]->set_parallel_in(util::to_logic(next[b][w]));
-      }
+      pins_[b] = next_pins_[b];
+      boundary_->set_parallel_in(obsc_first(b), pins_[b]);
     }
     return;
   }
 
   for (std::size_t b = 0; b < cfg_.n_buses; ++b) {
-    if (next[b] == pins_[b]) continue;
-    const BitVec prev = pins_[b];
-    pins_[b] = next[b];
+    if (next_pins_[b] == pins_[b]) continue;
+    std::swap(pins_[b], next_pins_[b]);  // next_pins_[b]: previous drive
     ++bus_transitions_;
     if (sink_) {
       obs::Event e;
@@ -203,8 +152,10 @@ void MultiBusSoc::apply_buses(bool observe) {
       sink_->on_event(e);
     }
     // Batched per-bus evaluation (see SiSocDevice::apply_bus).
-    receive_transition(*buses_[b], buses_[b]->transition_batch(prev, next[b]),
-                       obscs_[b], ctl_, observe);
+    receive_transition(*buses_[b],
+                       buses_[b]->transition_batch(next_pins_[b], pins_[b]),
+                       *boundary_, obsc_first(b), observe, sink_,
+                       static_cast<std::int64_t>(b));
   }
 }
 

@@ -5,9 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "bsc/obsc.hpp"
-#include "bsc/pgbsc.hpp"
-#include "bsc/standard.hpp"
+#include "bsc/planes.hpp"
 #include "core/plan.hpp"
 #include "core/report.hpp"
 #include "jtag/device.hpp"
@@ -69,8 +67,12 @@ class MultiBusSoc {
   std::size_t chain_length() const;
 
   si::CoupledBus& bus(std::size_t b) { return *buses_.at(b); }
-  bsc::Pgbsc& pgbsc(std::size_t b, std::size_t wire);
-  bsc::Obsc& obsc(std::size_t b, std::size_t wire);
+  /// The boundary register as bit planes (cell order as above): bus b's
+  /// PGBSCs from `b * wires_per_bus()`, its OBSCs from `obsc_first(b)`.
+  const bsc::PlaneRegister& boundary() const { return *boundary_; }
+  std::size_t obsc_first(std::size_t b) const {
+    return (cfg_.n_buses + b) * cfg_.wires_per_bus;
+  }
 
   const jtag::CellCtl& controls() const { return ctl_; }
   const util::BitVec& driven_pins(std::size_t b) const {
@@ -83,27 +85,28 @@ class MultiBusSoc {
   /// Total per-bus transitions simulated across all buses.
   std::uint64_t bus_transitions() const { return bus_transitions_; }
 
-  /// Attach an observability sink to every bus (CacheLookup), every OBSC
-  /// (DetectorFired with wire/bus ids) and the SoC itself (BusTransition,
-  /// a = bus index). nullptr detaches everything.
+  /// Attach an observability sink to every bus (CacheLookup), the
+  /// sensors (DetectorFired with wire/bus ids) and the SoC itself
+  /// (BusTransition, a = bus index). nullptr detaches everything.
   void set_sink(obs::Sink* sink);
 
  private:
   MultiBusSoc(MultiBusConfig cfg, const si::CoupledBus* prototype);
 
+  /// Once per Update-IR and per Test-Logic-Reset (see SiSocDevice).
   void decode_instruction(const std::string& name);
   void on_update_dr();
   void apply_buses(bool observe);
-  bool boundary_selected() const;
 
   MultiBusConfig cfg_;
   std::vector<std::unique_ptr<si::CoupledBus>> buses_;
+  jtag::CellCtl ctl_{};  // before tap_: its boundary register reads it
   std::unique_ptr<jtag::TapDevice> tap_;
-  jtag::BoundaryRegister* boundary_ = nullptr;
-  std::vector<std::vector<bsc::Pgbsc*>> pgbscs_;  // [bus][wire]
-  std::vector<std::vector<bsc::Obsc*>> obscs_;
-  jtag::CellCtl ctl_{};
-  std::vector<util::BitVec> pins_;  // per bus
+  bsc::PlaneRegister* boundary_ = nullptr;  // owned by tap_
+  bool scans_boundary_ = false;
+  bool ositest_ = false;
+  std::vector<util::BitVec> pins_;       // per bus
+  std::vector<util::BitVec> next_pins_;  // apply_buses scratch
   bool pins_valid_ = false;
   std::uint64_t bus_transitions_ = 0;
   obs::Sink* sink_ = nullptr;

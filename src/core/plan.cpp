@@ -15,18 +15,6 @@ std::size_t TestPlan::obsc_scan_index(std::size_t bus, std::size_t wire) const {
   return chain_length - 1 - cell;
 }
 
-const char* tap_op_kind_name(TapOpKind k) {
-  switch (k) {
-    case TapOpKind::Reset: return "Reset";
-    case TapOpKind::LoadIr: return "LoadIr";
-    case TapOpKind::ScanIr: return "ScanIr";
-    case TapOpKind::ScanDr: return "ScanDr";
-    case TapOpKind::UpdateDr: return "UpdateDr";
-    case TapOpKind::Readout: return "Readout";
-  }
-  return "?";
-}
-
 PlanCost dry_run_cost(const TestPlan& plan) {
   using jtag::TapMaster;
   PlanCost c;

@@ -26,8 +26,19 @@ enum class TapOpKind {
 };
 
 /// Stable op-kind label used by trace and metrics records ("Reset",
-/// "LoadIr", ...). Static-lifetime, never nullptr.
-const char* tap_op_kind_name(TapOpKind k);
+/// "LoadIr", ...). Static-lifetime, never nullptr. Inline: every traced
+/// op reads it for two records.
+constexpr const char* tap_op_kind_name(TapOpKind k) {
+  switch (k) {
+    case TapOpKind::Reset: return "Reset";
+    case TapOpKind::LoadIr: return "LoadIr";
+    case TapOpKind::ScanIr: return "ScanIr";
+    case TapOpKind::ScanDr: return "ScanDr";
+    case TapOpKind::UpdateDr: return "UpdateDr";
+    case TapOpKind::Readout: return "Readout";
+  }
+  return "?";
+}
 
 struct TapOp {
   /// Sentinel victim index meaning "no victim selected" for a bus of any

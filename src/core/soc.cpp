@@ -9,6 +9,20 @@ namespace jsi::core {
 using util::BitVec;
 using util::Logic;
 
+namespace {
+
+void fire(obs::Sink& sink, const char* which, std::size_t wire,
+          std::int64_t bus_id) {
+  obs::Event e;
+  e.kind = obs::EventKind::DetectorFired;
+  e.name = which;
+  e.a = static_cast<std::int64_t>(wire);
+  e.b = bus_id;
+  sink.on_event(e);
+}
+
+}  // namespace
+
 si::BusParams effective_bus_params(const SocConfig& cfg) {
   si::BusParams bp = cfg.bus;
   bp.n_wires = cfg.n_wires;
@@ -17,21 +31,30 @@ si::BusParams effective_bus_params(const SocConfig& cfg) {
 
 void receive_transition(const si::CoupledBus& bus,
                         const si::TransitionBatch& batch,
-                        const std::vector<bsc::Obsc*>& obscs,
-                        const jtag::CellCtl& ctl, bool observe) {
+                        bsc::PlaneRegister& cells, std::size_t first,
+                        bool observe, obs::Sink* sink, std::int64_t bus_id) {
   for (std::size_t i = 0; i < batch.n_wires;) {
     const si::WireEntry& w = batch.entry(i);
     std::size_t end = i + 1;
     if (w.slot != nullptr) {
       while (end < batch.n_wires && batch.slot(end) == w.slot) ++end;
     }
-    si::Verdicts v;
-    if (observe) v = bus.judge(obscs[i]->nd(), obscs[i]->sd(), w);
-    const Logic settled = bus.settled_logic(w.final_sample);
-    for (; i < end; ++i) {
-      if (observe) obscs[i]->latch(v, ctl);
-      obscs[i]->set_parallel_in(settled);
+    const si::Verdicts v =
+        observe ? bus.judge(cells.nd_sensor(), cells.sd_sensor(), w)
+                : si::Verdicts{};
+    if (v.nd || v.sd) {
+      if (sink != nullptr && cells.controls().ce) {
+        // The flags this run sets: new & ~old, wire by wire.
+        for (std::size_t k = i; k < end; ++k) {
+          if (v.nd && !cells.nd()[first + k]) fire(*sink, "ND", k, bus_id);
+          if (v.sd && !cells.sd()[first + k]) fire(*sink, "SD", k, bus_id);
+        }
+      }
+      cells.latch(first + i, end - i, v);
     }
+    cells.set_parallel_in(first + i, end - i,
+                          bus.settled_logic(w.final_sample));
+    i = end;
   }
 }
 
@@ -42,7 +65,9 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus& bus)
     : SiSocDevice(std::move(cfg), &bus) {}
 
 SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
-    : cfg_(std::move(cfg)), pins_(cfg_.n_wires, false) {
+    : cfg_(std::move(cfg)),
+      pins_(cfg_.n_wires, false),
+      next_pins_(cfg_.n_wires, false) {
   if (cfg_.n_wires < 2) throw std::invalid_argument("need >= 2 interconnects");
   if (external != nullptr) {
     si::require_width(*external, cfg_.n_wires);
@@ -65,29 +90,15 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
   tap_ = std::make_unique<jtag::TapDevice>("si_soc", cfg_.ir_width);
   tap_->add_idcode(cfg_.idcode, 0b0010);
 
-  auto boundary = std::make_shared<jtag::BoundaryRegister>(
-      [this] { return ctl_; });
+  std::vector<bsc::CellKind> kinds(cfg_.n_wires, cfg_.enhanced
+                                                     ? bsc::CellKind::Pgbsc
+                                                     : bsc::CellKind::Standard);
+  kinds.insert(kinds.end(), cfg_.n_wires, bsc::CellKind::Obsc);
+  kinds.insert(kinds.end(), cfg_.m_extra_cells, bsc::CellKind::Standard);
+  auto boundary =
+      std::make_shared<bsc::PlaneRegister>(kinds, ctl_, cfg_.nd, cfg_.sd);
   boundary_ = boundary.get();
-
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    if (cfg_.enhanced) {
-      auto cell = std::make_unique<bsc::Pgbsc>();
-      pgbscs_.push_back(cell.get());
-      boundary_->add_cell(std::move(cell));
-    } else {
-      auto cell = std::make_unique<bsc::StandardBsc>();
-      sending_std_.push_back(cell.get());
-      boundary_->add_cell(std::move(cell));
-    }
-  }
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    auto cell = std::make_unique<bsc::Obsc>(cfg_.nd, cfg_.sd);
-    obscs_.push_back(cell.get());
-    boundary_->add_cell(std::move(cell));
-  }
-  for (std::size_t i = 0; i < cfg_.m_extra_cells; ++i) {
-    boundary_->add_cell(std::make_unique<bsc::StandardBsc>());
-  }
+  boundary_->set_parallel_in(0, cfg_.n_wires, Logic::L0);
 
   tap_->add_data_register("BOUNDARY", boundary);
   tap_->add_instruction(kExtest, 0b0000, "BOUNDARY");
@@ -104,16 +115,13 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
   });
   tap_->on_update_dr([this] { on_update_dr(); });
   tap_->on_reset([this] {
-    ctl_ = jtag::CellCtl{};
     pins_valid_ = false;
     bus_transitions_ = 0;
-    apply_bus(/*observe=*/false);
+    // Test-Logic-Reset makes the reset instruction current (1149.1 §6),
+    // which ends CLAMP/HIGHZ and restores normal operation.
+    decode_instruction(tap_->current_instruction());
   });
 
-  core_out_.assign(cfg_.n_wires, Logic::L0);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    boundary_->cell(i).set_parallel_in(Logic::L0);
-  }
   decode_instruction(tap_->current_instruction());
 }
 
@@ -124,61 +132,39 @@ std::size_t SiSocDevice::chain_length() const {
 void SiSocDevice::set_sink(obs::Sink* sink) {
   sink_ = sink;
   bus_->set_sink(sink);
-  for (std::size_t i = 0; i < obscs_.size(); ++i) {
-    obscs_[i]->set_sink(sink, static_cast<std::int64_t>(i));
-  }
 }
-
-bsc::Pgbsc& SiSocDevice::pgbsc(std::size_t i) {
-  if (!cfg_.enhanced) throw std::logic_error("conventional SoC has no PGBSC");
-  return *pgbscs_.at(i);
-}
-
-bsc::Obsc& SiSocDevice::obsc(std::size_t i) { return *obscs_.at(i); }
 
 void SiSocDevice::set_core_output(std::size_t i, Logic v) {
-  core_out_.at(i) = v;
-  boundary_->cell(i).set_parallel_in(v);
+  if (i >= cfg_.n_wires) throw std::out_of_range("bad wire");
+  boundary_->set_parallel_in(i, v);
   apply_bus(/*observe=*/ctl_.ce);
 }
 
 Logic SiSocDevice::core_input(std::size_t i) const {
   if (i >= cfg_.n_wires) throw std::out_of_range("bad wire");
-  return boundary_->cell(cfg_.n_wires + i).parallel_out(ctl_);
+  return boundary_->parallel_out(cfg_.n_wires + i);
 }
 
 BitVec SiSocDevice::nd_flags() const {
-  BitVec v(cfg_.n_wires, false);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    v.set(i, obscs_[i]->nd().flag());
-  }
-  return v;
+  return boundary_->nd().slice(cfg_.n_wires, cfg_.n_wires);
 }
 
 BitVec SiSocDevice::sd_flags() const {
-  BitVec v(cfg_.n_wires, false);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    v.set(i, obscs_[i]->sd().flag());
-  }
-  return v;
-}
-
-bool SiSocDevice::boundary_selected() const {
-  const std::string& inst = tap_->current_instruction();
-  return inst == kExtest || inst == kSample || inst == kGSitest ||
-         inst == kOSitest;
+  return boundary_->sd().slice(cfg_.n_wires, cfg_.n_wires);
 }
 
 void SiSocDevice::decode_instruction(const std::string& name) {
   jtag::CellCtl c;
   highz_ = name == kHighz;
+  ositest_ = name == kOSitest;
+  scans_boundary_ = &tap_->selected() == boundary_;
   if (name == kExtest || name == kClamp) {
     // CLAMP: pins stay driven from the update stages while the short
     // BYPASS path is selected for scanning.
     c = {.mode = true, .si = false, .ce = false, .gen = false, .nd_sd = true};
   } else if (name == kGSitest) {
     c = {.mode = true, .si = true, .ce = true, .gen = true, .nd_sd = true};
-  } else if (name == kOSitest) {
+  } else if (ositest_) {
     // ND/SD select initialized to ND for the first read-out pass.
     c = {.mode = true, .si = true, .ce = false, .gen = false, .nd_sd = true};
   } else {
@@ -194,8 +180,8 @@ void SiSocDevice::decode_instruction(const std::string& name) {
 }
 
 void SiSocDevice::on_update_dr() {
-  if (!boundary_selected()) return;
-  if (tap_->current_instruction() == kOSitest) {
+  if (!scans_boundary_) return;
+  if (ositest_) {
     // Complement ND/SD select so the next shift pass reads the other
     // sensor (paper §4.1, O-SITEST).
     ctl_.nd_sd = !ctl_.nd_sd;
@@ -204,34 +190,27 @@ void SiSocDevice::on_update_dr() {
 }
 
 void SiSocDevice::apply_bus(bool observe) {
+  const std::size_t n = cfg_.n_wires;
   if (highz_) {
     // HIGHZ: all bus drivers float; the receivers see high impedance
     // until another instruction re-drives the wires.
-    for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-      obscs_[i]->set_parallel_in(Logic::Z);
-    }
+    boundary_->set_parallel_in(n, n, Logic::Z);
     pins_valid_ = false;
     return;
   }
-  // Compute the vector the sending side currently drives.
-  BitVec next(cfg_.n_wires, false);
-  for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-    next.set(i, util::to_bool(boundary_->cell(i).parallel_out(ctl_)));
-  }
-  if (pins_valid_ && next == pins_) return;
+  // The vector the sending side currently drives.
+  boundary_->parallel_out(0, next_pins_);
+  if (pins_valid_ && next_pins_ == pins_) return;
 
   if (!pins_valid_) {
     // First drive after reset: establish levels without a transition.
-    pins_ = next;
+    pins_ = next_pins_;
     pins_valid_ = true;
-    for (std::size_t i = 0; i < cfg_.n_wires; ++i) {
-      obscs_[i]->set_parallel_in(util::to_logic(next[i]));
-    }
+    boundary_->set_parallel_in(n, pins_);
     return;
   }
 
-  const BitVec prev = pins_;
-  pins_ = next;
+  std::swap(pins_, next_pins_);  // next_pins_ now holds the previous drive
   ++bus_transitions_;
   if (sink_) {
     obs::Event e;
@@ -245,8 +224,8 @@ void SiSocDevice::apply_bus(bool observe) {
   // One batched store lookup for the whole bus: the sensors judge each
   // entry's recipe once per detector param set (its verdict slot
   // remembers the rest), and no waveform is rendered.
-  receive_transition(*bus_, bus_->transition_batch(prev, next), obscs_, ctl_,
-                     observe);
+  receive_transition(*bus_, bus_->transition_batch(next_pins_, pins_),
+                     *boundary_, n, observe, sink_, -1);
 }
 
 }  // namespace jsi::core

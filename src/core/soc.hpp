@@ -3,11 +3,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
-#include "bsc/obsc.hpp"
-#include "bsc/pgbsc.hpp"
-#include "bsc/standard.hpp"
+#include "bsc/planes.hpp"
 #include "jtag/device.hpp"
 #include "obs/events.hpp"
 #include "si/bus.hpp"
@@ -38,19 +35,20 @@ struct SocConfig {
 si::BusParams effective_bus_params(const SocConfig& cfg);
 
 /// The receiving end of one bus transition, which `bus` served as
-/// `batch`: each OBSC's pin takes its wire's settled logic (read from the
-/// entry's final sample) and, when `observe`, its sensors latch the
-/// wire's ND/SD verdicts (CoupledBus::judge) under `ctl`. Wires that
-/// share a verdict slot share a store entry — its recipe, so also its
-/// samples and driven levels — and every OBSC of a device has the same
-/// detector params, so each run of such wires is judged and settled
-/// once, then latched cell by cell in wire order (the DetectorFired order
-/// of judging every wire). SiSocDevice and MultiBusSoc (once per bus)
-/// receive through this one loop.
+/// `batch`: the OBSCs of `cells` from `first` on, one per wire, take
+/// their wire's settled logic (read from the entry's final sample) as
+/// parallel input and, when `observe`, latch the wire's ND/SD verdicts
+/// (CoupledBus::judge under the cells' sensor params) while CE is high.
+/// Wires that share a verdict slot share a store entry — its recipe, so
+/// also its samples and driven levels — so each run of such wires is
+/// judged once, and its flags and levels are written as one range. A
+/// newly set flag goes to `sink` as a DetectorFired record (a = wire,
+/// b = `bus_id`), in wire order, ND before SD. SiSocDevice and
+/// MultiBusSoc (once per bus) receive through this one loop.
 void receive_transition(const si::CoupledBus& bus,
                         const si::TransitionBatch& batch,
-                        const std::vector<bsc::Obsc*>& obscs,
-                        const jtag::CellCtl& ctl, bool observe);
+                        bsc::PlaneRegister& cells, std::size_t first,
+                        bool observe, obs::Sink* sink, std::int64_t bus_id);
 
 /// The paper's test architecture: Core i drives `n` interconnects through
 /// sending-side boundary cells, Core j receives them through observation
@@ -73,7 +71,9 @@ void receive_transition(const si::CoupledBus& bus,
 ///   | G-SITEST        |  1   | 1  | 1  |  1  |
 ///   | O-SITEST        |  1   | 1  | 0  |  0  |
 /// and `nd_sd` starts at ND on O-SITEST decode, complementing at every
-/// Update-DR so consecutive shift passes read ND then SD.
+/// Update-DR so consecutive shift passes read ND then SD. The decode runs
+/// at Update-IR and at Test-Logic-Reset, which makes the reset
+/// instruction (IDCODE) current and so also ends CLAMP and HIGHZ.
 ///
 /// Every Update-DR (and instruction change, and functional core-output
 /// change) re-evaluates the driven pin vector; when it changes, the
@@ -109,10 +109,8 @@ class SiSocDevice {
   /// Total boundary-register length 2n+m.
   std::size_t chain_length() const;
 
-  /// Sending-side cell for wire `i` (only when `enhanced`).
-  bsc::Pgbsc& pgbsc(std::size_t i);
-  /// Receiving-side cell for wire `i`.
-  bsc::Obsc& obsc(std::size_t i);
+  /// The boundary register as bit planes (cell order as above).
+  const bsc::PlaneRegister& boundary() const { return *boundary_; }
 
   /// Current control-signal decode (Tables 1/3 inputs).
   const jtag::CellCtl& controls() const { return ctl_; }
@@ -147,32 +145,32 @@ class SiSocDevice {
   bool bus_released() const { return highz_; }
 
   /// Attach an observability sink to the whole device model: the bus
-  /// (CacheLookup), every OBSC (DetectorFired, a=wire) and the SoC itself
-  /// (BusTransition per simulated transition, stamped with the device's
-  /// TCK count). nullptr detaches everything.
+  /// (CacheLookup), the sensors (DetectorFired, a=wire) and the SoC
+  /// itself (BusTransition per simulated transition, stamped with the
+  /// device's TCK count). nullptr detaches everything.
   void set_sink(obs::Sink* sink);
 
  private:
   SiSocDevice(SocConfig cfg, si::CoupledBus* external);
 
+  /// Decode `name` into the control word and the flags below: once per
+  /// Update-IR and per Test-Logic-Reset, never per Update-DR.
   void decode_instruction(const std::string& name);
   void on_update_dr();
   void apply_bus(bool observe);
-  bool boundary_selected() const;
 
   SocConfig cfg_;
   std::unique_ptr<si::CoupledBus> owned_bus_;  // null when bus is external
   si::CoupledBus* bus_ = nullptr;
+  jtag::CellCtl ctl_{};  // before tap_: its boundary register reads it
   std::unique_ptr<jtag::TapDevice> tap_;
-  jtag::BoundaryRegister* boundary_ = nullptr;  // owned by tap_
-  std::vector<bsc::Pgbsc*> pgbscs_;
-  std::vector<bsc::StandardBsc*> sending_std_;
-  std::vector<bsc::Obsc*> obscs_;
-  jtag::CellCtl ctl_{};
-  std::vector<util::Logic> core_out_;
-  util::BitVec pins_;
-  bool pins_valid_ = false;
+  bsc::PlaneRegister* boundary_ = nullptr;  // owned by tap_
+  bool scans_boundary_ = false;  // the instruction selects BOUNDARY
+  bool ositest_ = false;         // Update-DR complements nd_sd
   bool highz_ = false;
+  util::BitVec pins_;
+  util::BitVec next_pins_;  // apply_bus scratch
+  bool pins_valid_ = false;
   std::uint64_t bus_transitions_ = 0;
   obs::Sink* sink_ = nullptr;
 };

@@ -29,6 +29,10 @@ void TapDevice::add_data_register(const std::string& reg_name,
                                   std::shared_ptr<DataRegister> dr) {
   if (!dr) throw std::invalid_argument("null data register");
   registers_[reg_name] = std::move(dr);
+  const auto cur = instructions_.find(current_inst_);
+  if (cur != instructions_.end() && cur->second.reg == reg_name) {
+    select(current_inst_);  // the register it replaced is gone
+  }
 }
 
 void TapDevice::add_instruction(const std::string& inst_name,
@@ -47,13 +51,14 @@ void TapDevice::add_instruction(const std::string& inst_name,
   }
   instructions_[inst_name] = InstDef{code, reg_name};
   by_code_[code] = inst_name;
+  if (inst_name == current_inst_) select(inst_name);
 }
 
 void TapDevice::add_idcode(std::uint32_t idcode, std::uint64_t idcode_opcode) {
   add_data_register("IDCODE", std::make_shared<IdcodeRegister>(idcode));
   add_instruction("IDCODE", idcode_opcode, "IDCODE");
   reset_inst_ = "IDCODE";
-  if (state_ == TapState::TestLogicReset) current_inst_ = reset_inst_;
+  if (state_ == TapState::TestLogicReset) select(reset_inst_);
 }
 
 std::uint64_t TapDevice::opcode(const std::string& inst_name) const {
@@ -64,8 +69,9 @@ DataRegister& TapDevice::data_register(const std::string& reg_name) {
   return *registers_.at(reg_name);
 }
 
-DataRegister& TapDevice::selected() {
-  return *registers_.at(instructions_.at(current_inst_).reg);
+void TapDevice::select(const std::string& inst_name) {
+  selected_ = registers_.at(instructions_.at(inst_name).reg).get();
+  current_inst_ = inst_name;
 }
 
 std::string TapDevice::decode(std::uint64_t code) const {
@@ -75,7 +81,7 @@ std::string TapDevice::decode(std::uint64_t code) const {
 }
 
 void TapDevice::enter_test_logic_reset() {
-  current_inst_ = reset_inst_;
+  if (current_inst_ != reset_inst_) select(reset_inst_);
   for (auto& [name, reg] : registers_) reg->reset();
   if (reset_listener_) reset_listener_();
 }
@@ -115,7 +121,7 @@ Logic TapDevice::tick(bool tms, bool tdi) {
       break;
     }
     case TapState::UpdateIr:
-      current_inst_ = decode(ir_shift_);
+      select(decode(ir_shift_));
       if (instruction_listener_) instruction_listener_(current_inst_);
       break;
     default:

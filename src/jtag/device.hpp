@@ -105,9 +105,15 @@ class TapDevice : public TapPort {
   /// Access a configured data register by name.
   DataRegister& data_register(const std::string& reg_name);
 
+  /// The data register the current instruction places between TDI and
+  /// TDO. Resolved once whenever the instruction changes, so a TCK edge
+  /// does no lookup.
+  DataRegister& selected() { return *selected_; }
+
  private:
   void enter_test_logic_reset();
-  DataRegister& selected();
+  /// Make `inst_name` current and resolve its data register.
+  void select(const std::string& inst_name);
   std::string decode(std::uint64_t code) const;
 
   std::string name_;
@@ -118,6 +124,7 @@ class TapDevice : public TapPort {
   std::uint64_t ir_shift_ = 0;
   std::string current_inst_;
   std::string reset_inst_ = "BYPASS";
+  DataRegister* selected_ = nullptr;
 
   std::map<std::string, std::shared_ptr<DataRegister>> registers_;
   struct InstDef {

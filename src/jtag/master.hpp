@@ -75,15 +75,19 @@ class TapMaster {
   /// so events raised inside the device inherit this edge's TCK stamp.
   /// A scan body's edges are reported as one obs::Sink::on_shift_run
   /// burst before the port shifts it, which gives the same stream
-  /// because nothing in a device emits while it shifts; an Update-DR
-  /// pulse's five edges go as one obs::Sink::on_edges run before its
-  /// ticks, likewise, since only the last tick makes a device emit.
-  /// nullptr (the default) disables emission — one branch per edge, run
-  /// or burst.
+  /// because nothing in a device emits while it shifts. The fixed edge
+  /// runs around a scan body, an Update-DR pulse's five edges and a
+  /// reset from Run-Test/Idle or Test-Logic-Reset each go as one
+  /// obs::Sink::on_edges run before their ticks, likewise, since only a
+  /// run's last tick can make a device emit. nullptr (the default)
+  /// disables emission — one branch per edge, run or burst.
   void set_sink(obs::Sink* sink) { sink_ = sink; }
 
  private:
   util::Logic clock(bool tms, bool tdi = false);
+  /// Clock `n` edges from a table of their StateEdge records (TMS in
+  /// `a`, TDI in `b`), reported to the sink first as one on_edges run.
+  void clock_run(const obs::Event* edges, std::size_t n);
   /// The body of a scan, from Shift-DR or Shift-IR into Exit1: one edge
   /// per bit of `bits`, TMS=1 on the last, handed to the port as one
   /// TapPort::shift_run burst and to the sink as one on_shift_run call.

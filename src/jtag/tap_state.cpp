@@ -6,28 +6,6 @@
 
 namespace jsi::jtag {
 
-std::string_view tap_state_name(TapState s) {
-  switch (s) {
-    case TapState::TestLogicReset: return "Test-Logic-Reset";
-    case TapState::RunTestIdle: return "Run-Test/Idle";
-    case TapState::SelectDrScan: return "Select-DR-Scan";
-    case TapState::CaptureDr: return "Capture-DR";
-    case TapState::ShiftDr: return "Shift-DR";
-    case TapState::Exit1Dr: return "Exit1-DR";
-    case TapState::PauseDr: return "Pause-DR";
-    case TapState::Exit2Dr: return "Exit2-DR";
-    case TapState::UpdateDr: return "Update-DR";
-    case TapState::SelectIrScan: return "Select-IR-Scan";
-    case TapState::CaptureIr: return "Capture-IR";
-    case TapState::ShiftIr: return "Shift-IR";
-    case TapState::Exit1Ir: return "Exit1-IR";
-    case TapState::PauseIr: return "Pause-IR";
-    case TapState::Exit2Ir: return "Exit2-IR";
-    case TapState::UpdateIr: return "Update-IR";
-  }
-  return "?";
-}
-
 std::vector<bool> tms_path(TapState from, TapState to) {
   if (from == to) return {};
   // BFS; explore TMS=0 first so ties resolve to the 0 edge.

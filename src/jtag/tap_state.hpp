@@ -89,8 +89,29 @@ constexpr bool is_dr_state(TapState s) {
   }
 }
 
-/// Canonical state name, e.g. "Shift-DR".
-std::string_view tap_state_name(TapState s);
+/// Canonical state name, e.g. "Shift-DR". Inline: a traced TCK edge
+/// reads it for its record.
+constexpr std::string_view tap_state_name(TapState s) {
+  switch (s) {
+    case TapState::TestLogicReset: return "Test-Logic-Reset";
+    case TapState::RunTestIdle: return "Run-Test/Idle";
+    case TapState::SelectDrScan: return "Select-DR-Scan";
+    case TapState::CaptureDr: return "Capture-DR";
+    case TapState::ShiftDr: return "Shift-DR";
+    case TapState::Exit1Dr: return "Exit1-DR";
+    case TapState::PauseDr: return "Pause-DR";
+    case TapState::Exit2Dr: return "Exit2-DR";
+    case TapState::UpdateDr: return "Update-DR";
+    case TapState::SelectIrScan: return "Select-IR-Scan";
+    case TapState::CaptureIr: return "Capture-IR";
+    case TapState::ShiftIr: return "Shift-IR";
+    case TapState::Exit1Ir: return "Exit1-IR";
+    case TapState::PauseIr: return "Pause-IR";
+    case TapState::Exit2Ir: return "Exit2-IR";
+    case TapState::UpdateIr: return "Update-IR";
+  }
+  return "?";
+}
 
 /// Shortest TMS sequence that moves the controller from `from` to `to`
 /// (BFS over the FSM; ties prefer TMS=0). Empty when from == to.

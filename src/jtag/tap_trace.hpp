@@ -29,8 +29,8 @@ constexpr obs::TckPhase tck_phase(TapState s) {
 /// (TapMaster, ProtocolMonitor, the BIST controller's replay loop)
 /// produces this exact record, so a trace has a single edge stream no
 /// matter where it was tapped.
-inline obs::Event tap_edge_event(TapState acting, bool tms, bool tdi,
-                                 std::uint64_t tck) {
+constexpr obs::Event tap_edge_event(TapState acting, bool tms, bool tdi,
+                                    std::uint64_t tck) {
   obs::Event e;
   e.kind = obs::EventKind::StateEdge;
   e.phase = tck_phase(acting);

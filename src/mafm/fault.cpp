@@ -1,5 +1,6 @@
 #include "mafm/fault.hpp"
 
+#include <bit>
 #include <ostream>
 #include <stdexcept>
 
@@ -38,11 +39,60 @@ VectorPair vectors_for(MaFault f, std::size_t n, std::size_t victim) {
 
 namespace {
 
-/// Shared classification core: `first`..`last` is the aggressor range
-/// (inclusive), victim excluded.
-std::optional<MaFault> classify_range(const BitVec& prev, const BitVec& next,
-                                      std::size_t victim, std::size_t first,
-                                      std::size_t last) {
+/// The fault a victim that goes `prev_v` -> `next_v` suffers while every
+/// aggressor switches in direction `agg` (+1 rising, -1 falling).
+std::optional<MaFault> victim_fault(int agg, bool prev_v, bool next_v) {
+  const int dv = (next_v ? 1 : 0) - (prev_v ? 1 : 0);
+  if (agg > 0) {  // aggressors rising
+    if (dv == 0) return prev_v ? MaFault::PgBar : MaFault::Pg;
+    if (dv < 0) return MaFault::Fs;
+    return std::nullopt;  // victim rising with aggressors: no MA stress
+  }
+  // Aggressors falling.
+  if (dv == 0) return prev_v ? MaFault::Ng : MaFault::NgBar;
+  if (dv > 0) return MaFault::Rs;
+  return std::nullopt;
+}
+
+void check_pair(const BitVec& prev, const BitVec& next, std::size_t victim) {
+  if (next.size() != prev.size()) {
+    throw std::invalid_argument("width mismatch");
+  }
+  if (victim >= prev.size()) throw std::out_of_range("victim >= n");
+}
+
+}  // namespace
+
+std::optional<MaFault> classify(const BitVec& prev, const BitVec& next,
+                                std::size_t victim) {
+  check_pair(prev, next, victim);
+  if (prev.size() < 2) return std::nullopt;
+  // Every aggressor (every wire but the victim) must rise, or every one
+  // must fall: count both a word at a time, the victim's bit masked out.
+  std::size_t rises = 0;
+  std::size_t falls = 0;
+  for (std::size_t w = 0; w < prev.word_count(); ++w) {
+    const std::uint64_t keep =
+        victim / 64 == w ? ~(1ull << (victim % 64)) : ~0ull;
+    const std::uint64_t p = prev.word(w) & keep;
+    const std::uint64_t x = next.word(w) & keep;
+    rises += static_cast<std::size_t>(std::popcount(~p & x));
+    falls += static_cast<std::size_t>(std::popcount(p & ~x));
+  }
+  const std::size_t aggressors = prev.size() - 1;
+  if (rises != aggressors && falls != aggressors) return std::nullopt;
+  return victim_fault(rises == aggressors ? 1 : -1, prev[victim],
+                      next[victim]);
+}
+
+std::optional<MaFault> classify_neighborhood(const BitVec& prev,
+                                             const BitVec& next,
+                                             std::size_t victim) {
+  check_pair(prev, next, victim);
+  const std::size_t n = prev.size();
+  if (n < 2) return std::nullopt;
+  const std::size_t first = victim == 0 ? 0 : victim - 1;
+  const std::size_t last = victim + 1 < n ? victim + 1 : n - 1;
   // All aggressors in range must switch the same way.
   int agg = 2;  // 2 = unset
   for (std::size_t i = first; i <= last; ++i) {
@@ -55,40 +105,7 @@ std::optional<MaFault> classify_range(const BitVec& prev, const BitVec& next,
     }
   }
   if (agg == 0 || agg == 2) return std::nullopt;
-
-  const int dv = (next[victim] ? 1 : 0) - (prev[victim] ? 1 : 0);
-  if (agg > 0) {  // aggressors rising
-    if (dv == 0) return prev[victim] ? MaFault::PgBar : MaFault::Pg;
-    if (dv < 0) return MaFault::Fs;
-    return std::nullopt;  // victim rising with aggressors: no MA stress
-  }
-  // Aggressors falling.
-  if (dv == 0) return prev[victim] ? MaFault::Ng : MaFault::NgBar;
-  if (dv > 0) return MaFault::Rs;
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<MaFault> classify(const BitVec& prev, const BitVec& next,
-                                std::size_t victim) {
-  const std::size_t n = prev.size();
-  if (next.size() != n) throw std::invalid_argument("width mismatch");
-  if (victim >= n) throw std::out_of_range("victim >= n");
-  if (n < 2) return std::nullopt;
-  return classify_range(prev, next, victim, 0, n - 1);
-}
-
-std::optional<MaFault> classify_neighborhood(const BitVec& prev,
-                                             const BitVec& next,
-                                             std::size_t victim) {
-  const std::size_t n = prev.size();
-  if (next.size() != n) throw std::invalid_argument("width mismatch");
-  if (victim >= n) throw std::out_of_range("victim >= n");
-  if (n < 2) return std::nullopt;
-  const std::size_t first = victim == 0 ? 0 : victim - 1;
-  const std::size_t last = victim + 1 < n ? victim + 1 : n - 1;
-  return classify_range(prev, next, victim, first, last);
+  return victim_fault(agg, prev[victim], next[victim]);
 }
 
 std::ostream& operator<<(std::ostream& os, MaFault f) {

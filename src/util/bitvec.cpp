@@ -70,6 +70,37 @@ void BitVec::push_back(bool v) {
   set(size_ - 1, v);
 }
 
+void BitVec::fill(std::size_t pos, std::size_t len, bool v) {
+  if (pos > size_ || len > size_ - pos) {
+    throw std::out_of_range("BitVec fill out of range");
+  }
+  for (std::size_t i = pos; i < pos + len;) {
+    const std::size_t w = i / kWordBits;
+    const std::size_t lo = i % kWordBits;
+    const std::size_t n = std::min(kWordBits - lo, pos + len - i);
+    const std::uint64_t m = (n == kWordBits ? ~0ull : (1ull << n) - 1) << lo;
+    words_[w] = v ? words_[w] | m : words_[w] & ~m;
+    i += n;
+  }
+}
+
+void BitVec::assign(std::size_t pos, const BitVec& src) {
+  if (pos > size_ || src.size_ > size_ - pos) {
+    throw std::out_of_range("BitVec assign out of range");
+  }
+  const std::size_t end = pos + src.size_;
+  for (std::size_t i = pos; i < end;) {
+    const std::size_t w = i / kWordBits;
+    const std::size_t lo = i % kWordBits;
+    const std::size_t n = std::min(kWordBits - lo, end - i);
+    const std::uint64_t m = (n == kWordBits ? ~0ull : (1ull << n) - 1) << lo;
+    const std::uint64_t bits =
+        src.bits_at(static_cast<std::ptrdiff_t>(i - pos)) << lo;
+    words_[w] = (words_[w] & ~m) | (bits & m);
+    i += n;
+  }
+}
+
 bool BitVec::shift_in(bool in) {
   if (size_ == 0) return in;
   const bool out = (*this)[size_ - 1];
@@ -124,7 +155,9 @@ bool BitVec::operator==(const BitVec& o) const {
 BitVec BitVec::slice(std::size_t pos, std::size_t len) const {
   if (pos + len > size_) throw std::out_of_range("BitVec slice out of range");
   BitVec r(len, false);
-  for (std::size_t i = 0; i < len; ++i) r.set(i, (*this)[pos + i]);
+  for (std::size_t w = 0; w < r.words_.size(); ++w) {
+    r.set_word(w, bits_at(static_cast<std::ptrdiff_t>(pos + w * kWordBits)));
+  }
   return r;
 }
 

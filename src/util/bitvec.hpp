@@ -55,6 +55,44 @@ class BitVec {
   /// Append one bit at the most-significant end.
   void push_back(bool v);
 
+  // Word access: bit i lives in word i / 64, at bit i % 64. Bits past
+  // size() in the last word are always 0.
+
+  /// Number of 64-bit storage words.
+  std::size_t word_count() const { return words_.size(); }
+
+  /// Storage word `w` (unchecked).
+  std::uint64_t word(std::size_t w) const { return words_[w]; }
+
+  /// Write storage word `w` (unchecked); bits past size() are dropped.
+  void set_word(std::size_t w, std::uint64_t v) {
+    words_[w] = w + 1 == words_.size() ? v & tail_mask() : v;
+  }
+
+  /// Bits [pos, pos + 64) as one word, bit `pos` lowest. Positions
+  /// outside [0, size()) read 0, so `pos` may be negative or past the
+  /// end.
+  std::uint64_t bits_at(std::ptrdiff_t pos) const {
+    if (pos <= -static_cast<std::ptrdiff_t>(kWordBits) ||
+        pos >= static_cast<std::ptrdiff_t>(size_)) {
+      return 0;
+    }
+    if (pos < 0) return words_[0] << -pos;
+    const std::size_t w = static_cast<std::size_t>(pos) / kWordBits;
+    const std::size_t r = static_cast<std::size_t>(pos) % kWordBits;
+    std::uint64_t v = words_[w] >> r;
+    if (r != 0 && w + 1 < words_.size()) v |= words_[w + 1] << (kWordBits - r);
+    return v;
+  }
+
+  /// Bits [pos, pos + len) all take `v`; throws std::out_of_range past
+  /// the end.
+  void fill(std::size_t pos, std::size_t len, bool v);
+
+  /// Bits [pos, pos + src.size()) take `src`; throws std::out_of_range
+  /// past the end.
+  void assign(std::size_t pos, const BitVec& src);
+
   /// Shift the whole vector one position toward higher indices and insert
   /// `in` at bit 0 — exactly what one Shift-DR TCK does to a scan chain
   /// whose cell 0 is nearest TDI. Returns the bit shifted out of the
@@ -99,6 +137,10 @@ class BitVec {
   static constexpr std::size_t kWordBits = 64;
   void check(std::size_t i) const;
   void trim();
+  std::uint64_t tail_mask() const {
+    const std::size_t rem = size_ % kWordBits;
+    return rem == 0 ? ~0ull : (1ull << rem) - 1;
+  }
 
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;

@@ -21,9 +21,7 @@
 #include <string>
 
 #include "../jtag/tick_only_port.hpp"
-#include "bsc/obsc.hpp"
-#include "bsc/pgbsc.hpp"
-#include "bsc/standard.hpp"
+#include "bsc/planes.hpp"
 #include "core/engine.hpp"
 #include "core/multibus.hpp"
 #include "core/plan.hpp"
@@ -58,22 +56,25 @@ obs::Hub make_hub(const TestPlan& plan, std::size_t buses,
   return obs::Hub(cfg);
 }
 
-/// FF1..FF3 and the sensor flags of every boundary cell, TDI end first.
-std::string cell_state(jtag::TapDevice& tap) {
-  auto& br = dynamic_cast<jtag::BoundaryRegister&>(
-      tap.data_register("BOUNDARY"));
+/// FF1..FF3 and the sensor flags of every boundary cell, TDI end first,
+/// read from the boundary register's planes.
+std::string cell_state(const bsc::PlaneRegister& br) {
   std::string s;
   for (std::size_t i = 0; i < br.length(); ++i) {
-    jtag::BoundaryCell& c = br.cell(i);
-    if (auto* p = dynamic_cast<bsc::Pgbsc*>(&c)) {
-      s += {'P', char('0' + p->q1()), char('0' + p->q2()),
-            char('0' + p->q3()), char('0' + p->last_update_clocked_ff2())};
-    } else if (auto* o = dynamic_cast<bsc::Obsc*>(&c)) {
-      s += {'O', char('0' + o->ff1()), char('0' + o->ff2()),
-            char('0' + o->nd().flag()), char('0' + o->sd().flag())};
-    } else {
-      auto& std_cell = dynamic_cast<bsc::StandardBsc&>(c);
-      s += {'S', char('0' + std_cell.ff1()), char('0' + std_cell.ff2())};
+    const auto bit = [i](const util::BitVec& plane) {
+      return char('0' + plane[i]);
+    };
+    switch (br.kind(i)) {
+      case bsc::CellKind::Pgbsc:
+        s += {'P', bit(br.ff1()), bit(br.ff2()), bit(br.ff3()),
+              bit(br.clocked())};
+        break;
+      case bsc::CellKind::Obsc:
+        s += {'O', bit(br.ff1()), bit(br.ff2()), bit(br.nd()), bit(br.sd())};
+        break;
+      case bsc::CellKind::Standard:
+        s += {'S', bit(br.ff1()), bit(br.ff2())};
+        break;
     }
   }
   return s;
@@ -112,7 +113,7 @@ Side run_side(Soc& soc, EngineTarget& target, const TestPlan& plan,
   Side s;
   s.result = engine.execute(plan);
   soc.set_sink(nullptr);
-  s.cells = cell_state(soc.tap());
+  s.cells = cell_state(soc.boundary());
   s.registry = hub.registry().to_json();
   s.events = jsonl(hub);
   s.dropped = hub.tracer().dropped();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.hpp"
 #include "jtag/master.hpp"
 #include "util/bitvec.hpp"
 
@@ -115,8 +116,16 @@ TEST(SiSocDevice, UnknownOpcodeFallsBackToBypass) {
 
 TEST(SiSocDevice, ConventionalVariantHasNoPgbsc) {
   SiSocDevice soc(small_cfg(4, /*enhanced=*/false));
-  EXPECT_THROW(soc.pgbsc(0), std::logic_error);
   EXPECT_EQ(soc.chain_length(), 9u);
+  EXPECT_EQ(soc.boundary().pgbsc_mask().popcount(), 0u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(soc.boundary().kind(i), bsc::CellKind::Standard);
+    EXPECT_EQ(soc.boundary().kind(4 + i), bsc::CellKind::Obsc);
+  }
+  EXPECT_EQ(soc.boundary().kind(8), bsc::CellKind::Standard);
+  // The enhanced variant puts a PGBSC on every sending wire.
+  SiSocDevice enhanced(small_cfg(4));
+  EXPECT_EQ(enhanced.boundary().pgbsc_mask().to_string(), "000001111");
 }
 
 TEST(SiSocDevice, ClampHoldsPinsWhileBypassing) {
@@ -156,18 +165,47 @@ TEST(SiSocDevice, HighzReleasesTheBus) {
   EXPECT_EQ(soc.core_input(1), util::Logic::L0);
 }
 
+TEST(SiSocDevice, ResetEndsHighz) {
+  // Test-Logic-Reset makes the reset instruction current, which ends
+  // HIGHZ: the bus is driven again, by TMS reset and by TRST* alike.
+  for (const bool trst : {false, true}) {
+    SCOPED_TRACE(trst ? "TRST" : "TMS");
+    SiSocDevice soc(small_cfg(4));
+    jtag::TapMaster master(soc.tap());
+    master.reset_to_idle();
+    master.scan_ir(BitVec::from_u64(soc.tap().opcode(SiSocDevice::kHighz),
+                                    soc.config().ir_width));
+    ASSERT_TRUE(soc.bus_released());
+    if (trst) {
+      soc.tap().async_reset();
+    } else {
+      master.reset_to_idle();
+    }
+    EXPECT_EQ(soc.tap().current_instruction(), "IDCODE");
+    EXPECT_FALSE(soc.bus_released());
+    EXPECT_EQ(soc.core_input(1), Logic::L0);
+    soc.set_core_output(1, Logic::L1);
+    EXPECT_EQ(soc.driven_pins().to_string(), "0010");
+    EXPECT_EQ(soc.core_input(1), Logic::L1);
+  }
+}
+
 TEST(SiSocDevice, ResetClearsSensorFlags) {
-  SiSocDevice soc(small_cfg());
-  // Force a flag by direct observation, then TMS-reset.
-  jtag::CellCtl ctl;
-  ctl.ce = true;
-  si::Waveform w(64, sim::kPs, 0.0);
-  for (std::size_t i = 20; i < 40; ++i) w[i] = 1.5;  // big glitch on a 0
-  soc.obsc(0).observe(w, Logic::L0, Logic::L0, ctl);
-  EXPECT_TRUE(soc.obsc(0).nd().flag());
+  SiSocDevice soc(small_cfg(8));
+  soc.bus().inject_crosstalk_defect(3, 7.0);
+  SiTestSession session(soc);
+  session.run(ObservationMethod::OnceAtEnd);
+  const std::size_t fired =
+      soc.nd_flags().popcount() + soc.sd_flags().popcount();
+  ASSERT_GT(fired, 0u);
+  EXPECT_EQ(soc.boundary().nd().popcount() + soc.boundary().sd().popcount(),
+            fired);
   jtag::TapMaster master(soc.tap());
   master.reset_to_idle();
-  EXPECT_FALSE(soc.obsc(0).nd().flag());
+  EXPECT_EQ(soc.nd_flags().popcount(), 0u);
+  EXPECT_EQ(soc.sd_flags().popcount(), 0u);
+  EXPECT_EQ(soc.boundary().nd().popcount(), 0u);
+  EXPECT_EQ(soc.boundary().sd().popcount(), 0u);
 }
 
 }  // namespace

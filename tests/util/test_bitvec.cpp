@@ -167,5 +167,50 @@ TEST_P(ShiftProperty, NShiftsLoadExactlyNBits) {
 INSTANTIATE_TEST_SUITE_P(Widths, ShiftProperty,
                          ::testing::Values(1, 2, 7, 63, 64, 65, 200));
 
+TEST(BitVec, WordAccessAndBitsAt) {
+  BitVec v(130, false);
+  v.set(0, true);
+  v.set(63, true);
+  v.set(64, true);
+  v.set(129, true);
+  EXPECT_EQ(v.word_count(), 3u);
+  EXPECT_EQ(v.word(0), 0x8000000000000001ull);
+  EXPECT_EQ(v.word(2), 0x2ull);
+  // A window across a word edge, before the start and past the end.
+  EXPECT_EQ(v.bits_at(63), 0x3ull);
+  EXPECT_EQ(v.bits_at(-1), 0x2ull);
+  EXPECT_EQ(v.bits_at(-64), 0ull);
+  EXPECT_EQ(v.bits_at(129), 1ull);
+  EXPECT_EQ(v.bits_at(130), 0ull);
+  // set_word drops the bits past the end.
+  v.set_word(2, ~0ull);
+  EXPECT_EQ(v.word(2), 0x3ull);
+  EXPECT_EQ(v.popcount(), 5u);
+}
+
+TEST(BitVec, FillAndAssignRanges) {
+  for (const std::size_t n : {1, 63, 64, 65, 130}) {
+    for (std::size_t pos = 0; pos <= n; pos += 7) {
+      for (std::size_t len = 0; pos + len <= n; len += 5) {
+        BitVec v(n, true);
+        v.fill(pos, len, false);
+        BitVec ref(n, true);
+        for (std::size_t i = pos; i < pos + len; ++i) ref.set(i, false);
+        ASSERT_EQ(v, ref) << n << " " << pos << " " << len;
+
+        BitVec src(len, false);
+        for (std::size_t i = 0; i < len; i += 3) src.set(i, true);
+        v.assign(pos, src);
+        for (std::size_t i = 0; i < len; ++i) ref.set(pos + i, src[i]);
+        ASSERT_EQ(v, ref) << n << " " << pos << " " << len;
+        ASSERT_EQ(v.slice(pos, len), src);
+      }
+    }
+    BitVec v(n, false);
+    EXPECT_THROW(v.fill(n, 1, true), std::out_of_range);
+    EXPECT_THROW(v.assign(1, BitVec(n, true)), std::out_of_range);
+  }
+}
+
 }  // namespace
 }  // namespace jsi::util
