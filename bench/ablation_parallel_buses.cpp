@@ -9,7 +9,6 @@
 
 #include <iostream>
 
-#include "core/multibus.hpp"
 #include "core/session.hpp"
 #include "util/table.hpp"
 
@@ -18,10 +17,10 @@ using namespace jsi;
 namespace {
 
 std::uint64_t parallel_tcks(std::size_t buses, std::size_t n) {
-  core::MultiBusConfig cfg;
+  core::SocConfig cfg;
   cfg.n_buses = buses;
-  cfg.wires_per_bus = n;
-  core::MultiBusSoc soc(cfg);
+  cfg.n_wires = n;
+  core::SiSocDevice soc(cfg);
   core::MultiBusSession session(soc);
   return session.run(core::ObservationMethod::OnceAtEnd).total_tcks;
 }

@@ -15,7 +15,6 @@
 
 #include "bsc/netlists.hpp"
 #include "core/bist.hpp"
-#include "core/multibus.hpp"
 #include "core/session.hpp"
 #include "ict/extest_session.hpp"
 #include "mafm/fault.hpp"
@@ -520,10 +519,10 @@ BENCHMARK(BM_ParallelVictimSession)
 void BM_MultiBusSession(benchmark::State& state) {
   const std::size_t buses = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    core::MultiBusConfig cfg;
+    core::SocConfig cfg;
     cfg.n_buses = buses;
-    cfg.wires_per_bus = 8;
-    core::MultiBusSoc soc(cfg);
+    cfg.n_wires = 8;
+    core::SiSocDevice soc(cfg);
     core::MultiBusSession session(soc);
     benchmark::DoNotOptimize(
         session.run(core::ObservationMethod::OnceAtEnd));
@@ -584,10 +583,10 @@ void collect_session_metrics() {
     session.run(core::ObservationMethod::OnceAtEnd);
   }
   {
-    core::MultiBusConfig cfg;
+    core::SocConfig cfg;
     cfg.n_buses = 2;
-    cfg.wires_per_bus = 8;
-    core::MultiBusSoc soc(cfg);
+    cfg.n_wires = 8;
+    core::SiSocDevice soc(cfg);
     core::MultiBusSession session(soc);
     session.set_sink(&sink);
     session.run(core::ObservationMethod::OnceAtEnd);

@@ -10,7 +10,6 @@
 
 #include <iostream>
 
-#include "core/multibus.hpp"
 #include "core/session.hpp"
 #include "scenario/build.hpp"
 #include "scenario/parse.hpp"
@@ -24,10 +23,12 @@ int main(int argc, char** argv) {
                : std::string(JSI_SCENARIO_DIR) + "/multibus_soc.scenario.json";
   const scenario::ScenarioSpec spec = scenario::load_scenario(path);
 
-  const core::MultiBusConfig cfg = scenario::multibus_config(spec);
-  core::MultiBusSoc soc(cfg);
+  // One SoC model serves one bus or many: the spec's three buses are
+  // three blocks of the one boundary-scan chain.
+  const core::SocConfig cfg = scenario::soc_config(spec);
+  core::SiSocDevice soc(cfg);
 
-  std::cout << "SoC: " << cfg.n_buses << " buses x " << cfg.wires_per_bus
+  std::cout << "SoC: " << cfg.n_buses << " buses x " << cfg.n_wires
             << " wires, chain length " << soc.chain_length() << "\n\n";
 
   // Manufacturing defects in two different buses (bus0 wire5: coupling;
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
 
   // Compare with testing the buses one after another.
   core::SocConfig single;
-  single.n_wires = cfg.wires_per_bus;
+  single.n_wires = cfg.n_wires;
   core::SiSocDevice ssoc(single);
   core::SiTestSession ssession(ssoc);
   const auto sr = ssession.run(core::ObservationMethod::OnceAtEnd);

@@ -37,7 +37,7 @@ class Obsc : public jtag::BoundaryCell {
   /// (NdCell/SdCell::violates), then latch(). `initial` is the wire's
   /// driven logic level before this bus transition; `expected` the level
   /// after it. The device path judges store entries instead (see
-  /// core::receive_transition).
+  /// core::SiSocDevice's sensor loop).
   void observe(si::WaveformView w, util::Logic initial,
                util::Logic expected, const jtag::CellCtl& c);
 

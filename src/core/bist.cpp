@@ -1,6 +1,7 @@
 #include "core/bist.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "jtag/tap_trace.hpp"
 
@@ -47,8 +48,8 @@ void BistProgram::scan_dr_capture(std::size_t len, std::size_t n,
   step(false, false);
   step(false, false);
   for (std::size_t i = 0; i < len; ++i) {
-    // Shift-out bit i carries OBSC wire n+m-1-i (see
-    // SiTestSession::read_flags); mark those steps for compaction.
+    // Shift-out bit i carries OBSC wire n+m-1-i (the index rule of
+    // TestPlan::obsc_scan_index); mark those steps for compaction.
     int wire = -1;
     if (i >= m && i <= n + m - 1) {
       wire = static_cast<int>(n + m - 1 - i);
@@ -101,8 +102,13 @@ double BistProgram::controller_nand_equiv() const {
   return rom + pc + 40.0;
 }
 
-SiBistController::SiBistController(SiSocDevice& soc)
-    : soc_(&soc), program_(BistProgram::compile(soc.config())) {}
+SiBistController::SiBistController(SiSocDevice& soc) : soc_(&soc) {
+  if (soc.config().n_buses != 1) {
+    throw std::invalid_argument(
+        "SiBistController's program tests a one-bus device");
+  }
+  program_ = BistProgram::compile(soc.config());
+}
 
 void SiBistController::set_sink(obs::Sink* sink) {
   sink_ = sink;

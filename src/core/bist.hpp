@@ -71,6 +71,8 @@ class SiBistController {
     std::uint64_t tcks = 0;       ///< program length executed
   };
 
+  /// A controller for a one-bus `soc` (throws std::invalid_argument on
+  /// more buses).
   explicit SiBistController(SiSocDevice& soc);
 
   /// Run the whole autonomous session.

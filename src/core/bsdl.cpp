@@ -14,11 +14,13 @@ jtag::BsdlDescription bsdl_for(const SiSocDevice& soc) {
       {"CLAMP", 0b0100},    {"HIGHZ", 0b0101},    {"G_SITEST", 0b1000},
       {"O_SITEST", 0b1001}, {"BYPASS", 0b1111},
   };
-  for (std::size_t i = 0; i < cfg.n_wires; ++i) {
+  // Every bus's cells, in chain order: wire i is bus i / n, wire i % n.
+  const std::size_t wires = cfg.n_buses * cfg.n_wires;
+  for (std::size_t i = 0; i < wires; ++i) {
     d.cells.push_back({"BUS_OUT" + std::to_string(i), "OUTPUT2",
                        cfg.enhanced ? "PG_BSC" : "BC_1", 'X'});
   }
-  for (std::size_t i = 0; i < cfg.n_wires; ++i) {
+  for (std::size_t i = 0; i < wires; ++i) {
     d.cells.push_back(
         {"BUS_IN" + std::to_string(i), "INPUT", "OB_SC", 'X'});
   }

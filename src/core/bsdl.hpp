@@ -10,8 +10,9 @@ namespace jsi::core {
 
 /// Build the BSDL description of an `SiSocDevice`: the standard and
 /// extended instructions with their opcodes, the IDCODE, and one boundary
-/// cell per stage — PG_BSC for the sending column, OB_SC for the
-/// observing column, BC_1 for the extra standard cells.
+/// cell per stage in chain order — PG_BSC for the sending column, OB_SC
+/// for the observing column (each numbered by wire across all buses),
+/// BC_1 for the extra standard cells.
 jtag::BsdlDescription bsdl_for(const SiSocDevice& soc);
 
 /// Convenience: render directly to BSDL text.

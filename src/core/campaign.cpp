@@ -10,21 +10,19 @@
 #include <thread>
 #include <utility>
 
-#include "core/bist.hpp"
 #include "core/checkpoint.hpp"
-#include "core/session.hpp"
 
 namespace jsi::core {
 
 namespace {
 
-/// Shared prologue of every single-bus canned builder: derive the
-/// config's effective electrical parameters, seed the unit's bus from
-/// the campaign prototype (clone when the width matches, fresh
-/// otherwise), and apply the unit's defect injections.
-si::CoupledBus unit_bus(CampaignContext& ctx, const SocConfig& c,
-                        const CampaignRunner::BusSetup& defects) {
-  si::CoupledBus bus = ctx.make_bus(effective_bus_params(c));
+/// Shared prologue of every canned builder: derive the config's
+/// effective electrical parameters, seed each of the unit's buses from
+/// the campaign prototype (clone when the params match, fresh
+/// otherwise) and apply the unit's defect injections.
+std::vector<si::CoupledBus> unit_buses(CampaignContext& ctx,
+                                       const SocConfig& c,
+                                       const CampaignRunner::BusSetup& defects) {
   // Tag which interconnect kernel serves this unit so merged BENCH /
   // metrics JSONs distinguish model populations. Only booked for
   // non-default models: rc_full_swing artifacts stay byte-exact.
@@ -33,8 +31,14 @@ si::CoupledBus unit_bus(CampaignContext& ctx, const SocConfig& c,
         .counter(std::string("bus.model.") + si::model_kind_name(c.bus.model))
         .inc();
   }
-  if (defects) defects(bus);
-  return bus;
+  const si::BusParams bp = effective_bus_params(c);
+  std::vector<si::CoupledBus> buses;
+  buses.reserve(c.n_buses);
+  for (std::size_t b = 0; b < c.n_buses; ++b) {
+    buses.push_back(ctx.make_bus(bp));
+    if (defects) defects(b, buses.back());
+  }
+  return buses;
 }
 
 }  // namespace
@@ -47,6 +51,33 @@ UnitOutcome summarize(const IntegrityReport& rep) {
   o.violation = rep.any_violation();
   std::ostringstream os;
   os << "nd=" << rep.nd_final.to_string() << " sd=" << rep.sd_final.to_string();
+  o.summary = os.str();
+  return o;
+}
+
+UnitOutcome summarize(const SiBistController::Result& res) {
+  UnitOutcome o;
+  o.total_tcks = res.tcks;
+  o.violation = !res.pass;
+  std::ostringstream os;
+  os << (res.pass ? "pass" : "fail") << " nd=" << res.nd.to_string()
+     << " sd=" << res.sd.to_string();
+  o.summary = os.str();
+  return o;
+}
+
+UnitOutcome summarize(const MultiBusReport& rep) {
+  UnitOutcome o;
+  o.total_tcks = rep.total_tcks;
+  o.generation_tcks = rep.generation_tcks;
+  o.observation_tcks = rep.observation_tcks;
+  o.violation = rep.any_violation();
+  std::ostringstream os;
+  for (std::size_t b = 0; b < rep.buses.size(); ++b) {
+    if (b) os << " ";
+    os << "b" << b << "[nd=" << rep.buses[b].nd_final.to_string()
+       << " sd=" << rep.buses[b].sd_final.to_string() << "]";
+  }
   o.summary = os.str();
   return o;
 }
@@ -119,8 +150,7 @@ void CampaignRunner::add_enhanced(std::string name, SocConfig cfg,
            defects = std::move(defects)](CampaignContext& ctx) {
     SocConfig c = cfg;
     c.enhanced = true;
-    si::CoupledBus bus = unit_bus(ctx, c, defects);
-    SiSocDevice soc(c, bus);
+    SiSocDevice soc(c, unit_buses(ctx, c, defects));
     SiTestSession session(soc);
     session.set_sink(&ctx.hub());
     return summarize(session.run(method));
@@ -137,8 +167,7 @@ void CampaignRunner::add_parallel(std::string name, SocConfig cfg,
            defects = std::move(defects)](CampaignContext& ctx) {
     SocConfig c = cfg;
     c.enhanced = true;
-    si::CoupledBus bus = unit_bus(ctx, c, defects);
-    SiSocDevice soc(c, bus);
+    SiSocDevice soc(c, unit_buses(ctx, c, defects));
     SiTestSession session(soc);
     session.set_sink(&ctx.hub());
     return summarize(session.run_parallel(method, guard));
@@ -155,8 +184,7 @@ void CampaignRunner::add_conventional(std::string name, SocConfig cfg,
            defects = std::move(defects)](CampaignContext& ctx) {
     SocConfig c = cfg;
     c.enhanced = false;
-    si::CoupledBus bus = unit_bus(ctx, c, defects);
-    SiSocDevice soc(c, bus);
+    SiSocDevice soc(c, unit_buses(ctx, c, defects));
     ConventionalSession session(soc);
     session.set_sink(&ctx.hub());
     return summarize(session.run(method));
@@ -164,42 +192,18 @@ void CampaignRunner::add_conventional(std::string name, SocConfig cfg,
   add(std::move(u));
 }
 
-void CampaignRunner::add_multibus(std::string name, MultiBusConfig cfg,
-                                  ObservationMethod method,
-                                  MultiBusSetup defects) {
+void CampaignRunner::add_multibus(std::string name, SocConfig cfg,
+                                  ObservationMethod method, BusSetup defects) {
   CampaignUnit u;
   u.name = std::move(name);
   u.run = [cfg = std::move(cfg), method,
            defects = std::move(defects)](CampaignContext& ctx) {
-    MultiBusConfig c = cfg;
-    si::CoupledBus proto = ctx.make_bus(effective_bus_params(c));
-    if (c.bus.model != si::ModelKind::RcFullSwing) {
-      ctx.hub().registry()
-          .counter(std::string("bus.model.") +
-                   si::model_kind_name(c.bus.model))
-          .inc();
-    }
-    MultiBusSoc soc(c, proto);
-    if (defects) {
-      for (std::size_t b = 0; b < soc.n_buses(); ++b) defects(b, soc.bus(b));
-    }
+    SocConfig c = cfg;
+    c.enhanced = true;
+    SiSocDevice soc(c, unit_buses(ctx, c, defects));
     MultiBusSession session(soc);
     session.set_sink(&ctx.hub());
-    MultiBusReport rep = session.run(method);
-
-    UnitOutcome o;
-    o.total_tcks = rep.total_tcks;
-    o.generation_tcks = rep.generation_tcks;
-    o.observation_tcks = rep.observation_tcks;
-    o.violation = rep.any_violation();
-    std::ostringstream os;
-    for (std::size_t b = 0; b < rep.buses.size(); ++b) {
-      if (b) os << " ";
-      os << "b" << b << "[nd=" << rep.buses[b].nd_final.to_string()
-         << " sd=" << rep.buses[b].sd_final.to_string() << "]";
-    }
-    o.summary = os.str();
-    return o;
+    return summarize(session.run(method));
   };
   add(std::move(u));
 }
@@ -212,22 +216,10 @@ void CampaignRunner::add_bist(std::string name, SocConfig cfg,
            defects = std::move(defects)](CampaignContext& ctx) {
     SocConfig c = cfg;
     c.enhanced = true;
-    si::CoupledBus bus = unit_bus(ctx, c, defects);
-    SiSocDevice soc(c, bus);
+    SiSocDevice soc(c, unit_buses(ctx, c, defects));
     SiBistController ctl(soc);
     ctl.set_sink(&ctx.hub());
-    SiBistController::Result res = ctl.run();
-
-    UnitOutcome o;
-    o.total_tcks = res.tcks;
-    // The autonomous controller runs one fused program; it does not split
-    // its budget into generation/observation phases.
-    o.violation = !res.pass;
-    std::ostringstream os;
-    os << (res.pass ? "pass" : "fail") << " nd=" << res.nd.to_string()
-       << " sd=" << res.sd.to_string();
-    o.summary = os.str();
-    return o;
+    return summarize(ctl.run());
   };
   add(std::move(u));
 }

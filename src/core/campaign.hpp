@@ -8,8 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "core/multibus.hpp"
+#include "core/bist.hpp"
 #include "core/report.hpp"
+#include "core/session.hpp"
 #include "core/soc.hpp"
 #include "obs/hub.hpp"
 #include "obs/registry.hpp"
@@ -39,6 +40,15 @@ struct UnitOutcome {
 /// "nd=<flags> sd=<flags>" summary. Shared by the canned builders and
 /// the sweep unit source.
 UnitOutcome summarize(const IntegrityReport& rep);
+
+/// The same for a BIST run: its TCK count (the controller runs one fused
+/// program, unsplit into generation and observation) and a
+/// "pass|fail nd=<flags> sd=<flags>" summary.
+UnitOutcome summarize(const SiBistController::Result& res);
+
+/// The same for a multi-bus session: its TCK split and one
+/// "b<i>[nd=<flags> sd=<flags>]" group per bus.
+UnitOutcome summarize(const MultiBusReport& rep);
 
 /// Per-worker execution context handed to a running unit. The hub is the
 /// worker's thread-local observer (reset before every unit, so a unit's
@@ -308,10 +318,9 @@ class CampaignRunner {
 
   // -- canned unit builders for the in-repo session kinds ------------------
 
-  /// Optional per-unit defect injection, applied before the session runs.
-  using BusSetup = std::function<void(si::CoupledBus&)>;
-  /// Multi-bus variant; called once per bus with its index.
-  using MultiBusSetup = std::function<void(std::size_t, si::CoupledBus&)>;
+  /// Optional per-unit defect injection, applied before the session runs:
+  /// called once per bus of the unit's device, with the bus index.
+  using BusSetup = std::function<void(std::size_t bus, si::CoupledBus&)>;
 
   void add_enhanced(std::string name, SocConfig cfg, ObservationMethod method,
                     BusSetup defects = {});
@@ -319,8 +328,8 @@ class CampaignRunner {
                     std::size_t guard, BusSetup defects = {});
   void add_conventional(std::string name, SocConfig cfg,
                         ObservationMethod method, BusSetup defects = {});
-  void add_multibus(std::string name, MultiBusConfig cfg,
-                    ObservationMethod method, MultiBusSetup defects = {});
+  void add_multibus(std::string name, SocConfig cfg, ObservationMethod method,
+                    BusSetup defects = {});
   void add_bist(std::string name, SocConfig cfg, BusSetup defects = {});
 
   std::size_t size() const {

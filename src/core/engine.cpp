@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/multibus.hpp"
 #include "core/soc.hpp"
 #include "mafm/fault.hpp"
 
@@ -10,48 +9,11 @@ namespace jsi::core {
 
 using util::BitVec;
 
-// ---------------------------------------------------------------------------
-// Targets
-// ---------------------------------------------------------------------------
-
-std::uint64_t SingleBusTarget::opcode(const std::string& name) const {
-  return soc_->tap().opcode(name);
-}
-
-BitVec SingleBusTarget::driven_pins(std::size_t) const {
-  return soc_->driven_pins();
-}
-
-BitVec SingleBusTarget::nd_flags(std::size_t) const { return soc_->nd_flags(); }
-
-BitVec SingleBusTarget::sd_flags(std::size_t) const { return soc_->sd_flags(); }
-
-std::uint64_t MultiBusTarget::opcode(const std::string& name) const {
-  return soc_->tap().opcode(name);
-}
-
-BitVec MultiBusTarget::driven_pins(std::size_t bus) const {
-  return soc_->driven_pins(bus);
-}
-
-BitVec MultiBusTarget::nd_flags(std::size_t bus) const {
-  return soc_->nd_flags(bus);
-}
-
-BitVec MultiBusTarget::sd_flags(std::size_t bus) const {
-  return soc_->sd_flags(bus);
-}
-
-// ---------------------------------------------------------------------------
-// Engine
-// ---------------------------------------------------------------------------
-
-EngineTarget& TestPlanEngine::target(const char* what) const {
-  if (!target_) {
-    throw std::logic_error(std::string("plan op needs an EngineTarget: ") +
-                           what);
+SiSocDevice& TestPlanEngine::device(const char* what) const {
+  if (!soc_) {
+    throw std::logic_error(std::string("plan op needs a device: ") + what);
   }
-  return *target_;
+  return *soc_;
 }
 
 void TestPlanEngine::emit(obs::EventKind kind, const char* name,
@@ -68,7 +30,7 @@ void TestPlanEngine::emit(obs::EventKind kind, const char* name,
 }
 
 void TestPlanEngine::load_instruction(const TestPlan& plan, const char* name) {
-  const std::uint64_t code = target("LoadIr").opcode(name);
+  const std::uint64_t code = device("LoadIr").tap().opcode(name);
   master_->scan_ir(BitVec::from_u64(code, plan.ir_width));
 }
 
@@ -83,7 +45,7 @@ void TestPlanEngine::record_patterns(const TestPlan& plan, EngineResult& r,
   for (std::size_t b = 0; b < plan.n_buses; ++b) {
     AppliedPattern p;
     p.before = before[b];
-    p.after = target("record").driven_pins(b);
+    p.after = device("record").driven_pins(b);
     p.victim = victim;
     p.init_block = op.block;
     p.from_rotate_scan = op.rotate;
@@ -166,7 +128,7 @@ EngineResult TestPlanEngine::execute(const TestPlan& plan) {
         if (op.record) {
           before.clear();
           for (std::size_t b = 0; b < plan.n_buses; ++b) {
-            before.push_back(target("record").driven_pins(b));
+            before.push_back(device("record").driven_pins(b));
           }
         }
         const BitVec out = master_->scan_dr(op.bits);
@@ -178,7 +140,7 @@ EngineResult TestPlanEngine::execute(const TestPlan& plan) {
         if (op.record) {
           before.clear();
           for (std::size_t b = 0; b < plan.n_buses; ++b) {
-            before.push_back(target("record").driven_pins(b));
+            before.push_back(device("record").driven_pins(b));
           }
         }
         master_->pulse_update_dr();
@@ -196,10 +158,10 @@ EngineResult TestPlanEngine::execute(const TestPlan& plan) {
     }
   }
 
-  if (target_) {
+  if (soc_) {
     for (std::size_t b = 0; b < plan.n_buses; ++b) {
-      r.reports[b].nd_final = target_->nd_flags(b);
-      r.reports[b].sd_final = target_->sd_flags(b);
+      r.reports[b].nd_final = soc_->nd_flags(b);
+      r.reports[b].sd_final = soc_->sd_flags(b);
     }
   }
   r.total_tcks = master_->tck() - t_start;

@@ -14,52 +14,6 @@
 namespace jsi::core {
 
 class SiSocDevice;
-class MultiBusSoc;
-
-/// The model-side view a plan execution needs: instruction opcodes for
-/// LoadIr ops and the driven bus state for pattern recording. Plans that
-/// contain neither (e.g. the board-level EXTEST flow, which scans raw IR
-/// bits and captures scan-outs) run with no target at all.
-class EngineTarget {
- public:
-  virtual ~EngineTarget() = default;
-
-  /// Opcode of instruction `name` (LoadIr resolution).
-  virtual std::uint64_t opcode(const std::string& name) const = 0;
-
-  /// Bus state currently driven on `bus` (record snapshots).
-  virtual util::BitVec driven_pins(std::size_t bus) const = 0;
-
-  /// Sticky sensor flags of `bus` (report finalization).
-  virtual util::BitVec nd_flags(std::size_t bus) const = 0;
-  virtual util::BitVec sd_flags(std::size_t bus) const = 0;
-};
-
-/// EngineTarget over the two-core SoC model.
-class SingleBusTarget final : public EngineTarget {
- public:
-  explicit SingleBusTarget(SiSocDevice& soc) : soc_(&soc) {}
-  std::uint64_t opcode(const std::string& name) const override;
-  util::BitVec driven_pins(std::size_t bus) const override;
-  util::BitVec nd_flags(std::size_t bus) const override;
-  util::BitVec sd_flags(std::size_t bus) const override;
-
- private:
-  SiSocDevice* soc_;
-};
-
-/// EngineTarget over the B-bus SoC model.
-class MultiBusTarget final : public EngineTarget {
- public:
-  explicit MultiBusTarget(MultiBusSoc& soc) : soc_(&soc) {}
-  std::uint64_t opcode(const std::string& name) const override;
-  util::BitVec driven_pins(std::size_t bus) const override;
-  util::BitVec nd_flags(std::size_t bus) const override;
-  util::BitVec sd_flags(std::size_t bus) const override;
-
- private:
-  MultiBusSoc* soc_;
-};
 
 /// Everything a plan execution produced: one IntegrityReport per bus
 /// (patterns, read-outs, final flags), the scan-outs of capture-flagged
@@ -79,13 +33,13 @@ struct EngineResult {
 /// equal to `dry_run_cost` in tests).
 class TestPlanEngine {
  public:
-  /// Target-less engine: only Reset/ScanIr/ScanDr/UpdateDr ops without
-  /// `record` annotations are executable.
-  explicit TestPlanEngine(jtag::TapMaster& master)
-      : master_(&master), target_(nullptr) {}
-
-  TestPlanEngine(jtag::TapMaster& master, EngineTarget& target)
-      : master_(&master), target_(&target) {}
+  /// An engine over `soc`, which must be the device behind `master`'s
+  /// port: LoadIr ops resolve opcodes on its TAP, recorded ops snapshot
+  /// its driven pins, and the reports end with its sensor flags. With
+  /// no device only Reset/ScanIr/ScanDr/UpdateDr ops without `record`
+  /// annotations are executable (the board EXTEST flow).
+  explicit TestPlanEngine(jtag::TapMaster& master, SiSocDevice* soc = nullptr)
+      : master_(&master), soc_(soc) {}
 
   EngineResult execute(const TestPlan& plan);
 
@@ -103,12 +57,12 @@ class TestPlanEngine {
                        const std::vector<util::BitVec>& before,
                        const TapOp& op) const;
   void run_readout(const TestPlan& plan, EngineResult& r, const TapOp& op);
-  EngineTarget& target(const char* what) const;
+  SiSocDevice& device(const char* what) const;
   void emit(obs::EventKind kind, const char* name, std::int64_t a,
             std::int64_t b, std::uint64_t value) const;
 
   jtag::TapMaster* master_;
-  EngineTarget* target_;
+  SiSocDevice* soc_;
   obs::Sink* sink_ = nullptr;
 };
 

@@ -115,12 +115,16 @@ TestPlan make_header(std::size_t buses, std::size_t n, std::size_t m,
   return plan;
 }
 
-}  // namespace
-
-TestPlan plan_enhanced_session(std::size_t n, std::size_t m,
-                               std::size_t ir_width,
-                               ObservationMethod method) {
-  TestPlan plan = make_header(1, n, m, ir_width, method);
+/// The Fig 12 flow over `buses` equal blocks of `n` sending cells: two
+/// initial-value blocks of SAMPLE preload + G-SITEST + victim-select
+/// scan + per-victim 3-updates-and-rotate, with method-dependent O-SITEST
+/// read-outs. The select scan puts one hot bit in every bus's block, so
+/// the shared rotate loop advances every bus's victim at once. Method 3's
+/// per-pattern read-outs restore one bus's victim select; the multi-bus
+/// planner refuses it.
+TestPlan plan_fig12(std::size_t buses, std::size_t n, std::size_t m,
+                    std::size_t ir_width, ObservationMethod method) {
+  TestPlan plan = make_header(buses, n, m, ir_width, method);
   const std::size_t len = plan.chain_length;
   const bool per_pattern = method == ObservationMethod::PerPattern;
   auto& ops = plan.ops;
@@ -131,9 +135,14 @@ TestPlan plan_enhanced_session(std::size_t n, std::size_t m,
     ops.push_back(scan_dr_op(BitVec(len, block != 0)));
     ops.push_back(load_ir_op(SiSocDevice::kGSitest));
 
-    // Victim-select scan: lands the one-hot on wire 0 and its trailing
-    // Update-DR fires the first pattern.
-    ops.push_back(recorded_scan(BitVec::one_hot(n, n - 1), 0, block, false));
+    // Victim-select scan over the sending region: lands a hot bit on wire
+    // 0 of every bus block, and its trailing Update-DR fires the first
+    // pattern.
+    BitVec select(buses * n, false);
+    for (std::size_t b = 0; b < buses; ++b) {
+      select.set(buses * n - 1 - b * n, true);
+    }
+    ops.push_back(recorded_scan(std::move(select), 0, block, false));
     if (per_pattern) ops.push_back(readout_op(0, /*resume_gen=*/true, block));
 
     for (std::size_t v = 0; v < n; ++v) {
@@ -160,6 +169,14 @@ TestPlan plan_enhanced_session(std::size_t n, std::size_t m,
     ops.push_back(readout_op(TapOp::kNoVictim, false, 1));
   }
   return plan;
+}
+
+}  // namespace
+
+TestPlan plan_enhanced_session(std::size_t n, std::size_t m,
+                               std::size_t ir_width,
+                               ObservationMethod method) {
+  return plan_fig12(1, n, m, ir_width, method);
 }
 
 TestPlan plan_parallel_victims(std::size_t n, std::size_t m,
@@ -249,38 +266,7 @@ TestPlan plan_multibus_session(std::size_t buses, std::size_t wires_per_bus,
         "per-pattern read-out is provided by the single-bus SiTestSession; "
         "the parallel session supports methods 1 and 2");
   }
-  const std::size_t n = wires_per_bus;
-  TestPlan plan = make_header(buses, n, m, ir_width, method);
-  const std::size_t len = plan.chain_length;
-  auto& ops = plan.ops;
-
-  ops.push_back(reset_op());
-  for (int block = 0; block < 2; ++block) {
-    ops.push_back(load_ir_op(SiSocDevice::kSample));
-    ops.push_back(scan_dr_op(BitVec(len, block != 0)));
-    ops.push_back(load_ir_op(SiSocDevice::kGSitest));
-
-    // Victim-select scan over the PGBSC region: one hot bit per bus block
-    // at block-relative position 0.
-    BitVec select(buses * n, false);
-    for (std::size_t b = 0; b < buses; ++b) {
-      select.set(buses * n - 1 - b * n, true);
-    }
-    ops.push_back(recorded_scan(std::move(select), 0, block, false));
-
-    for (std::size_t v = 0; v < n; ++v) {
-      for (int i = 0; i < 3; ++i) ops.push_back(recorded_update(v, block));
-      const std::size_t next_victim = v + 1 < n ? v + 1 : TapOp::kNoVictim;
-      ops.push_back(recorded_scan(BitVec(1, false), next_victim, block, true));
-    }
-    if (method == ObservationMethod::PerInitValue) {
-      ops.push_back(readout_op(TapOp::kNoVictim, false, block));
-    }
-  }
-  if (method == ObservationMethod::OnceAtEnd) {
-    ops.push_back(readout_op(TapOp::kNoVictim, false, 1));
-  }
-  return plan;
+  return plan_fig12(buses, wires_per_bus, m, ir_width, method);
 }
 
 }  // namespace jsi::core

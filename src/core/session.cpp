@@ -1,12 +1,57 @@
 #include "core/session.hpp"
 
 #include <stdexcept>
-
-#include "core/engine.hpp"
+#include <string>
 
 namespace jsi::core {
 
-using util::BitVec;
+namespace {
+
+/// Throws unless `soc` has one bus: `who` plans a single bus.
+void require_one_bus(const SiSocDevice& soc, const char* who) {
+  if (soc.config().n_buses != 1) {
+    throw std::invalid_argument(std::string(who) +
+                                " needs a one-bus device; MultiBusSession "
+                                "tests " +
+                                std::to_string(soc.config().n_buses) +
+                                " buses at once");
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// PlanSession
+// ---------------------------------------------------------------------------
+
+PlanSession::PlanSession(SiSocDevice& soc, jtag::TapPort& port)
+    : soc_(&soc), master_(port) {}
+
+void PlanSession::set_sink(obs::Sink* sink) {
+  sink_ = sink;
+  master_.set_sink(sink);
+  soc_->set_sink(sink);
+}
+
+EngineResult PlanSession::execute(const TestPlan& plan, const char* kind) {
+  TestPlanEngine engine(master_, soc_);
+  engine.set_sink(sink_);
+  obs::emit_span(sink_, obs::EventKind::SessionBegin, kind, master_.tck());
+  EngineResult res = engine.execute(plan);
+  obs::emit_span(sink_, obs::EventKind::SessionEnd, kind, master_.tck(),
+                 res.total_tcks);
+  return res;
+}
+
+IntegrityReport PlanSession::execute_one(const TestPlan& plan,
+                                         const char* kind) {
+  EngineResult res = execute(plan, kind);
+  IntegrityReport r = std::move(res.reports.front());
+  r.total_tcks = res.total_tcks;
+  r.generation_tcks = res.generation_tcks;
+  r.observation_tcks = res.observation_tcks;
+  return r;
+}
 
 // ---------------------------------------------------------------------------
 // SiTestSession
@@ -16,11 +61,12 @@ SiTestSession::SiTestSession(SiSocDevice& soc)
     : SiTestSession(soc, soc.tap()) {}
 
 SiTestSession::SiTestSession(SiSocDevice& soc, jtag::TapPort& port)
-    : soc_(&soc), master_(port) {
+    : PlanSession(soc, port) {
   if (!soc.config().enhanced) {
     throw std::invalid_argument(
         "SiTestSession needs the enhanced (PGBSC/OBSC) architecture");
   }
+  require_one_bus(soc, "SiTestSession");
 }
 
 TestPlan SiTestSession::plan(ObservationMethod method) const {
@@ -36,34 +82,13 @@ TestPlan SiTestSession::plan_parallel(ObservationMethod method,
                                method, guard);
 }
 
-void SiTestSession::set_sink(obs::Sink* sink) {
-  sink_ = sink;
-  master_.set_sink(sink);
-  soc_->set_sink(sink);
-}
-
-IntegrityReport SiTestSession::execute(const TestPlan& p, const char* kind) {
-  SingleBusTarget target(*soc_);
-  TestPlanEngine engine(master_, target);
-  engine.set_sink(sink_);
-  obs::emit_span(sink_, obs::EventKind::SessionBegin, kind, master_.tck());
-  EngineResult res = engine.execute(p);
-  IntegrityReport r = std::move(res.reports.front());
-  r.total_tcks = res.total_tcks;
-  r.generation_tcks = res.generation_tcks;
-  r.observation_tcks = res.observation_tcks;
-  obs::emit_span(sink_, obs::EventKind::SessionEnd, kind, master_.tck(),
-                 res.total_tcks);
-  return r;
-}
-
 IntegrityReport SiTestSession::run(ObservationMethod method) {
-  return execute(plan(method), "enhanced");
+  return execute_one(plan(method), "enhanced");
 }
 
 IntegrityReport SiTestSession::run_parallel(ObservationMethod method,
                                             std::size_t guard) {
-  return execute(plan_parallel(method, guard), "parallel");
+  return execute_one(plan_parallel(method, guard), "parallel");
 }
 
 // ---------------------------------------------------------------------------
@@ -71,11 +96,12 @@ IntegrityReport SiTestSession::run_parallel(ObservationMethod method,
 // ---------------------------------------------------------------------------
 
 ConventionalSession::ConventionalSession(SiSocDevice& soc)
-    : soc_(&soc), master_(soc.tap()) {
+    : PlanSession(soc, soc.tap()) {
   if (soc.config().enhanced) {
     throw std::invalid_argument(
         "ConventionalSession expects SocConfig::enhanced == false");
   }
+  require_one_bus(soc, "ConventionalSession");
 }
 
 TestPlan ConventionalSession::plan(ObservationMethod method) const {
@@ -84,25 +110,42 @@ TestPlan ConventionalSession::plan(ObservationMethod method) const {
                                    cfg.ir_width, method);
 }
 
-void ConventionalSession::set_sink(obs::Sink* sink) {
-  sink_ = sink;
-  master_.set_sink(sink);
-  soc_->set_sink(sink);
+IntegrityReport ConventionalSession::run(ObservationMethod method) {
+  return execute_one(plan(method), "conventional");
 }
 
-IntegrityReport ConventionalSession::run(ObservationMethod method) {
-  SingleBusTarget target(*soc_);
-  TestPlanEngine engine(master_, target);
-  engine.set_sink(sink_);
-  obs::emit_span(sink_, obs::EventKind::SessionBegin, "conventional",
-                 master_.tck());
-  EngineResult res = engine.execute(plan(method));
-  IntegrityReport r = std::move(res.reports.front());
+// ---------------------------------------------------------------------------
+// MultiBusSession
+// ---------------------------------------------------------------------------
+
+bool MultiBusReport::any_violation() const {
+  for (const auto& b : buses) {
+    if (b.any_violation()) return true;
+  }
+  return false;
+}
+
+MultiBusSession::MultiBusSession(SiSocDevice& soc)
+    : PlanSession(soc, soc.tap()) {
+  if (!soc.config().enhanced) {
+    throw std::invalid_argument(
+        "MultiBusSession needs the enhanced (PGBSC/OBSC) architecture");
+  }
+}
+
+TestPlan MultiBusSession::plan(ObservationMethod method) const {
+  const SocConfig& cfg = soc_->config();
+  return plan_multibus_session(cfg.n_buses, cfg.n_wires, cfg.m_extra_cells,
+                               cfg.ir_width, method);
+}
+
+MultiBusReport MultiBusSession::run(ObservationMethod method) {
+  EngineResult res = execute(plan(method), "multibus");
+  MultiBusReport r;
+  r.buses = std::move(res.reports);
   r.total_tcks = res.total_tcks;
   r.generation_tcks = res.generation_tcks;
   r.observation_tcks = res.observation_tcks;
-  obs::emit_span(sink_, obs::EventKind::SessionEnd, "conventional",
-                 master_.tck(), res.total_tcks);
   return r;
 }
 

@@ -1,6 +1,7 @@
 #include "core/soc.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "si/model.hpp"
 
@@ -21,14 +22,16 @@ void fire(obs::Sink& sink, const char* which, std::size_t wire,
   sink.on_event(e);
 }
 
-}  // namespace
-
-si::BusParams effective_bus_params(const SocConfig& cfg) {
-  si::BusParams bp = cfg.bus;
-  bp.n_wires = cfg.n_wires;
-  return bp;
-}
-
+/// The receiving end of one bus transition, which `bus` served as
+/// `batch`: the OBSCs of `cells` from `first` on, one per wire, take
+/// their wire's settled logic (read from the entry's final sample) as
+/// parallel input and, when `observe`, latch the wire's ND/SD verdicts
+/// (CoupledBus::judge under the cells' sensor params) while CE is high.
+/// Wires that share a verdict slot share a store entry — its recipe, so
+/// also its samples and driven levels — so each run of such wires is
+/// judged once, and its flags and levels are written as one range. A
+/// newly set flag goes to `sink` as a DetectorFired record (a = wire,
+/// b = `bus_id`), in wire order, ND before SD.
 void receive_transition(const si::CoupledBus& bus,
                         const si::TransitionBatch& batch,
                         bsc::PlaneRegister& cells, std::size_t first,
@@ -58,27 +61,43 @@ void receive_transition(const si::CoupledBus& bus,
   }
 }
 
-SiSocDevice::SiSocDevice(SocConfig cfg)
-    : SiSocDevice(std::move(cfg), static_cast<si::CoupledBus*>(nullptr)) {}
-
-SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus& bus)
-    : SiSocDevice(std::move(cfg), &bus) {}
-
-SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
-    : cfg_(std::move(cfg)),
-      pins_(cfg_.n_wires, false),
-      next_pins_(cfg_.n_wires, false) {
-  if (cfg_.n_wires < 2) throw std::invalid_argument("need >= 2 interconnects");
-  if (external != nullptr) {
-    si::require_width(*external, cfg_.n_wires);
-    bus_ = external;
-    // Keep config() truthful: the electrical parameters in force are the
-    // external bus's, not whatever cfg.bus carried.
-    cfg_.bus = external->params();
-  } else {
-    owned_bus_ = std::make_unique<si::CoupledBus>(effective_bus_params(cfg_));
-    bus_ = owned_bus_.get();
+/// `cfg.n_buses` buses built from `cfg.bus`.
+std::vector<si::CoupledBus> fresh_buses(const SocConfig& cfg) {
+  std::vector<si::CoupledBus> buses;
+  buses.reserve(cfg.n_buses);
+  for (std::size_t b = 0; b < cfg.n_buses; ++b) {
+    buses.emplace_back(effective_bus_params(cfg));
   }
+  return buses;
+}
+
+}  // namespace
+
+si::BusParams effective_bus_params(const SocConfig& cfg) {
+  si::BusParams bp = cfg.bus;
+  bp.n_wires = cfg.n_wires;
+  return bp;
+}
+
+SiSocDevice::SiSocDevice(SocConfig cfg)
+    : SiSocDevice(cfg, fresh_buses(cfg)) {}
+
+SiSocDevice::SiSocDevice(SocConfig cfg, std::vector<si::CoupledBus> buses)
+    : cfg_(std::move(cfg)), buses_(std::move(buses)) {
+  if (cfg_.n_buses == 0) throw std::invalid_argument("need >= 1 bus");
+  if (cfg_.n_wires < 2) throw std::invalid_argument("need >= 2 interconnects");
+  if (buses_.size() != cfg_.n_buses) {
+    throw std::invalid_argument("SiSocDevice: " +
+                                std::to_string(buses_.size()) +
+                                " buses handed in for n_buses " +
+                                std::to_string(cfg_.n_buses));
+  }
+  for (const si::CoupledBus& bus : buses_) {
+    si::require_width(bus, cfg_.n_wires);
+  }
+  // Keep config() truthful: the electrical parameters in force are the
+  // buses', not whatever cfg.bus carried.
+  cfg_.bus = buses_.front().params();
   // Detector supplies follow the swing the cells observe on the wire —
   // the full bus supply for rc_full_swing, the reduced swing for
   // low_swing — so threshold fractions track the actual waveform range.
@@ -87,18 +106,21 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
   cfg_.nd.vdd = observed;
   cfg_.sd.vdd = observed;
 
+  pins_.assign(cfg_.n_buses, BitVec(cfg_.n_wires, false));
+  next_pins_ = pins_;
+
   tap_ = std::make_unique<jtag::TapDevice>("si_soc", cfg_.ir_width);
   tap_->add_idcode(cfg_.idcode, 0b0010);
 
-  std::vector<bsc::CellKind> kinds(cfg_.n_wires, cfg_.enhanced
-                                                     ? bsc::CellKind::Pgbsc
-                                                     : bsc::CellKind::Standard);
-  kinds.insert(kinds.end(), cfg_.n_wires, bsc::CellKind::Obsc);
+  const std::size_t wires = cfg_.n_buses * cfg_.n_wires;
+  std::vector<bsc::CellKind> kinds(
+      wires, cfg_.enhanced ? bsc::CellKind::Pgbsc : bsc::CellKind::Standard);
+  kinds.insert(kinds.end(), wires, bsc::CellKind::Obsc);
   kinds.insert(kinds.end(), cfg_.m_extra_cells, bsc::CellKind::Standard);
   auto boundary =
       std::make_shared<bsc::PlaneRegister>(kinds, ctl_, cfg_.nd, cfg_.sd);
   boundary_ = boundary.get();
-  boundary_->set_parallel_in(0, cfg_.n_wires, Logic::L0);
+  boundary_->set_parallel_in(0, wires, Logic::L0);
 
   tap_->add_data_register("BOUNDARY", boundary);
   tap_->add_instruction(kExtest, 0b0000, "BOUNDARY");
@@ -126,31 +148,33 @@ SiSocDevice::SiSocDevice(SocConfig cfg, si::CoupledBus* external)
 }
 
 std::size_t SiSocDevice::chain_length() const {
-  return 2 * cfg_.n_wires + cfg_.m_extra_cells;
+  return 2 * cfg_.n_buses * cfg_.n_wires + cfg_.m_extra_cells;
 }
 
 void SiSocDevice::set_sink(obs::Sink* sink) {
   sink_ = sink;
-  bus_->set_sink(sink);
+  for (si::CoupledBus& bus : buses_) bus.set_sink(sink);
 }
 
 void SiSocDevice::set_core_output(std::size_t i, Logic v) {
-  if (i >= cfg_.n_wires) throw std::out_of_range("bad wire");
+  if (i >= cfg_.n_buses * cfg_.n_wires) throw std::out_of_range("bad wire");
   boundary_->set_parallel_in(i, v);
   apply_bus(/*observe=*/ctl_.ce);
 }
 
 Logic SiSocDevice::core_input(std::size_t i) const {
-  if (i >= cfg_.n_wires) throw std::out_of_range("bad wire");
-  return boundary_->parallel_out(cfg_.n_wires + i);
+  if (i >= cfg_.n_buses * cfg_.n_wires) throw std::out_of_range("bad wire");
+  return boundary_->parallel_out(obsc_first() + i);
 }
 
-BitVec SiSocDevice::nd_flags() const {
-  return boundary_->nd().slice(cfg_.n_wires, cfg_.n_wires);
+BitVec SiSocDevice::nd_flags(std::size_t b) const {
+  if (b >= cfg_.n_buses) throw std::out_of_range("bad bus");
+  return boundary_->nd().slice(obsc_first(b), cfg_.n_wires);
 }
 
-BitVec SiSocDevice::sd_flags() const {
-  return boundary_->sd().slice(cfg_.n_wires, cfg_.n_wires);
+BitVec SiSocDevice::sd_flags(std::size_t b) const {
+  if (b >= cfg_.n_buses) throw std::out_of_range("bad bus");
+  return boundary_->sd().slice(obsc_first(b), cfg_.n_wires);
 }
 
 void SiSocDevice::decode_instruction(const std::string& name) {
@@ -192,40 +216,44 @@ void SiSocDevice::on_update_dr() {
 void SiSocDevice::apply_bus(bool observe) {
   const std::size_t n = cfg_.n_wires;
   if (highz_) {
-    // HIGHZ: all bus drivers float; the receivers see high impedance
+    // HIGHZ: every bus driver floats; the receivers see high impedance
     // until another instruction re-drives the wires.
-    boundary_->set_parallel_in(n, n, Logic::Z);
+    boundary_->set_parallel_in(obsc_first(), cfg_.n_buses * n, Logic::Z);
     pins_valid_ = false;
     return;
   }
-  // The vector the sending side currently drives.
-  boundary_->parallel_out(0, next_pins_);
-  if (pins_valid_ && next_pins_ == pins_) return;
+  for (std::size_t b = 0; b < cfg_.n_buses; ++b) {
+    // The vector bus b's sending cells currently drive.
+    boundary_->parallel_out(b * n, next_pins_[b]);
+    if (!pins_valid_) {
+      // First drive after reset: establish levels without a transition.
+      pins_[b] = next_pins_[b];
+      boundary_->set_parallel_in(obsc_first(b), pins_[b]);
+      continue;
+    }
+    if (next_pins_[b] == pins_[b]) continue;
 
-  if (!pins_valid_) {
-    // First drive after reset: establish levels without a transition.
-    pins_ = next_pins_;
-    pins_valid_ = true;
-    boundary_->set_parallel_in(n, pins_);
-    return;
+    std::swap(pins_[b], next_pins_[b]);  // next_pins_[b]: the previous drive
+    ++bus_transitions_;
+    if (sink_) {
+      obs::Event e;
+      e.kind = obs::EventKind::BusTransition;
+      e.tck = tap_->tck_count();
+      e.name = "bus";
+      e.a = static_cast<std::int64_t>(b);
+      e.value = bus_transitions_;
+      sink_->on_event(e);
+    }
+    // One batched store lookup for the whole bus: the sensors judge each
+    // entry's recipe once per detector param set (its verdict slot
+    // remembers the rest), and no waveform is rendered. A one-bus
+    // device names no bus in its DetectorFired records.
+    si::CoupledBus& bus = buses_[b];
+    receive_transition(bus, bus.transition_batch(next_pins_[b], pins_[b]),
+                       *boundary_, obsc_first(b), observe, sink_,
+                       cfg_.n_buses == 1 ? -1 : static_cast<std::int64_t>(b));
   }
-
-  std::swap(pins_, next_pins_);  // next_pins_ now holds the previous drive
-  ++bus_transitions_;
-  if (sink_) {
-    obs::Event e;
-    e.kind = obs::EventKind::BusTransition;
-    e.tck = tap_->tck_count();
-    e.name = "bus";
-    e.a = 0;
-    e.value = bus_transitions_;
-    sink_->on_event(e);
-  }
-  // One batched store lookup for the whole bus: the sensors judge each
-  // entry's recipe once per detector param set (its verdict slot
-  // remembers the rest), and no waveform is rendered.
-  receive_transition(*bus_, bus_->transition_batch(next_pins_, pins_),
-                     *boundary_, n, observe, sink_, -1);
+  pins_valid_ = true;
 }
 
 }  // namespace jsi::core

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "bsc/planes.hpp"
 #include "jtag/device.hpp"
@@ -13,56 +14,48 @@
 
 namespace jsi::core {
 
-/// Configuration of the two-core SoC model (paper Fig 11).
+/// Configuration of the SoC model: the paper's two cores joined by one
+/// bus (Fig 11), or B equal-width core-to-core buses behind the same TAP.
 struct SocConfig {
-  std::size_t n_wires = 8;        ///< interconnects under test between cores
+  std::size_t n_buses = 1;        ///< core-to-core buses behind the one TAP
+  std::size_t n_wires = 8;        ///< interconnects under test, per bus
   std::size_t m_extra_cells = 1;  ///< other (standard) cells in the chain
   bool enhanced = true;  ///< true: PGBSC/OBSC architecture; false: the
                          ///< conventional-BSA baseline (standard cells on
                          ///< the sending side, used for Table 5)
   std::size_t ir_width = 4;
   std::uint32_t idcode = 0x0A571001u;  ///< arbitrary but fixed device id
-  si::BusParams bus{};                 ///< n_wires is overridden by `n_wires`
+  si::BusParams bus{};  ///< every bus's electrical template; its n_wires
+                        ///< is overridden by `n_wires`
   si::NdParams nd{};
   si::SdParams sd{};
 };
 
-/// The electrical parameters actually in force for a SoC built from
-/// `cfg`: `cfg.bus` with its width overridden by `cfg.n_wires`. The one
-/// place this widening rule lives — the device constructor, the campaign
-/// unit builders and the scenario builder all derive bus parameters
-/// through it.
+/// The electrical parameters actually in force on each bus of a SoC
+/// built from `cfg`: `cfg.bus` with its width overridden by
+/// `cfg.n_wires`. The one place this widening rule lives — the device
+/// constructor, the campaign unit builders and the scenario builder all
+/// derive bus parameters through it.
 si::BusParams effective_bus_params(const SocConfig& cfg);
-
-/// The receiving end of one bus transition, which `bus` served as
-/// `batch`: the OBSCs of `cells` from `first` on, one per wire, take
-/// their wire's settled logic (read from the entry's final sample) as
-/// parallel input and, when `observe`, latch the wire's ND/SD verdicts
-/// (CoupledBus::judge under the cells' sensor params) while CE is high.
-/// Wires that share a verdict slot share a store entry — its recipe, so
-/// also its samples and driven levels — so each run of such wires is
-/// judged once, and its flags and levels are written as one range. A
-/// newly set flag goes to `sink` as a DetectorFired record (a = wire,
-/// b = `bus_id`), in wire order, ND before SD. SiSocDevice and
-/// MultiBusSoc (once per bus) receive through this one loop.
-void receive_transition(const si::CoupledBus& bus,
-                        const si::TransitionBatch& batch,
-                        bsc::PlaneRegister& cells, std::size_t first,
-                        bool observe, obs::Sink* sink, std::int64_t bus_id);
 
 /// The paper's test architecture: Core i drives `n` interconnects through
 /// sending-side boundary cells, Core j receives them through observation
-/// cells, and a single IEEE 1149.1 TAP serves the whole chip.
+/// cells, and a single IEEE 1149.1 TAP serves the whole chip. A SoC with
+/// B core-to-core buses is the same chain with B blocks in each column.
 ///
-/// Boundary-register order (cell 0 nearest TDI):
-///   [0, n)        sending cells (PGBSC, or StandardBsc when
-///                 `enhanced == false`)
-///   [n, 2n)       receiving cells (OBSC)
-///   [2n, 2n+m)    other standard cells
+/// Boundary-register order (cell 0 nearest TDI; n = n_wires, B = n_buses):
+///   [0, Bn)        sending cells, bus b's from b*n (PGBSC, or StandardBsc
+///                  when `enhanced == false`)
+///   [Bn, 2Bn)      receiving cells (OBSC), bus b's from obsc_first(b)
+///   [2Bn, 2Bn+m)   other standard cells
+/// At B=1 this is Fig 11's chain. Keeping the sending blocks contiguous
+/// makes the one-bit victim-rotate scan work across buses: each bus
+/// carries one hot bit in its block, and one shift advances the victim of
+/// every bus, so B buses are tested for (almost) the cost of one.
 ///
 /// Instruction set (4-bit IR by default):
-///   EXTEST 0000, SAMPLE/PRELOAD 0001, IDCODE 0010,
-///   **G-SITEST 1000**, **O-SITEST 1001**, BYPASS 1111.
+///   EXTEST 0000, SAMPLE/PRELOAD 0001, IDCODE 0010, CLAMP 0100,
+///   HIGHZ 0101, **G-SITEST 1000**, **O-SITEST 1001**, BYPASS 1111.
 ///
 /// Control-signal decode (paper §4.1):
 ///   | instruction     | Mode | SI | CE | GEN |
@@ -76,22 +69,21 @@ void receive_transition(const si::CoupledBus& bus,
 /// instruction (IDCODE) current and so also ends CLAMP and HIGHZ.
 ///
 /// Every Update-DR (and instruction change, and functional core-output
-/// change) re-evaluates the driven pin vector; when it changes, the
-/// coupled-bus model produces per-wire receiving-end waveforms which are
-/// fed to the OBSC sensors and settle into the receiving cells' parallel
-/// inputs.
+/// change) re-evaluates the driven pins of every bus; each bus whose
+/// pins changed makes one transition of its coupled-bus model, whose
+/// receiving ends are judged by that bus's OBSC sensors and settle into
+/// their parallel inputs.
 class SiSocDevice {
  public:
+  /// Builds `cfg.n_buses` buses from `cfg.bus`.
   explicit SiSocDevice(SocConfig cfg);
 
-  /// Construct against an externally-owned interconnect model instead of
-  /// building one from `cfg.bus` — the campaign-runner path, where each
-  /// worker owns a warmed si::CoupledBus clone and hands it to one
-  /// short-lived device per work unit. `bus.n()` must equal
-  /// `cfg.n_wires` (throws std::invalid_argument otherwise); the device
-  /// does not take ownership and `bus` must outlive it. Detector
-  /// supplies and `config().bus` follow the external bus's parameters.
-  SiSocDevice(SocConfig cfg, si::CoupledBus& bus);
+  /// Runs on `buses`, moved in — the campaign path, where each unit hands
+  /// in clones of the campaign's warmed prototype bus. There must be
+  /// `cfg.n_buses` of them, each `cfg.n_wires` wide (throws
+  /// std::invalid_argument otherwise). Detector supplies and
+  /// `config().bus` follow bus 0's electrical parameters.
+  SiSocDevice(SocConfig cfg, std::vector<si::CoupledBus> buses);
 
   // Non-copyable: the TAP holds callbacks into this object.
   SiSocDevice(const SiSocDevice&) = delete;
@@ -102,36 +94,46 @@ class SiSocDevice {
   /// The 1149.1 test logic (clock it directly or via a TapMaster).
   jtag::TapDevice& tap() { return *tap_; }
 
-  /// The interconnect model (inject defects here).
-  si::CoupledBus& bus() { return *bus_; }
-  const si::CoupledBus& bus() const { return *bus_; }
+  /// The interconnect model of bus `b` (inject defects here).
+  si::CoupledBus& bus(std::size_t b = 0) { return buses_.at(b); }
+  const si::CoupledBus& bus(std::size_t b = 0) const { return buses_.at(b); }
 
-  /// Total boundary-register length 2n+m.
+  /// Total boundary-register length 2Bn+m.
   std::size_t chain_length() const;
 
   /// The boundary register as bit planes (cell order as above).
   const bsc::PlaneRegister& boundary() const { return *boundary_; }
 
+  /// First cell of bus `b`'s OBSC block.
+  std::size_t obsc_first(std::size_t b = 0) const {
+    return (cfg_.n_buses + b) * cfg_.n_wires;
+  }
+
   /// Current control-signal decode (Tables 1/3 inputs).
   const jtag::CellCtl& controls() const { return ctl_; }
 
-  /// Functional value Core i drives on wire `i` (visible on the bus when
-  /// Mode=0).
+  /// Functional value the sending core drives on wire `i`, counted
+  /// across buses in chain order (bus b's wire w is b*n + w); visible on
+  /// the bus when Mode=0.
   void set_core_output(std::size_t i, util::Logic v);
 
-  /// Value Core j receives on wire `i` (through the OBSC).
+  /// Value the receiving core sees on wire `i` (chain order, through the
+  /// OBSC).
   util::Logic core_input(std::size_t i) const;
 
-  /// Currently driven pin vector (X-free once anything drove the bus).
-  const util::BitVec& driven_pins() const { return pins_; }
+  /// Pins currently driven on bus `b` (X-free once anything drove it).
+  const util::BitVec& driven_pins(std::size_t b = 0) const {
+    return pins_.at(b);
+  }
 
-  /// Number of bus transitions simulated (each ran the coupled-RC solver).
+  /// Bus transitions simulated, over all buses (each is one batched
+  /// store lookup of its bus).
   std::uint64_t bus_transitions() const { return bus_transitions_; }
 
-  /// Sticky sensor flags as bit vectors (bit i = wire i) — the ground
-  /// truth the scan-out is checked against in tests.
-  util::BitVec nd_flags() const;
-  util::BitVec sd_flags() const;
+  /// Bus `b`'s sticky sensor flags as bit vectors (bit i = wire i) — the
+  /// ground truth the scan-out is checked against in tests.
+  util::BitVec nd_flags(std::size_t b = 0) const;
+  util::BitVec sd_flags(std::size_t b = 0) const;
 
   // Instruction names.
   static constexpr const char* kExtest = "EXTEST";
@@ -141,18 +143,17 @@ class SiSocDevice {
   static constexpr const char* kClamp = "CLAMP";
   static constexpr const char* kHighz = "HIGHZ";
 
-  /// True while HIGHZ floats the bus drivers (receivers read Z).
+  /// True while HIGHZ floats every bus's drivers (receivers read Z).
   bool bus_released() const { return highz_; }
 
-  /// Attach an observability sink to the whole device model: the bus
-  /// (CacheLookup), the sensors (DetectorFired, a=wire) and the SoC
-  /// itself (BusTransition per simulated transition, stamped with the
-  /// device's TCK count). nullptr detaches everything.
+  /// Attach an observability sink to the whole device model: every bus
+  /// (CacheLookup), the sensors (DetectorFired: a = wire, b = -1 on a
+  /// one-bus device and the bus index otherwise) and the SoC itself
+  /// (BusTransition per simulated transition, a = bus index, stamped
+  /// with the device's TCK count). nullptr detaches everything.
   void set_sink(obs::Sink* sink);
 
  private:
-  SiSocDevice(SocConfig cfg, si::CoupledBus* external);
-
   /// Decode `name` into the control word and the flags below: once per
   /// Update-IR and per Test-Logic-Reset, never per Update-DR.
   void decode_instruction(const std::string& name);
@@ -160,16 +161,15 @@ class SiSocDevice {
   void apply_bus(bool observe);
 
   SocConfig cfg_;
-  std::unique_ptr<si::CoupledBus> owned_bus_;  // null when bus is external
-  si::CoupledBus* bus_ = nullptr;
+  std::vector<si::CoupledBus> buses_;
   jtag::CellCtl ctl_{};  // before tap_: its boundary register reads it
   std::unique_ptr<jtag::TapDevice> tap_;
   bsc::PlaneRegister* boundary_ = nullptr;  // owned by tap_
   bool scans_boundary_ = false;  // the instruction selects BOUNDARY
   bool ositest_ = false;         // Update-DR complements nd_sd
   bool highz_ = false;
-  util::BitVec pins_;
-  util::BitVec next_pins_;  // apply_bus scratch
+  std::vector<util::BitVec> pins_;       // per bus
+  std::vector<util::BitVec> next_pins_;  // apply_bus scratch, per bus
   bool pins_valid_ = false;
   std::uint64_t bus_transitions_ = 0;
   obs::Sink* sink_ = nullptr;

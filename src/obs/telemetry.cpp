@@ -249,8 +249,11 @@ Snapshot Telemetry::sample() {
     const WorkerProgress& p = slots_[i];
     WorkerSnapshot w;
     w.worker = i;
+    // Completed first, with acquire (pairing with end_unit's release):
+    // the started count loaded after it is then at least as large, so
+    // the difference never wraps.
+    w.units_completed = p.units_completed.load(std::memory_order_acquire);
     w.units_started = p.units_started.load(std::memory_order_relaxed);
-    w.units_completed = p.units_completed.load(std::memory_order_relaxed);
     w.busy_ns = p.busy_ns.load(std::memory_order_relaxed);
     w.idle_ns = p.idle_ns.load(std::memory_order_relaxed);
     const std::uint64_t timed = w.busy_ns + w.idle_ns;
@@ -262,7 +265,10 @@ Snapshot Telemetry::sample() {
       w.current_unit = label;
     }
     s.units_done += w.units_completed;
-    s.units_running += w.units_started - w.units_completed;
+    // A worker runs one unit at a time. Its started count may run ahead
+    // of the completed count loaded before it by more than one unit, so
+    // the difference only says whether a unit was in flight.
+    s.units_running += w.units_started != w.units_completed ? 1 : 0;
     s.transitions += p.transitions.load(std::memory_order_relaxed);
     s.tcks += p.tcks.load(std::memory_order_relaxed);
     cache_hits += p.cache_hits.load(std::memory_order_relaxed);

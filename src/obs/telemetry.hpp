@@ -49,9 +49,13 @@ struct UnitDelta {
 /// atomic the worker bumps and the sampler folds; the label is a pointer
 /// into the campaign's stable unit table (valid for the whole run). The
 /// publish path (`begin_unit`/`end_unit`/`add_idle`) performs only
-/// relaxed atomic arithmetic: no locks, no allocation — pinned by the
-/// zero-allocation telemetry test. Cache-line alignment keeps workers
-/// from false-sharing each other's slots.
+/// atomic arithmetic — relaxed, except that `end_unit` bumps
+/// `units_completed` with release, which the sampler's acquire load
+/// pairs with so a sample never sees more units completed than started
+/// (on x86-64 the release add is the same locked add). No locks, no
+/// allocation — pinned by the zero-allocation telemetry test.
+/// Cache-line alignment keeps workers from false-sharing each other's
+/// slots.
 struct alignas(64) WorkerProgress {
   std::atomic<std::uint64_t> units_started{0};
   std::atomic<std::uint64_t> units_completed{0};
@@ -77,7 +81,9 @@ struct alignas(64) WorkerProgress {
     cache_hits.fetch_add(d.cache_hits, std::memory_order_relaxed);
     cache_misses.fetch_add(d.cache_misses, std::memory_order_relaxed);
     current_unit.store(nullptr, std::memory_order_relaxed);
-    units_completed.fetch_add(1, std::memory_order_relaxed);
+    // Release: a sampler that acquires this count also sees the
+    // units_started bump of every unit it counts.
+    units_completed.fetch_add(1, std::memory_order_release);
   }
 
   void add_idle(std::uint64_t ns) noexcept {
@@ -112,7 +118,7 @@ struct Snapshot {
   std::uint64_t t_ms = 0;     ///< monotonic ms since telemetry start
   std::size_t units_total = 0;
   std::uint64_t units_done = 0;
-  std::uint64_t units_running = 0;
+  std::uint64_t units_running = 0;  ///< workers with a unit in flight
   std::uint64_t transitions = 0;
   std::uint64_t tcks = 0;
   double units_per_sec = 0.0;

@@ -22,15 +22,9 @@ namespace {
                       wanted + "\"");
 }
 
+/// The unit's defects, each applied to the bus it names (every soc
+/// defect names bus 0: the parser refuses `bus` outside multibus_soc).
 core::CampaignRunner::BusSetup bus_setup(std::vector<DefectSpec> defs) {
-  if (defs.empty()) return {};
-  return [defs = std::move(defs)](si::CoupledBus& bus) {
-    for (const DefectSpec& d : defs) apply_defect(bus, d);
-  };
-}
-
-core::CampaignRunner::MultiBusSetup multibus_setup(
-    std::vector<DefectSpec> defs) {
   if (defs.empty()) return {};
   return [defs = std::move(defs)](std::size_t b, si::CoupledBus& bus) {
     for (const DefectSpec& d : defs) {
@@ -44,10 +38,7 @@ std::unique_ptr<si::CoupledBus> build_prototype(const ScenarioSpec& spec) {
       !spec.campaign.warm_prototype) {
     return nullptr;
   }
-  const si::BusParams bp =
-      spec.topology.kind == TopologyKind::Soc
-          ? core::effective_bus_params(soc_config(spec))
-          : core::effective_bus_params(multibus_config(spec));
+  const si::BusParams bp = core::effective_bus_params(soc_config(spec));
   auto proto = std::make_unique<si::CoupledBus>(bp);
   // One canonical warming transition (all-zero -> even wires high):
   // every unit's clone starts from this memoized state, independent of
@@ -67,27 +58,23 @@ std::unique_ptr<si::CoupledBus> build_prototype(const ScenarioSpec& spec) {
 }  // namespace
 
 core::SocConfig soc_config(const ScenarioSpec& spec) {
-  if (spec.topology.kind != TopologyKind::Soc) wrong_topology(spec, "soc");
+  const TopologySpec& t = spec.topology;
   core::SocConfig c;
-  c.n_wires = spec.topology.n_wires;
-  c.m_extra_cells = spec.topology.m_extra_cells;
-  c.ir_width = spec.topology.ir_width;
-  c.idcode = spec.topology.idcode;
-  c.bus = spec.topology.bus;
-  return c;
-}
-
-core::MultiBusConfig multibus_config(const ScenarioSpec& spec) {
-  if (spec.topology.kind != TopologyKind::MultiBusSoc) {
-    wrong_topology(spec, "multibus_soc");
+  switch (t.kind) {
+    case TopologyKind::Soc:
+      c.n_wires = t.n_wires;
+      break;
+    case TopologyKind::MultiBusSoc:
+      c.n_buses = t.n_buses;
+      c.n_wires = t.wires_per_bus;
+      break;
+    case TopologyKind::Board:
+      wrong_topology(spec, "soc\" or \"multibus_soc");
   }
-  core::MultiBusConfig c;
-  c.n_buses = spec.topology.n_buses;
-  c.wires_per_bus = spec.topology.wires_per_bus;
-  c.m_extra_cells = spec.topology.m_extra_cells;
-  c.ir_width = spec.topology.ir_width;
-  c.idcode = spec.topology.idcode;
-  c.bus = spec.topology.bus;
+  c.m_extra_cells = t.m_extra_cells;
+  c.ir_width = t.ir_width;
+  c.idcode = t.idcode;
+  c.bus = t.bus;
   return c;
 }
 
@@ -279,9 +266,8 @@ ScenarioCampaign build_campaign(const ScenarioSpec& spec,
                             bus_setup(std::move(defs)));
         break;
       case SessionKind::MultiBus:
-        sc.runner_.add_multibus(name, multibus_config(spec),
-                                observation_method(s),
-                                multibus_setup(std::move(defs)));
+        sc.runner_.add_multibus(name, soc_config(spec), observation_method(s),
+                                bus_setup(std::move(defs)));
         break;
       case SessionKind::Extest: {
         core::CampaignUnit u;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/campaign.hpp"
-#include "core/multibus.hpp"
 #include "core/soc.hpp"
 #include "ict/board.hpp"
 #include "ict/extest_session.hpp"
@@ -24,12 +23,10 @@ namespace jsi::scenario {
 // (examples, benches) lower the relevant spec pieces through these.
 // Each throws SpecError when the spec's topology kind does not match.
 
-/// SocConfig for a Soc-topology spec (enhanced defaults to true; the
-/// session kind decides it at campaign-lowering time).
+/// SocConfig for a Soc- or MultiBusSoc-topology spec: one bus of
+/// `n_wires`, or `n_buses` buses of `wires_per_bus` (enhanced defaults
+/// to true; the session kind decides it at campaign-lowering time).
 core::SocConfig soc_config(const ScenarioSpec& spec);
-
-/// MultiBusConfig for a MultiBusSoc-topology spec.
-core::MultiBusConfig multibus_config(const ScenarioSpec& spec);
 
 /// BoardNets for a Board-topology spec with the scenario-level faults
 /// already injected.

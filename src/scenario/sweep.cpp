@@ -215,8 +215,10 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
       // requires exact `si::same_params` equality (incl. model kind), so
       // a process-varied die pays a fresh build and never inherits the
       // base die's memoized waveforms.
-      si::CoupledBus bus = ctx.make_bus(core::effective_bus_params(cfg));
-      for (const DefectSpec& d : defs) apply_defect(bus, d);
+      std::vector<si::CoupledBus> buses;
+      buses.push_back(ctx.make_bus(core::effective_bus_params(cfg)));
+      for (const DefectSpec& d : defs) apply_defect(buses.front(), d);
+      core::SiSocDevice soc(cfg, std::move(buses));
       util::BitVec flagged;  // per-wire ND|SD verdict, for the truth books
       const auto take = [&](const core::IntegrityReport& rep) {
         o = core::summarize(rep);
@@ -224,37 +226,28 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
       };
       switch (kind) {
         case SessionKind::Enhanced: {
-          core::SiSocDevice soc(cfg, bus);
           core::SiTestSession session(soc);
           session.set_sink(&ctx.hub());
           take(session.run(method));
           break;
         }
         case SessionKind::Conventional: {
-          core::SiSocDevice soc(cfg, bus);
           core::ConventionalSession session(soc);
           session.set_sink(&ctx.hub());
           take(session.run(method));
           break;
         }
         case SessionKind::Parallel: {
-          core::SiSocDevice soc(cfg, bus);
           core::SiTestSession session(soc);
           session.set_sink(&ctx.hub());
           take(session.run_parallel(method, guard));
           break;
         }
         case SessionKind::Bist: {
-          core::SiSocDevice soc(cfg, bus);
           core::SiBistController ctl(soc);
           ctl.set_sink(&ctx.hub());
           const core::SiBistController::Result res = ctl.run();
-          o.total_tcks = res.tcks;
-          o.violation = !res.pass;
-          std::ostringstream os;
-          os << (res.pass ? "pass" : "fail") << " nd=" << res.nd.to_string()
-             << " sd=" << res.sd.to_string();
-          o.summary = os.str();
+          o = core::summarize(res);
           flagged = res.nd | res.sd;
           break;
         }
@@ -264,7 +257,7 @@ core::CampaignUnit SweepUnitSource::unit(std::size_t index) const {
           throw std::logic_error("sweep: unsupported session kind");
       }
       if (limits) {
-        book_truth(reg, prefix, die_truth(bus, *limits), o.violation,
+        book_truth(reg, prefix, die_truth(soc.bus(), *limits), o.violation,
                    flagged);
       }
     } catch (...) {

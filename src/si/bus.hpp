@@ -359,8 +359,8 @@ class CoupledBus {
 bool matches_width(const CoupledBus* bus, std::size_t expected);
 
 /// Throw std::invalid_argument unless `bus.n() == expected`. The single
-/// checked width gate used by SiSocDevice and MultiBusSoc; the message
-/// names the bus's interconnect model kind, e.g.
+/// checked width gate SiSocDevice applies to every bus handed in; the
+/// message names the bus's interconnect model kind, e.g.
 /// `low_swing bus width 16 != expected 8`.
 void require_width(const CoupledBus& bus, std::size_t expected);
 

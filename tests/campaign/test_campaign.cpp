@@ -1,5 +1,5 @@
 // Campaign-runner mechanics: unit ordering, error isolation, the
-// prototype-bus clone path, the external-bus device constructors, the
+// prototype-bus clone path, the device built on handed-in buses, the
 // additive Registry merge, the thread-safe aggregating live sink, and the
 // per-edge stream a live sink gets.
 // The byte-identity guarantee across shard counts has its own suite in
@@ -134,38 +134,50 @@ TEST(Campaign, ContextClonesPrototypeOnWidthMatch) {
   EXPECT_EQ(bare.make_bus(p).cache_entries(), 0u);
 }
 
+/// `n` clones of `bus`, to hand to a device.
+std::vector<si::CoupledBus> clones(const si::CoupledBus& bus, std::size_t n) {
+  std::vector<si::CoupledBus> out;
+  for (std::size_t b = 0; b < n; ++b) out.push_back(bus.clone());
+  return out;
+}
+
 TEST(Campaign, ExternalBusDeviceValidatesWidth) {
   si::BusParams p;
   p.n_wires = 4;
+  p.vdd = 1.1;
   si::CoupledBus bus(p);
 
   core::SocConfig cfg;
   cfg.n_wires = 6;  // != bus.n()
-  EXPECT_THROW(core::SiSocDevice(cfg, bus), std::invalid_argument);
+  EXPECT_THROW(core::SiSocDevice(cfg, clones(bus, 1)), std::invalid_argument);
 
   cfg.n_wires = 4;
-  core::SiSocDevice soc(cfg, bus);
-  EXPECT_EQ(&soc.bus(), &bus) << "external bus is used in place, not copied";
+  util::BitVec prev(4);
+  util::BitVec next(4);
+  next.set(0, true);
+  bus.transition(prev, next);
+  core::SiSocDevice soc(cfg, clones(bus, 1));
+  EXPECT_EQ(soc.bus().cache_entries(), bus.cache_entries())
+      << "the device runs on the bus handed in, warm entries and all";
   EXPECT_DOUBLE_EQ(soc.config().bus.vdd, bus.params().vdd);
 }
 
 TEST(Campaign, ExternalBusDeviceRunsASession) {
   si::BusParams p;
   p.n_wires = 4;
-  si::CoupledBus bus(p);
   core::SocConfig cfg;
   cfg.n_wires = 4;
   core::SiSocDevice owned_soc(cfg);
-  core::SiSocDevice external_soc(cfg, bus);
+  core::SiSocDevice handed_soc(cfg, clones(si::CoupledBus(p), 1));
 
   core::SiTestSession a(owned_soc);
-  core::SiTestSession b(external_soc);
+  core::SiTestSession b(handed_soc);
   const auto ra = a.run(ObservationMethod::OnceAtEnd);
   const auto rb = b.run(ObservationMethod::OnceAtEnd);
   EXPECT_EQ(ra.total_tcks, rb.total_tcks);
   EXPECT_EQ(ra.nd_final.to_string(), rb.nd_final.to_string());
-  EXPECT_GT(bus.cache_misses(), 0u) << "the session ran through the "
-                                       "externally-owned bus";
+  EXPECT_GT(handed_soc.bus().cache_misses(), 0u)
+      << "the session ran through the bus handed in";
 }
 
 TEST(Campaign, MultiBusPrototypeValidatesWidth) {
@@ -173,18 +185,19 @@ TEST(Campaign, MultiBusPrototypeValidatesWidth) {
   p.n_wires = 4;
   si::CoupledBus proto(p);
 
-  core::MultiBusConfig cfg;
+  core::SocConfig cfg;
   cfg.n_buses = 2;
-  cfg.wires_per_bus = 6;  // != proto.n()
-  EXPECT_THROW(core::MultiBusSoc(cfg, proto), std::invalid_argument);
+  cfg.n_wires = 6;  // != proto.n()
+  EXPECT_THROW(core::SiSocDevice(cfg, clones(proto, 2)),
+               std::invalid_argument);
 
-  cfg.wires_per_bus = 4;
+  cfg.n_wires = 4;
   util::BitVec prev(4);
   util::BitVec next(4);
   next.set(0, true);
   proto.transition(prev, next);
-  core::MultiBusSoc soc(cfg, proto);
-  for (std::size_t b = 0; b < soc.n_buses(); ++b) {
+  core::SiSocDevice soc(cfg, clones(proto, 2));
+  for (std::size_t b = 0; b < cfg.n_buses; ++b) {
     EXPECT_EQ(soc.bus(b).cache_entries(), proto.cache_entries())
         << "bus " << b << " must start from the warmed prototype";
   }

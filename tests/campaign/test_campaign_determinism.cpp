@@ -74,7 +74,7 @@ CampaignRunner make_mixed_campaign(std::size_t shards,
   CampaignRunner runner(cfg);
   runner.set_prototype_bus(prototype);
 
-  const auto defect = [](si::CoupledBus& bus) {
+  const auto defect = [](std::size_t, si::CoupledBus& bus) {
     bus.inject_crosstalk_defect(1, 6.0);
   };
 
@@ -86,9 +86,9 @@ CampaignRunner make_mixed_campaign(std::size_t shards,
                       3);
   runner.add_conventional("conventional", soc_cfg(4, /*enhanced=*/false),
                           ObservationMethod::OnceAtEnd);
-  core::MultiBusConfig mb;
+  core::SocConfig mb;
   mb.n_buses = 2;
-  mb.wires_per_bus = 4;
+  mb.n_wires = 4;
   runner.add_multibus("multibus", mb, ObservationMethod::OnceAtEnd);
   runner.add_multibus("multibus-defect", mb, ObservationMethod::PerInitValue,
                       [](std::size_t b, si::CoupledBus& bus) {
@@ -180,9 +180,9 @@ TEST(CampaignDeterminism, BooksAgreeAtCampaignScale) {
   runner.add_parallel("p6", soc_cfg(6), ObservationMethod::PerInitValue, 3);
   runner.add_conventional("c4", soc_cfg(4, false),
                           ObservationMethod::OnceAtEnd);
-  core::MultiBusConfig mb;
+  core::SocConfig mb;
   mb.n_buses = 2;
-  mb.wires_per_bus = 4;
+  mb.n_wires = 4;
   runner.add_multibus("mb", mb, ObservationMethod::OnceAtEnd);
 
   // Re-derive every plan the campaign will execute and dry-run it.
@@ -215,7 +215,7 @@ TEST(CampaignDeterminism, BooksAgreeAtCampaignScale) {
     want.observation_tcks += c.observation_tcks;
   }
   {
-    core::MultiBusSoc soc(mb);
+    core::SiSocDevice soc(mb);
     core::MultiBusSession s(soc);
     const core::PlanCost c =
         core::dry_run_cost(s.plan(ObservationMethod::OnceAtEnd));

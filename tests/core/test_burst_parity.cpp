@@ -11,9 +11,9 @@
 // master emits its records. Two golden digests of the event stream,
 // recorded before the burst path existed, pin that order. Three more,
 // recorded before the devices judged each run of wires that share a
-// store entry once, pin the flags and DetectorFired order of that shared
-// sensor loop: at n=64, where such runs are long, and on the multibus
-// path.
+// store entry once, pin the flags and DetectorFired order of that
+// sensor loop: at n=64, where such runs are long, and on a two-bus
+// device.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +23,6 @@
 #include "../jtag/tick_only_port.hpp"
 #include "bsc/planes.hpp"
 #include "core/engine.hpp"
-#include "core/multibus.hpp"
 #include "core/plan.hpp"
 #include "core/session.hpp"
 #include "core/soc.hpp"
@@ -100,15 +99,14 @@ struct Side {
 /// Runs `plan` on the TAP of `soc` through a master over the device
 /// itself (burst) or over a TickOnlyPort (per edge), with `hub` attached
 /// everywhere.
-template <typename Soc>
-Side run_side(Soc& soc, EngineTarget& target, const TestPlan& plan,
-              obs::Hub& hub, bool burst) {
+Side run_side(SiSocDevice& soc, const TestPlan& plan, obs::Hub& hub,
+              bool burst) {
   jtag::TickOnlyPort ticks(soc.tap());
   jtag::TapMaster master(burst ? static_cast<jtag::TapPort&>(soc.tap())
                                : ticks);
   master.set_sink(&hub);
   soc.set_sink(&hub);
-  TestPlanEngine engine(master, target);
+  TestPlanEngine engine(master, &soc);
   engine.set_sink(&hub);
   Side s;
   s.result = engine.execute(plan);
@@ -195,9 +193,8 @@ void check_single(Kind kind, std::size_t n, ObservationMethod method) {
   for (const bool burst : {true, false}) {
     SiSocDevice soc(cfg);
     inject_defects(soc.bus(), n, seed);
-    SingleBusTarget target(soc);
     obs::Hub hub = make_hub(plan, 1, n);
-    sides[burst ? 0 : 1] = run_side(soc, target, plan, hub, burst);
+    sides[burst ? 0 : 1] = run_side(soc, plan, hub, burst);
   }
   expect_same(sides[0], sides[1]);
 }
@@ -239,20 +236,19 @@ TEST(BurstParity, MultiBusSessions) {
          {ObservationMethod::OnceAtEnd, ObservationMethod::PerInitValue}) {
       SCOPED_TRACE("n " + std::to_string(n) + " method " +
                    std::to_string(static_cast<int>(m)));
-      MultiBusConfig cfg;
+      SocConfig cfg;
       cfg.n_buses = 2;
-      cfg.wires_per_bus = n;
+      cfg.n_wires = n;
       const TestPlan plan = plan_multibus_session(
           cfg.n_buses, n, cfg.m_extra_cells, cfg.ir_width, m);
       Side sides[2];
       for (const bool burst : {true, false}) {
-        MultiBusSoc soc(cfg);
+        SiSocDevice soc(cfg);
         for (std::size_t b = 0; b < cfg.n_buses; ++b) {
           inject_defects(soc.bus(b), n, 7000 + 10 * n + b);
         }
-        MultiBusTarget target(soc);
         obs::Hub hub = make_hub(plan, cfg.n_buses, cfg.n_buses * n);
-        sides[burst ? 0 : 1] = run_side(soc, target, plan, hub, burst);
+        sides[burst ? 0 : 1] = run_side(soc, plan, hub, burst);
       }
       expect_same(sides[0], sides[1]);
     }
@@ -341,15 +337,15 @@ TEST(BurstParity, WideParallelEventStreamIsPinned) {
 }
 
 TEST(BurstParity, MultiBusEventStreamIsPinned) {
-  MultiBusConfig cfg;
+  SocConfig cfg;
   cfg.n_buses = 2;
-  cfg.wires_per_bus = 8;
-  MultiBusSoc soc(cfg);
+  cfg.n_wires = 8;
+  SiSocDevice soc(cfg);
   soc.bus(1).inject_crosstalk_defect(4, 7.0);
   MultiBusSession session(soc);
   const auto m = ObservationMethod::OnceAtEnd;
   obs::Hub hub = make_hub(session.plan(m), cfg.n_buses,
-                          cfg.n_buses * cfg.wires_per_bus);
+                          cfg.n_buses * cfg.n_wires);
   session.set_sink(&hub);
   EXPECT_EQ(fired_digest(hub, 4, [&] { session.run(m); }),
             7025716084984084961ull);

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "analysis/time_model.hpp"
-#include "core/multibus.hpp"
 #include "core/plan.hpp"
 #include "core/session.hpp"
 
@@ -174,11 +173,11 @@ TEST(EngineParity, MultiBusSession) {
        {"000000", "001110", "000000"}},
   };
   for (const auto& g : goldens) {
-    MultiBusConfig cfg;
+    SocConfig cfg;
     cfg.n_buses = 3;
-    cfg.wires_per_bus = 6;
+    cfg.n_wires = 6;
     cfg.m_extra_cells = 1;
-    MultiBusSoc soc(cfg);
+    SiSocDevice soc(cfg);
     soc.bus(1).inject_crosstalk_defect(2, 6.0);
     MultiBusSession session(soc);
     SCOPED_TRACE(static_cast<int>(g.method));
@@ -278,16 +277,15 @@ TEST(DryRunCost, MatchesTimeModelAndLiveRunParallel) {
 TEST(DryRunCost, MatchesTimeModelAndLiveRunMultiBus) {
   for (ObservationMethod method :
        {ObservationMethod::OnceAtEnd, ObservationMethod::PerInitValue}) {
-    MultiBusConfig cfg;
+    SocConfig cfg;
     cfg.n_buses = 3;
-    cfg.wires_per_bus = 6;
+    cfg.n_wires = 6;
     cfg.m_extra_cells = 1;
-    MultiBusSoc soc(cfg);
+    SiSocDevice soc(cfg);
     MultiBusSession session(soc);
     const PlanCost cost = dry_run_cost(session.plan(method));
 
-    analysis::TimeModel tm{cfg.wires_per_bus, cfg.m_extra_cells,
-                           cfg.ir_width};
+    analysis::TimeModel tm{cfg.n_wires, cfg.m_extra_cells, cfg.ir_width};
     EXPECT_EQ(cost.generation_tcks, tm.multibus_generation(cfg.n_buses));
 
     const MultiBusReport r = session.run(method);
@@ -323,8 +321,9 @@ TEST(DryRunCost, UnsupportedMethodsThrow) {
   EXPECT_THROW(session.plan_parallel(ObservationMethod::PerPattern, 2),
                std::invalid_argument);
 
-  MultiBusConfig mcfg;
-  MultiBusSoc msoc(mcfg);
+  SocConfig mcfg;
+  mcfg.n_buses = 2;
+  SiSocDevice msoc(mcfg);
   MultiBusSession msession(msoc);
   EXPECT_THROW(msession.plan(ObservationMethod::PerPattern),
                std::invalid_argument);

@@ -1,37 +1,26 @@
-#include "core/multibus.hpp"
-
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "analysis/time_model.hpp"
 #include "core/session.hpp"
 #include "mafm/schedule.hpp"
+#include "obs/hub.hpp"
 
 namespace jsi::core {
 namespace {
 
-MultiBusConfig cfg(std::size_t buses, std::size_t wires) {
-  MultiBusConfig c;
+SocConfig cfg(std::size_t buses, std::size_t wires) {
+  SocConfig c;
   c.n_buses = buses;
-  c.wires_per_bus = wires;
+  c.n_wires = wires;
   return c;
 }
 
-TEST(MultiBusSoc, ChainLayout) {
-  MultiBusSoc soc(cfg(3, 4));
-  EXPECT_EQ(soc.chain_length(), 2u * 3 * 4 + 1);
-  EXPECT_EQ(soc.n_buses(), 3u);
-  EXPECT_EQ(soc.wires_per_bus(), 4u);
-}
-
-TEST(MultiBusSoc, RejectsDegenerateConfigs) {
-  EXPECT_THROW(MultiBusSoc soc(cfg(0, 4)), std::invalid_argument);
-  EXPECT_THROW(MultiBusSoc soc(cfg(2, 1)), std::invalid_argument);
-}
-
 TEST(MultiBusSession, HealthyBusesAllClean) {
-  MultiBusSoc soc(cfg(3, 5));
+  SiSocDevice soc(cfg(3, 5));
   MultiBusSession session(soc);
   const auto r = session.run(ObservationMethod::OnceAtEnd);
   EXPECT_FALSE(r.any_violation());
@@ -45,7 +34,7 @@ TEST(MultiBusSession, EveryBusReceivesTheFullFaultSet) {
   // The parallel rotation must give every victim of every bus all six MA
   // faults, exactly like the single-bus flow.
   const std::size_t n = 4, nb = 3;
-  MultiBusSoc soc(cfg(nb, n));
+  SiSocDevice soc(cfg(nb, n));
   MultiBusSession session(soc);
   const auto r = session.run(ObservationMethod::OnceAtEnd);
   for (std::size_t b = 0; b < nb; ++b) {
@@ -64,7 +53,7 @@ TEST(MultiBusSession, PatternsMatchSingleBusReference) {
   // (ignoring the final cross-block rotation step, whose vector differs
   // because the neighbouring block's hot bit arrives).
   const std::size_t n = 5, nb = 2;
-  MultiBusSoc soc(cfg(nb, n));
+  SiSocDevice soc(cfg(nb, n));
   MultiBusSession session(soc);
   const auto r = session.run(ObservationMethod::OnceAtEnd);
   for (int block = 0; block < 2; ++block) {
@@ -81,7 +70,7 @@ TEST(MultiBusSession, PatternsMatchSingleBusReference) {
 }
 
 TEST(MultiBusSession, DefectsLocalizedToTheRightBus) {
-  MultiBusSoc soc(cfg(3, 6));
+  SiSocDevice soc(cfg(3, 6));
   soc.bus(0).inject_crosstalk_defect(2, 6.0);
   soc.bus(2).add_series_resistance(4, 900.0);
   MultiBusSession session(soc);
@@ -94,7 +83,7 @@ TEST(MultiBusSession, DefectsLocalizedToTheRightBus) {
 }
 
 TEST(MultiBusSession, ScanOutMatchesGroundTruth) {
-  MultiBusSoc soc(cfg(2, 5));
+  SiSocDevice soc(cfg(2, 5));
   soc.bus(1).inject_crosstalk_defect(3, 6.0);
   MultiBusSession session(soc);
   const auto r = session.run(ObservationMethod::OnceAtEnd);
@@ -115,7 +104,7 @@ TEST(MultiBusSession, ParallelismMakesGenerationNearlyFlatInBusCount) {
   const std::size_t n = 8;
   std::uint64_t parallel4;
   {
-    MultiBusSoc soc(cfg(4, n));
+    SiSocDevice soc(cfg(4, n));
     MultiBusSession session(soc);
     parallel4 = session.run(ObservationMethod::OnceAtEnd).total_tcks;
   }
@@ -132,7 +121,7 @@ TEST(MultiBusSession, ParallelismMakesGenerationNearlyFlatInBusCount) {
 }
 
 TEST(MultiBusSession, PerInitValueMethodWorks) {
-  MultiBusSoc soc(cfg(2, 4));
+  SiSocDevice soc(cfg(2, 4));
   soc.bus(0).inject_crosstalk_defect(1, 6.0);
   MultiBusSession session(soc);
   const auto r = session.run(ObservationMethod::PerInitValue);
@@ -141,7 +130,7 @@ TEST(MultiBusSession, PerInitValueMethodWorks) {
 }
 
 TEST(MultiBusSession, PerPatternRejected) {
-  MultiBusSoc soc(cfg(2, 4));
+  SiSocDevice soc(cfg(2, 4));
   MultiBusSession session(soc);
   EXPECT_THROW(session.run(ObservationMethod::PerPattern),
                std::invalid_argument);
@@ -153,7 +142,7 @@ class MultiBusClockCounts
 
 TEST_P(MultiBusClockCounts, MeasuredTcksMatchClosedForm) {
   const auto [buses, n] = GetParam();
-  MultiBusSoc soc(cfg(buses, n));
+  SiSocDevice soc(cfg(buses, n));
   MultiBusSession session(soc);
   analysis::TimeModel model{n, 1, 4};
 
@@ -170,10 +159,51 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 4),
                        ::testing::Values<std::size_t>(4, 8)));
 
+/// One run's report, registry and JSONL event stream. The session span
+/// records and counter carry the session's name, which is the one thing
+/// a one-bus MultiBusSession and SiTestSession differ in; it is written
+/// as `session` here.
+struct Observed {
+  IntegrityReport report;
+  std::string registry;
+  std::string events;
+};
+
+template <typename Session, typename Run>
+Observed observe(std::size_t n, const char* name, Run run) {
+  SiSocDevice soc(cfg(1, n));
+  soc.bus().inject_crosstalk_defect(2, 6.0);
+  soc.bus().inject_crosstalk_defect(4, 7.0);
+  Session session(soc);
+  obs::TracerConfig tc;
+  tc.capacity = 1 << 16;
+  obs::Hub hub(tc);
+  session.set_sink(&hub);
+  Observed o{run(session), hub.registry().to_json(), ""};
+  EXPECT_EQ(hub.tracer().dropped(), 0u);
+  std::ostringstream os;
+  for (obs::Event e : hub.tracer().events()) {
+    if (e.kind == obs::EventKind::SessionBegin ||
+        e.kind == obs::EventKind::SessionEnd) {
+      EXPECT_STREQ(e.name, name);
+      e.name = "session";
+    }
+    obs::write_event_jsonl(os, e);
+  }
+  o.events = os.str();
+  const std::string key = std::string("\"session.") + name + "\"";
+  const std::size_t at = o.registry.find(key);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at != std::string::npos) {
+    o.registry.replace(at, key.size(), "\"session.session\"");
+  }
+  return o;
+}
+
 TEST(MultiBusSession, SingleBusDegeneratesToSiTestSessionCounts) {
   // B=1 must cost exactly what the single-bus session costs (generation).
   const std::size_t n = 6;
-  MultiBusSoc msoc(cfg(1, n));
+  SiSocDevice msoc(cfg(1, n));
   MultiBusSession msession(msoc);
   const auto mr = msession.run(ObservationMethod::OnceAtEnd);
 
@@ -181,6 +211,58 @@ TEST(MultiBusSession, SingleBusDegeneratesToSiTestSessionCounts) {
   EXPECT_EQ(mr.generation_tcks, model.pgbsc_generation());
   EXPECT_EQ(mr.observation_tcks,
             model.enhanced_observation(ObservationMethod::OnceAtEnd));
+
+  // And it is the same session: on a one-bus device with two crosstalk
+  // defects the whole report, the registry and the event stream equal
+  // SiTestSession's, but for the session's name.
+  for (const auto m :
+       {ObservationMethod::OnceAtEnd, ObservationMethod::PerInitValue}) {
+    SCOPED_TRACE(static_cast<int>(m));
+    const Observed multi = observe<MultiBusSession>(
+        16, "multibus", [m](MultiBusSession& s) {
+          MultiBusReport r = s.run(m);
+          EXPECT_EQ(r.buses.size(), 1u);
+          IntegrityReport one = r.buses.front();
+          one.total_tcks = r.total_tcks;
+          one.generation_tcks = r.generation_tcks;
+          one.observation_tcks = r.observation_tcks;
+          return one;
+        });
+    const Observed single = observe<SiTestSession>(
+        16, "enhanced", [m](SiTestSession& s) { return s.run(m); });
+    EXPECT_EQ(format_report(multi.report), format_report(single.report));
+    EXPECT_EQ(multi.report.nd_final, single.report.nd_final);
+    EXPECT_EQ(multi.report.sd_final, single.report.sd_final);
+    EXPECT_TRUE(multi.report.any_violation());
+    ASSERT_EQ(multi.report.patterns.size(), single.report.patterns.size());
+    for (std::size_t i = 0; i < multi.report.patterns.size(); ++i) {
+      const AppliedPattern& p = multi.report.patterns[i];
+      const AppliedPattern& q = single.report.patterns[i];
+      EXPECT_EQ(p.before, q.before) << "pattern " << i;
+      EXPECT_EQ(p.after, q.after) << "pattern " << i;
+      EXPECT_EQ(p.victim, q.victim) << "pattern " << i;
+      EXPECT_EQ(p.init_block, q.init_block) << "pattern " << i;
+      EXPECT_EQ(p.from_rotate_scan, q.from_rotate_scan) << "pattern " << i;
+      EXPECT_EQ(p.fault, q.fault) << "pattern " << i;
+    }
+    ASSERT_EQ(multi.report.readouts.size(), single.report.readouts.size());
+    for (std::size_t i = 0; i < multi.report.readouts.size(); ++i) {
+      EXPECT_EQ(multi.report.readouts[i].nd, single.report.readouts[i].nd);
+      EXPECT_EQ(multi.report.readouts[i].sd, single.report.readouts[i].sd);
+      EXPECT_EQ(multi.report.readouts[i].pattern_index,
+                single.report.readouts[i].pattern_index);
+      EXPECT_EQ(multi.report.readouts[i].init_block,
+                single.report.readouts[i].init_block);
+    }
+    EXPECT_EQ(multi.report.total_tcks, single.report.total_tcks);
+    EXPECT_EQ(multi.report.generation_tcks, single.report.generation_tcks);
+    EXPECT_EQ(multi.report.observation_tcks, single.report.observation_tcks);
+    EXPECT_EQ(multi.registry, single.registry);
+    // EXPECT_EQ would print two long streams on a mismatch.
+    EXPECT_TRUE(multi.events == single.events) << "event streams differ";
+    EXPECT_NE(multi.events.find("\"kind\":\"DetectorFired\""),
+              std::string::npos);
+  }
 }
 
 }  // namespace

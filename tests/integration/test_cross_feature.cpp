@@ -7,7 +7,6 @@
 #include "core/bist.hpp"
 #include "core/bsdl.hpp"
 #include "core/export.hpp"
-#include "core/multibus.hpp"
 #include "core/session.hpp"
 #include "jtag/monitor.hpp"
 #include "util/prng.hpp"
@@ -67,10 +66,10 @@ TEST(CrossFeature, ParallelVictimsUnderRandomDefects) {
 }
 
 TEST(CrossFeature, MultiBusReportsExportToJson) {
-  core::MultiBusConfig cfg;
+  core::SocConfig cfg;
   cfg.n_buses = 2;
-  cfg.wires_per_bus = 5;
-  core::MultiBusSoc soc(cfg);
+  cfg.n_wires = 5;
+  core::SiSocDevice soc(cfg);
   soc.bus(1).inject_crosstalk_defect(2, 6.0);
   core::MultiBusSession session(soc);
   const auto r = session.run(core::ObservationMethod::OnceAtEnd);

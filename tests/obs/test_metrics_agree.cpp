@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "core/bist.hpp"
-#include "core/multibus.hpp"
 #include "core/plan.hpp"
 #include "core/session.hpp"
 #include "ict/extest_session.hpp"
@@ -105,10 +104,10 @@ TEST(MetricsAgree, ConventionalSession) {
 TEST(MetricsAgree, MultiBusSession) {
   for (const ObservationMethod m :
        {ObservationMethod::OnceAtEnd, ObservationMethod::PerInitValue}) {
-    core::MultiBusConfig cfg;
+    core::SocConfig cfg;
     cfg.n_buses = 2;
-    cfg.wires_per_bus = 4;
-    core::MultiBusSoc soc(cfg);
+    cfg.n_wires = 4;
+    core::SiSocDevice soc(cfg);
     core::MultiBusSession session(soc);
     obs::Hub hub(small_trace());
     hub.set_strict(true);

@@ -1,10 +1,12 @@
 #include "obs/registry.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/json.hpp"
 
@@ -142,8 +144,10 @@ TEST(Registry, JsonDumpParsesAndRoundTripsValues) {
 
 TEST(MetricsDump, WritesParseableBenchFile) {
   global_registry().counter("dump.test").inc(9);
-  const std::string path =
-      testing::TempDir() + "BENCH_registry_unittest.json";
+  // One file per process: concurrent runs of this binary must not read
+  // or remove each other's dump.
+  const std::string path = testing::TempDir() + "BENCH_registry_unittest_" +
+                           std::to_string(::getpid()) + ".json";
   const std::string written = jsi_metrics_dump("registry_unittest", path);
   ASSERT_EQ(written, path);
 

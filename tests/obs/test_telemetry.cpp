@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <new>
 #include <sstream>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,19 +154,21 @@ TEST(Telemetry, SampleIsMonotoneUnderConcurrentPublishing) {
   ASSERT_NE(w0, nullptr);
   ASSERT_NE(w1, nullptr);
 
-  std::atomic<bool> go{false}, done{false};
-  auto publisher = [&go, &done](WorkerProgress* w) {
+  std::atomic<bool> go{false};
+  auto publisher = [&go](std::stop_token stop, WorkerProgress* w) {
     while (!go.load()) {
     }
     UnitDelta d;
     d.transitions = 3;
     d.tcks = 9;
-    for (int i = 0; i < 50000 && !done.load(std::memory_order_relaxed); ++i) {
+    for (int i = 0; i < 50000 && !stop.stop_requested(); ++i) {
       w->begin_unit("spin");
       w->end_unit(d);
     }
   };
-  std::thread t0(publisher, w0), t1(publisher, w1);
+  // jthreads stop and join on every exit path, a failed ASSERT's early
+  // return included, so a failure cannot abort the whole binary.
+  std::jthread t0(publisher, w0), t1(publisher, w1);
   go.store(true);
 
   Snapshot prev = tele.sample();
@@ -176,11 +179,10 @@ TEST(Telemetry, SampleIsMonotoneUnderConcurrentPublishing) {
     ASSERT_GE(s.transitions, prev.transitions);
     ASSERT_GE(s.tcks, prev.tcks);
     ASSERT_GE(s.units_done + s.units_running, s.units_done);
+    // At most one unit in flight per slot: no wrap, and <= 2 slots.
+    ASSERT_LE(s.units_running, 2u);
     prev = s;
   }
-  done.store(true);
-  t0.join();
-  t1.join();
 }
 
 TEST(Telemetry, StartStopEmitsAtLeastTwoParseableHeartbeats) {

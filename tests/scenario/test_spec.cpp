@@ -87,9 +87,10 @@ TEST(ScenarioParse, MultiBusWithBusIndexedDefects) {
   ASSERT_EQ(s.defects.size(), 2u);
   EXPECT_EQ(s.defects[0].bus, 2u);
   EXPECT_EQ(s.defects[1].kind, scenario::DefectKind::SeriesResistance);
-  const core::MultiBusConfig cfg = scenario::multibus_config(s);
+  const core::SocConfig cfg = scenario::soc_config(s);
   EXPECT_EQ(cfg.n_buses, 3u);
-  EXPECT_EQ(cfg.wires_per_bus, 8u);
+  EXPECT_EQ(cfg.n_wires, 8u);
+  EXPECT_EQ(cfg.idcode, 0x0A572001u);
 }
 
 TEST(ScenarioParse, BoardWithFaultsAndAllAlgorithms) {

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "core/multibus.hpp"
 #include "core/session.hpp"
 #include "core/soc.hpp"
 #include "mafm/fault.hpp"
@@ -1291,7 +1290,7 @@ SessionVerdicts run_soc_session(core::SiSocDevice& soc,
   return v;
 }
 
-SessionVerdicts run_multibus_session(core::MultiBusSoc& soc,
+SessionVerdicts run_multibus_session(core::SiSocDevice& soc,
                                      core::ObservationMethod m) {
   FiredSink sink;
   core::MultiBusSession session(soc);
@@ -1335,19 +1334,19 @@ TEST(BusStore, SessionsFlagTheSameOnAWarmBusAndAFreshOne) {
     }
   }
 
-  core::MultiBusConfig mcfg;
+  core::SocConfig mcfg;
   mcfg.n_buses = 3;
-  mcfg.wires_per_bus = 6;
-  const auto multibus_defects = [&](core::MultiBusSoc& soc) {
+  mcfg.n_wires = 6;
+  const auto multibus_defects = [&](core::SiSocDevice& soc) {
     defects(soc.bus(0));
     soc.bus(2).inject_crosstalk_defect(4, 8.0);
   };
   const core::ObservationMethod m = core::ObservationMethod::OnceAtEnd;
-  core::MultiBusSoc warm(mcfg);
+  core::SiSocDevice warm(mcfg);
   multibus_defects(warm);
   const SessionVerdicts first = run_multibus_session(warm, m);
   const SessionVerdicts second = run_multibus_session(warm, m);
-  core::MultiBusSoc fresh(mcfg);
+  core::SiSocDevice fresh(mcfg);
   multibus_defects(fresh);
   EXPECT_EQ(second, first);
   EXPECT_EQ(run_multibus_session(fresh, m), first);
